@@ -9,10 +9,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
+from .exactfield import (LaurentPoly, RationalFunction, laurent_divide,
+                         laurent_primitive, poly_gcd, sym_minus, sym_plus)
 from .genexpr import YMonomial
 from .rflinalg import FieldMatrix
+
+
+def _lcm_cofactors(polys):
+    """Primitive lcm L of the distinct polys, and the cofactor L / p of each.
+
+    Works on distinct values only, so each gcd and division is done once.
+    """
+    cofactors = dict.fromkeys(polys)
+    lcm = LaurentPoly.one()
+    for p in cofactors:
+        lcm = lcm * laurent_divide(p, poly_gcd(lcm, p))
+    lcm = laurent_primitive(lcm)
+    for p in cofactors:
+        cofactors[p] = laurent_divide(lcm, p)
+    return lcm, cofactors
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,12 +47,25 @@ class AlgebraPreset:
     def name(self) -> str:
         return "d%d" % self.n if self.kind == "dn" else self.kind
 
+    @cached_property
+    def pair_table(self) -> tuple[LaurentPoly, tuple[tuple[LaurentPoly, ...], ...]]:
+        """Common denominator Q and numerator table N with M_ij = N_ij / Q.
+
+        Computed on first use and kept on the preset, so it lives exactly as
+        long as the preset does.
+        """
+        q, cofactors = _lcm_cofactors(e.den for row in self.M.rows for e in row)
+        nums = tuple(tuple(e.num * cofactors[e.den] for e in row) for row in self.M.rows)
+        return q, nums
+
 
 @dataclass
 class VerificationOutcome:
     passed: bool
     details: list[str] = field(default_factory=list)
     failure: str | None = None
+    # verify_cartan only: whether M D^-1 Mtilde D^-1 = I was shown to hold
+    identity_holds: bool = False
 
 
 def _rf(num: LaurentPoly, den: LaurentPoly | None = None) -> RationalFunction:
@@ -229,35 +259,98 @@ def symmetrized_cartan(preset: AlgebraPreset):
              for j in range(1, r + 1)] for i in range(1, r + 1)]
 
 
+def _laurent_entries(name: str, mat: FieldMatrix, diagonal: bool):
+    """Entries of mat as Laurent polynomials, or the first entry that breaks the shape.
+
+    Returns (entries, None) or (None, failure).  With diagonal set, the
+    off-diagonal entries must vanish and the diagonal ones must not.
+    """
+    entries = []
+    for i, row in enumerate(mat.rows):
+        out_row = []
+        for j, e in enumerate(row):
+            lp = e.as_laurent()
+            if lp is None:
+                return None, ("%s entry (%d,%d) is not a Laurent polynomial: %s"
+                              % (name, i + 1, j + 1, e))
+            if diagonal and (i == j) == lp.is_zero:
+                return None, ("%s entry (%d,%d) is %s; %s must be diagonal with a "
+                              "nonzero diagonal" % (name, i + 1, j + 1, e, name))
+            out_row.append(lp)
+        entries.append(out_row)
+    return entries, None
+
+
+def _identity_residual(preset: AlgebraPreset) -> str | None:
+    """Check M D^-1 Mtilde D^-1 = I exactly, without division; None if it holds.
+
+    With M = N/Q, d_k = D_kk and L = lcm(d_k), the identity reads
+
+        sum_k N_ik Mtilde_kj (L/d_k) = Q L d_j delta_ij
+
+    in the Laurent ring.  Over a field a one-sided inverse of a square matrix
+    is two-sided, so this proves that M is invertible with D M^-1 D = Mtilde,
+    that Mtilde is invertible with D Mtilde^-1 D = M, and that det M != 0.
+    Returns the failure, naming the first entry that breaks the identity.
+    """
+    r = preset.rank
+    if not preset.M.dim == preset.D.dim == preset.expected_mtilde.dim == r:
+        return ("matrix sizes M %d, D %d, Mtilde %d do not match rank %d"
+                % (preset.M.dim, preset.D.dim, preset.expected_mtilde.dim, r))
+    dmat, failure = _laurent_entries("D", preset.D, diagonal=True)
+    if failure is not None:
+        return failure
+    mtilde, failure = _laurent_entries("Mtilde", preset.expected_mtilde, diagonal=False)
+    if failure is not None:
+        return failure
+    d = [dmat[k][k] for k in range(r)]
+    lcm, cof = _lcm_cofactors(d)
+    # column j of Mtilde D^-1, scaled by L: the nonzero (k, Mtilde_kj L/d_k)
+    cols = [[(k, mtilde[k][j] * cof[d[k]]) for k in range(r) if mtilde[k][j]]
+            for j in range(r)]
+    q, nums = preset.pair_table
+    diag = [q * lcm * dj for dj in d]
+    zero = LaurentPoly.zero()
+    for i in range(r):
+        for j in range(r):
+            lhs = zero
+            for k, w in cols[j]:
+                lhs = lhs + nums[i][k] * w
+            if lhs != (diag[j] if i == j else zero):
+                return ("entry (%d,%d) of M D^-1 Mtilde D^-1: computed %s, expected %d"
+                        % (i + 1, j + 1, RationalFunction(lhs, diag[j]), i == j))
+    return None
+
+
 def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
     """Check D M^-1 D against the printed deformed Cartan matrix, exactly.
 
-    Also checks the normalized classical limit: each entry divided by
-    (t - t^-1) and evaluated at t = 1 must give the symmetrized Cartan
-    integer.  Fails on the first differing entry.
+    The identity is checked as the division-free residual of
+    _identity_residual, which also proves the dual identity
+    D Mtilde^-1 D = M; identity_holds records its result.  Then checks the
+    normalized classical limit: each entry of Mtilde divided by (t - t^-1)
+    and evaluated at t = 1 must give the symmetrized Cartan integer.  Fails
+    on the first differing entry.
     """
     out = VerificationOutcome(passed=True)
-    computed = preset.D * preset.M.inverse() * preset.D
-    n = preset.rank
-    for i in range(n):
-        for j in range(n):
-            if computed.rows[i][j] != preset.expected_mtilde.rows[i][j]:
-                out.passed = False
-                out.failure = ("entry (%d,%d): computed %s, expected %s"
-                               % (i + 1, j + 1, computed.rows[i][j],
-                                  preset.expected_mtilde.rows[i][j]))
-                return out
+    failure = _identity_residual(preset)
+    if failure is not None:
+        out.passed = False
+        out.failure = failure
+        return out
+    out.identity_holds = True
     out.details.append("D M^-1 D matches the printed deformed Cartan matrix (%s)" % preset.name)
+    n = preset.rank
     norm = RationalFunction(sym_minus(1))
     one = Fraction(1)
-    limit = [[(computed.rows[i][j] / norm).evaluate(one) for j in range(n)] for i in range(n)]
     expected = symmetrized_cartan(preset)
     for i in range(n):
         for j in range(n):
-            if limit[i][j] != expected[i][j]:
+            limit = (preset.expected_mtilde.rows[i][j] / norm).evaluate(one)
+            if limit != expected[i][j]:
                 out.passed = False
                 out.failure = ("limit entry (%d,%d): got %s, expected %d"
-                               % (i + 1, j + 1, limit[i][j], expected[i][j]))
+                               % (i + 1, j + 1, limit, expected[i][j]))
                 return out
     out.details.append("normalized t -> 1 limit equals the symmetrized Cartan matrix")
     return out

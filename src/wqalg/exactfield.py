@@ -503,12 +503,24 @@ class RationalFunction:
         return RationalFunction._raw(self.num.shift(k), self.den)
 
     def invert_var(self) -> "RationalFunction":
-        """Substitute t -> t^-1."""
-        return RationalFunction(self.num.invert_var(), self.den.invert_var())
+        """Substitute t -> t^-1, staying canonical without a gcd.
+
+        num(1/t) / den(1/t) = t^deg num(1/t) / (t^deg den(1/t)).  The canonical
+        denominator has a nonzero constant term, so its reversal has the same
+        degree, the same coprime integer coefficients and no common factor
+        with the reversed numerator; only the sign may need fixing.
+        """
+        deg = self.den.max_exp
+        num = {deg - e: c for e, c in self.num.terms.items()}
+        den = {deg - e: c for e, c in self.den.terms.items()}
+        if den[deg] < 0:
+            num = {e: -c for e, c in num.items()}
+            den = {e: -c for e, c in den.items()}
+        return RationalFunction._raw(LaurentPoly._raw(num), LaurentPoly._raw(den))
 
     def as_laurent(self):
         """The value as a LaurentPoly if the reduced denominator is a unit, else None."""
-        if self.den == LaurentPoly.one():
+        if self.den.terms == {0: 1}:
             return self.num
         return None
 

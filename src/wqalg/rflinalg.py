@@ -1,4 +1,8 @@
-"""Dense exact linear algebra over the rational-function field in t."""
+"""Dense exact linear algebra over the rational-function field in t.
+
+Elimination (inverse, determinant) is kept as a reference for the tests to
+compare against; the verification path checks its identities without it.
+"""
 
 from __future__ import annotations
 

@@ -1,11 +1,18 @@
 """Preset data: matrix entries, monomial tables, deformed Cartan verification."""
 
+import dataclasses
+import gc
+import re
+import weakref
+from fractions import Fraction
+
 import pytest
 
-from wqalg import build_preset, verify_cartan
+from wqalg import build_preset, verify_all, verify_cartan
 from wqalg.algebras import symmetrized_cartan
 from wqalg.exactfield import RationalFunction, sym_minus, sym_plus
 from wqalg.genexpr import YMonomial
+from wqalg.rflinalg import FieldMatrix
 
 
 def rf(num, den=None):
@@ -114,3 +121,74 @@ def test_matrix_oddness_and_symmetry(g2, e6, d4, d5):
             for row in mat.rows:
                 for entry in row:
                     assert entry.invert_var() == -entry
+
+
+# --- the division-free identity check: failure paths --------------------------
+
+def _replace_entry(mat, i, j, value):
+    rows = [list(r) for r in mat.rows]
+    rows[i][j] = value
+    return FieldMatrix(rows)
+
+
+def test_verify_cartan_names_a_residual_entry_in_the_changed_column(d5):
+    mtilde = _replace_entry(d5.expected_mtilde, 1, 2, rf(sym_minus(3)))
+    out = verify_cartan(dataclasses.replace(d5, expected_mtilde=mtilde))
+    assert not out.passed and not out.identity_holds
+    match = re.match(r"entry \((\d+),(\d+)\) of M D\^-1 Mtilde D\^-1: ", out.failure)
+    assert match, out.failure
+    i, j = int(match.group(1)) - 1, int(match.group(2)) - 1
+    # only column 3 of Mtilde changed, so only column 3 of the product can move
+    assert j == 2
+    # the named entry really breaks the identity under plain Fraction arithmetic
+    x = Fraction(2)
+    m, mt, d = d5.M.evaluate(x), mtilde.evaluate(x), d5.D.evaluate(x)
+    value = sum(m[i][k] / d[k][k] * mt[k][j] / d[j][j] for k in range(5))
+    assert value != (i == j)
+
+
+def test_verify_cartan_rejects_off_diagonal_d(g2):
+    d = _replace_entry(g2.D, 0, 1, rf(sym_minus(1)))
+    out = verify_cartan(dataclasses.replace(g2, D=d))
+    assert not out.passed
+    assert out.failure.startswith("D entry (1,2) ")
+    assert "diagonal" in out.failure
+
+
+def test_verify_cartan_rejects_non_laurent_d(g2):
+    d = _replace_entry(g2.D, 1, 1, rf(sym_minus(3), sym_plus(1)))
+    out = verify_cartan(dataclasses.replace(g2, D=d))
+    assert not out.passed
+    assert out.failure.startswith("D entry (2,2) is not a Laurent polynomial")
+
+
+def test_verify_cartan_rejects_non_laurent_mtilde(g2):
+    mtilde = _replace_entry(g2.expected_mtilde, 0, 0, rf(sym_minus(2), sym_plus(2)))
+    out = verify_cartan(dataclasses.replace(g2, expected_mtilde=mtilde))
+    assert not out.passed
+    assert out.failure.startswith("Mtilde entry (1,1) is not a Laurent polynomial")
+
+
+def test_verify_cartan_rejects_matrices_larger_than_the_rank(e6):
+    out = verify_cartan(dataclasses.replace(e6, rank=5))
+    assert not out.passed
+    assert out.failure == "matrix sizes M 6, D 6, Mtilde 6 do not match rank 5"
+
+
+def test_verify_all_reports_singular_mtilde_without_raising(g2):
+    a = rf(sym_minus(2))
+    singular = FieldMatrix([[a, a], [a, a]])
+    out = verify_all(dataclasses.replace(g2, expected_mtilde=singular))
+    assert out.passed is False
+    assert "FAIL dual identity fails" in out.details
+
+
+# --- the pair table lives on the preset ----------------------------------------
+
+def test_pair_table_is_freed_with_its_preset():
+    preset = build_preset("g2")
+    assert verify_all(preset).passed
+    ref = weakref.ref(preset)
+    del preset
+    gc.collect()
+    assert ref() is None

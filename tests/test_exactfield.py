@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqalg.exactfield import (LaurentPoly, RationalFunction, laurent_divide,
                               poly_gcd, rf_arith, sym_minus, sym_plus)
@@ -129,6 +131,22 @@ def test_invert_var_involution():
     for _ in range(25):
         a = random_rf(rng)
         assert a.invert_var().invert_var() == a
+
+
+laurent_terms = st.dictionaries(
+    st.integers(-6, 6),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+    max_size=5)
+
+
+@settings(deadline=None)
+@given(laurent_terms, laurent_terms.filter(bool))
+def test_invert_var_matches_canonical_construction(num, den):
+    # the gcd-free substitution must land on the constructor's canonical form;
+    # equality of rational functions is structural equality of (num, den)
+    a = RationalFunction(LaurentPoly(num), LaurentPoly(den))
+    assert a.invert_var() == RationalFunction(a.num.invert_var(), a.den.invert_var())
+    assert a.invert_var().invert_var() == a
 
 
 # --- shifting ----------------------------------------------------------------
