@@ -1,19 +1,19 @@
 """Exact verification engine for Poisson brackets of deformed W-algebra series."""
 
-from .exactfield import LaurentPoly, RationalFunction, rf_arith, sym_minus, sym_plus
-from .rflinalg import FieldMatrix, SingularMatrixError, mat_inverse, mat_mul
+from .exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
+from .rflinalg import FieldMatrix, SingularMatrixError
 from .genexpr import (SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6,
-                      dual_transform, mono_mul, series_equal, shift_arg)
+                      dual_transform, shift_arg)
 from .algebras import AlgebraPreset, VerificationOutcome, build_preset, verify_cartan
 from .poisson import (BracketReport, DeltaDecomposition, NonUniformBaseError,
                       NotDecomposableError, bracket_sum, decompose, extract_t2_e6,
                       symbol, verify_all, verify_closure)
 
 __all__ = [
-    "LaurentPoly", "RationalFunction", "rf_arith", "sym_minus", "sym_plus",
-    "FieldMatrix", "SingularMatrixError", "mat_inverse", "mat_mul",
+    "LaurentPoly", "RationalFunction", "sym_minus", "sym_plus",
+    "FieldMatrix", "SingularMatrixError",
     "SeriesExpr", "YMonomial", "build_t1", "build_t2", "build_t5_e6",
-    "dual_transform", "mono_mul", "series_equal", "shift_arg",
+    "dual_transform", "shift_arg",
     "AlgebraPreset", "VerificationOutcome", "build_preset", "verify_cartan",
     "BracketReport", "DeltaDecomposition", "NonUniformBaseError",
     "NotDecomposableError", "bracket_sum", "decompose", "extract_t2_e6",

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .exactfield import (LaurentPoly, RationalFunction, laurent_divide,
+from .exactfield import (LaurentPoly, RationalFunction, laurent_divide, laurent_divmod,
                          laurent_primitive, poly_gcd, sym_minus, sym_plus)
 from .genexpr import YMonomial
 from .rflinalg import FieldMatrix
@@ -57,6 +57,16 @@ class AlgebraPreset:
         q, cofactors = _lcm_cofactors(e.den for row in self.M.rows for e in row)
         nums = tuple(tuple(e.num * cofactors[e.den] for e in row) for row in self.M.rows)
         return q, nums
+
+    @cached_property
+    def m11_split(self) -> tuple[dict, dict]:
+        """Term maps (quo, rem) of N_11 = quo * Q + rem, from laurent_divmod.
+
+        Every delta decomposition is read off against this split; rem is
+        nonzero exactly when M_11 is not a Laurent polynomial.
+        """
+        q, nums = self.pair_table
+        return laurent_divmod(nums[0][0], q)
 
 
 @dataclass

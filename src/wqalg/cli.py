@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit status: 0 on success/verified, 1 on mathematical mismatch, 2 on usage
-errors.  Output is deterministic: identical invocations produce identical
-bytes.
+errors, an unwritable --out path included.  Output is deterministic:
+identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -86,8 +86,12 @@ def _emit(args, text_lines, json_obj, latex_lines=None):
     else:
         body = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise _UsageError("cannot write %s: %s" % (args.out, reason)) from None
     else:
         sys.stdout.write(body)
 

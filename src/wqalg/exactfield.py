@@ -330,19 +330,69 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _from_dense(0, cs, Fraction(1, cs[-1]))
 
 
+def _int_terms(p: LaurentPoly) -> dict:
+    """The terms of p, with every integral coefficient read as an int."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in p.terms.items()}
+
+
+def _exact_quotient(x, y):
+    """x / y as an int when it is integral, else as a Fraction."""
+    quo, rest = divmod(x, y)
+    return quo if not rest else Fraction(x, y)
+
+
+def laurent_divmod(a: LaurentPoly, q: LaurentPoly):
+    """Division with remainder by a polynomial q with a nonzero constant term.
+
+    Returns term maps (quo, rem), exponent -> coefficient, with
+    a = quo * q + rem and rem supported in [0, deg q); both are unique.
+    LaurentPoly(quo) gives the Fraction-valued form.
+
+    Exponents below 0 are cleared with q's constant term, then those at or
+    above deg q with its leading term, visiting only q's nonzero terms.
+    Integral coefficients are read as ints and each step divides exactly,
+    falling back to Fraction only when a step is not integral; so an
+    integral a over a q with end coefficients +-1 stays in ints throughout.
+    """
+    if q.is_zero:
+        raise ZeroDivisionError("Laurent division by zero")
+    qt = _int_terms(q)
+    if min(qt) != 0:
+        raise ValueError("divisor must be a polynomial with a nonzero constant term, "
+                         "got %s" % q)
+    deg = max(qt)
+    rem = _int_terms(a)
+    quo = {}
+    if not rem:
+        return quo, rem
+    for pivot, exps in ((0, range(min(rem), 0)), (deg, range(max(rem), deg - 1, -1))):
+        lead = qt[pivot]
+        for e in exps:
+            x = rem.pop(e, 0)
+            if not x:
+                continue
+            c = _exact_quotient(x, lead)
+            s = e - pivot
+            quo[s] = c
+            for k, v in qt.items():
+                if k != pivot:
+                    y = rem.get(s + k, 0) - c * v
+                    if y:
+                        rem[s + k] = y
+                    else:
+                        rem.pop(s + k, None)
+    return quo, rem
+
+
 def laurent_divide(a: LaurentPoly, b: LaurentPoly):
     """Exact quotient a / b in the Laurent ring, or None if b does not divide a."""
     if b.is_zero:
         raise ZeroDivisionError("Laurent division by zero")
-    if a.is_zero:
-        return LaurentPoly.zero()
-    offa, ca, sa = _dense_int(a)
-    offb, cb, sb = _dense_int(b)
-    try:
-        q = _int_poly_divexact(ca, cb)
-    except ArithmeticError:
+    k = b.min_exp
+    quo, rem = laurent_divmod(a, b.shift(-k))
+    if rem:
         return None
-    return _from_dense(offa - offb, q, sa / sb)
+    return LaurentPoly({e - k: c for e, c in quo.items()})
 
 
 def laurent_primitive(a: LaurentPoly) -> LaurentPoly:
@@ -546,15 +596,3 @@ class RationalFunction:
             return self.num.to_latex()
         return "\\frac{%s}{%s}" % (self.num.to_latex(), self.den.to_latex())
 
-
-def rf_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Field operation dispatch; op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown field operation %r" % op)

@@ -209,9 +209,6 @@ class SeriesExpr:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
 
-    def coefficient_values(self):
-        return sorted(set(self.terms.values()))
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -242,22 +239,6 @@ def shift_arg(x, s: int):
 def dual_transform(x):
     """Replace every Y_i(zq^a)^e factor by Y_i(zq^-a)^-e; an involution."""
     return x.dual()
-
-
-def mono_mul(a: YMonomial, b: YMonomial) -> YMonomial:
-    return a * b
-
-
-def series_equal(a: SeriesExpr, b: SeriesExpr):
-    """(True, None) if equal, else (False, first-difference description)."""
-    if a.terms == b.terms:
-        return True, None
-    keys = sorted(set(a.terms) | set(b.terms), key=YMonomial.sort_key)
-    for m in keys:
-        ca, cb = a.terms.get(m, Fraction(0)), b.terms.get(m, Fraction(0))
-        if ca != cb:
-            return False, "monomial %s: left coefficient %s, right coefficient %s" % (m, ca, cb)
-    return True, None  # pragma: no cover
 
 
 def build_t1(preset) -> SeriesExpr:

@@ -80,9 +80,6 @@ class FieldMatrix:
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(tuple(zip(*self.rows)))
 
-    def applyfunc(self, f) -> "FieldMatrix":
-        return FieldMatrix([[f(e) for e in row] for row in self.rows])
-
     def _eliminate(self):
         """Gauss-Jordan on [A | I]; returns (inverse rows or None, determinant)."""
         n = self.dim
@@ -146,14 +143,6 @@ class FieldMatrix:
     def to_latex(self) -> str:
         body = " \\\\\n".join(" & ".join(e.to_latex() for e in row) for row in self.rows)
         return "\\begin{pmatrix}\n%s\n\\end{pmatrix}" % body
-
-
-def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    return a * b
-
-
-def mat_inverse(a: FieldMatrix) -> FieldMatrix:
-    return a.inverse()
 
 
 def fraction_matrix_inverse(rows):

@@ -133,3 +133,12 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["passed"] is True
+
+
+def test_out_flag_unwritable_path_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify-cartan", "--algebra", "g2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write %s: " % target)
+    assert not target.exists()

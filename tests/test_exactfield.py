@@ -1,5 +1,6 @@
 """Exact Laurent/rational arithmetic: evaluation oracle first, then canonical form."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqalg.exactfield import (LaurentPoly, RationalFunction, laurent_divide,
-                              poly_gcd, rf_arith, sym_minus, sym_plus)
+                              laurent_divmod, poly_gcd, sym_minus, sym_plus)
 
 
 # --- independent evaluation oracle -----------------------------------------
@@ -58,15 +59,12 @@ def test_eval_oracle_on_field_ops():
     rng = random.Random(202)
     for _ in range(40):
         a, b = random_rf(rng), random_rf(rng)
-        for op in ("add", "sub", "mul", "div"):
-            if op == "div" and b.is_zero:
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            if op is operator.truediv and b.is_zero:
                 continue
-            c = rf_arith(a, b, op)
+            c = op(a, b)
             x = Fraction(2)
-            va, vb = a.evaluate(x), b.evaluate(x)
-            expected = {"add": va + vb, "sub": va - vb,
-                        "mul": va * vb, "div": va / vb}[op]
-            assert c.evaluate(x) == expected
+            assert c.evaluate(x) == op(a.evaluate(x), b.evaluate(x))
 
 
 # --- symmetric factor constructors ------------------------------------------
@@ -112,6 +110,60 @@ def test_division_by_zero_is_distinct_error():
         one / RationalFunction.zero()
     with pytest.raises(ZeroDivisionError):
         RationalFunction(LaurentPoly.one(), LaurentPoly.zero())
+
+
+# --- division with remainder ------------------------------------------------
+
+coeffs = st.one_of(st.integers(-9, 9),
+                   st.fractions(min_value=-9, max_value=9, max_denominator=7)).filter(bool)
+# a divisor polynomial: nonzero constant term, degree 0..5, leading and
+# constant coefficients free to differ from +-1 so that quotients go rational
+divisors = st.builds(lambda c0, rest: LaurentPoly({0: c0, **rest}),
+                     coeffs, st.dictionaries(st.integers(1, 5), coeffs, max_size=3))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.dictionaries(st.integers(-12, 12), coeffs, max_size=8), divisors)
+def test_laurent_divmod_identity_and_remainder_range(a, q):
+    a = LaurentPoly(a)
+    quo, rem = laurent_divmod(a, q)
+    assert LaurentPoly(quo) * q + LaurentPoly(rem) == a
+    assert all(0 <= e < q.max_exp for e in rem)
+    assert all(c for c in quo.values()) and all(c for c in rem.values())
+    # integral input over a divisor with unit end coefficients stays in ints
+    if all(c.denominator == 1 for c in a.terms.values()) \
+            and all(c.denominator == 1 for c in q.terms.values()) \
+            and abs(q.terms[0]) == abs(q.terms[q.max_exp]) == 1:
+        assert all(type(c) is int for c in list(quo.values()) + list(rem.values()))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.dictionaries(st.integers(-12, 12), coeffs, max_size=6),
+       st.dictionaries(st.integers(0, 4), coeffs, max_size=5), divisors)
+def test_laurent_divmod_is_unique(b, r, q):
+    # any quo * q + rem with rem in [0, deg q) is recovered exactly
+    r = {e: c for e, c in r.items() if e < q.max_exp}
+    quo, rem = laurent_divmod(LaurentPoly(b) * q + LaurentPoly(r), q)
+    assert LaurentPoly(quo) == LaurentPoly(b) and LaurentPoly(rem) == LaurentPoly(r)
+    assert laurent_divide(LaurentPoly(b) * q, q) == LaurentPoly(b)
+
+
+def test_laurent_divmod_rejects_bad_divisors():
+    a = lp({-3: 1, 4: 2})
+    with pytest.raises(ZeroDivisionError):
+        laurent_divmod(a, LaurentPoly.zero())
+    with pytest.raises(ValueError):
+        laurent_divmod(a, lp({1: 1, 3: 1}))     # no constant term
+    with pytest.raises(ValueError):
+        laurent_divmod(a, lp({-1: 1, 0: 1}))    # not a polynomial
+
+
+def test_laurent_divide_is_exact_or_none():
+    q = sym_plus(3)                              # t^3 + t^-3, min exponent -3
+    b = lp({-2: Fraction(1, 2), 5: -3})
+    assert laurent_divide(b * q, q) == b
+    assert laurent_divide(b * q + LaurentPoly.one(), q) is None
+    assert laurent_divide(LaurentPoly.zero(), q) == LaurentPoly.zero()
 
 
 # --- t -> 1/t ----------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Bracket symbols, delta decompositions, and closure verification."""
 
 import dataclasses
+import logging
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
                    build_preset, decompose, extract_t2_e6, symbol, verify_all,
                    verify_closure)
-from wqalg.exactfield import LaurentPoly, RationalFunction
+from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus
 from wqalg.genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
+from wqalg.rflinalg import FieldMatrix
 
 EVAL_POINTS = [Fraction(2), Fraction(3), Fraction(5, 7)]
 
@@ -62,6 +66,22 @@ def test_symbol_antisymmetry_sampled(g2, e6):
                 assert symbol(b, a, preset) == -symbol(a, b, preset).invert_var()
 
 
+def monomials(rank):
+    return st.lists(st.tuples(st.integers(1, rank), st.integers(-12, 12),
+                              st.sampled_from([-2, -1, 1, 2])),
+                    max_size=4).map(YMonomial.from_factors)
+
+
+@pytest.mark.parametrize("name", ["g2", "e6", "d5"])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_symbol_antisymmetry_random_monomials(request, name, data):
+    preset = request.getfixturevalue(name)
+    a = data.draw(monomials(preset.rank))
+    b = data.draw(monomials(preset.rank))
+    assert symbol(b, a, preset) == -symbol(a, b, preset).invert_var()
+
+
 def test_symbol_rejects_out_of_range_node(g2):
     with pytest.raises(ValueError):
         symbol(mono((3, 0, 1)), mono((1, 0, 1)), g2)
@@ -92,12 +112,39 @@ def test_decompose_solves_general_base_coefficient(g2):
     s = g2.M.rows[0][0] * Fraction(-5, 3)
     dec = decompose(s, g2)
     assert dec.base_coeff == Fraction(-5, 3) and dec.deltas == {}
-    # deep negative exponents exercise the common t-power baseline in the solver
+    # deep negative exponents exercise the division's clearing by Q's constant term
     s = (g2.M.rows[0][0] * Fraction(7, 3)
          + RationalFunction(LaurentPoly({-9: 1, 0: -5})))
     dec = decompose(s, g2)
     assert dec.base_coeff == Fraction(7, 3)
     assert dec.deltas == {-9: 1, 0: -5}
+
+
+@pytest.mark.parametrize("name", ["g2", "e6", "d5"])
+@settings(deadline=None, max_examples=30)
+@given(alpha=st.fractions(min_value=-20, max_value=20, max_denominator=9),
+       deltas=st.dictionaries(
+           st.integers(-15, 15),
+           st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
+           max_size=5))
+def test_decompose_round_trip(request, name, alpha, deltas):
+    preset = request.getfixturevalue(name)
+    s = preset.M.rows[0][0] * alpha + RationalFunction(LaurentPoly(deltas))
+    dec = decompose(s, preset)
+    assert dec.base_coeff == alpha and dec.deltas == deltas
+    assert type(dec.base_coeff) is Fraction
+    assert all(type(c) is Fraction for c in dec.deltas.values())
+
+
+def test_decompose_rejects_laurent_m11(g2):
+    # uniqueness of the split rests on M_11 not being a Laurent polynomial
+    rows = [list(row) for row in g2.M.rows]
+    rows[0][0] = RationalFunction(sym_minus(1))
+    laurent = dataclasses.replace(g2, M=FieldMatrix(rows))
+    with pytest.raises(ValueError, match="M_11 of g2 is a Laurent polynomial"):
+        decompose(RationalFunction.t_power(3), laurent)
+    with pytest.raises(ValueError, match="M_11 of g2 is a Laurent polynomial"):
+        verify_all(laurent)
 
 
 def test_decompose_not_decomposable(g2):
@@ -277,10 +324,17 @@ def test_extract_t2_requires_positive_side(g2):
 
 
 def test_nonunit_warning_emitted(d4, caplog):
-    import logging
-    with caplog.at_level(logging.WARNING, logger="wqalg.poisson"):
+    # logged at INFO: verify_closure matches every coefficient against its series
+    with caplog.at_level(logging.INFO, logger="wqalg.poisson"):
         bracket_sum(build_t1(d4), build_t1(d4), d4)
-    assert any("not +-1" in rec.message for rec in caplog.records)
+    assert any("not +-1" in rec.message and rec.levelno == logging.INFO
+               for rec in caplog.records)
+
+
+def test_verify_all_d4_logs_no_warning(d4, caplog):
+    with caplog.at_level(logging.INFO):
+        assert verify_all(d4).passed
+    assert [rec.message for rec in caplog.records if rec.levelno >= logging.WARNING] == []
 
 
 # --- verify_all -------------------------------------------------------------------
