@@ -87,9 +87,9 @@ def _dn_matrix(n: int) -> FieldMatrix:
     den_long = sym_plus(1) * den
     rows = [[None] * n for _ in range(n)]
     for i in range(1, n - 1):
-        for j in range(1, n - 1):
-            lo, hi = min(i, j), max(i, j)
-            rows[i - 1][j - 1] = _rf(sym_minus(lo) * sym_plus(n - 1 - hi), den)
+        for j in range(i, n - 1):
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = \
+                _rf(sym_minus(i) * sym_plus(n - 1 - j), den)
     for i in range(1, n - 1):
         v = _rf(sym_minus(i), den)
         rows[n - 1][i - 1] = rows[i - 1][n - 1] = v
@@ -332,6 +332,18 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
     return None
 
 
+def _classical_limit(p: LaurentPoly) -> Fraction | None:
+    """The value at t = 1 of p(t) / (t - t^-1), or None if it has a pole there.
+
+    t - t^-1 has a simple zero at t = 1 with derivative 2, so the quotient is
+    finite there iff p(1) = sum c_e vanishes, and then equals
+    p'(1) / 2 = sum e c_e / 2.
+    """
+    if sum(p.terms.values()):
+        return None
+    return Fraction(sum(e * c for e, c in p.terms.items()), 2)
+
+
 def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
     """Check D M^-1 D against the printed deformed Cartan matrix, exactly.
 
@@ -339,8 +351,10 @@ def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
     _identity_residual, which also proves the dual identity
     D Mtilde^-1 D = M; identity_holds records its result.  Then checks the
     normalized classical limit: each entry of Mtilde divided by (t - t^-1)
-    and evaluated at t = 1 must give the symmetrized Cartan integer.  Fails
-    on the first differing entry.
+    and evaluated at t = 1 must give the symmetrized Cartan integer.  The
+    residual check has shown every entry to be Laurent, so the limit is read
+    off its terms (_classical_limit).  Fails on the first entry with a pole
+    or a differing limit.
     """
     out = VerificationOutcome(passed=True)
     failure = _identity_residual(preset)
@@ -350,17 +364,18 @@ def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
         return out
     out.identity_holds = True
     out.details.append("D M^-1 D matches the printed deformed Cartan matrix (%s)" % preset.name)
-    n = preset.rank
-    norm = RationalFunction(sym_minus(1))
-    one = Fraction(1)
     expected = symmetrized_cartan(preset)
-    for i in range(n):
-        for j in range(n):
-            limit = (preset.expected_mtilde.rows[i][j] / norm).evaluate(one)
-            if limit != expected[i][j]:
-                out.passed = False
+    for i, row in enumerate(preset.expected_mtilde.rows):
+        for j, e in enumerate(row):
+            limit = _classical_limit(e.as_laurent())
+            if limit is None:
+                out.failure = ("limit entry (%d,%d): %s divided by t - t^-1 has a pole "
+                               "at t = 1" % (i + 1, j + 1, e))
+            elif limit != expected[i][j]:
                 out.failure = ("limit entry (%d,%d): got %s, expected %d"
                                % (i + 1, j + 1, limit, expected[i][j]))
+            if out.failure is not None:
+                out.passed = False
                 return out
     out.details.append("normalized t -> 1 limit equals the symmetrized Cartan matrix")
     return out

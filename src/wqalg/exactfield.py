@@ -1,11 +1,12 @@
 """Exact arithmetic for Laurent polynomials and rational functions in one variable t.
 
-Coefficients are exact rationals.  RationalFunction keeps a unique canonical
-form so that equality of field elements is equality of representations:
-numerator and denominator are coprime, the denominator is an ordinary
-polynomial (nonzero constant term) with integer coprime coefficients and
-positive leading coefficient.  All unit factors t^k and rational scalars
-live in the numerator.
+Coefficients are exact rationals, held as Python ints wherever they are
+integral and as Fractions only where they are not.  RationalFunction keeps a
+unique canonical form so that equality of field elements is equality of
+representations: numerator and denominator are coprime, the denominator is
+an ordinary polynomial (nonzero constant term) with integer coprime
+coefficients and positive leading coefficient.  All unit factors t^k and
+rational scalars live in the numerator.
 """
 
 from __future__ import annotations
@@ -14,8 +15,25 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 
 
+def _int_valued(data: dict) -> dict:
+    """Rewrite each integral coefficient of the term map as an int, in place.
+
+    The one normaliser behind the invariant that a LaurentPoly holds an int
+    wherever a coefficient is integral and a Fraction only where it is not.
+    Fraction(3) == 3 and hash(Fraction(3)) == hash(3), so equality, hashing
+    and printing are unchanged by it.  Returns data.
+    """
+    for e, c in data.items():
+        if type(c) is not int and c.denominator == 1:
+            data[e] = c.numerator
+    return data
+
+
 class LaurentPoly:
-    """Sparse Laurent polynomial: a map exponent -> nonzero rational coefficient."""
+    """Sparse Laurent polynomial: a map exponent -> nonzero rational coefficient.
+
+    Integral coefficients are ints, the others Fractions (see _int_valued).
+    """
 
     __slots__ = ("terms",)
 
@@ -23,7 +41,7 @@ class LaurentPoly:
         data = {}
         items = terms.items() if hasattr(terms, "items") else terms
         for e, c in items:
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = c if isinstance(c, (int, Fraction)) else Fraction(c)
             if c:
                 c0 = data.get(e)
                 c = c if c0 is None else c0 + c
@@ -31,11 +49,11 @@ class LaurentPoly:
                     data[e] = c
                 else:
                     del data[e]
-        self.terms = data
+        self.terms = _int_valued(data)
 
     @classmethod
     def _raw(cls, data):
-        # internal: data already normalized (no zeros, Fraction values)
+        # internal: data already normalized (no zeros, integral values as ints)
         p = object.__new__(cls)
         p.terms = data
         return p
@@ -46,16 +64,15 @@ class LaurentPoly:
 
     @classmethod
     def one(cls):
-        return cls._raw({0: Fraction(1)})
+        return cls._raw({0: 1})
 
     @classmethod
     def t_power(cls, k: int):
-        return cls._raw({k: Fraction(1)})
+        return cls._raw({k: 1})
 
     @classmethod
     def const(cls, c):
-        c = Fraction(c)
-        return cls._raw({0: c} if c else {})
+        return cls({0: c})
 
     @property
     def is_zero(self) -> bool:
@@ -76,8 +93,8 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self.terms)
 
-    def coeff(self, e: int) -> Fraction:
-        return self.terms.get(e, Fraction(0))
+    def coeff(self, e: int):
+        return self.terms.get(e, 0)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -100,7 +117,7 @@ class LaurentPoly:
                 data[e] = s
             else:
                 data.pop(e, None)
-        return LaurentPoly._raw(data)
+        return LaurentPoly._raw(_int_valued(data))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -112,7 +129,7 @@ class LaurentPoly:
                 data[e] = s
             else:
                 data.pop(e, None)
-        return LaurentPoly._raw(data)
+        return LaurentPoly._raw(_int_valued(data))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -128,7 +145,7 @@ class LaurentPoly:
                     data[e] = s
                 else:
                     del data[e]
-        return LaurentPoly._raw(data)
+        return LaurentPoly._raw(_int_valued(data))
 
     __rmul__ = __mul__
 
@@ -145,10 +162,10 @@ class LaurentPoly:
         return out
 
     def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
+        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
         if not c:
             return LaurentPoly.zero()
-        return LaurentPoly._raw({e: v * c for e, v in self.terms.items()})
+        return LaurentPoly._raw(_int_valued({e: v * c for e, v in self.terms.items()}))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -212,14 +229,14 @@ def sym_minus(a: int) -> LaurentPoly:
     """t^a - t^-a, the antisymmetric factor; requires a >= 1."""
     if a < 1:
         raise ValueError("sym_minus requires a positive exponent, got %r" % (a,))
-    return LaurentPoly._raw({a: Fraction(1), -a: Fraction(-1)})
+    return LaurentPoly._raw({a: 1, -a: -1})
 
 
 def sym_plus(a: int) -> LaurentPoly:
     """t^a + t^-a, the symmetric factor; requires a >= 1."""
     if a < 1:
         raise ValueError("sym_plus requires a positive exponent, got %r" % (a,))
-    return LaurentPoly._raw({a: Fraction(1), -a: Fraction(1)})
+    return LaurentPoly._raw({a: 1, -a: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +267,15 @@ def _dense_int(lp: LaurentPoly):
     return off, coeffs, Fraction(g, den_lcm)
 
 
-def _from_dense(offset: int, coeffs, scale=Fraction(1)) -> LaurentPoly:
-    return LaurentPoly({offset + i: scale * c for i, c in enumerate(coeffs) if c})
+def _from_dense(offset: int, coeffs, scale=1) -> LaurentPoly:
+    """scale * t^offset * sum_i coeffs[i] t^i, for int coeffs and a nonzero scale.
+
+    An integral scale is applied as an int, so the result needs no normalising.
+    """
+    if scale.denominator == 1:
+        scale = scale.numerator
+    data = {offset + i: scale * c for i, c in enumerate(coeffs) if c}
+    return LaurentPoly._raw(data if type(scale) is int else _int_valued(data))
 
 
 def _trim(a):
@@ -330,11 +354,6 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _from_dense(0, cs, Fraction(1, cs[-1]))
 
 
-def _int_terms(p: LaurentPoly) -> dict:
-    """The terms of p, with every integral coefficient read as an int."""
-    return {e: c.numerator if c.denominator == 1 else c for e, c in p.terms.items()}
-
-
 def _exact_quotient(x, y):
     """x / y as an int when it is integral, else as a Fraction."""
     quo, rest = divmod(x, y)
@@ -350,18 +369,18 @@ def laurent_divmod(a: LaurentPoly, q: LaurentPoly):
 
     Exponents below 0 are cleared with q's constant term, then those at or
     above deg q with its leading term, visiting only q's nonzero terms.
-    Integral coefficients are read as ints and each step divides exactly,
-    falling back to Fraction only when a step is not integral; so an
-    integral a over a q with end coefficients +-1 stays in ints throughout.
+    Each step divides exactly, falling back to Fraction only when a step is
+    not integral; so an integral a over a q with end coefficients +-1 stays
+    in ints throughout.  Integral coefficients of quo and rem are ints.
     """
     if q.is_zero:
         raise ZeroDivisionError("Laurent division by zero")
-    qt = _int_terms(q)
+    qt = q.terms
     if min(qt) != 0:
         raise ValueError("divisor must be a polynomial with a nonzero constant term, "
                          "got %s" % q)
     deg = max(qt)
-    rem = _int_terms(a)
+    rem = dict(a.terms)
     quo = {}
     if not rem:
         return quo, rem
@@ -381,7 +400,7 @@ def laurent_divmod(a: LaurentPoly, q: LaurentPoly):
                         rem[s + k] = y
                     else:
                         rem.pop(s + k, None)
-    return quo, rem
+    return quo, _int_valued(rem)
 
 
 def laurent_divide(a: LaurentPoly, b: LaurentPoly):

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import AlgebraPreset, VerificationOutcome, verify_cartan
-from .exactfield import LaurentPoly, RationalFunction, laurent_divide, laurent_divmod
+from .exactfield import (LaurentPoly, RationalFunction, _int_valued, laurent_divide,
+                         laurent_divmod)
 from .genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
 
 log = logging.getLogger(__name__)
@@ -72,13 +73,14 @@ def _symbol_numerator(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> Laur
     return LaurentPoly._raw(acc)
 
 
-def _decompose_numerator(num: LaurentPoly, preset: AlgebraPreset) -> DeltaDecomposition:
-    """Decompose num / Q as alpha * M_11 + (Laurent delta part).
+def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
+    """(alpha, deltas) with num / Q = alpha * M_11 + sum_e deltas[e] t^e.
 
     One division with remainder by Q: num = quo * Q + rem.  Since
     alpha * N_11 = alpha * (quo11 * Q + rem11), the split exists iff
     rem = alpha * rem11, and then the delta part is quo - alpha * quo11.
-    The arithmetic stays in ints wherever the coefficients are integral.
+    The arithmetic stays in ints wherever the coefficients are integral;
+    alpha and the nonzero deltas are ints when integral, else Fractions.
     """
     q = preset.pair_table[0]
     quo11, rem11 = preset.m11_split
@@ -94,8 +96,13 @@ def _decompose_numerator(num: LaurentPoly, preset: AlgebraPreset) -> DeltaDecomp
             "no rational base coefficient leaves a pure delta part for symbol (%s)/(%s)"
             % (num, q))
     deltas = {e: quo.get(e, 0) - alpha * quo11.get(e, 0) for e in quo.keys() | quo11.keys()}
-    return DeltaDecomposition(Fraction(alpha),
-                              {e: Fraction(c) for e, c in sorted(deltas.items()) if c})
+    return alpha, _int_valued({e: c for e, c in sorted(deltas.items()) if c})
+
+
+def _decompose_numerator(num: LaurentPoly, preset: AlgebraPreset) -> DeltaDecomposition:
+    """Decompose num / Q as alpha * M_11 + (Laurent delta part), as Fractions."""
+    alpha, deltas = _split_numerator(num, preset)
+    return DeltaDecomposition(Fraction(alpha), {e: Fraction(c) for e, c in deltas.items()})
 
 
 def decompose(s: RationalFunction, preset: AlgebraPreset) -> DeltaDecomposition:
@@ -180,23 +187,26 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     symbol decomposition.  Delta series that cancel to zero are pruned.
     """
     base = None
-    acc: dict[int, dict[YMonomial, Fraction]] = {}
-    for mi, u in t_series.sorted_terms():
-        for mj, v in s_series.sorted_terms():
+    acc: dict[int, dict[YMonomial, int | Fraction]] = {}
+    # accumulate in ints wherever the coefficients are integral
+    t_terms = _int_valued(dict(t_series.sorted_terms())).items()
+    s_terms = _int_valued(dict(s_series.sorted_terms())).items()
+    for mi, u in t_terms:
+        for mj, v in s_terms:
             num = _symbol_numerator(mi, mj, preset)
             try:
-                dec = _decompose_numerator(num, preset)
+                alpha, deltas = _split_numerator(num, preset)
             except NotDecomposableError as exc:
                 raise NotDecomposableError(
                     "pair (%s, %s): %s" % (mi, mj, exc)) from None
             if base is None:
-                base = dec.base_coeff
-            elif dec.base_coeff != base:
+                base = alpha
+            elif alpha != base:
                 raise NonUniformBaseError(
                     "pair (%s, %s) has base %s, expected %s"
-                    % (mi, mj, dec.base_coeff, base))
+                    % (mi, mj, alpha, base))
             uv = u * v
-            for a, c in dec.deltas.items():
+            for a, c in deltas.items():
                 series = acc.setdefault(a, {})
                 key = mi * mj.shift_arg(-a)
                 s = series.get(key, 0) + uv * c
@@ -204,8 +214,9 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                     series[key] = s
                 else:
                     del series[key]
-    delta_terms = {a: SeriesExpr._raw(d) for a, d in acc.items() if d}
-    report = BracketReport(algebra=preset.name, base_coeff=base or Fraction(0),
+    delta_terms = {a: SeriesExpr._raw({m: Fraction(c) for m, c in d.items()})
+                   for a, d in acc.items() if d}
+    report = BracketReport(algebra=preset.name, base_coeff=Fraction(base or 0),
                            delta_terms=delta_terms)
     nonunit = report.nonunit_terms()
     if nonunit:

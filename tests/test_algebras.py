@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from wqalg import build_preset, verify_all, verify_cartan
-from wqalg.algebras import symmetrized_cartan
-from wqalg.exactfield import RationalFunction, sym_minus, sym_plus
+from wqalg.algebras import _classical_limit, symmetrized_cartan
+from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
 from wqalg.genexpr import YMonomial
 from wqalg.rflinalg import FieldMatrix
 
@@ -121,6 +121,36 @@ def test_matrix_oddness_and_symmetry(g2, e6, d4, d5):
             for row in mat.rows:
                 for entry in row:
                     assert entry.invert_var() == -entry
+
+
+# --- the t -> 1 limit, read off the Laurent entries -----------------------------
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None)]
+                         + [("dn", n) for n in range(4, 9)])
+def test_classical_limit_matches_field_evaluation(kind, n):
+    preset = build_preset(kind, n)
+    norm = RationalFunction(sym_minus(1))
+    for row in preset.expected_mtilde.rows:
+        for e in row:
+            assert _classical_limit(e.as_laurent()) == (e / norm).evaluate(Fraction(1))
+
+
+def test_classical_limit_of_rational_coefficients():
+    p = LaurentPoly({3: Fraction(1, 2), -3: Fraction(-1, 2), 1: 1, 0: -1})
+    assert _classical_limit(p) == (RationalFunction(p) / rf(sym_minus(1))).evaluate(1)
+    assert _classical_limit(LaurentPoly({2: 1})) is None
+
+
+def test_verify_cartan_names_a_pole_of_the_limit(g2):
+    # a consistent preset (M = D Mtilde'^-1 D, so the residual check passes)
+    # whose Mtilde'_11 = t^2 - t^-2 + 1 is nonzero at t = 1
+    entry = rf(sym_minus(2) + LaurentPoly.one())
+    mtilde = _replace_entry(g2.expected_mtilde, 0, 0, entry)
+    m = g2.D * mtilde.inverse() * g2.D
+    out = verify_cartan(dataclasses.replace(g2, M=m, expected_mtilde=mtilde))
+    assert out.identity_holds and not out.passed
+    assert out.failure == ("limit entry (1,1): %s divided by t - t^-1 has a pole at t = 1"
+                           % entry)
 
 
 # --- the division-free identity check: failure paths --------------------------

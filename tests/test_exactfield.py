@@ -303,3 +303,119 @@ def test_json_round_trip():
         a = random_rf(rng)
         assert RationalFunction.from_json(a.to_json()) == a
         assert LaurentPoly.from_json(a.num.to_json()) == a.num
+
+
+# --- integral coefficients are ints -------------------------------------------
+# Coefficients with small denominators, so that sums and products of
+# non-integral inputs often come out integral.
+
+small_coeffs = st.one_of(st.integers(-9, 9),
+                         st.fractions(min_value=-9, max_value=9, max_denominator=4))
+small_terms = st.dictionaries(st.integers(-6, 6), small_coeffs, max_size=5)
+
+
+def assert_int_valued(p):
+    """No zero term, and a Fraction only where the coefficient is not integral."""
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), p.terms
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_terms, small_terms, small_coeffs, st.integers(-5, 5))
+def test_laurent_ops_hold_integral_coefficients_as_ints(a, b, c, k):
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    results = [
+        (pa, lambda x: ref_eval(a, x)),
+        (pa + pb, lambda x: ref_eval(a, x) + ref_eval(b, x)),
+        (pa - pb, lambda x: ref_eval(a, x) - ref_eval(b, x)),
+        (pa * pb, lambda x: ref_eval(a, x) * ref_eval(b, x)),
+        (pa * c, lambda x: ref_eval(a, x) * c),
+        (pa.scale(c), lambda x: ref_eval(a, x) * c),
+        (pa.shift(k), lambda x: ref_eval(a, x) * x ** k),
+        (pa.invert_var(), lambda x: ref_eval(a, 1 / x)),
+        (LaurentPoly.from_json(pa.to_json()), lambda x: ref_eval(a, x)),
+        (LaurentPoly.const(c), lambda x: Fraction(c)),
+    ]
+    for p, ref in results:
+        assert_int_valued(p)
+        for x in EVAL_POINTS:
+            assert ref_eval(p.terms, x) == ref(x)
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_terms, small_terms.filter(lambda d: any(d.values())))
+def test_rational_function_holds_integral_coefficients_as_ints(num, den):
+    a = RationalFunction(LaurentPoly(num), LaurentPoly(den))
+    assert_int_valued(a.num)
+    assert_int_valued(a.den)
+    # the canonical denominator is integral throughout
+    assert all(type(c) is int for c in a.den.terms.values())
+    for x in EVAL_POINTS:
+        if ref_eval(den, x):
+            assert ref_eval(a.num.terms, x) / ref_eval(a.den.terms, x) \
+                == ref_eval(num, x) / ref_eval(den, x)
+
+
+def test_constructors_hold_ints():
+    for p in (LaurentPoly.one(), LaurentPoly.t_power(3), LaurentPoly.const(Fraction(4, 2)),
+              sym_minus(2), sym_plus(3), LaurentPoly({1: Fraction(1, 2), 2: 1.5}) * 2,
+              LaurentPoly({0: Fraction(1, 2)}) + LaurentPoly({0: Fraction(1, 2)})):
+        assert all(type(c) is int for c in p.terms.values()), p.terms
+    assert LaurentPoly.zero().coeff(0) == 0 and type(LaurentPoly.zero().coeff(0)) is int
+
+
+# --- RationalFunction: field axioms and canonical uniqueness ------------------
+
+nonzero_terms = laurent_terms.filter(bool)
+rational_functions = st.builds(lambda n, d: RationalFunction(LaurentPoly(n), LaurentPoly(d)),
+                               laurent_terms, nonzero_terms)
+
+
+def values_at(x, *rfs):
+    """The values of rfs at x, or None if a denominator vanishes there."""
+    dens = [f.den.evaluate(x) for f in rfs]
+    if not all(dens):
+        return None
+    return [f.num.evaluate(x) / d for f, d in zip(rfs, dens)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(rational_functions, rational_functions, rational_functions)
+def test_field_axioms_hold_by_evaluation(a, b, c):
+    zero, one = RationalFunction.zero(), RationalFunction.one()
+    # each identity holds structurally, since the canonical form is unique
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a - a == zero
+    if a:
+        assert a * (one / a) == one and (b * a) / a == b
+    # and every operation agrees with rational arithmetic at sample points
+    for x in EVAL_POINTS:
+        vals = values_at(x, a, b)
+        if vals is None:
+            continue
+        va, vb = vals
+        for got, want in ((a + b, va + vb), (a - b, va - vb), (a * b, va * vb)):
+            assert got.evaluate(x) == want
+        if vb:
+            assert (a / b).evaluate(x) == va / vb
+
+
+@settings(deadline=None, max_examples=60)
+@given(laurent_terms, nonzero_terms, nonzero_terms,
+       st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+       st.integers(-5, 5))
+def test_canonical_form_is_unique(num, den, h, c, k):
+    # num/den and (c t^k h num)/(c t^k h den) have equal values, so equal forms
+    n, d, hh = LaurentPoly(num), LaurentPoly(den), LaurentPoly(h).scale(c).shift(k)
+    a = RationalFunction(n, d)
+    b = RationalFunction(n * hh, d * hh)
+    assert (a.num, a.den) == (b.num, b.den)
+    # the form is the canonical one: t^min and rational content sit in the numerator
+    assert a.den.min_exp == 0 and a.den.terms[a.den.max_exp] > 0
+    assert poly_gcd(a.num, a.den) == LaurentPoly.one() or a.num.is_zero
+    for x in EVAL_POINTS:
+        if ref_eval(den, x) and ref_eval(a.den.terms, x):
+            assert a.evaluate(x) == ref_eval(num, x) / ref_eval(den, x)

@@ -13,6 +13,7 @@ from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
                    verify_closure)
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus
 from wqalg.genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
+from wqalg.poisson import _symbol_numerator
 from wqalg.rflinalg import FieldMatrix
 
 EVAL_POINTS = [Fraction(2), Fraction(3), Fraction(5, 7)]
@@ -85,6 +86,18 @@ def test_symbol_antisymmetry_random_monomials(request, name, data):
 def test_symbol_rejects_out_of_range_node(g2):
     with pytest.raises(ValueError):
         symbol(mono((3, 0, 1)), mono((1, 0, 1)), g2)
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 6)])
+def test_symbol_numerators_have_int_coefficients(kind, n):
+    preset = build_preset(kind, n)
+    q, nums = preset.pair_table
+    quo11, rem11 = preset.m11_split
+    polys = [q] + [e for row in nums for e in row]
+    polys += [_symbol_numerator(a, b, preset) for a in preset.lambdas for b in preset.lambdas]
+    coeffs = [c for p in polys for c in p.terms.values()]
+    coeffs += list(quo11.values()) + list(rem11.values())
+    assert coeffs and all(type(c) is int for c in coeffs)
 
 
 # --- decompose ---------------------------------------------------------------
@@ -231,6 +244,21 @@ def test_bracket_sum_d4_delta_map(d4):
     assert report.shifts == [-6, -2, 2, 6]
     assert report.delta_terms[-2] == t2
     assert report.delta_terms[-6] == SeriesExpr.one()
+
+
+def test_bracket_sum_returns_fraction_coefficients(g2, d4):
+    # the sum runs in ints where it can; the report keeps the public Fraction
+    # type, and rational series coefficients scale every delta series
+    for preset in (g2, d4):
+        t1 = build_t1(preset)
+        report = bracket_sum(t1, t1, preset)
+        scaled = bracket_sum(t1 * Fraction(1, 2), t1 * Fraction(2, 3), preset)
+        for r in (report, scaled):
+            assert type(r.base_coeff) is Fraction and r.base_coeff == 1
+            coeffs = [c for s in r.delta_terms.values() for c in s.terms.values()]
+            assert coeffs and all(type(c) is Fraction for c in coeffs)
+        assert scaled.delta_terms == {a: s * Fraction(1, 3)
+                                      for a, s in report.delta_terms.items()}
 
 
 def test_bracket_report_antisymmetry(closure_presets):
