@@ -12,8 +12,8 @@ import json
 import sys
 
 from .algebras import build_preset, verify_cartan
-from .genexpr import build_t1, build_t2, build_t5_e6
-from .poisson import (decompose, extract_t2_e6, symbol, verify_all,
+from .genexpr import build_t2
+from .poisson import (decompose, dual_identity, extract_t2_e6, symbol, verify_all,
                       verify_closure)
 
 SCHEMA = 1
@@ -174,17 +174,15 @@ def _cmd_closure(args):
 
 def _cmd_dual(args):
     preset = _get_preset(args)
-    if preset.kind == "dn":
-        raise _UsageError("the dual transform identity applies to e6 and g2 only")
-    t1 = build_t1(preset)
-    target = build_t5_e6(preset) if preset.kind == "e6" else t1
-    ok = t1.dual() == target.shift_arg(12)
-    label = "T5" if preset.kind == "e6" else "T1"
+    try:
+        label, t1_dual, ok = dual_identity(preset)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     lines = ["dual %s: %s" % (preset.name, "PASS" if ok else "FAIL"),
              "dual_transform(T1) = %s(zq^12): %s" % (label, ok)]
     _emit(args, lines, {"algebra": preset.name, "passed": ok,
                         "identity": "dual_transform(T1) = %s(zq^12)" % label,
-                        "t1Dual": t1.dual().to_json()})
+                        "t1Dual": t1_dual.to_json()})
     return 0 if ok else 1
 
 

@@ -93,7 +93,8 @@ class YMonomial:
 
     def shift_arg(self, s: int) -> "YMonomial":
         """Substitute z -> zq^s in every factor."""
-        return YMonomial._raw(tuple(sorted(((i, a + s), e) for (i, a), e in self._items)))
+        # one shift added to every (node, shift) key keeps the keys in order
+        return YMonomial._raw(tuple(((i, a + s), e) for (i, a), e in self._items))
 
     def dual(self) -> "YMonomial":
         """Replace every Y_i(zq^a)^e by Y_i(zq^-a)^-e."""

@@ -54,13 +54,14 @@ def symbol(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> RationalFunctio
 
 
 def _symbol_numerator(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> LaurentPoly:
-    nums = preset.pair_table[1]
     rank = preset.rank
+    for (i, _), _ in a.items() + b.items():
+        if not 1 <= i <= rank:
+            raise ValueError("node index out of range for rank %d" % rank)
+    nums = preset.pair_table[1]
     acc = {}
     for (i, ash), e in a.items():
         for (j, bsh), f in b.items():
-            if not (1 <= i <= rank and 1 <= j <= rank):
-                raise ValueError("node index out of range for rank %d" % rank)
             coeff = e * f
             shift = bsh - ash
             for exp, c in nums[i - 1][j - 1].terms.items():
@@ -432,15 +433,24 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
           closure.failure or "closure of {T1(z), T1(w)}")
     out.details.extend("  " + d for d in closure.details)
 
-    t1 = build_t1(preset)
+    if preset.kind != "dn":
+        label, _, ok = dual_identity(preset)
+        check(ok, "duality: dual_transform(T1) = %s(zq^12)" % label,
+              "duality: dual_transform(T1) != %s(zq^12)" % label)
     if preset.kind == "e6":
-        t5 = build_t5_e6(preset)
-        check(t1.dual() == t5.shift_arg(12),
-              "duality: dual_transform(T1) = T5(zq^12)",
-              "duality: dual_transform(T1) != T5(zq^12)")
-        check(t5 != t1, "T5 and T1 are distinct series", "T5 equals T1")
-    elif preset.kind == "g2":
-        check(t1.dual() == t1.shift_arg(12),
-              "duality: dual_transform(T1) = T1(zq^12)",
-              "duality: dual_transform(T1) != T1(zq^12)")
+        check(build_t5_e6(preset) != build_t1(preset),
+              "T5 and T1 are distinct series", "T5 equals T1")
     return out
+
+
+def dual_identity(preset: AlgebraPreset) -> tuple[str, SeriesExpr, bool]:
+    """Check dual_transform(T1) = T(zq^12), with T = T5 for e6 and T1 for g2.
+
+    Returns (name of T, dual_transform(T1), whether the identity holds).
+    """
+    if preset.kind == "dn":
+        raise ValueError("the dual transform identity applies to e6 and g2 only")
+    t1 = build_t1(preset)
+    label, target = ("T5", build_t5_e6(preset)) if preset.kind == "e6" else ("T1", t1)
+    t1_dual = t1.dual()
+    return label, t1_dual, t1_dual == target.shift_arg(12)

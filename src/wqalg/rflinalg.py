@@ -1,7 +1,8 @@
-"""Dense exact linear algebra over the rational-function field in t.
+"""Dense exact matrices over the rational-function field in t.
 
-Elimination (inverse, determinant) is kept as a reference for the tests to
-compare against; the verification path checks its identities without it.
+FieldMatrix holds the preset matrices and multiplies them; nothing inverts
+a matrix over the function field.  The only inverse is that of a matrix of
+Fractions, the evaluation oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -13,15 +14,6 @@ from .exactfield import RationalFunction
 
 class SingularMatrixError(ValueError):
     pass
-
-
-def _complexity(rf: RationalFunction) -> int:
-    # pivot preference: fewer/lower-degree terms first to limit fraction growth
-    if rf.is_zero:
-        return 1 << 30
-    span = rf.num.max_exp - rf.num.min_exp
-    dd = rf.den.max_exp if not rf.den.is_zero else 0
-    return span + dd
 
 
 class FieldMatrix:
@@ -39,19 +31,11 @@ class FieldMatrix:
         self.rows = rows
 
     @classmethod
-    def identity(cls, n: int):
-        one, zero = RationalFunction.one(), RationalFunction.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
     def diagonal(cls, entries):
         entries = list(entries)
         zero = RationalFunction.zero()
         return cls([[entries[i] if i == j else zero for j in range(len(entries))]
                     for i in range(len(entries))])
-
-    def entry(self, i: int, j: int) -> RationalFunction:
-        return self.rows[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, FieldMatrix):
@@ -63,7 +47,6 @@ class FieldMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-        n = self.dim
         cols = list(zip(*other.rows))
         out = []
         for row in self.rows:
@@ -79,50 +62,6 @@ class FieldMatrix:
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(tuple(zip(*self.rows)))
-
-    def _eliminate(self):
-        """Gauss-Jordan on [A | I]; returns (inverse rows or None, determinant)."""
-        n = self.dim
-        a = [list(row) for row in self.rows]
-        inv = [list(row) for row in FieldMatrix.identity(n).rows]
-        det = RationalFunction.one()
-        for col in range(n):
-            pivot_row = None
-            best = None
-            for r in range(col, n):
-                if not a[r][col].is_zero:
-                    c = _complexity(a[r][col])
-                    if best is None or c < best:
-                        best, pivot_row = c, r
-            if pivot_row is None:
-                return None, RationalFunction.zero()
-            if pivot_row != col:
-                a[col], a[pivot_row] = a[pivot_row], a[col]
-                inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-                det = -det
-            p = a[col][col]
-            det = det * p
-            pinv = RationalFunction.one() / p
-            a[col] = [e * pinv for e in a[col]]
-            inv[col] = [e * pinv for e in inv[col]]
-            for r in range(n):
-                if r == col:
-                    continue
-                f = a[r][col]
-                if f.is_zero:
-                    continue
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return inv, det
-
-    def inverse(self) -> "FieldMatrix":
-        inv, det = self._eliminate()
-        if inv is None:
-            raise SingularMatrixError("matrix is singular")
-        return FieldMatrix(inv)
-
-    def determinant(self) -> RationalFunction:
-        return self._eliminate()[1]
 
     def evaluate(self, x: Fraction):
         """Entrywise exact evaluation; returns nested lists of Fractions."""

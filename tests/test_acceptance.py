@@ -12,10 +12,10 @@ import pytest
 
 from wqalg import (build_preset, bracket_sum, decompose, extract_t2_e6, symbol,
                    verify_all, verify_cartan, verify_closure)
-from wqalg.exactfield import LaurentPoly
+from wqalg.exactfield import LaurentPoly, RationalFunction
 from wqalg.genexpr import (SeriesExpr, YMonomial, build_t1, build_t2,
                            build_t5_e6, dual_transform, shift_arg)
-from wqalg.rflinalg import fraction_matrix_inverse
+from wqalg.rflinalg import FieldMatrix, fraction_matrix_inverse
 
 EVAL_POINTS = [Fraction(2), Fraction(3), Fraction(5, 7)]
 
@@ -114,8 +114,15 @@ def test_ac5_property_suite():
             for row in mat.rows:
                 for entry in row:
                     assert entry.invert_var() == -entry
-        assert not preset.M.determinant().is_zero
-        assert preset.D * preset.expected_mtilde.inverse() * preset.D == preset.M
+        # det M(2) != 0 implies det M != 0 as a rational function; every M
+        # entry is finite at t = 2, each denominator being a product of
+        # factors t^k + t^-k.  Raises SingularMatrixError otherwise.
+        fraction_matrix_inverse(preset.M.evaluate(Fraction(2)))
+        # over a field Mtilde D^-1 M D^-1 = I is D Mtilde^-1 D = M
+        d_inv = FieldMatrix.diagonal([RationalFunction.one() / row[k]
+                                      for k, row in enumerate(preset.D.rows)])
+        assert (preset.expected_mtilde * d_inv * preset.M * d_inv
+                == FieldMatrix.diagonal([1] * preset.rank))
         for a in preset.lambdas:
             for b in preset.lambdas:
                 if symbol(b, a, preset) != -symbol(a, b, preset).invert_var():

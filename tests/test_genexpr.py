@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqalg import build_t1, build_t2, build_t5_e6, dual_transform, shift_arg
 from wqalg.genexpr import SeriesExpr, YMonomial
@@ -54,6 +56,17 @@ def test_shift_arg_inverse_composition():
         m = random_monomial(rng)
         a = rng.randint(-10, 10)
         assert shift_arg(shift_arg(m, a), -a) == m
+
+
+@settings(deadline=None, max_examples=100)
+@given(factors=st.lists(st.tuples(st.integers(1, 8), st.integers(-12, 12),
+                                  st.integers(-3, 3)), max_size=6),
+       s=st.integers(-24, 24))
+def test_shift_arg_matches_canonical_construction(factors, s):
+    m = YMonomial.from_factors(factors)
+    shifted = m.shift_arg(s)
+    assert shifted == YMonomial.from_factors((i, a + s, e) for i, a, e in factors)
+    assert list(shifted.items()) == sorted(shifted.items())
 
 
 def test_dual_transform_single_monomials(g2):

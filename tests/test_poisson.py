@@ -88,6 +88,19 @@ def test_symbol_rejects_out_of_range_node(g2):
         symbol(mono((3, 0, 1)), mono((1, 0, 1)), g2)
 
 
+@pytest.mark.parametrize("node", [0, 3])
+@pytest.mark.parametrize("other", [mono((1, 0, 1)), YMonomial.identity()],
+                         ids=["generator", "identity"])
+@pytest.mark.parametrize("bad_side", ["left", "right"])
+def test_out_of_range_node_is_rejected_on_either_side(g2, node, other, bad_side):
+    bad = mono((node, 0, 1))
+    a, b = (bad, other) if bad_side == "left" else (other, bad)
+    with pytest.raises(ValueError, match="node index out of range for rank 2"):
+        symbol(a, b, g2)
+    with pytest.raises(ValueError, match="node index out of range for rank 2"):
+        bracket_sum(SeriesExpr([(a, 1)]), SeriesExpr([(b, 1)]), g2)
+
+
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 6)])
 def test_symbol_numerators_have_int_coefficients(kind, n):
     preset = build_preset(kind, n)
