@@ -1,10 +1,17 @@
-"""Exact arithmetic for Laurent polynomials and rational functions in one variable t.
+"""Exact Laurent polynomials in one variable t, and canonical rational functions.
 
 Coefficients are exact rationals, held as Python ints wherever they are
-integral and as Fractions only where they are not.  RationalFunction keeps a
-unique canonical form so that equality of field elements is equality of
-representations: numerator and denominator are coprime, the denominator is
-an ordinary polynomial (nonzero constant term) with integer coprime
+integral and as Fractions only where they are not.  LaurentPoly is a ring:
+sums, products, division with remainder by a polynomial (laurent_divmod)
+and exact division (laurent_divide).  The Cartan and bracket checks run in
+that ring.
+
+RationalFunction is a value type for the preset matrices and the bracket
+symbols, not a field implementation: it keeps a unique canonical form so
+that equality of field elements is equality of representations, and it
+compares, negates, substitutes t -> 1/t and prints, but does not add,
+multiply or divide.  Numerator and denominator are coprime, the denominator
+is an ordinary polynomial (nonzero constant term) with integer coprime
 coefficients and positive leading coefficient.  All unit factors t^k and
 rational scalars live in the numerator.
 """
@@ -149,18 +156,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial is not polynomial")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale(self, c) -> "LaurentPoly":
         c = c if isinstance(c, (int, Fraction)) else Fraction(c)
         if not c:
@@ -175,22 +170,11 @@ class LaurentPoly:
         """Substitute t -> t^-1."""
         return LaurentPoly._raw({-e: c for e, c in self.terms.items()})
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        """Direct term-by-term evaluation at a nonzero rational point."""
-        x = Fraction(x)
-        if not x:
-            raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
-        return sum((c * x ** e for e, c in self.terms.items()), Fraction(0))
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
     def to_json(self):
         return [[e, c.numerator, c.denominator] for e, c in self.sorted_terms()]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls({e: Fraction(n, d) for e, n, d in data})
 
     def __str__(self):
         if not self.terms:
@@ -427,19 +411,15 @@ def laurent_primitive(a: LaurentPoly) -> LaurentPoly:
 class RationalFunction:
     """Reduced ratio of Laurent polynomials in t over exact rationals.
 
-    Instances are canonical on construction; two equal field elements are
-    structurally equal.  All operations return new canonical instances.
+    A value type, canonical on construction: two equal field elements are
+    structurally equal.  It has no field arithmetic (see the module notes).
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly.const(num)
+    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if den is None:
             den = LaurentPoly.one()
-        elif isinstance(den, (int, Fraction)):
-            den = LaurentPoly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -478,28 +458,7 @@ class RationalFunction:
     def zero(cls):
         return cls._raw(LaurentPoly.zero(), LaurentPoly.one())
 
-    @classmethod
-    def one(cls):
-        return cls._raw(LaurentPoly.one(), LaurentPoly.one())
-
-    @classmethod
-    def t_power(cls, k: int):
-        return cls._raw(LaurentPoly.t_power(k), LaurentPoly.one())
-
-    @classmethod
-    def from_laurent(cls, lp: LaurentPoly):
-        return cls._raw(LaurentPoly._raw(dict(lp.terms)), LaurentPoly.one())
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __bool__(self):
-        return not self.num.is_zero
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -509,67 +468,6 @@ class RationalFunction:
 
     def __neg__(self):
         return RationalFunction._raw(-self.num, self.den)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(other) if not isinstance(other, LaurentPoly) \
-                else RationalFunction.from_laurent(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = RationalFunction(other) if not isinstance(other, LaurentPoly) \
-                else RationalFunction.from_laurent(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if self.den == other.den:
-            return RationalFunction(self.num - other.num, self.den)
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction._raw(self.num.scale(other), self.den) if other \
-                else RationalFunction.zero()
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division of a rational function by zero")
-            return RationalFunction._raw(self.num.scale(Fraction(1, 1) / other), self.den)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division of a rational function by zero")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int):
-        if n == 0:
-            return RationalFunction.one()
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
-
-    def shift(self, k: int) -> "RationalFunction":
-        """Multiply by t^k; the canonical denominator is unchanged."""
-        return RationalFunction._raw(self.num.shift(k), self.den)
 
     def invert_var(self) -> "RationalFunction":
         """Substitute t -> t^-1, staying canonical without a gcd.
@@ -593,15 +491,8 @@ class RationalFunction:
             return self.num
         return None
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        return self.num.evaluate(x) / self.den.evaluate(x)
-
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"]))
 
     def __str__(self):
         if self.den == LaurentPoly.one():

@@ -115,10 +115,6 @@ class YMonomial:
     def to_json(self):
         return [{"node": i, "shift": a, "exp": e} for (i, a), e in self._items]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls.from_factors((d["node"], d["shift"], d["exp"]) for d in data)
-
 
 class SeriesExpr:
     """Finite sum of YMonomials with nonzero rational coefficients."""
@@ -227,20 +223,6 @@ class SeriesExpr:
         return [{"coeff": [c.numerator, c.denominator], "monomial": m.to_json()}
                 for m, c in self.sorted_terms()]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls((YMonomial.from_json(d["monomial"]), Fraction(*d["coeff"])) for d in data)
-
-
-def shift_arg(x, s: int):
-    """Substitute z -> zq^s in a YMonomial or SeriesExpr."""
-    return x.shift_arg(s)
-
-
-def dual_transform(x):
-    """Replace every Y_i(zq^a)^e factor by Y_i(zq^-a)^-e; an involution."""
-    return x.dual()
-
 
 def build_t1(preset) -> SeriesExpr:
     """Sum of all fundamental-series terms with coefficient 1."""
@@ -276,10 +258,10 @@ def build_t2(preset) -> SeriesExpr:
 
 
 def build_t5_e6(preset) -> SeriesExpr:
-    """The E6 dual-series generator: shift_arg(dual_transform(T1), -12).
+    """The E6 dual-series generator: the dual of T1, shifted by -12.
 
-    With this normalization dual_transform(T1) equals T5(zq^12) by
-    construction, matching the duality satisfied by the G_2 first series.
+    With this normalization the dual of T1 equals T5(zq^12) by construction,
+    matching the duality satisfied by the G_2 first series.
     """
     if preset.kind != "e6":
         raise ValueError("the dual-series construction is specific to e6")

@@ -32,7 +32,11 @@ log = logging.getLogger(__name__)
 
 
 class NotDecomposableError(ValueError):
-    """No rational alpha makes (symbol - alpha * M_11) a Laurent polynomial."""
+    """No unique rational alpha makes (symbol - alpha * M_11) a Laurent polynomial.
+
+    Raised when no alpha works, and when M_11 is itself a Laurent polynomial,
+    so that a split would not be unique.
+    """
 
 
 class NonUniformBaseError(ValueError):
@@ -86,7 +90,7 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
     q = preset.pair_table[0]
     quo11, rem11 = preset.m11_split
     if not rem11:
-        raise ValueError("M_11 of %s is a Laurent polynomial; "
+        raise NotDecomposableError("M_11 of %s is a Laurent polynomial; "
                          "delta decompositions would not be unique" % preset.name)
     quo, rem = laurent_divmod(num, q)
     top = max(rem11)

@@ -1,0 +1,93 @@
+"""Test-side oracles: exact evaluation, a Fraction-matrix inverse, and matrix
+products over Laurent fractions.  None of this is part of the package, and
+none of it shares code with the verification paths it checks.
+"""
+
+from fractions import Fraction
+
+from wqalg.exactfield import LaurentPoly, RationalFunction
+from wqalg.rflinalg import FieldMatrix
+
+
+class SingularMatrixError(ValueError):
+    pass
+
+
+def evaluate(obj, x):
+    """Exact value at the nonzero rational x.
+
+    obj is a LaurentPoly, a plain {exponent: coefficient} map or a
+    RationalFunction; for a FieldMatrix the result is the nested lists of
+    entry values.  The sum is taken term by term, with no LaurentPoly code.
+    """
+    x = Fraction(x)
+    if isinstance(obj, FieldMatrix):
+        return [[evaluate(e, x) for e in row] for row in obj.rows]
+    if isinstance(obj, RationalFunction):
+        return evaluate(obj.num, x) / evaluate(obj.den, x)
+    terms = obj.terms if isinstance(obj, LaurentPoly) else obj
+    return sum((Fraction(c) * x ** e for e, c in terms.items()), Fraction(0))
+
+
+def fraction_matrix_inverse(rows):
+    """Exact inverse of a matrix of Fractions, by Gauss-Jordan elimination."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix of rationals is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
+
+
+# --- matrices of Laurent fractions ---------------------------------------------
+# An entry is a pair (num, den) of LaurentPolys standing for num/den.  Products
+# and sums cross-multiply and never take a gcd, so no canonical form is used.
+
+def fractions_of(mat: FieldMatrix):
+    return [[(e.num, e.den) for e in row] for row in mat.rows]
+
+
+def diagonal_inverse(mat: FieldMatrix):
+    """The inverse of a diagonal matrix, each entry num/den turned to den/num."""
+    zero = (LaurentPoly.zero(), LaurentPoly.one())
+    return [[(e.den, e.num) if i == j else zero for j, e in enumerate(row)]
+            for i, row in enumerate(mat.rows)]
+
+
+def fraction_matmul(a, b):
+    """Product of two matrices of (num, den) pairs; zero terms are skipped."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            num, den = LaurentPoly.zero(), LaurentPoly.one()
+            for k in range(n):
+                (p, q), (r, s) = a[i][k], b[k][j]
+                if p and r:
+                    num, den = num * q * s + p * r * den, den * q * s
+            row.append((num, den))
+        out.append(row)
+    return out
+
+
+def product_is_identity(*factors) -> bool:
+    """Whether the product of matrices of (num, den) pairs, left to right, is I:
+    every entry num/den has num = den on the diagonal and num = 0 off it."""
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = fraction_matmul(prod, f)
+    return all(num == (den if i == j else LaurentPoly.zero())
+               for i, row in enumerate(prod) for j, (num, den) in enumerate(row))

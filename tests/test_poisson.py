@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import evaluate
 from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
                    build_preset, decompose, extract_t2_e6, symbol, verify_all,
                    verify_closure)
@@ -21,6 +22,11 @@ EVAL_POINTS = [Fraction(2), Fraction(3), Fraction(5, 7)]
 
 def mono(*factors):
     return YMonomial.from_factors(factors)
+
+
+def base_plus_laurent(m11, alpha, laurent):
+    """alpha * M_11 + laurent, as one numerator over M_11's denominator."""
+    return RationalFunction(m11.num.scale(alpha) + laurent * m11.den, m11.den)
 
 
 # --- symbol -----------------------------------------------------------------
@@ -40,7 +46,8 @@ def test_symbol_diagonal_g2_lambda1(g2):
 def test_symbol_g2_pair_12_closed_form(g2):
     s = symbol(g2.lambdas[0], g2.lambdas[1], g2)
     m11 = g2.M.rows[0][0]
-    assert s - m11 == RationalFunction(LaurentPoly({-2: 1, 0: -1}))
+    # s - m11 = t^-2 - 1, cross-multiplied over the two reduced denominators
+    assert s.num * m11.den - m11.num * s.den == LaurentPoly({-2: 1, 0: -1}) * s.den * m11.den
 
 
 def test_symbol_evaluation_oracle(g2, e6, d5):
@@ -54,9 +61,9 @@ def test_symbol_evaluation_oracle(g2, e6, d5):
                 expected = Fraction(0)
                 for (i, ash), e in a.items():
                     for (j, bsh), f in b.items():
-                        expected += (e * f * preset.M.rows[i - 1][j - 1].evaluate(x)
+                        expected += (e * f * evaluate(preset.M.rows[i - 1][j - 1], x)
                                      * x ** (bsh - ash))
-                assert s.evaluate(x) == expected
+                assert evaluate(s, x) == expected
 
 
 def test_symbol_antisymmetry_sampled(g2, e6):
@@ -121,7 +128,7 @@ def test_decompose_base_itself(g2):
 
 
 def test_decompose_pure_delta(g2):
-    dec = decompose(RationalFunction.t_power(3), g2)
+    dec = decompose(RationalFunction(LaurentPoly.t_power(3)), g2)
     assert dec.base_coeff == 0 and dec.deltas == {3: 1}
 
 
@@ -132,15 +139,15 @@ def test_decompose_worked_g2_example(g2):
 
 
 def test_decompose_solves_general_base_coefficient(g2):
-    s = g2.M.rows[0][0] * Fraction(2) + RationalFunction.t_power(3)
+    m11 = g2.M.rows[0][0]
+    s = base_plus_laurent(m11, Fraction(2), LaurentPoly.t_power(3))
     dec = decompose(s, g2)
     assert dec.base_coeff == 2 and dec.deltas == {3: 1}
-    s = g2.M.rows[0][0] * Fraction(-5, 3)
+    s = base_plus_laurent(m11, Fraction(-5, 3), LaurentPoly.zero())
     dec = decompose(s, g2)
     assert dec.base_coeff == Fraction(-5, 3) and dec.deltas == {}
     # deep negative exponents exercise the division's clearing by Q's constant term
-    s = (g2.M.rows[0][0] * Fraction(7, 3)
-         + RationalFunction(LaurentPoly({-9: 1, 0: -5})))
+    s = base_plus_laurent(m11, Fraction(7, 3), LaurentPoly({-9: 1, 0: -5}))
     dec = decompose(s, g2)
     assert dec.base_coeff == Fraction(7, 3)
     assert dec.deltas == {-9: 1, 0: -5}
@@ -155,7 +162,7 @@ def test_decompose_solves_general_base_coefficient(g2):
            max_size=5))
 def test_decompose_round_trip(request, name, alpha, deltas):
     preset = request.getfixturevalue(name)
-    s = preset.M.rows[0][0] * alpha + RationalFunction(LaurentPoly(deltas))
+    s = base_plus_laurent(preset.M.rows[0][0], alpha, LaurentPoly(deltas))
     dec = decompose(s, preset)
     assert dec.base_coeff == alpha and dec.deltas == deltas
     assert type(dec.base_coeff) is Fraction
@@ -167,10 +174,16 @@ def test_decompose_rejects_laurent_m11(g2):
     rows = [list(row) for row in g2.M.rows]
     rows[0][0] = RationalFunction(sym_minus(1))
     laurent = dataclasses.replace(g2, M=FieldMatrix(rows))
-    with pytest.raises(ValueError, match="M_11 of g2 is a Laurent polynomial"):
-        decompose(RationalFunction.t_power(3), laurent)
-    with pytest.raises(ValueError, match="M_11 of g2 is a Laurent polynomial"):
-        verify_all(laurent)
+    guard = "M_11 of g2 is a Laurent polynomial; delta decompositions would not be unique"
+    with pytest.raises(ValueError, match=guard):
+        decompose(RationalFunction(LaurentPoly.t_power(3)), laurent)
+    # the verifiers report the guard as a failure instead of raising it
+    out = verify_all(laurent)
+    assert out.passed is False and out.failure
+    assert "FAIL diagonal bracket 1 does not decompose: " + guard in out.details
+    closure = verify_closure(laurent)
+    assert closure.passed is False
+    assert closure.failure.endswith(guard) and closure.failure.startswith("pair (")
 
 
 def test_decompose_not_decomposable(g2):
@@ -187,11 +200,10 @@ def test_decompose_reconstruction(g2, e6, d4):
             for b in lams[:3]:
                 s = symbol(a, b, preset)
                 dec = decompose(s, preset)
-                rebuilt = m11 * dec.base_coeff + RationalFunction(
-                    LaurentPoly(dec.deltas))
+                rebuilt = base_plus_laurent(m11, dec.base_coeff, LaurentPoly(dec.deltas))
                 assert rebuilt == s
                 for x in EVAL_POINTS:
-                    assert rebuilt.evaluate(x) == s.evaluate(x)
+                    assert evaluate(rebuilt, x) == evaluate(s, x)
 
 
 # --- frozen pair decompositions (D5) -----------------------------------------

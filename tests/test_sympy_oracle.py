@@ -30,7 +30,7 @@ def residual_entries(m, d, mtilde, r):
 
 
 @pytest.mark.parametrize("kind, n", [("g2", None), ("e6", None),
-                                     ("dn", 4), ("dn", 6), ("dn", 8)])
+                                     ("dn", 4), ("dn", 5), ("dn", 6), ("dn", 7), ("dn", 8)])
 def test_cartan_identity_under_sympy(kind, n):
     preset = build_preset(kind, n)
     m, d, mtilde = (to_matrix(x) for x in (preset.M, preset.D, preset.expected_mtilde))
