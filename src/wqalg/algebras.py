@@ -1,35 +1,26 @@
 """Presets for the D_n, E6 and G2 algebras.
 
-Each preset carries the structure matrices M(t) and D(t), the expected
-deformed Cartan matrix (printed form), and the fundamental-series monomial
-table.  Everything downstream is verified against these tables alone.
+Each preset holds its structure as integer Laurent tables: the pair table
+(Q, N) with M_ij = N_ij / Q, the diagonal d of D, and the rows of the
+expected deformed Cartan matrix Mtilde (printed form), plus the
+fundamental-series monomial table.  Everything downstream is verified
+against these tables alone.  M, D and Mtilde as matrices of canonical
+rational functions are display views, built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 
 from .exactfield import (LaurentPoly, RationalFunction, laurent_divide, laurent_divmod,
-                         laurent_primitive, poly_gcd, sym_minus, sym_plus)
+                         sym_minus, sym_plus)
 from .genexpr import YMonomial
 from .rflinalg import FieldMatrix
 
-
-def _lcm_cofactors(polys):
-    """Primitive lcm L of the distinct polys, and the cofactor L / p of each.
-
-    Works on distinct values only, so each gcd and division is done once.
-    """
-    cofactors = dict.fromkeys(polys)
-    lcm = LaurentPoly.one()
-    for p in cofactors:
-        lcm = lcm * laurent_divide(p, poly_gcd(lcm, p))
-    lcm = laurent_primitive(lcm)
-    for p in cofactors:
-        cofactors[p] = laurent_divide(lcm, p)
-    return lcm, cofactors
+LaurentRows = tuple[tuple[LaurentPoly, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,26 +28,40 @@ class AlgebraPreset:
     kind: str                      # "dn" | "e6" | "g2"
     rank: int
     n: int | None
-    M: FieldMatrix
-    D: FieldMatrix
-    expected_mtilde: FieldMatrix
+    pair_table: tuple[LaurentPoly, LaurentRows]   # (Q, N) with M_ij = N_ij / Q
+    d: tuple[LaurentPoly, ...]     # the diagonal of D
+    mtilde: LaurentRows            # rows of the expected deformed Cartan matrix
     lambdas: tuple[YMonomial, ...]
     fundamental_dim: int
+
+    def __post_init__(self):
+        for name, rows in (("N", self.pair_table[1]), ("mtilde", self.mtilde)):
+            if any(len(row) != len(rows) for row in rows):
+                raise ValueError("the table %s of %s is not square" % (name, self.name))
 
     @property
     def name(self) -> str:
         return "d%d" % self.n if self.kind == "dn" else self.kind
 
     @cached_property
-    def pair_table(self) -> tuple[LaurentPoly, tuple[tuple[LaurentPoly, ...], ...]]:
-        """Common denominator Q and numerator table N with M_ij = N_ij / Q.
+    def M(self) -> FieldMatrix:
+        """M as canonical rational functions N_ij / Q, for display.
 
-        Computed on first use and kept on the preset, so it lives exactly as
-        long as the preset does.
+        Each distinct entry is canonicalised once: the two triangles share theirs.
         """
-        q, cofactors = _lcm_cofactors(e.den for row in self.M.rows for e in row)
-        nums = tuple(tuple(e.num * cofactors[e.den] for e in row) for row in self.M.rows)
-        return q, nums
+        q, nums = self.pair_table
+        rfs = {e: RationalFunction(e, q) for e in {e for row in nums for e in row}}
+        return FieldMatrix([[rfs[e] for e in row] for row in nums])
+
+    @cached_property
+    def D(self) -> FieldMatrix:
+        """D = diag(d), for display."""
+        return FieldMatrix.diagonal([RationalFunction(e) for e in self.d])
+
+    @cached_property
+    def expected_mtilde(self) -> FieldMatrix:
+        """The rows of mtilde as rational functions, for display."""
+        return FieldMatrix([[RationalFunction(e) for e in row] for row in self.mtilde])
 
     @cached_property
     def m11_split(self) -> tuple[dict, dict]:
@@ -78,35 +83,48 @@ class VerificationOutcome:
     identity_holds: bool = False
 
 
-def _rf(num: LaurentPoly, den: LaurentPoly | None = None) -> RationalFunction:
-    return RationalFunction(num, den if den is not None else LaurentPoly.one())
+def _pair_table(q: LaurentPoly, rows) -> tuple[LaurentPoly, LaurentRows]:
+    """(Q, N) from the closed-form entries rows[i][j] = (num, den) and a declared Q.
+
+    N_ij = num * Q / den, one exact division per distinct entry; raises
+    ArithmeticError if Q is not a multiple of some den.  Q and N are shifted
+    together so that Q has min exponent 0, as laurent_divmod needs.
+    """
+    q = q.shift(-q.min_exp)
+    nums = {}
+    for row in rows:
+        for num, den in row:
+            if (num, den) not in nums:
+                quo = laurent_divide(num * q, den)
+                if quo is None:
+                    raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, den))
+                nums[num, den] = quo
+    return q, tuple(tuple(nums[e] for e in row) for row in rows)
 
 
-def _dn_matrix(n: int) -> FieldMatrix:
+def _dn_pair_table(n: int):
     den = sym_plus(n - 1)
     den_long = sym_plus(1) * den
     rows = [[None] * n for _ in range(n)]
     for i in range(1, n - 1):
         for j in range(i, n - 1):
-            rows[i - 1][j - 1] = rows[j - 1][i - 1] = \
-                _rf(sym_minus(i) * sym_plus(n - 1 - j), den)
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = (sym_minus(i) * sym_plus(n - 1 - j), den)
     for i in range(1, n - 1):
-        v = _rf(sym_minus(i), den)
+        v = (sym_minus(i), den)
         rows[n - 1][i - 1] = rows[i - 1][n - 1] = v
         rows[n - 2][i - 1] = rows[i - 1][n - 2] = v
-    rows[n - 1][n - 2] = rows[n - 2][n - 1] = _rf(sym_minus(n - 2), den_long)
-    rows[n - 2][n - 2] = rows[n - 1][n - 1] = _rf(sym_minus(n), den_long)
-    return FieldMatrix(rows)
+    rows[n - 1][n - 2] = rows[n - 2][n - 1] = (sym_minus(n - 2), den_long)
+    rows[n - 2][n - 2] = rows[n - 1][n - 1] = (sym_minus(n), den_long)
+    # Q is the reduced lcm of den and den_long: for even n, t + t^-1 divides
+    # both long-entry numerators
+    return _pair_table(den_long if n % 2 else den, rows)
 
 
-def _graph_mtilde(n: int, edges) -> FieldMatrix:
-    diag = RationalFunction(sym_minus(2))
-    off = RationalFunction(-sym_minus(1))
-    zero = RationalFunction.zero()
+def _graph_mtilde(n: int, edges) -> LaurentRows:
+    diag, off, zero = sym_minus(2), -sym_minus(1), LaurentPoly.zero()
     eset = {(min(a, b), max(a, b)) for a, b in edges}
-    return FieldMatrix([[diag if i == j
-                         else (off if (min(i, j), max(i, j)) in eset else zero)
-                         for j in range(1, n + 1)] for i in range(1, n + 1)])
+    return tuple(tuple(diag if i == j else (off if (min(i, j), max(i, j)) in eset else zero)
+                       for j in range(1, n + 1)) for i in range(1, n + 1))
 
 
 def _dn_edges(n: int):
@@ -135,14 +153,18 @@ def _dn_lambdas(n: int) -> tuple[YMonomial, ...]:
     return tuple(lams)
 
 
-def _e6_matrix() -> FieldMatrix:
+# The reduced lcm of the G2 entry denominators: (t^6 + t^-6) / (t^2 + t^-2).
+_G2_Q = LaurentPoly({4: 1, 0: -1, -4: 1})
+
+
+def _e6_pair_table():
     d_short = sym_plus(6)
     d_long = sym_plus(6) * sym_minus(3)
     d_extra = sym_plus(1) * sym_plus(6)
     entries = {}
 
     def put(i, j, num, den):
-        entries[(i, j)] = entries[(j, i)] = _rf(num, den)
+        entries[(i, j)] = entries[(j, i)] = (num, den)
 
     put(1, 1, sym_minus(1) * sym_minus(8), d_long)
     put(5, 5, sym_minus(1) * sym_minus(8), d_long)
@@ -163,7 +185,9 @@ def _e6_matrix() -> FieldMatrix:
     put(2, 5, sym_minus(2) * sym_minus(4), d_long)
     put(2, 4, sym_minus(2) * sym_minus(4) * sym_plus(1), d_long)
     put(1, 5, sym_minus(1) * sym_minus(4), d_long)
-    return FieldMatrix([[entries[(i, j)] for j in range(1, 7)] for i in range(1, 7)])
+    # the reduced lcm of the denominators: the G2 one times t^2 + 1 + t^-2
+    return _pair_table(_G2_Q * LaurentPoly({2: 1, 0: 1, -2: 1}),
+                       [[entries[(i, j)] for j in range(1, 7)] for i in range(1, 7)])
 
 
 # The 27 fundamental monomials for E6, exactly as displayed.
@@ -209,12 +233,12 @@ _G2_LAMBDA_FACTORS = (
 )
 
 
-def _g2_matrix() -> FieldMatrix:
+def _g2_pair_table():
     den = sym_plus(6)
-    m11 = _rf(sym_plus(3) * sym_minus(1) * sym_plus(2), den)
-    m22 = _rf(sym_minus(3) * sym_plus(1) * sym_plus(2), den)
-    m12 = _rf(sym_minus(3) * sym_plus(2), den)
-    return FieldMatrix([[m11, m12], [m12, m22]])
+    m11 = (sym_plus(3) * sym_minus(1) * sym_plus(2), den)
+    m22 = (sym_minus(3) * sym_plus(1) * sym_plus(2), den)
+    m12 = (sym_minus(3) * sym_plus(2), den)
+    return _pair_table(_G2_Q, [[m11, m12], [m12, m22]])
 
 
 def build_preset(kind: str, n: int | None = None) -> AlgebraPreset:
@@ -222,36 +246,28 @@ def build_preset(kind: str, n: int | None = None) -> AlgebraPreset:
     if kind == "dn":
         if n is None or n < 4:
             raise ValueError("the dn family needs n >= 4, got %r" % (n,))
-        d = FieldMatrix.diagonal([RationalFunction(sym_minus(1))] * n)
         return AlgebraPreset(
             kind="dn", rank=n, n=n,
-            M=_dn_matrix(n), D=d,
-            expected_mtilde=_graph_mtilde(n, _dn_edges(n)),
+            pair_table=_dn_pair_table(n), d=(sym_minus(1),) * n,
+            mtilde=_graph_mtilde(n, _dn_edges(n)),
             lambdas=_dn_lambdas(n),
             fundamental_dim=2 * n,
         )
     if n is not None:
         raise ValueError("n is only meaningful for the dn family")
     if kind == "e6":
-        d = FieldMatrix.diagonal([RationalFunction(sym_minus(1))] * 6)
         return AlgebraPreset(
             kind="e6", rank=6, n=None,
-            M=_e6_matrix(), D=d,
-            expected_mtilde=_graph_mtilde(6, _E6_EDGES),
+            pair_table=_e6_pair_table(), d=(sym_minus(1),) * 6,
+            mtilde=_graph_mtilde(6, _E6_EDGES),
             lambdas=tuple(YMonomial.from_factors(f) for f in _E6_LAMBDA_FACTORS),
             fundamental_dim=27,
         )
     if kind == "g2":
-        d = FieldMatrix.diagonal([RationalFunction(sym_minus(1)),
-                                  RationalFunction(sym_minus(3))])
-        mt = FieldMatrix([
-            [RationalFunction(sym_minus(2)), RationalFunction(-sym_minus(3))],
-            [RationalFunction(-sym_minus(3)), RationalFunction(sym_minus(6))],
-        ])
         return AlgebraPreset(
             kind="g2", rank=2, n=None,
-            M=_g2_matrix(), D=d,
-            expected_mtilde=mt,
+            pair_table=_g2_pair_table(), d=(sym_minus(1), sym_minus(3)),
+            mtilde=((sym_minus(2), -sym_minus(3)), (-sym_minus(3), sym_minus(6))),
             lambdas=tuple(YMonomial.from_factors(f) for f in _G2_LAMBDA_FACTORS),
             fundamental_dim=7,
         )
@@ -269,32 +285,11 @@ def symmetrized_cartan(preset: AlgebraPreset):
              for j in range(1, r + 1)] for i in range(1, r + 1)]
 
 
-def _laurent_entries(name: str, mat: FieldMatrix, diagonal: bool):
-    """Entries of mat as Laurent polynomials, or the first entry that breaks the shape.
-
-    Returns (entries, None) or (None, failure).  With diagonal set, the
-    off-diagonal entries must vanish and the diagonal ones must not.
-    """
-    entries = []
-    for i, row in enumerate(mat.rows):
-        out_row = []
-        for j, e in enumerate(row):
-            lp = e.as_laurent()
-            if lp is None:
-                return None, ("%s entry (%d,%d) is not a Laurent polynomial: %s"
-                              % (name, i + 1, j + 1, e))
-            if diagonal and (i == j) == lp.is_zero:
-                return None, ("%s entry (%d,%d) is %s; %s must be diagonal with a "
-                              "nonzero diagonal" % (name, i + 1, j + 1, e, name))
-            out_row.append(lp)
-        entries.append(out_row)
-    return entries, None
-
-
 def _identity_residual(preset: AlgebraPreset) -> str | None:
     """Check M D^-1 Mtilde D^-1 = I exactly, without division; None if it holds.
 
-    With M = N/Q, d_k = D_kk and L = lcm(d_k), the identity reads
+    With M = N/Q, d_k = D_kk and L the product of the distinct d_k, the
+    identity reads
 
         sum_k N_ik Mtilde_kj (L/d_k) = Q L d_j delta_ij
 
@@ -304,22 +299,24 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
     Returns the failure, naming the first entry that breaks the identity.
     """
     r = preset.rank
-    if not preset.M.dim == preset.D.dim == preset.expected_mtilde.dim == r:
+    q, nums = preset.pair_table
+    d, mtilde = preset.d, preset.mtilde
+    if not len(nums) == len(d) == len(mtilde) == r:
         return ("matrix sizes M %d, D %d, Mtilde %d do not match rank %d"
-                % (preset.M.dim, preset.D.dim, preset.expected_mtilde.dim, r))
-    dmat, failure = _laurent_entries("D", preset.D, diagonal=True)
-    if failure is not None:
-        return failure
-    mtilde, failure = _laurent_entries("Mtilde", preset.expected_mtilde, diagonal=False)
-    if failure is not None:
-        return failure
-    d = [dmat[k][k] for k in range(r)]
-    lcm, cof = _lcm_cofactors(d)
+                % (len(nums), len(d), len(mtilde), r))
+    for k, dk in enumerate(d):
+        if not dk:
+            return ("D entry (%d,%d) is %s; D must be diagonal with a nonzero diagonal"
+                    % (k + 1, k + 1, dk))
+    distinct = dict.fromkeys(d)
+    # L/d_k is the product of the other distinct diagonal entries
+    cof = {p: reduce(mul, (o for o in distinct if o != p), LaurentPoly.one())
+           for p in distinct}
+    big_l = d[0] * cof[d[0]]
     # column j of Mtilde D^-1, scaled by L: the nonzero (k, Mtilde_kj L/d_k)
     cols = [[(k, mtilde[k][j] * cof[d[k]]) for k in range(r) if mtilde[k][j]]
             for j in range(r)]
-    q, nums = preset.pair_table
-    diag = [q * lcm * dj for dj in d]
+    diag = [q * big_l * dj for dj in d]
     zero = LaurentPoly.zero()
     for i in range(r):
         for j in range(r):
@@ -352,9 +349,9 @@ def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
     D Mtilde^-1 D = M; identity_holds records its result.  Then checks the
     normalized classical limit: each entry of Mtilde divided by (t - t^-1)
     and evaluated at t = 1 must give the symmetrized Cartan integer.  The
-    residual check has shown every entry to be Laurent, so the limit is read
-    off its terms (_classical_limit).  Fails on the first entry with a pole
-    or a differing limit.
+    entries are Laurent, so the limit is read off their terms
+    (_classical_limit).  Fails on the first entry with a pole or a differing
+    limit.
     """
     out = VerificationOutcome(passed=True)
     failure = _identity_residual(preset)
@@ -365,9 +362,9 @@ def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
     out.identity_holds = True
     out.details.append("D M^-1 D matches the printed deformed Cartan matrix (%s)" % preset.name)
     expected = symmetrized_cartan(preset)
-    for i, row in enumerate(preset.expected_mtilde.rows):
+    for i, row in enumerate(preset.mtilde):
         for j, e in enumerate(row):
-            limit = _classical_limit(e.as_laurent())
+            limit = _classical_limit(e)
             if limit is None:
                 out.failure = ("limit entry (%d,%d): %s divided by t - t^-1 has a pole "
                                "at t = 1" % (i + 1, j + 1, e))

@@ -3,17 +3,19 @@
 Coefficients are exact rationals, held as Python ints wherever they are
 integral and as Fractions only where they are not.  LaurentPoly is a ring:
 sums, products, division with remainder by a polynomial (laurent_divmod)
-and exact division (laurent_divide).  The Cartan and bracket checks run in
-that ring.
+and exact division (laurent_divide).  The presets are built and the Cartan
+and bracket checks run in that ring, with no gcd.
 
-RationalFunction is a value type for the preset matrices and the bracket
-symbols, not a field implementation: it keeps a unique canonical form so
-that equality of field elements is equality of representations, and it
-compares, negates, substitutes t -> 1/t and prints, but does not add,
-multiply or divide.  Numerator and denominator are coprime, the denominator
-is an ordinary polynomial (nonzero constant term) with integer coprime
-coefficients and positive leading coefficient.  All unit factors t^k and
-rational scalars live in the numerator.
+RationalFunction is a value type for display: the preset matrices M, D and
+Mtilde as printed, and the bracket symbols.  It is not a field
+implementation: it keeps a unique canonical form so that equality of field
+elements is equality of representations, and it compares, negates,
+substitutes t -> 1/t and prints, but does not add, multiply or divide.
+Its constructor is the one place that takes a polynomial gcd.  Numerator
+and denominator are coprime, the denominator is an ordinary polynomial
+(nonzero constant term) with integer coprime coefficients and positive
+leading coefficient.  All unit factors t^k and rational scalars live in the
+numerator.
 """
 
 from __future__ import annotations
@@ -73,14 +75,6 @@ class LaurentPoly:
     def one(cls):
         return cls._raw({0: 1})
 
-    @classmethod
-    def t_power(cls, k: int):
-        return cls._raw({k: 1})
-
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -99,9 +93,6 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
         return max(self.terms)
-
-    def coeff(self, e: int):
-        return self.terms.get(e, 0)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -322,22 +313,6 @@ def _int_poly_divexact(a, b):
     return q
 
 
-def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of the ordinary-polynomial parts (t^min cleared) of a and b."""
-    if a.is_zero:
-        g = b
-    elif b.is_zero:
-        g = a
-    else:
-        _, da, _ = _dense_int(a)
-        _, db, _ = _dense_int(b)
-        g = _from_dense(0, _int_poly_gcd(da, db))
-    if g.is_zero:
-        return g
-    _, cs, _ = _dense_int(g.shift(-g.min_exp))
-    return _from_dense(0, cs, Fraction(1, cs[-1]))
-
-
 def _exact_quotient(x, y):
     """x / y as an int when it is integral, else as a Fraction."""
     quo, rest = divmod(x, y)
@@ -396,16 +371,6 @@ def laurent_divide(a: LaurentPoly, b: LaurentPoly):
     if rem:
         return None
     return LaurentPoly({e - k: c for e, c in quo.items()})
-
-
-def laurent_primitive(a: LaurentPoly) -> LaurentPoly:
-    """a divided by its rational content: coprime integer coefficients, same support."""
-    if a.is_zero:
-        return a
-    off, cs, _ = _dense_int(a)
-    if cs[-1] < 0:
-        cs = [-c for c in cs]
-    return _from_dense(off, cs)
 
 
 class RationalFunction:

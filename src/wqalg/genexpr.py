@@ -83,14 +83,6 @@ class YMonomial:
                 del data[key]
         return YMonomial._raw(tuple(sorted(data.items())))
 
-    def inverse(self) -> "YMonomial":
-        return YMonomial._raw(tuple((key, -e) for key, e in self._items))
-
-    def __pow__(self, n: int):
-        if n == 0:
-            return YMonomial.identity()
-        return YMonomial._raw(tuple((key, n * e) for key, e in self._items))
-
     def shift_arg(self, s: int) -> "YMonomial":
         """Substitute z -> zq^s in every factor."""
         # one shift added to every (node, shift) key keeps the keys in order
@@ -148,11 +140,6 @@ class SeriesExpr:
     @classmethod
     def one(cls):
         return cls._raw({YMonomial.identity(): Fraction(1)})
-
-    @classmethod
-    def single(cls, mono: YMonomial, coeff=1):
-        coeff = Fraction(coeff)
-        return cls._raw({mono: coeff} if coeff else {})
 
     @property
     def is_zero(self) -> bool:

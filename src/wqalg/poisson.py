@@ -39,6 +39,9 @@ class NotDecomposableError(ValueError):
     """
 
 
+_LAURENT_M11 = "M_11 of %s is a Laurent polynomial; delta decompositions would not be unique"
+
+
 class NonUniformBaseError(ValueError):
     """A term pair produced a base coefficient differing from the rest of the sum."""
 
@@ -90,8 +93,7 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
     q = preset.pair_table[0]
     quo11, rem11 = preset.m11_split
     if not rem11:
-        raise NotDecomposableError("M_11 of %s is a Laurent polynomial; "
-                         "delta decompositions would not be unique" % preset.name)
+        raise NotDecomposableError(_LAURENT_M11 % preset.name)
     quo, rem = laurent_divmod(num, q)
     top = max(rem11)
     alpha = Fraction(rem.get(top, 0), rem11[top])
@@ -394,22 +396,24 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
     cartan = verify_cartan(preset)
     check(cartan.passed, "deformed Cartan identity D M^-1 D",
           cartan.failure or "deformed Cartan identity")
-    check(preset.M == preset.M.transpose(), "M is symmetric", "M is not symmetric")
-    check(preset.expected_mtilde == preset.expected_mtilde.transpose(),
+    q, nums = preset.pair_table
+    check(tuple(zip(*nums)) == nums, "M is symmetric", "M is not symmetric")
+    check(tuple(zip(*preset.mtilde)) == preset.mtilde,
           "expected deformed Cartan matrix is symmetric",
           "expected deformed Cartan matrix is not symmetric")
-    odd = True
-    for mat in (preset.M, preset.D, preset.expected_mtilde):
-        for row in mat.rows:
-            for e in row:
-                if e.invert_var() != -e:
-                    odd = False
+    # M = N/Q is odd iff N(1/t) Q(t) = -N(t) Q(1/t); D and Mtilde are Laurent
+    q_inv = q.invert_var()
+    laurent = preset.d + tuple(e for row in preset.mtilde for e in row)
+    odd = (all(e.invert_var() * q == -(e * q_inv) for e in {e for row in nums for e in row})
+           and all(e.invert_var() == -e for e in laurent))
     check(odd, "all matrix entries are odd under t -> 1/t",
           "some matrix entry is not odd under t -> 1/t")
     check(cartan.identity_holds, "dual identity D Mtilde^-1 D = M", "dual identity fails")
 
+    # the M_11 guard is a property of the preset: report it once, not per bracket
+    m11_ok = bool(preset.m11_split[1])
     diag_pure = []
-    for i, lam in enumerate(preset.lambdas, start=1):
+    for i, lam in enumerate(preset.lambdas if m11_ok else (), start=1):
         try:
             dec = _decompose_numerator(_symbol_numerator(lam, lam, preset), preset)
         except NotDecomposableError as exc:
@@ -417,7 +421,9 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
             continue
         pure = dec.base_coeff == 1 and not dec.deltas
         diag_pure.append((i, pure, dec))
-    if preset.kind == "dn":
+    if not m11_ok:
+        check(False, "", "diagonal brackets do not decompose: " + _LAURENT_M11 % preset.name)
+    elif preset.kind == "dn":
         bad = [i for i, p, _ in diag_pure if not p]
         check(not bad, "every diagonal bracket is exactly MM_11 (pure)",
               "diagonal bracket not pure at index %s" % bad)

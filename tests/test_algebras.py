@@ -10,10 +10,9 @@ import pytest
 
 from oracle import evaluate
 from wqalg import build_preset, verify_all, verify_cartan
-from wqalg.algebras import _classical_limit, symmetrized_cartan
+from wqalg.algebras import _classical_limit, _pair_table, symmetrized_cartan
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
 from wqalg.genexpr import YMonomial
-from wqalg.rflinalg import FieldMatrix
 
 
 def rf(num, den=None):
@@ -104,11 +103,7 @@ def test_verify_cartan_dn_and_limit(n):
 
 
 def test_verify_cartan_reports_first_mismatch(g2):
-    import dataclasses
-    from wqalg.rflinalg import FieldMatrix
-    wrong = [list(r) for r in g2.expected_mtilde.rows]
-    wrong[0][1] = RationalFunction(sym_minus(1))
-    corrupted = dataclasses.replace(g2, expected_mtilde=FieldMatrix(wrong))
+    corrupted = dataclasses.replace(g2, mtilde=_replace_entry(g2.mtilde, 0, 1, sym_minus(1)))
     out = verify_cartan(corrupted)
     assert not out.passed
     assert "(1,2)" in out.failure
@@ -146,16 +141,15 @@ def test_classical_limit_of_rational_coefficients():
 def test_verify_cartan_names_a_pole_of_the_limit(g2):
     # a consistent preset (M = D Mtilde'^-1 D, so the residual check passes)
     # whose Mtilde'_11 = t^2 - t^-2 + 1 is nonzero at t = 1
-    entry = rf(sym_minus(2) + LaurentPoly.one())
-    mtilde = _replace_entry(g2.expected_mtilde, 0, 0, entry)
-    # every entry involved is Laurent: M_ij = D_i adj(Mtilde')_ij D_j / det Mtilde'
-    (a, b), (c, d) = ([e.as_laurent() for e in row] for row in mtilde.rows)
+    entry = sym_minus(2) + LaurentPoly.one()
+    mtilde = _replace_entry(g2.mtilde, 0, 0, entry)
+    # the pair table of M = D adj(Mtilde') D / det Mtilde': Q = det, N = D adj D
+    (a, b), (c, d) = mtilde
     det = a * d - b * c
-    dd = [g2.D.rows[k][k].as_laurent() for k in range(2)]
+    dd = g2.d
     adj = [[d, -b], [-c, a]]
-    m = FieldMatrix([[rf(dd[i] * adj[i][j] * dd[j], det) for j in range(2)]
-                     for i in range(2)])
-    out = verify_cartan(dataclasses.replace(g2, M=m, expected_mtilde=mtilde))
+    nums = tuple(tuple(dd[i] * adj[i][j] * dd[j] for j in range(2)) for i in range(2))
+    out = verify_cartan(dataclasses.replace(g2, pair_table=(det, nums), mtilde=mtilde))
     assert out.identity_holds and not out.passed
     assert out.failure == ("limit entry (1,1): %s divided by t - t^-1 has a pole at t = 1"
                            % entry)
@@ -163,15 +157,15 @@ def test_verify_cartan_names_a_pole_of_the_limit(g2):
 
 # --- the division-free identity check: failure paths --------------------------
 
-def _replace_entry(mat, i, j, value):
-    rows = [list(r) for r in mat.rows]
+def _replace_entry(rows, i, j, value):
+    rows = [list(r) for r in rows]
     rows[i][j] = value
-    return FieldMatrix(rows)
+    return tuple(map(tuple, rows))
 
 
 def test_verify_cartan_names_a_residual_entry_in_the_changed_column(d5):
-    mtilde = _replace_entry(d5.expected_mtilde, 1, 2, rf(sym_minus(3)))
-    out = verify_cartan(dataclasses.replace(d5, expected_mtilde=mtilde))
+    mtilde = _replace_entry(d5.mtilde, 1, 2, sym_minus(3))
+    out = verify_cartan(dataclasses.replace(d5, mtilde=mtilde))
     assert not out.passed and not out.identity_holds
     match = re.match(r"entry \((\d+),(\d+)\) of M D\^-1 Mtilde D\^-1: ", out.failure)
     assert match, out.failure
@@ -180,31 +174,16 @@ def test_verify_cartan_names_a_residual_entry_in_the_changed_column(d5):
     assert j == 2
     # the named entry really breaks the identity under plain Fraction arithmetic
     x = Fraction(2)
-    m, mt, d = evaluate(d5.M, x), evaluate(mtilde, x), evaluate(d5.D, x)
-    value = sum(m[i][k] / d[k][k] * mt[k][j] / d[j][j] for k in range(5))
+    m, d = evaluate(d5.M, x), [evaluate(e, x) for e in d5.d]
+    mt = [[evaluate(e, x) for e in row] for row in mtilde]
+    value = sum(m[i][k] / d[k] * mt[k][j] / d[j] for k in range(5))
     assert value != (i == j)
 
 
-def test_verify_cartan_rejects_off_diagonal_d(g2):
-    d = _replace_entry(g2.D, 0, 1, rf(sym_minus(1)))
-    out = verify_cartan(dataclasses.replace(g2, D=d))
-    assert not out.passed
-    assert out.failure.startswith("D entry (1,2) ")
-    assert "diagonal" in out.failure
-
-
-def test_verify_cartan_rejects_non_laurent_d(g2):
-    d = _replace_entry(g2.D, 1, 1, rf(sym_minus(3), sym_plus(1)))
-    out = verify_cartan(dataclasses.replace(g2, D=d))
-    assert not out.passed
-    assert out.failure.startswith("D entry (2,2) is not a Laurent polynomial")
-
-
-def test_verify_cartan_rejects_non_laurent_mtilde(g2):
-    mtilde = _replace_entry(g2.expected_mtilde, 0, 0, rf(sym_minus(2), sym_plus(2)))
-    out = verify_cartan(dataclasses.replace(g2, expected_mtilde=mtilde))
-    assert not out.passed
-    assert out.failure.startswith("Mtilde entry (1,1) is not a Laurent polynomial")
+def test_verify_cartan_rejects_a_zero_diagonal_d_entry(g2):
+    out = verify_cartan(dataclasses.replace(g2, d=(g2.d[0], LaurentPoly.zero())))
+    assert not out.passed and not out.identity_holds
+    assert out.failure == "D entry (2,2) is 0; D must be diagonal with a nonzero diagonal"
 
 
 def test_verify_cartan_rejects_matrices_larger_than_the_rank(e6):
@@ -213,15 +192,32 @@ def test_verify_cartan_rejects_matrices_larger_than_the_rank(e6):
     assert out.failure == "matrix sizes M 6, D 6, Mtilde 6 do not match rank 5"
 
 
+def test_preset_rejects_a_table_that_is_not_square(g2):
+    a = sym_minus(2)
+    with pytest.raises(ValueError, match="the table mtilde of g2 is not square"):
+        dataclasses.replace(g2, mtilde=((a,), (a, a)))
+    q, nums = g2.pair_table
+    with pytest.raises(ValueError, match="the table N of g2 is not square"):
+        dataclasses.replace(g2, pair_table=(q, (nums[0], nums[1][:1])))
+
+
 def test_verify_all_reports_singular_mtilde_without_raising(g2):
-    a = rf(sym_minus(2))
-    singular = FieldMatrix([[a, a], [a, a]])
-    out = verify_all(dataclasses.replace(g2, expected_mtilde=singular))
+    a = sym_minus(2)
+    out = verify_all(dataclasses.replace(g2, mtilde=((a, a), (a, a))))
     assert out.passed is False
     assert "FAIL dual identity fails" in out.details
 
 
 # --- the pair table lives on the preset ----------------------------------------
+
+def test_pair_table_divides_each_entry_exactly_or_raises():
+    # t^3 + t^-3 = (t + t^-1)(t^2 - 1 + t^-2); Q and N shift together by t^3
+    q, nums = _pair_table(sym_plus(3), [[(sym_minus(1), sym_plus(1))]])
+    assert q == LaurentPoly({6: 1, 0: 1})
+    assert nums == ((sym_minus(1) * LaurentPoly({5: 1, 3: -1, 1: 1}),),)
+    with pytest.raises(ArithmeticError, match="not a multiple of"):
+        _pair_table(sym_plus(3), [[(sym_minus(1), sym_plus(2))]])
+
 
 def test_pair_table_is_freed_with_its_preset():
     preset = build_preset("g2")

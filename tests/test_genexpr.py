@@ -11,6 +11,11 @@ from wqalg import build_t1, build_t2, build_t5_e6
 from wqalg.genexpr import SeriesExpr, YMonomial
 
 
+def inverse(m):
+    """The group inverse, with every exponent negated."""
+    return YMonomial.from_factors((i, a, -e) for (i, a), e in m.items())
+
+
 def random_monomial(rng, rank=6):
     factors = [(rng.randint(1, rank), rng.randint(-12, 12), rng.choice([-2, -1, 1, 2]))
                for _ in range(rng.randint(0, 4))]
@@ -21,7 +26,7 @@ def random_monomial(rng, rank=6):
 
 def test_identity_and_inverse(g2):
     lam4 = g2.lambdas[3]
-    assert lam4 * lam4.inverse() == YMonomial.identity()
+    assert lam4 * inverse(lam4) == YMonomial.identity()
     assert YMonomial.identity().is_identity
 
 
@@ -36,7 +41,7 @@ def test_group_laws_random():
         a, b, c = (random_monomial(rng) for _ in range(3))
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
-        assert a * a.inverse() == YMonomial.identity()
+        assert a * inverse(a) == YMonomial.identity()
 
 
 # --- shifts and duality ---------------------------------------------------------

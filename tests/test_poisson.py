@@ -15,7 +15,6 @@ from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus
 from wqalg.genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
 from wqalg.poisson import _symbol_numerator
-from wqalg.rflinalg import FieldMatrix
 
 EVAL_POINTS = [Fraction(2), Fraction(3), Fraction(5, 7)]
 
@@ -128,7 +127,7 @@ def test_decompose_base_itself(g2):
 
 
 def test_decompose_pure_delta(g2):
-    dec = decompose(RationalFunction(LaurentPoly.t_power(3)), g2)
+    dec = decompose(RationalFunction(LaurentPoly({3: 1})), g2)
     assert dec.base_coeff == 0 and dec.deltas == {3: 1}
 
 
@@ -140,7 +139,7 @@ def test_decompose_worked_g2_example(g2):
 
 def test_decompose_solves_general_base_coefficient(g2):
     m11 = g2.M.rows[0][0]
-    s = base_plus_laurent(m11, Fraction(2), LaurentPoly.t_power(3))
+    s = base_plus_laurent(m11, Fraction(2), LaurentPoly({3: 1}))
     dec = decompose(s, g2)
     assert dec.base_coeff == 2 and dec.deltas == {3: 1}
     s = base_plus_laurent(m11, Fraction(-5, 3), LaurentPoly.zero())
@@ -171,16 +170,18 @@ def test_decompose_round_trip(request, name, alpha, deltas):
 
 def test_decompose_rejects_laurent_m11(g2):
     # uniqueness of the split rests on M_11 not being a Laurent polynomial
-    rows = [list(row) for row in g2.M.rows]
-    rows[0][0] = RationalFunction(sym_minus(1))
-    laurent = dataclasses.replace(g2, M=FieldMatrix(rows))
+    q, nums = g2.pair_table
+    laurent = dataclasses.replace(
+        g2, pair_table=(q, ((sym_minus(1) * q, nums[0][1]), nums[1])))
     guard = "M_11 of g2 is a Laurent polynomial; delta decompositions would not be unique"
     with pytest.raises(ValueError, match=guard):
-        decompose(RationalFunction(LaurentPoly.t_power(3)), laurent)
-    # the verifiers report the guard as a failure instead of raising it
+        decompose(RationalFunction(LaurentPoly({3: 1})), laurent)
+    # the verifiers report the guard as a failure instead of raising it, and
+    # verify_all reports it once for the preset, not once per diagonal bracket
     out = verify_all(laurent)
     assert out.passed is False and out.failure
-    assert "FAIL diagonal bracket 1 does not decompose: " + guard in out.details
+    diagonal = [d for d in out.details if d.startswith("FAIL diagonal bracket")]
+    assert diagonal == ["FAIL diagonal brackets do not decompose: " + guard]
     closure = verify_closure(laurent)
     assert closure.passed is False
     assert closure.failure.endswith(guard) and closure.failure.startswith("pair (")
@@ -301,11 +302,10 @@ def test_bracket_sum_nonuniform_base(g2):
 
 
 def test_bracket_sum_not_decomposable_names_pair(g2):
-    from wqalg.rflinalg import FieldMatrix
-    rows = [list(r) for r in g2.M.rows]
-    rows[0][1] = rows[1][0] = RationalFunction(
-        LaurentPoly.one(), LaurentPoly({0: 2, 1: 0, 2: 1}))
-    corrupted = dataclasses.replace(g2, M=FieldMatrix(rows))
+    # M_12 = M_21 = 1/Q breaks the delta decomposition of the T1 x T1 symbols
+    q, nums = g2.pair_table
+    one = LaurentPoly.one()
+    corrupted = dataclasses.replace(g2, pair_table=(q, ((nums[0][0], one), (one, nums[1][1]))))
     t1 = build_t1(corrupted)
     with pytest.raises(NotDecomposableError) as err:
         bracket_sum(t1, t1, corrupted)
@@ -322,7 +322,7 @@ def test_verify_closure_reports_series_mismatch(d4, monkeypatch):
     import wqalg.poisson as poisson_mod
     real = build_t2(d4)
     key = next(iter(real.terms))
-    doctored = real + SeriesExpr.single(key, 1)
+    doctored = real + SeriesExpr({key: 1})
     monkeypatch.setattr(poisson_mod, "build_t2", lambda preset: doctored)
     out = verify_closure(d4)
     assert not out.passed

@@ -1,0 +1,73 @@
+"""The integer data of every preset, and the verify_all reports, pinned by digest.
+
+Each preset's pair table (Q, N) with M_ij = N_ij / Q is hashed as the JSON of
+its sorted term maps, so a changed exponent, coefficient or coefficient type
+(an integral Fraction does not serialise) fails.  The verify_all details are
+hashed line by line.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from wqalg import build_preset, verify_all
+from wqalg.exactfield import LaurentPoly
+
+SPECS = {"g2": ("g2", None), "e6": ("e6", None),
+         **{"d%d" % n: ("dn", n) for n in list(range(4, 13)) + [31, 32, 33, 64]}}
+
+PAIR_TABLES = {
+    "g2": "0c2d4e593e56ce2136647941ce362b53fa761718a4a85d6503ee36221445d7c5",
+    "e6": "e8bd0cde649feeb3f24c8f64338612ade26978300b2b154baaabc4d39bdd6f1b",
+    "d4": "2826dde17b3480d8c0c07fc73dd8e71b80111a596f20d70e8c3a32c07e830169",
+    "d5": "a86e52a2cc019f8bc482fb2a31012a489f8d150da2a38eabf4af992136d09280",
+    "d6": "c70cb37ae031866c07c06a1656cbf9bf368e6317f8b54ddc05654a57942bec31",
+    "d7": "f41d62c7ad77fb6487f1353491cf168d8027e1395df36f680dae40f3eaccec9b",
+    "d8": "c4924d18a1a435bb0928159afb7506935b2e940abfded7323e8ffd2cb22b44c4",
+    "d9": "59a28b8b14e8f6ca3f04feb1d5cff2688142ee7427e473da30e27f39e010dc5f",
+    "d10": "98b59c09e88bd42c9dc2d29296a08f4d4e8c7940ed1e755421b4abf9075551d0",
+    "d11": "7a699f3e9c3cc0a5ca7ee29865c7ebd463b7f4c9b97fdc245e98282919148b32",
+    "d12": "bf0c0650e97cf8af0313e6d3d28da8abb04b51c420ea477dd807919aa6567733",
+    "d31": "cf80941f635f4f0bb78f7969e1ba97559a8b848aab64b9474476bedfed877789",
+    "d32": "c6cf590c6d9df6ab560b75f5ba6efad21f9a3563c1e1b435d64aa3460c20f443",
+    "d33": "9033c406c5472d35ce62beede68110d82c31660d554ba4a7aba12cbd08bde7d1",
+}
+
+VERIFY_ALL_DETAILS = {
+    "g2": "9f46ff38cc7070a250107be9e37a4ab434ae732e25999cac0d4e73b96bf859e5",
+    "e6": "96fbd331d247f12698d7b0282e6910df917f343d232b8f9aad578c0822a28a41",
+    "d4": "4febf829e7f717aacac70bb319e5f96902e320874b89b1e0dd9fb7da4b7a832b",
+    "d5": "aea0b057567034400d6a9184950619e37ac3a2fd5d8b5376cb983b3e9fdaf5b2",
+    "d6": "18045a5d144844fc6bc23b197437dc91fad9ad05756eac096b8ca21ad87b6899",
+    "d7": "2a029cc6ba48d7ba15d75266d6115355cbba908420e5bdbb50e7a7a29258dd4d",
+    "d8": "dc1c242aef06c4b9062fecb6e23503373d1c63a9725377c2292a2a14fa80514a",
+    "d9": "c0f3684e52f31bfec7502e1ffbf96af459701e87fa4759555951f6963f1bbc3e",
+    "d10": "eb1a3de0f830c6dfaa5bbfab9925a6a2299e480f8e4fda433e2e1cdf6d4ee661",
+    "d33": "2715fd3c4fbe2b30b50de5f6a6a614a09e3569768fc7938213ac84113ce547ed",
+    "d64": "dcab45839e19ebd1020bc2ef8882f011e5330f38a054779016e7e30cc38f75e4",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_TABLES))
+def test_pair_table_digest(name):
+    q, nums = build_preset(*SPECS[name]).pair_table
+    text = json.dumps([q.sorted_terms(), [[e.sorted_terms() for e in row] for row in nums]])
+    assert sha256(text) == PAIR_TABLES[name]
+
+
+def test_exceptional_common_denominators():
+    # the reduced lcm of the entry denominators, not the product of their factors
+    assert build_preset("g2").pair_table[0] == LaurentPoly({8: 1, 4: -1, 0: 1})
+    assert build_preset("e6").pair_table[0] == LaurentPoly({12: 1, 10: 1, 6: -1, 2: 1, 0: 1})
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_ALL_DETAILS))
+def test_verify_all_details_digest(name):
+    out = verify_all(build_preset(*SPECS[name]))
+    assert out.passed, out.failure
+    assert sha256("\n".join(out.details)) == VERIFY_ALL_DETAILS[name]
