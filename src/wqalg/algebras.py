@@ -73,6 +73,19 @@ class AlgebraPreset:
         q, nums = self.pair_table
         return laurent_divmod(nums[0][0], q)
 
+    @cached_property
+    def m_parity(self) -> tuple[bool, bool]:
+        """(symmetric, odd) for M = N/Q, read off the pair table.
+
+        M is odd under t -> 1/t iff N(1/t) Q(t) = -N(t) Q(1/t), tested once
+        per distinct entry.  Brackets are taken over unordered pairs, which
+        is exact only when both hold.
+        """
+        q, nums = self.pair_table
+        q_inv = q.invert_var()
+        return (tuple(zip(*nums)) == nums,
+                all(e.invert_var() * q == -(e * q_inv) for e in {e for row in nums for e in row}))
+
 
 @dataclass
 class VerificationOutcome:

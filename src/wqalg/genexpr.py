@@ -74,14 +74,32 @@ class YMonomial:
     def __mul__(self, other):
         if not isinstance(other, YMonomial):
             return NotImplemented
-        data = dict(self._items)
-        for key, e in other._items:
-            s = data.get(key, 0) + e
-            if s:
-                data[key] = s
+        a, b = self._items, other._items
+        if not a:
+            return other
+        if not b:
+            return self
+        # both factors are sorted by key: merge them in one pass
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            ka, ea = a[i]
+            kb, eb = b[j]
+            if ka < kb:
+                out.append(a[i])
+                i += 1
+            elif kb < ka:
+                out.append(b[j])
+                j += 1
             else:
-                del data[key]
-        return YMonomial._raw(tuple(sorted(data.items())))
+                if ea + eb:
+                    out.append((ka, ea + eb))
+                i += 1
+                j += 1
+        out += a[i:]
+        out += b[j:]
+        return YMonomial._raw(tuple(out))
 
     def shift_arg(self, s: int) -> "YMonomial":
         """Substitute z -> zq^s in every factor."""

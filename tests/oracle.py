@@ -1,11 +1,14 @@
-"""Test-side oracles: exact evaluation, a Fraction-matrix inverse, and matrix
-products over Laurent fractions.  None of this is part of the package, and
-none of it shares code with the verification paths it checks.
+"""Test-side oracles: exact evaluation, a Fraction-matrix inverse, matrix
+products over Laurent fractions, and a bracket over all ordered pairs.  None
+of this is part of the package, and none of it shares code with the
+verification paths it checks.
 """
 
 from fractions import Fraction
 
+from wqalg import decompose, symbol
 from wqalg.exactfield import LaurentPoly, RationalFunction
+from wqalg.genexpr import SeriesExpr, YMonomial
 from wqalg.rflinalg import FieldMatrix
 
 
@@ -91,3 +94,38 @@ def product_is_identity(*factors) -> bool:
         prod = fraction_matmul(prod, f)
     return all(num == (den if i == j else LaurentPoly.zero())
                for i, row in enumerate(prod) for j, (num, den) in enumerate(row))
+
+
+# --- brackets of monomial sums ---------------------------------------------------
+
+def ordered_pair_bracket(t_series, s_series, preset):
+    """(base, {a: C_a}) of the bracket of two sums, over every ordered pair.
+
+    Each pair is split by the public decompose(symbol(x, y)); a pair whose
+    base differs from the first raises AssertionError.  The key of C_a is
+    x * shift_arg(y, -a), built by YMonomial's own constructor from the
+    factors, not by YMonomial products.
+    """
+    base, acc = None, {}
+    for x, u in t_series.terms.items():
+        for y, v in s_series.terms.items():
+            dec = decompose(symbol(x, y, preset), preset)
+            if base is None:
+                base = dec.base_coeff
+            assert dec.base_coeff == base, (x, y, dec.base_coeff, base)
+            for a, c in dec.deltas.items():
+                key = YMonomial(list(x.items()) + [((i, sh - a), e) for (i, sh), e in y.items()])
+                acc.setdefault(a, []).append((key, u * v * c))
+    deltas = {a: SeriesExpr(terms) for a, terms in acc.items()}
+    return base, {a: series for a, series in deltas.items() if not series.is_zero}
+
+
+def antisymmetry_ok(report):
+    """(ok, message): every C_a must pair with C_{-a} = -shift_arg(C_a, a)."""
+    for a, series in sorted(report.delta_terms.items()):
+        partner = report.delta_terms.get(-a)
+        if partner is None:
+            return False, "shift %d has no partner at %d" % (a, -a)
+        if partner != -series.shift_arg(a):
+            return False, "shift %d breaks the antisymmetry pairing" % a
+    return True, None

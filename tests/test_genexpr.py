@@ -74,6 +74,21 @@ def test_shift_arg_matches_canonical_construction(factors, s):
     assert list(shifted.items()) == sorted(shifted.items())
 
 
+factor_lists = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3),
+                                  st.integers(-2, 2)), max_size=6)
+
+
+@settings(deadline=None, max_examples=100)
+@given(left=factor_lists, right=factor_lists)
+def test_mul_matches_canonical_construction(left, right):
+    # small node and shift ranges make shared keys and cancellations common
+    a, b = YMonomial.from_factors(left), YMonomial.from_factors(right)
+    prod = a * b
+    assert prod.items() == YMonomial.from_factors(left + right).items()
+    assert (a * YMonomial.identity()).items() == a.items()
+    assert (YMonomial.identity() * b).items() == b.items()
+
+
 def test_dual_transform_single_monomials(g2):
     assert g2.lambdas[0].dual() == g2.lambdas[6].shift_arg(12)
     assert g2.lambdas[6].dual() == g2.lambdas[0].shift_arg(12)

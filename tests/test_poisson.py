@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import evaluate
+import wqalg.poisson as poisson_mod
+from oracle import antisymmetry_ok, evaluate, ordered_pair_bracket
 from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
                    build_preset, decompose, extract_t2_e6, symbol, verify_all,
                    verify_closure)
+from wqalg.cli import main
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus
 from wqalg.genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
 from wqalg.poisson import _symbol_numerator
@@ -291,8 +293,45 @@ def test_bracket_report_antisymmetry(closure_presets):
     for preset in closure_presets:
         t1 = build_t1(preset)
         report = bracket_sum(t1, t1, preset)
-        ok, msg = report.antisymmetry_ok()
+        ok, msg = antisymmetry_ok(report)
         assert ok, (preset.name, msg)
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 5),
+                                    ("dn", 6)])
+def test_bracket_sum_matches_ordered_pair_oracle(kind, n):
+    preset = build_preset(kind, n)
+    t1 = build_t1(preset)
+    base, deltas = ordered_pair_bracket(t1, t1, preset)
+    report = bracket_sum(t1, t1, preset)
+    assert report.base_coeff == base == 1
+    assert report.delta_terms == deltas
+    assert antisymmetry_ok(report) == (True, None)
+    # two different series, each missing a monomial of the other: the
+    # reversed pairs carry their own coefficients
+    lams = preset.lambdas
+    t2 = t1 * 3 + SeriesExpr([(lams[0], -3), (lams[1], Fraction(1, 2))])
+    s2 = t1 - SeriesExpr([(lams[-1], 1)])
+    base, deltas = ordered_pair_bracket(t2, s2, preset)
+    report = bracket_sum(t2, s2, preset)
+    assert report.base_coeff == base and report.delta_terms == deltas
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 7)])
+def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
+    preset = build_preset(kind, n)
+    calls = []
+
+    def counting(a, b, p):
+        calls.append((a, b))
+        return _symbol_numerator(a, b, p)
+
+    monkeypatch.setattr(poisson_mod, "_symbol_numerator", counting)
+    t1 = build_t1(preset)
+    bracket_sum(t1, t1, preset)
+    k = len(t1)
+    assert len(calls) == k * (k + 1) // 2
+    assert len(set(calls)) == len(calls)
 
 
 def test_bracket_sum_nonuniform_base(g2):
@@ -302,14 +341,37 @@ def test_bracket_sum_nonuniform_base(g2):
 
 
 def test_bracket_sum_not_decomposable_names_pair(g2):
-    # M_12 = M_21 = 1/Q breaks the delta decomposition of the T1 x T1 symbols
+    # M_12 = M_21 = (t - t^-1)/(t^4 - 1 + t^-4) is symmetric and odd, but breaks
+    # the delta decomposition of the T1 x T1 symbols; Q = t^8 - t^4 + 1, so
+    # N_12 = t^4 (t - t^-1)
     q, nums = g2.pair_table
-    one = LaurentPoly.one()
-    corrupted = dataclasses.replace(g2, pair_table=(q, ((nums[0][0], one), (one, nums[1][1]))))
+    odd = LaurentPoly({5: 1, 3: -1})
+    corrupted = dataclasses.replace(g2, pair_table=(q, ((nums[0][0], odd), (odd, nums[1][1]))))
+    assert corrupted.m_parity == (True, True)
     t1 = build_t1(corrupted)
     with pytest.raises(NotDecomposableError) as err:
         bracket_sum(t1, t1, corrupted)
     assert "pair (" in str(err.value)
+
+
+def test_bracket_sum_requires_symmetric_odd_m(g2, monkeypatch, capsys):
+    # M_12 = M_21 = 1/Q is symmetric but not odd: pairing each term pair with
+    # its reverse would not be exact, so nothing is bracketed
+    q, nums = g2.pair_table
+    one = LaurentPoly.one()
+    corrupted = dataclasses.replace(g2, pair_table=(q, ((nums[0][0], one), (one, nums[1][1]))))
+    assert corrupted.m_parity == (True, False)
+    message = ("M of g2 is not both symmetric and odd under t -> 1/t; "
+               "brackets over unordered pairs would not be exact")
+    t1 = build_t1(corrupted)
+    with pytest.raises(ValueError) as err:
+        bracket_sum(t1, t1, corrupted)
+    assert str(err.value) == message
+    out = verify_closure(corrupted)
+    assert out.passed is False and out.failure == message
+    monkeypatch.setattr("wqalg.cli.build_preset", lambda kind, n=None: corrupted)
+    assert main(["closure", "--algebra", "g2"]) == 1
+    assert "mismatch: " + message in capsys.readouterr().out
 
 
 def test_verify_closure_all_presets(closure_presets):
@@ -319,7 +381,6 @@ def test_verify_closure_all_presets(closure_presets):
 
 
 def test_verify_closure_reports_series_mismatch(d4, monkeypatch):
-    import wqalg.poisson as poisson_mod
     real = build_t2(d4)
     key = next(iter(real.terms))
     doctored = real + SeriesExpr({key: 1})

@@ -1,9 +1,11 @@
-"""The integer data of every preset, and the verify_all reports, pinned by digest.
+"""The integer data of every preset, and the verify_all and bracket reports,
+pinned by digest.
 
 Each preset's pair table (Q, N) with M_ij = N_ij / Q is hashed as the JSON of
 its sorted term maps, so a changed exponent, coefficient or coefficient type
 (an integral Fraction does not serialise) fails.  The verify_all details are
-hashed line by line.
+hashed line by line, and each bracket_sum(T1, T1) report as the JSON of its
+base coefficient and delta series.
 """
 
 import hashlib
@@ -11,8 +13,9 @@ import json
 
 import pytest
 
-from wqalg import build_preset, verify_all
+from wqalg import bracket_sum, build_preset, verify_all
 from wqalg.exactfield import LaurentPoly
+from wqalg.genexpr import build_t1
 
 SPECS = {"g2": ("g2", None), "e6": ("e6", None),
          **{"d%d" % n: ("dn", n) for n in list(range(4, 13)) + [31, 32, 33, 64]}}
@@ -48,6 +51,20 @@ VERIFY_ALL_DETAILS = {
     "d64": "dcab45839e19ebd1020bc2ef8882f011e5330f38a054779016e7e30cc38f75e4",
 }
 
+BRACKET_REPORTS = {
+    "g2": "71fe2b8a62028cfda1d6b31887edb0b5651c1b18cdce3462aa60cb0bd126ed68",
+    "e6": "7553d6239322dcbe93618058e3227dcafbf9696e2214f48411392679db73ba89",
+    "d4": "3742b532ad0ea98a59185509a2e40ab9b55cde448a72bac8b7fa42f88d7d4d63",
+    "d5": "ef70f1c57aa10bc906f181bd0c36d81921db89ccfa278e869c8fb649e12ff805",
+    "d6": "a21a042bbf7a08f88e3dd36a0ba4c2e741edc84be3f1ba7ddce5c310b28e0c69",
+    "d7": "999f0238f61b9ad4fd4ccd2a0f48d85230c85b9af17d5f46fd06f358196265ba",
+    "d8": "25afd30211328551bc73806c14a3fe892d600313713e0397bf9ab6662fbdf288",
+    "d9": "a7e98744d84538297fd6d325049716b17f8fb15b31337a601687a71f81002209",
+    "d10": "b5f49a191ced8d625f2ece6d059e0ec948e5db9b19bfa23bbba68c74fa30885a",
+    "d31": "0fa53e451453b5a294e9ea030db1417d8db5b6062477f8745f3bc16c8f7cbc1e",
+    "d32": "529488c7e9effa9ff3b37f654ad775018f84fa307e02ec6783ecb3878159a7a9",
+}
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -71,3 +88,11 @@ def test_verify_all_details_digest(name):
     out = verify_all(build_preset(*SPECS[name]))
     assert out.passed, out.failure
     assert sha256("\n".join(out.details)) == VERIFY_ALL_DETAILS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_REPORTS))
+def test_bracket_report_digest(name):
+    preset = build_preset(*SPECS[name])
+    t1 = build_t1(preset)
+    report = bracket_sum(t1, t1, preset)
+    assert sha256(json.dumps(report.to_json())) == BRACKET_REPORTS[name]
