@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import mul
 
-from .exactfield import (LaurentPoly, RationalFunction, laurent_divide, laurent_divmod,
-                         sym_minus, sym_plus)
+from .exactfield import (LaurentPoly, RationalFunction, _exact_quotient, laurent_divide,
+                         laurent_divmod, sym_minus, sym_plus)
 from .genexpr import YMonomial
 from .rflinalg import FieldMatrix
 
@@ -342,7 +342,7 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
     return None
 
 
-def _classical_limit(p: LaurentPoly) -> Fraction | None:
+def _classical_limit(p: LaurentPoly) -> int | Fraction | None:
     """The value at t = 1 of p(t) / (t - t^-1), or None if it has a pole there.
 
     t - t^-1 has a simple zero at t = 1 with derivative 2, so the quotient is
@@ -351,7 +351,7 @@ def _classical_limit(p: LaurentPoly) -> Fraction | None:
     """
     if sum(p.terms.values()):
         return None
-    return Fraction(sum(e * c for e, c in p.terms.items()), 2)
+    return _exact_quotient(sum(e * c for e, c in p.terms.items()), 2)
 
 
 def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:

@@ -1,10 +1,17 @@
 """Exact Laurent polynomials in one variable t, and canonical rational functions.
 
-Coefficients are exact rationals, held as Python ints wherever they are
-integral and as Fractions only where they are not.  LaurentPoly is a ring:
-sums, products, division with remainder by a polynomial (laurent_divmod)
-and exact division (laurent_divide).  The presets are built and the Cartan
-and bracket checks run in that ring, with no gcd.
+This module owns the coefficient policy of both term maps, LaurentPoly's
+exponent -> coefficient and genexpr.SeriesExpr's monomial -> coefficient: a
+coefficient is an exact rational, held as a Python int wherever it is
+integral and as a Fraction only where it is not; zeros are never stored and
+anything else (a float, say) is rejected.  Both classes build, add, subtract
+and scale their term maps through the helpers _collect, _add_terms and
+_scale_terms below, so the policy is applied in one place.
+
+LaurentPoly is a ring: sums, products, division with remainder by a
+polynomial (laurent_divmod) and exact division (laurent_divide).  The
+presets are built and the Cartan and bracket checks run in that ring, with
+no gcd.
 
 RationalFunction is a value type for display: the preset matrices M, D and
 Mtilde as printed, and the bracket symbols.  It is not a field
@@ -22,12 +29,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import add, sub
 
 
 def _int_valued(data: dict) -> dict:
     """Rewrite each integral coefficient of the term map as an int, in place.
 
-    The one normaliser behind the invariant that a LaurentPoly holds an int
+    The one normaliser behind the invariant that a term map holds an int
     wherever a coefficient is integral and a Fraction only where it is not.
     Fraction(3) == 3 and hash(Fraction(3)) == hash(3), so equality, hashing
     and printing are unchanged by it.  Returns data.
@@ -38,27 +46,56 @@ def _int_valued(data: dict) -> dict:
     return data
 
 
+def _exact(c):
+    """c itself if it is an exact rational (int or Fraction); else TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
+    return c
+
+
+def _collect(terms) -> dict:
+    """Term map of a mapping or of (key, coeff) pairs: like keys summed, zeros dropped."""
+    data = {}
+    for k, c in terms.items() if hasattr(terms, "items") else terms:
+        if _exact(c):
+            c = data.get(k, 0) + c
+            if c:
+                data[k] = c
+            else:
+                del data[k]
+    return _int_valued(data)
+
+
+def _add_terms(a: dict, b: dict, sign: int = 1) -> dict:
+    """Term map of a + b, or of a - b for sign -1."""
+    op = add if sign > 0 else sub
+    data = dict(a)
+    for k, c in b.items():
+        s = op(data.get(k, 0), c)
+        if s:
+            data[k] = s
+        else:
+            del data[k]
+    return _int_valued(data)
+
+
+def _scale_terms(data: dict, c) -> dict:
+    """Term map of c times data, for an exact rational c."""
+    if not _exact(c):
+        return {}
+    return _int_valued({k: v * c for k, v in data.items()})
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial: a map exponent -> nonzero rational coefficient.
 
-    Integral coefficients are ints, the others Fractions (see _int_valued).
+    Integral coefficients are ints, the others Fractions (see the module notes).
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        data = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for e, c in items:
-            c = c if isinstance(c, (int, Fraction)) else Fraction(c)
-            if c:
-                c0 = data.get(e)
-                c = c if c0 is None else c0 + c
-                if c:
-                    data[e] = c
-                else:
-                    del data[e]
-        self.terms = _int_valued(data)
+        self.terms = _collect(terms)
 
     @classmethod
     def _raw(cls, data):
@@ -108,26 +145,12 @@ class LaurentPoly:
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        data = dict(self.terms)
-        for e, c in other.terms.items():
-            s = data.get(e, 0) + c
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-        return LaurentPoly._raw(_int_valued(data))
+        return LaurentPoly._raw(_add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        data = dict(self.terms)
-        for e, c in other.terms.items():
-            s = data.get(e, 0) - c
-            if s:
-                data[e] = s
-            else:
-                data.pop(e, None)
-        return LaurentPoly._raw(_int_valued(data))
+        return LaurentPoly._raw(_add_terms(self.terms, other.terms, -1))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -148,10 +171,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPoly":
-        c = c if isinstance(c, (int, Fraction)) else Fraction(c)
-        if not c:
-            return LaurentPoly.zero()
-        return LaurentPoly._raw(_int_valued({e: v * c for e, v in self.terms.items()}))
+        return LaurentPoly._raw(_scale_terms(self.terms, c))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -324,7 +344,6 @@ def laurent_divmod(a: LaurentPoly, q: LaurentPoly):
 
     Returns term maps (quo, rem), exponent -> coefficient, with
     a = quo * q + rem and rem supported in [0, deg q); both are unique.
-    LaurentPoly(quo) gives the Fraction-valued form.
 
     Exponents below 0 are cleared with q's constant term, then those at or
     above deg q with its leading term, visiting only q's nonzero terms.

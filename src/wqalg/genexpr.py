@@ -3,7 +3,8 @@
 A YMonomial encodes a finite product  prod Y_i(zq^a)^e  as the map
 (i, a) -> e.  A SeriesExpr is a finite rational-coefficient sum of such
 monomials; the sums T_1, T_2, T_5 and every delta-coefficient series live
-here.
+here.  Its coefficients follow exactfield's policy: ints where integral,
+Fractions only where not, through the same term-map helpers as LaurentPoly.
 
 Scalar prefactors of the Y generators are deliberately not represented.
 Lemma: the prefactor of a product is determined by its Y-content (each
@@ -15,6 +16,8 @@ constant prefactors at all; content-level equality is therefore equality.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .exactfield import _add_terms, _collect, _scale_terms
 
 
 class YMonomial:
@@ -132,18 +135,7 @@ class SeriesExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        data = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for m, c in items:
-            c = c if isinstance(c, Fraction) else Fraction(c)
-            if c:
-                c0 = data.get(m)
-                c = c if c0 is None else c0 + c
-                if c:
-                    data[m] = c
-                else:
-                    del data[m]
-        self.terms = data
+        self.terms = _collect(terms)
 
     @classmethod
     def _raw(cls, data):
@@ -157,7 +149,7 @@ class SeriesExpr:
 
     @classmethod
     def one(cls):
-        return cls._raw({YMonomial.identity(): Fraction(1)})
+        return cls._raw({YMonomial.identity(): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -177,27 +169,19 @@ class SeriesExpr:
     def __add__(self, other):
         if not isinstance(other, SeriesExpr):
             return NotImplemented
-        data = dict(self.terms)
-        for m, c in other.terms.items():
-            s = data.get(m, 0) + c
-            if s:
-                data[m] = s
-            else:
-                data.pop(m, None)
-        return SeriesExpr._raw(data)
+        return SeriesExpr._raw(_add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self.__add__(-other)
+        if not isinstance(other, SeriesExpr):
+            return NotImplemented
+        return SeriesExpr._raw(_add_terms(self.terms, other.terms, -1))
 
     def __neg__(self):
         return SeriesExpr._raw({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return SeriesExpr.zero()
-            other = Fraction(other)
-            return SeriesExpr._raw({m: c * other for m, c in self.terms.items()})
+            return SeriesExpr._raw(_scale_terms(self.terms, other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -231,7 +215,7 @@ class SeriesExpr:
 
 def build_t1(preset) -> SeriesExpr:
     """Sum of all fundamental-series terms with coefficient 1."""
-    t1 = SeriesExpr({m: Fraction(1) for m in preset.lambdas})
+    t1 = SeriesExpr({m: 1 for m in preset.lambdas})
     if len(t1) != preset.fundamental_dim:
         raise ValueError("fundamental terms are not pairwise distinct for %s" % preset.name)
     return t1

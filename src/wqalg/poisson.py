@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import AlgebraPreset, VerificationOutcome, verify_cartan
-from .exactfield import (LaurentPoly, RationalFunction, _int_valued, laurent_divide,
-                         laurent_divmod)
+from .exactfield import (LaurentPoly, RationalFunction, _add_terms, _exact_quotient,
+                         _int_valued, _scale_terms, laurent_divide, laurent_divmod)
 from .genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
 
 log = logging.getLogger(__name__)
@@ -50,8 +50,9 @@ class NonUniformBaseError(ValueError):
 
 @dataclass
 class DeltaDecomposition:
-    base_coeff: Fraction
-    deltas: dict[int, Fraction]
+    """alpha * M_11 plus delta terms; ints where integral, else Fractions."""
+    base_coeff: int | Fraction
+    deltas: dict[int, int | Fraction]
 
     def sorted_deltas(self):
         return sorted(self.deltas.items())
@@ -98,20 +99,12 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
         raise NotDecomposableError(_LAURENT_M11 % preset.name)
     quo, rem = laurent_divmod(num, q)
     top = max(rem11)
-    alpha = Fraction(rem.get(top, 0), rem11[top])
-    alpha = alpha.numerator if alpha.denominator == 1 else alpha
-    if rem != ({e: alpha * c for e, c in rem11.items()} if alpha else {}):
+    alpha = _exact_quotient(rem.get(top, 0), rem11[top])
+    if rem != _scale_terms(rem11, alpha):
         raise NotDecomposableError(
             "no rational base coefficient leaves a pure delta part for symbol (%s)/(%s)"
             % (num, q))
-    deltas = {e: quo.get(e, 0) - alpha * quo11.get(e, 0) for e in quo.keys() | quo11.keys()}
-    return alpha, _int_valued({e: c for e, c in sorted(deltas.items()) if c})
-
-
-def _decompose_numerator(num: LaurentPoly, preset: AlgebraPreset) -> DeltaDecomposition:
-    """Decompose num / Q as alpha * M_11 + (Laurent delta part), as Fractions."""
-    alpha, deltas = _split_numerator(num, preset)
-    return DeltaDecomposition(Fraction(alpha), {e: Fraction(c) for e, c in deltas.items()})
+    return alpha, _add_terms(quo, _scale_terms(quo11, alpha), -1)
 
 
 def decompose(s: RationalFunction, preset: AlgebraPreset) -> DeltaDecomposition:
@@ -126,7 +119,7 @@ def decompose(s: RationalFunction, preset: AlgebraPreset) -> DeltaDecomposition:
     if cofactor is None:
         raise NotDecomposableError("symbol %s does not decompose over %s"
                                    % (s, preset.name))
-    return _decompose_numerator(s.num * cofactor, preset)
+    return DeltaDecomposition(*_split_numerator(s.num * cofactor, preset))
 
 
 @dataclass
@@ -137,7 +130,7 @@ class BracketReport:
     substitution w = zq^{-a}.
     """
     algebra: str
-    base_coeff: Fraction
+    base_coeff: int | Fraction
     delta_terms: dict[int, SeriesExpr]
 
     @property
@@ -203,9 +196,7 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
         else:
             del series[key]
 
-    # accumulate in ints wherever the coefficients are integral
-    t = _int_valued(dict(t_series.terms))
-    s = _int_valued(dict(s_series.terms))
+    t, s = t_series.terms, s_series.terms
     monos = sorted(t.keys() | s.keys(), key=YMonomial.sort_key)
     for n, x in enumerate(monos):
         tx, sx = t.get(x, 0), s.get(x, 0)
@@ -231,9 +222,8 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                     add(a, key, forward * c)
                 if reverse:
                     add(-a, key.shift_arg(a), -reverse * c)
-    delta_terms = {a: SeriesExpr._raw({m: Fraction(c) for m, c in d.items()})
-                   for a, d in acc.items() if d}
-    report = BracketReport(algebra=preset.name, base_coeff=Fraction(base or 0),
+    delta_terms = {a: SeriesExpr._raw(_int_valued(d)) for a, d in acc.items() if d}
+    report = BracketReport(algebra=preset.name, base_coeff=base or 0,
                            delta_terms=delta_terms)
     nonunit = report.nonunit_terms()
     if nonunit:
@@ -249,7 +239,7 @@ class DerivedSeries:
     shift: int
     series: SeriesExpr
     term_count: int
-    coefficient_counts: dict[Fraction, int]
+    coefficient_counts: dict[int | Fraction, int]
 
 
 def extract_t2_e6(report: BracketReport) -> DerivedSeries:
@@ -262,10 +252,10 @@ def extract_t2_e6(report: BracketReport) -> DerivedSeries:
     for shift in (-2, 2):
         series = report.delta_terms.get(shift)
         if series is not None and all(c > 0 for c in series.terms.values()):
-            counts: dict[Fraction, int] = {}
+            counts: dict[int | Fraction, int] = {}
             for c in series.terms.values():
                 counts[c] = counts.get(c, 0) + 1
-            if set(counts) != {Fraction(1)}:
+            if set(counts) != {1}:
                 log.warning("derived series at shift %d has non-unit coefficients: %s",
                             shift, {str(k): v for k, v in sorted(counts.items())})
             return DerivedSeries(shift=shift, series=series,
@@ -424,7 +414,8 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
     diag_pure = []
     for i, lam in enumerate(preset.lambdas if m11_ok else (), start=1):
         try:
-            dec = _decompose_numerator(_symbol_numerator(lam, lam, preset), preset)
+            num = _symbol_numerator(lam, lam, preset)
+            dec = DeltaDecomposition(*_split_numerator(num, preset))
         except NotDecomposableError as exc:
             check(False, "", "diagonal bracket %d does not decompose: %s" % (i, exc))
             continue

@@ -54,6 +54,21 @@ def fraction_matrix_inverse(rows):
     return inv
 
 
+def int_valued(c):
+    """Whether c is held as the coefficient policy asks: int, or non-integral Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def assert_int_valued(terms):
+    """No zero term, and a Fraction only where the coefficient is not integral.
+
+    terms is a coefficient map, or has one as .terms (LaurentPoly, SeriesExpr).
+    """
+    terms = getattr(terms, "terms", terms)
+    for c in terms.values():
+        assert c != 0 and int_valued(c), terms
+
+
 # --- matrices of Laurent fractions ---------------------------------------------
 # An entry is a pair (num, den) of LaurentPolys standing for num/den.  Products
 # and sums cross-multiply and never take a gcd, so no canonical form is used.

@@ -8,9 +8,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import evaluate
+from oracle import assert_int_valued, evaluate
 from wqalg.exactfield import (LaurentPoly, RationalFunction, laurent_divide,
                               laurent_divmod, sym_minus, sym_plus)
+from wqalg.genexpr import SeriesExpr, YMonomial
 
 T = sympy.Symbol("t")
 
@@ -271,17 +272,21 @@ small_coeffs = st.one_of(st.integers(-9, 9),
 small_terms = st.dictionaries(st.integers(-6, 6), small_coeffs, max_size=5)
 
 
-def assert_int_valued(p):
-    """No zero term, and a Fraction only where the coefficient is not integral."""
-    for c in p.terms.values():
-        assert c != 0
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), p.terms
+def as_series(terms):
+    """The term map as a SeriesExpr, exponent e standing for the monomial Y_1(zq^e)."""
+    return SeriesExpr((YMonomial({(1, e): 1}), c) for e, c in terms.items())
 
 
 @settings(deadline=None, max_examples=150)
 @given(small_terms, small_terms, small_coeffs, st.integers(-5, 5))
 def test_laurent_ops_hold_integral_coefficients_as_ints(a, b, c, k):
     pa, pb = LaurentPoly(a), LaurentPoly(b)
+    sa, sb = as_series(a), as_series(b)
+    # SeriesExpr shares LaurentPoly's term-map helpers: same values, same types
+    for s, p in ((sa, pa), (sa + sb, pa + pb), (sa - sb, pa - pb), (sa * c, pa * c),
+                 (c * sa, pa.scale(c))):
+        assert_int_valued(s)
+        assert s == as_series(p.terms)
     results = [
         (pa, lambda x: evaluate(a, x)),
         (pa + pb, lambda x: evaluate(a, x) + evaluate(b, x)),
@@ -314,9 +319,21 @@ def test_rational_function_holds_integral_coefficients_as_ints(num, den):
 
 def test_constructors_hold_ints():
     for p in (LaurentPoly.one(), LaurentPoly({3: 1}), LaurentPoly({0: Fraction(4, 2)}),
-              sym_minus(2), sym_plus(3), LaurentPoly({1: Fraction(1, 2), 2: 1.5}) * 2,
+              sym_minus(2), sym_plus(3),
+              LaurentPoly({1: Fraction(1, 2), 2: Fraction(3, 2)}) * 2,
               LaurentPoly({0: Fraction(1, 2)}) + LaurentPoly({0: Fraction(1, 2)})):
         assert all(type(c) is int for c in p.terms.values()), p.terms
+
+
+def test_inexact_coefficients_are_rejected():
+    # a float would be stored as its binary value: exactness fails at the input
+    m = YMonomial({(1, 0): 1})
+    for make in (lambda: LaurentPoly({0: 0.1}), lambda: LaurentPoly([(0, 1), (1, 0.5)]),
+                 lambda: LaurentPoly({0: 1}).scale(0.5), lambda: SeriesExpr([(m, 0.1)]),
+                 lambda: SeriesExpr({m: 1}) * 0.5, lambda: 0.5 * SeriesExpr({m: 1}),
+                 lambda: LaurentPoly({0: 1}) * 0.5):
+        with pytest.raises(TypeError):
+            make()
 
 
 # --- RationalFunction: canonical uniqueness ------------------------------------

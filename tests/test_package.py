@@ -1,5 +1,6 @@
 """The exported surface of the package."""
 
+import ast
 import json
 import os
 import subprocess
@@ -33,3 +34,21 @@ def test_cli_import_loads_no_test_code():
     from_tests = [name for name, path in modules.items()
                   if path and os.path.abspath(path).startswith(TESTS_DIR + os.sep)]
     assert not from_tests
+
+
+def test_package_source_has_no_floating_point():
+    # the engine is exact: no float literal and no float() call anywhere in it
+    src = os.path.dirname(os.path.abspath(wqalg.__file__))
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+                found.append("%s:%d float literal" % (name, node.lineno))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                found.append("%s:%d float() call" % (name, node.lineno))
+    assert not found

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wqalg.poisson as poisson_mod
-from oracle import antisymmetry_ok, evaluate, ordered_pair_bracket
+from oracle import (antisymmetry_ok, assert_int_valued, evaluate, int_valued,
+                    ordered_pair_bracket)
 from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
                    build_preset, decompose, extract_t2_e6, symbol, verify_all,
                    verify_closure)
@@ -166,8 +167,8 @@ def test_decompose_round_trip(request, name, alpha, deltas):
     s = base_plus_laurent(preset.M.rows[0][0], alpha, LaurentPoly(deltas))
     dec = decompose(s, preset)
     assert dec.base_coeff == alpha and dec.deltas == deltas
-    assert type(dec.base_coeff) is Fraction
-    assert all(type(c) is Fraction for c in dec.deltas.values())
+    assert int_valued(dec.base_coeff)
+    assert_int_valued(dec.deltas)
 
 
 def test_decompose_rejects_laurent_m11(g2):
@@ -274,17 +275,22 @@ def test_bracket_sum_d4_delta_map(d4):
     assert report.delta_terms[-6] == SeriesExpr.one()
 
 
-def test_bracket_sum_returns_fraction_coefficients(g2, d4):
-    # the sum runs in ints where it can; the report keeps the public Fraction
-    # type, and rational series coefficients scale every delta series
+def test_bracket_sum_holds_integral_coefficients_as_ints(g2, d4):
+    # ints where a coefficient is integral, Fractions only where it is not,
+    # and rational series coefficients scale every delta series
     for preset in (g2, d4):
         t1 = build_t1(preset)
         report = bracket_sum(t1, t1, preset)
         scaled = bracket_sum(t1 * Fraction(1, 2), t1 * Fraction(2, 3), preset)
         for r in (report, scaled):
-            assert type(r.base_coeff) is Fraction and r.base_coeff == 1
-            coeffs = [c for s in r.delta_terms.values() for c in s.terms.values()]
-            assert coeffs and all(type(c) is Fraction for c in coeffs)
+            assert r.base_coeff == 1 and int_valued(r.base_coeff)
+            assert r.delta_terms
+            for series in r.delta_terms.values():
+                assert_int_valued(series)
+        assert all(type(c) is int for s in report.delta_terms.values()
+                   for c in s.terms.values())
+        assert any(type(c) is Fraction for s in scaled.delta_terms.values()
+                   for c in s.terms.values())
         assert scaled.delta_terms == {a: s * Fraction(1, 3)
                                       for a, s in report.delta_terms.items()}
 
