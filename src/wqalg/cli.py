@@ -13,8 +13,7 @@ import sys
 
 from .algebras import build_preset, verify_cartan
 from .genexpr import build_t2
-from .poisson import (decompose, dual_identity, extract_t2_e6, symbol, verify_all,
-                      verify_closure)
+from .poisson import decompose, dual_identity, symbol, verify_all, verify_closure
 
 SCHEMA = 1
 
@@ -36,16 +35,7 @@ def _build_parser():
         prog="wqalg",
         description="Exact bracket and matrix verification for the dn/e6/g2 presets")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("matrices", "print the preset matrices M, D and the deformed Cartan matrix"),
-        ("verify-cartan", "check D M^-1 D against the deformed Cartan matrix"),
-        ("lambda", "print the fundamental-series monomial table"),
-        ("bracket", "decompose the bracket symbol of one monomial pair"),
-        ("closure", "bracket T1 with itself and verify every delta coefficient"),
-        ("dual", "check the dual transform identity on T1"),
-        ("emit-t2", "print the second series (derived from the closure for e6)"),
-        ("verify-all", "run the full verification suite"),
-    ]:
+    for name, (doc, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
         _add_common(p)
         if name == "bracket":
@@ -63,17 +53,6 @@ def _get_preset(args):
         return build_preset(args.algebra, args.n)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-
-
-def _mono_latex(mono):
-    if mono.is_identity:
-        return "1"
-    parts = []
-    for (i, a), e in mono.items():
-        arg = "z" if a == 0 else ("zq" if a == 1 else "zq^{%d}" % a)
-        exp = "" if e == 1 else "^{%d}" % e
-        parts.append("Y_{%d}%s(%s)" % (i, exp, arg))
-    return "".join(parts)
 
 
 def _emit(args, text_lines, json_obj, latex_lines=None):
@@ -125,7 +104,7 @@ def _cmd_lambda(args):
     _emit(args, lines,
           {"algebra": preset.name,
            "lambdas": [m.to_json() for m in preset.lambdas]},
-          ["\\Lambda_{%d}(z) = %s" % (i, _mono_latex(m))
+          ["\\Lambda_{%d}(z) = %s" % (i, m.to_latex())
            for i, m in enumerate(preset.lambdas, start=1)])
     return 0
 
@@ -195,7 +174,7 @@ def _cmd_emit_t2(args):
             _emit(args, lines, {"algebra": preset.name, "passed": False,
                                 "failure": outcome.failure})
             return 1
-        derived = extract_t2_e6(outcome.report)
+        derived = outcome.derived
         counts = {str(k): v for k, v in sorted(derived.coefficient_counts.items())}
         lines = ["derived T2 for e6 (delta shift %+d): %d distinct terms, "
                  "coefficient counts %s" % (derived.shift, derived.term_count, counts),
@@ -224,15 +203,20 @@ def _cmd_verify_all(args):
     return 0 if outcome.passed else 1
 
 
+# name -> (help, handler), in --help order; the parser and main both read it
 _COMMANDS = {
-    "matrices": _cmd_matrices,
-    "verify-cartan": _cmd_verify_cartan,
-    "lambda": _cmd_lambda,
-    "bracket": _cmd_bracket,
-    "closure": _cmd_closure,
-    "dual": _cmd_dual,
-    "emit-t2": _cmd_emit_t2,
-    "verify-all": _cmd_verify_all,
+    "matrices": ("print the preset matrices M, D and the deformed Cartan matrix",
+                 _cmd_matrices),
+    "verify-cartan": ("check D M^-1 D against the deformed Cartan matrix",
+                      _cmd_verify_cartan),
+    "lambda": ("print the fundamental-series monomial table", _cmd_lambda),
+    "bracket": ("decompose the bracket symbol of one monomial pair", _cmd_bracket),
+    "closure": ("bracket T1 with itself and verify every delta coefficient",
+                _cmd_closure),
+    "dual": ("check the dual transform identity on T1", _cmd_dual),
+    "emit-t2": ("print the second series (derived from the closure for e6)",
+                _cmd_emit_t2),
+    "verify-all": ("run the full verification suite", _cmd_verify_all),
 }
 
 
@@ -243,7 +227,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

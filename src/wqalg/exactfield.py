@@ -4,8 +4,8 @@ This module owns the coefficient policy of both term maps, LaurentPoly's
 exponent -> coefficient and genexpr.SeriesExpr's monomial -> coefficient: a
 coefficient is an exact rational, held as a Python int wherever it is
 integral and as a Fraction only where it is not; zeros are never stored and
-anything else (a float, say) is rejected.  Both classes build, add, subtract
-and scale their term maps through the helpers _collect, _add_terms and
+anything else (a float, say) is rejected.  Term maps are built, added,
+subtracted and scaled only through the helpers _collect, _add_terms and
 _scale_terms below, so the policy is applied in one place.
 
 LaurentPoly is a ring: sums, products, division with remainder by a
@@ -16,19 +16,18 @@ no gcd.
 RationalFunction is a value type for display: the preset matrices M, D and
 Mtilde as printed, and the bracket symbols.  It is not a field
 implementation: it keeps a unique canonical form so that equality of field
-elements is equality of representations, and it compares, negates,
-substitutes t -> 1/t and prints, but does not add, multiply or divide.
-Its constructor is the one place that takes a polynomial gcd.  Numerator
-and denominator are coprime, the denominator is an ordinary polynomial
-(nonzero constant term) with integer coprime coefficients and positive
-leading coefficient.  All unit factors t^k and rational scalars live in the
-numerator.
+elements is equality of representations, and it compares and prints, but
+does not add, multiply or divide.  Its constructor is the one place that
+takes a polynomial gcd.  Numerator and denominator are coprime, the
+denominator is an ordinary polynomial (nonzero constant term) with integer
+coprime coefficients and positive leading coefficient.  All unit factors t^k
+and rational scalars live in the numerator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import add, sub
 
 
@@ -81,7 +80,7 @@ def _add_terms(a: dict, b: dict, sign: int = 1) -> dict:
 
 def _scale_terms(data: dict, c) -> dict:
     """Term map of c times data, for an exact rational c."""
-    if not _exact(c):
+    if not c:
         return {}
     return _int_valued({k: v * c for k, v in data.items()})
 
@@ -111,10 +110,6 @@ class LaurentPoly:
     @classmethod
     def one(cls):
         return cls._raw({0: 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -147,14 +142,7 @@ class LaurentPoly:
             return NotImplemented
         return LaurentPoly._raw(_add_terms(self.terms, other.terms))
 
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly._raw(_add_terms(self.terms, other.terms, -1))
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         data = {}
@@ -167,11 +155,6 @@ class LaurentPoly:
                 else:
                     del data[e]
         return LaurentPoly._raw(_int_valued(data))
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "LaurentPoly":
-        return LaurentPoly._raw(_scale_terms(self.terms, c))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -235,43 +218,14 @@ def sym_plus(a: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Ordinary-polynomial helpers on dense integer coefficient lists.
+# The gcd kernel, on dense integer coefficient lists (lowest degree first).
 #
-# Canonicalization works on the integer images of numerator and denominator
-# (clear t^min, clear rational content).  The gcd uses a primitive
-# pseudo-remainder sequence, which keeps every intermediate coefficient an
-# integer of moderate size; monic Euclid over Fraction would blow up.
+# The RationalFunction constructor is its only caller; the dense lists serve
+# the gcd alone, and everything else stays on sparse LaurentPolys.  The gcd
+# uses a primitive pseudo-remainder sequence, which keeps every intermediate
+# coefficient an integer of moderate size; monic Euclid over Fraction would
+# blow up.
 # ---------------------------------------------------------------------------
-
-def _dense_int(lp: LaurentPoly):
-    """(offset, [c0..cd], scale): lp = scale * t^offset * poly, coeffs coprime ints."""
-    if lp.is_zero:
-        return 0, [], Fraction(0)
-    off = lp.min_exp
-    den_lcm = 1
-    for c in lp.terms.values():
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    coeffs = [0] * (lp.max_exp - off + 1)
-    for e, c in lp.terms.items():
-        coeffs[e - off] = c.numerator * (den_lcm // c.denominator)
-    g = 0
-    for c in coeffs:
-        g = _int_gcd(g, abs(c))
-    if g > 1:
-        coeffs = [c // g for c in coeffs]
-    return off, coeffs, Fraction(g, den_lcm)
-
-
-def _from_dense(offset: int, coeffs, scale=1) -> LaurentPoly:
-    """scale * t^offset * sum_i coeffs[i] t^i, for int coeffs and a nonzero scale.
-
-    An integral scale is applied as an int, so the result needs no normalising.
-    """
-    if scale.denominator == 1:
-        scale = scale.numerator
-    data = {offset + i: scale * c for i, c in enumerate(coeffs) if c}
-    return LaurentPoly._raw(data if type(scale) is int else _int_valued(data))
-
 
 def _trim(a):
     while a and a[-1] == 0:
@@ -314,25 +268,6 @@ def _int_poly_gcd(a, b):
     return a
 
 
-def _int_poly_divexact(a, b):
-    """Exact quotient a / b of integer lists; raises if the division is not exact."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    for k in range(len(a) - 1 - db, -1, -1):
-        num = a[k + db]
-        if num % lb:
-            raise ArithmeticError("inexact polynomial division")
-        c = num // lb
-        q[k] = c
-        if c:
-            for i, bc in enumerate(b):
-                a[k + i] -= c * bc
-    if any(a):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
 def _exact_quotient(x, y):
     """x / y as an int when it is integral, else as a Fraction."""
     quo, rest = divmod(x, y)
@@ -351,7 +286,7 @@ def laurent_divmod(a: LaurentPoly, q: LaurentPoly):
     not integral; so an integral a over a q with end coefficients +-1 stays
     in ints throughout.  Integral coefficients of quo and rem are ints.
     """
-    if q.is_zero:
+    if not q:
         raise ZeroDivisionError("Laurent division by zero")
     qt = q.terms
     if min(qt) != 0:
@@ -383,13 +318,30 @@ def laurent_divmod(a: LaurentPoly, q: LaurentPoly):
 
 def laurent_divide(a: LaurentPoly, b: LaurentPoly):
     """Exact quotient a / b in the Laurent ring, or None if b does not divide a."""
-    if b.is_zero:
+    if not b:
         raise ZeroDivisionError("Laurent division by zero")
     k = b.min_exp
     quo, rem = laurent_divmod(a, b.shift(-k))
     if rem:
         return None
     return LaurentPoly({e - k: c for e, c in quo.items()})
+
+
+def _primitive(p: LaurentPoly):
+    """(c, q) with p = c * t^min_exp * q, for a nonzero p.
+
+    q is a polynomial with a nonzero constant term, coprime int coefficients
+    and a positive leading coefficient; c is p's content, signed like p's
+    leading coefficient.
+    """
+    terms = p.terms
+    off, top = min(terms), max(terms)
+    den = _int_lcm(*(c.denominator for c in terms.values()))
+    g = _int_gcd(*(c.numerator for c in terms.values()))
+    if terms[top] < 0:
+        g = -g
+    q = {e - off: c.numerator * (den // c.denominator) // g for e, c in terms.items()}
+    return _exact_quotient(g, den), LaurentPoly._raw(q)
 
 
 class RationalFunction:
@@ -404,31 +356,24 @@ class RationalFunction:
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if den is None:
             den = LaurentPoly.one()
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
+        if not num:
             self.num = LaurentPoly.zero()
             self.den = LaurentPoly.one()
             return
         unit = num.min_exp - den.min_exp
-        n_off, n_cs, n_scale = _dense_int(num)
-        d_off, d_cs, d_scale = _dense_int(den)
-        g = _int_poly_gcd(n_cs, d_cs)
+        n_content, num = _primitive(num)
+        d_content, den = _primitive(den)
+        g = _int_poly_gcd([num.terms.get(e, 0) for e in range(num.max_exp + 1)],
+                          [den.terms.get(e, 0) for e in range(den.max_exp + 1)])
         if len(g) > 1:
-            n_cs = _int_poly_divexact(n_cs, g)
-            d_cs = _int_poly_divexact(d_cs, g)
-        scale = n_scale / d_scale
-        if d_cs[-1] < 0:
-            d_cs = [-c for c in d_cs]
-            scale = -scale
-        dg = 0
-        for c in d_cs:
-            dg = _int_gcd(dg, abs(c))
-        if dg > 1:
-            d_cs = [c // dg for c in d_cs]
-            scale = scale / dg
-        self.num = _from_dense(unit, n_cs, scale)
-        self.den = _from_dense(0, d_cs)
+            g = LaurentPoly._raw({e: c for e, c in enumerate(g) if c})
+            num, den = laurent_divide(num, g), laurent_divide(den, g)
+        scale = _exact_quotient(n_content, d_content)
+        self.num = LaurentPoly._raw(_int_valued({e + unit: c * scale
+                                                 for e, c in num.terms.items()}))
+        self.den = den
 
     @classmethod
     def _raw(cls, num: LaurentPoly, den: LaurentPoly):
@@ -449,31 +394,6 @@ class RationalFunction:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __neg__(self):
-        return RationalFunction._raw(-self.num, self.den)
-
-    def invert_var(self) -> "RationalFunction":
-        """Substitute t -> t^-1, staying canonical without a gcd.
-
-        num(1/t) / den(1/t) = t^deg num(1/t) / (t^deg den(1/t)).  The canonical
-        denominator has a nonzero constant term, so its reversal has the same
-        degree, the same coprime integer coefficients and no common factor
-        with the reversed numerator; only the sign may need fixing.
-        """
-        deg = self.den.max_exp
-        num = {deg - e: c for e, c in self.num.terms.items()}
-        den = {deg - e: c for e, c in self.den.terms.items()}
-        if den[deg] < 0:
-            num = {e: -c for e, c in num.items()}
-            den = {e: -c for e, c in den.items()}
-        return RationalFunction._raw(LaurentPoly._raw(num), LaurentPoly._raw(den))
-
-    def as_laurent(self):
-        """The value as a LaurentPoly if the reduced denominator is a unit, else None."""
-        if self.den.terms == {0: 1}:
-            return self.num
-        return None
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}

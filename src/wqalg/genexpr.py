@@ -5,6 +5,8 @@ A YMonomial encodes a finite product  prod Y_i(zq^a)^e  as the map
 monomials; the sums T_1, T_2, T_5 and every delta-coefficient series live
 here.  Its coefficients follow exactfield's policy: ints where integral,
 Fractions only where not, through the same term-map helpers as LaurentPoly.
+SeriesExpr holds, compares, negates, shifts, dualises and prints series; it
+has no sums or scalar products (bracket_sum accumulates its own term maps).
 
 Scalar prefactors of the Y generators are deliberately not represented.
 Lemma: the prefactor of a product is determined by its Y-content (each
@@ -15,9 +17,7 @@ constant prefactors at all; content-level equality is therefore equality.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactfield import _add_terms, _collect, _scale_terms
+from .exactfield import _collect
 
 
 class YMonomial:
@@ -53,10 +53,6 @@ class YMonomial:
         """Build from (node, shift, exponent) triples."""
         return cls(((i, a), e) for i, a, e in factors)
 
-    @property
-    def is_identity(self) -> bool:
-        return not self._items
-
     def items(self):
         return self._items
 
@@ -67,9 +63,6 @@ class YMonomial:
 
     def __hash__(self):
         return hash(self._items)
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
 
     def sort_key(self):
         return tuple((i, a, e) for (i, a), e in self._items)
@@ -113,17 +106,24 @@ class YMonomial:
         """Replace every Y_i(zq^a)^e by Y_i(zq^-a)^-e."""
         return YMonomial._raw(tuple(sorted(((i, -a), -e) for (i, a), e in self._items)))
 
-    def __str__(self):
+    def _render(self, factor, sep):
+        """The factors as factor % (node, exponent, argument), joined by sep."""
         if not self._items:
             return "1"
         parts = []
         for (i, a), e in self._items:
             arg = "z" if a == 0 else ("zq" if a == 1 else "zq^{%d}" % a)
             exp = "" if e == 1 else "^{%d}" % e
-            parts.append("Y_%d%s(%s)" % (i, exp, arg))
-        return " ".join(parts)
+            parts.append(factor % (i, exp, arg))
+        return sep.join(parts)
+
+    def __str__(self):
+        return self._render("Y_%d%s(%s)", " ")
 
     __repr__ = __str__
+
+    def to_latex(self) -> str:
+        return self._render("Y_{%d}%s(%s)", "")
 
     def to_json(self):
         return [{"node": i, "shift": a, "exp": e} for (i, a), e in self._items]
@@ -151,10 +151,6 @@ class SeriesExpr:
     def one(cls):
         return cls._raw({YMonomial.identity(): 1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __len__(self):
         return len(self.terms)
 
@@ -163,28 +159,8 @@ class SeriesExpr:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, SeriesExpr):
-            return NotImplemented
-        return SeriesExpr._raw(_add_terms(self.terms, other.terms))
-
-    def __sub__(self, other):
-        if not isinstance(other, SeriesExpr):
-            return NotImplemented
-        return SeriesExpr._raw(_add_terms(self.terms, other.terms, -1))
-
     def __neg__(self):
         return SeriesExpr._raw({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SeriesExpr._raw(_scale_terms(self.terms, other))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def shift_arg(self, s: int) -> "SeriesExpr":
         return SeriesExpr._raw({m.shift_arg(s): c for m, c in self.terms.items()})

@@ -269,8 +269,7 @@ class ClosureOutcome:
     details: list[str] = field(default_factory=list)
     failure: str | None = None
     report: BracketReport | None = None
-    derived_t2: SeriesExpr | None = None
-    t2_shift: int | None = None
+    derived: DerivedSeries | None = None   # e6 only: the derived second series
 
 
 def _check(outcome: ClosureOutcome, ok: bool, good: str, bad: str) -> bool:
@@ -339,7 +338,6 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
             out.details.append("orientation: delta(w/zq^2) carries T2(z), "
                                "delta(wq^2/z) carries -T2(w)")
         _match_series(out, report, 2, -t2.shift_arg(-2), "-T2(zq^-2)")
-        out.derived_t2, out.t2_shift = t2, -2
         if preset.kind == "dn":
             edge = 2 * preset.n - 2
             _match_series(out, report, -edge, one, "1")
@@ -362,11 +360,10 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
             _check(out, False, "",
                    "neither magnitude-8 delta coefficient equals T5(zq^4)")
         try:
-            derived = extract_t2_e6(report)
+            derived = out.derived = extract_t2_e6(report)
         except NotDecomposableError as exc:
             _check(out, False, "", str(exc))
         else:
-            out.derived_t2, out.t2_shift = derived.series, derived.shift
             side = "w/zq^2" if derived.shift == -2 else "wq^2/z"
             out.details.append(
                 "derived T2 recorded from delta(%s): %d distinct terms, "

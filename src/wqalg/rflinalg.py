@@ -1,8 +1,8 @@
 """Dense matrices of rational functions in t, for holding and printing presets.
 
-FieldMatrix holds the preset matrices M, D and Mtilde: it compares,
-transposes and prints them.  It has no products and no inverse; the
-verification reads the entries and works in the Laurent ring.
+FieldMatrix holds the preset matrices M, D and Mtilde for display: it prints
+them.  It has no products and no inverse; the verification works on the
+presets' Laurent tables.
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ class FieldMatrix:
         zero = RationalFunction.zero()
         return cls([[entries[i] if i == j else zero for j in range(len(entries))]
                     for i in range(len(entries))])
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(tuple(zip(*self.rows)))
 
     def to_json(self):
         return {"dim": self.dim, "rows": [[e.to_json() for e in row] for row in self.rows]}

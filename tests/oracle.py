@@ -132,7 +132,7 @@ def ordered_pair_bracket(t_series, s_series, preset):
                 key = YMonomial(list(x.items()) + [((i, sh - a), e) for (i, sh), e in y.items()])
                 acc.setdefault(a, []).append((key, u * v * c))
     deltas = {a: SeriesExpr(terms) for a, terms in acc.items()}
-    return base, {a: series for a, series in deltas.items() if not series.is_zero}
+    return base, {a: series for a, series in deltas.items() if series.terms}
 
 
 def antisymmetry_ok(report):

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, formats, determinism."""
 
 import json
+import logging
 
 import pytest
 
@@ -84,6 +85,15 @@ def test_emit_t2_e6_derived(capsys):
     assert payload["termCount"] == 351
     assert payload["coefficientCounts"] == {"1": 324, "2": 27}
     assert payload["shift"] == -2
+
+
+def test_emit_t2_e6_warns_once(capsys, caplog):
+    # the derived series comes from the one closure run, so its warning is logged once
+    with caplog.at_level(logging.WARNING, logger="wqalg.poisson"):
+        code, _, _ = run(capsys, "emit-t2", "--algebra", "e6")
+    assert code == 0
+    warnings = [rec.message for rec in caplog.records if "non-unit coefficients" in rec.message]
+    assert len(warnings) == 1, warnings
 
 
 def test_verify_all_g2(capsys):

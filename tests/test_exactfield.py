@@ -42,7 +42,7 @@ def random_rf(rng):
     # built from the preset-style factors so denominators stay nonzero
     num = random_laurent(rng)
     den = sym_plus(rng.randint(1, 4)) * sym_minus(rng.randint(1, 3))
-    if num.is_zero:
+    if not num:
         num = LaurentPoly.one()
     return RationalFunction(num, den)
 
@@ -56,7 +56,7 @@ def test_eval_oracle_on_laurent_ops():
         a, b = random_laurent(rng), random_laurent(rng)
         for x in EVAL_POINTS:
             assert evaluate(a + b, x) == evaluate(a, x) + evaluate(b, x)
-            assert evaluate(a - b, x) == evaluate(a, x) - evaluate(b, x)
+            assert evaluate(-b, x) == -evaluate(b, x)
             assert evaluate(a * b, x) == evaluate(a, x) * evaluate(b, x)
 
 
@@ -157,36 +157,15 @@ def test_laurent_divide_is_exact_or_none():
 # --- t -> 1/t ----------------------------------------------------------------
 
 def test_invert_var_odd_laurent():
-    a = RationalFunction(sym_minus(2))
+    a = sym_minus(2)
     assert a.invert_var() == -a
 
 
 def test_invert_var_g2_offdiagonal_is_odd():
+    # the canonical forms of m12(1/t) and -m12(t) coincide
     m12 = RationalFunction(sym_minus(3) * sym_plus(2), sym_plus(6))
-    assert m12.invert_var() == -m12
-
-
-def test_invert_var_involution():
-    rng = random.Random(303)
-    for _ in range(25):
-        a = random_rf(rng)
-        assert a.invert_var().invert_var() == a
-
-
-laurent_terms = st.dictionaries(
-    st.integers(-6, 6),
-    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
-    max_size=5)
-
-
-@settings(deadline=None)
-@given(laurent_terms, laurent_terms.filter(bool))
-def test_invert_var_matches_canonical_construction(num, den):
-    # the gcd-free substitution must land on the constructor's canonical form;
-    # equality of rational functions is structural equality of (num, den)
-    a = RationalFunction(LaurentPoly(num), LaurentPoly(den))
-    assert a.invert_var() == RationalFunction(a.num.invert_var(), a.den.invert_var())
-    assert a.invert_var().invert_var() == a
+    assert (RationalFunction(m12.num.invert_var(), m12.den.invert_var())
+            == RationalFunction(-m12.num, m12.den))
 
 
 # --- shifting ----------------------------------------------------------------
@@ -205,13 +184,14 @@ def test_shift_preserves_canonical_denominator():
 # --- Laurent extraction -------------------------------------------------------
 
 def test_as_laurent_quotient():
+    # an exact quotient cancels to a Laurent polynomial over the denominator 1
     q = RationalFunction(sym_minus(2), sym_minus(1))
-    assert q.as_laurent() == lp({1: 1, -1: 1})
+    assert (q.num, q.den) == (lp({1: 1, -1: 1}), LaurentPoly.one())
 
 
 def test_as_laurent_rejects_true_fraction():
     m11 = RationalFunction(sym_plus(3) * sym_minus(1) * sym_plus(2), sym_plus(6))
-    assert m11.as_laurent() is None
+    assert m11.den != LaurentPoly.one()
     # confirmed independently: gcd of numerator and denominator is a proper factor
     assert sympy_gcd(m11.num, m11.den).degree() < sympy_poly(m11.den).degree()
 
@@ -223,8 +203,8 @@ def test_as_laurent_g2_pair_symbol_minus_base():
     den = sym_plus(6)
     n11 = sym_plus(3) * sym_minus(1) * sym_plus(2)
     n12 = sym_minus(3) * sym_plus(2)
-    diff = RationalFunction(-n11.shift(-2) + n12.shift(-1) - n11, den)
-    assert diff.as_laurent() == lp({-2: 1, 0: -1})
+    diff = RationalFunction(-(n11.shift(-2) + n11) + n12.shift(-1), den)
+    assert (diff.num, diff.den) == (lp({-2: 1, 0: -1}), LaurentPoly.one())
     for x in (Fraction(2), Fraction(3)):
         assert evaluate(diff, x) == x ** -2 - 1
 
@@ -282,18 +262,18 @@ def as_series(terms):
 def test_laurent_ops_hold_integral_coefficients_as_ints(a, b, c, k):
     pa, pb = LaurentPoly(a), LaurentPoly(b)
     sa, sb = as_series(a), as_series(b)
-    # SeriesExpr shares LaurentPoly's term-map helpers: same values, same types
-    for s, p in ((sa, pa), (sa + sb, pa + pb), (sa - sb, pa - pb), (sa * c, pa * c),
-                 (c * sa, pa.scale(c))):
+    # SeriesExpr shares LaurentPoly's term-map helpers: same values, same types;
+    # a SeriesExpr built from both term lists sums like keys as LaurentPoly adds
+    both = SeriesExpr(list(sa.terms.items()) + list(sb.terms.items()))
+    for s, p in ((sa, pa), (both, pa + pb), (-sa, -pa)):
         assert_int_valued(s)
         assert s == as_series(p.terms)
     results = [
         (pa, lambda x: evaluate(a, x)),
         (pa + pb, lambda x: evaluate(a, x) + evaluate(b, x)),
-        (pa - pb, lambda x: evaluate(a, x) - evaluate(b, x)),
+        (pa + -pb, lambda x: evaluate(a, x) - evaluate(b, x)),
         (pa * pb, lambda x: evaluate(a, x) * evaluate(b, x)),
-        (pa * c, lambda x: evaluate(a, x) * c),
-        (pa.scale(c), lambda x: evaluate(a, x) * c),
+        (pa * LaurentPoly({k: c}), lambda x: evaluate(a, x) * c * x ** k),
         (pa.shift(k), lambda x: evaluate(a, x) * x ** k),
         (pa.invert_var(), lambda x: evaluate(a, 1 / x)),
     ]
@@ -320,7 +300,7 @@ def test_rational_function_holds_integral_coefficients_as_ints(num, den):
 def test_constructors_hold_ints():
     for p in (LaurentPoly.one(), LaurentPoly({3: 1}), LaurentPoly({0: Fraction(4, 2)}),
               sym_minus(2), sym_plus(3),
-              LaurentPoly({1: Fraction(1, 2), 2: Fraction(3, 2)}) * 2,
+              LaurentPoly({1: Fraction(1, 2), 2: Fraction(3, 2)}) * LaurentPoly({0: 2}),
               LaurentPoly({0: Fraction(1, 2)}) + LaurentPoly({0: Fraction(1, 2)})):
         assert all(type(c) is int for c in p.terms.values()), p.terms
 
@@ -329,15 +309,17 @@ def test_inexact_coefficients_are_rejected():
     # a float would be stored as its binary value: exactness fails at the input
     m = YMonomial({(1, 0): 1})
     for make in (lambda: LaurentPoly({0: 0.1}), lambda: LaurentPoly([(0, 1), (1, 0.5)]),
-                 lambda: LaurentPoly({0: 1}).scale(0.5), lambda: SeriesExpr([(m, 0.1)]),
-                 lambda: SeriesExpr({m: 1}) * 0.5, lambda: 0.5 * SeriesExpr({m: 1}),
-                 lambda: LaurentPoly({0: 1}) * 0.5):
+                 lambda: SeriesExpr([(m, 0.1)]), lambda: LaurentPoly({0: 1}) * 0.5):
         with pytest.raises(TypeError):
             make()
 
 
 # --- RationalFunction: canonical uniqueness ------------------------------------
 
+laurent_terms = st.dictionaries(
+    st.integers(-6, 6),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+    max_size=5)
 nonzero_terms = laurent_terms.filter(bool)
 
 
@@ -347,13 +329,13 @@ nonzero_terms = laurent_terms.filter(bool)
        st.integers(-5, 5))
 def test_canonical_form_is_unique(num, den, h, c, k):
     # num/den and (c t^k h num)/(c t^k h den) have equal values, so equal forms
-    n, d, hh = LaurentPoly(num), LaurentPoly(den), LaurentPoly(h).scale(c).shift(k)
+    n, d, hh = LaurentPoly(num), LaurentPoly(den), LaurentPoly(h) * LaurentPoly({k: c})
     a = RationalFunction(n, d)
     b = RationalFunction(n * hh, d * hh)
     assert (a.num, a.den) == (b.num, b.den)
     # the form is the canonical one: t^min and rational content sit in the numerator
     assert a.den.min_exp == 0 and a.den.terms[a.den.max_exp] > 0
-    assert a.num.is_zero or sympy_gcd(a.num, a.den).degree() == 0
+    assert not a.num or sympy_gcd(a.num, a.den).degree() == 0
     for x in EVAL_POINTS:
         if evaluate(den, x) and evaluate(a.den, x):
             assert evaluate(a, x) == evaluate(num, x) / evaluate(den, x)

@@ -1,6 +1,10 @@
 """The exported surface of the package."""
 
 import ast
+import contextlib
+import functools
+import inspect
+import io
 import json
 import os
 import subprocess
@@ -52,3 +56,68 @@ def test_package_source_has_no_floating_point():
                   and node.func.id == "float"):
                 found.append("%s:%d float() call" % (name, node.lineno))
     assert not found
+
+
+def _package_functions():
+    """(qualified name, code object) of every function defined in src/wqalg.
+
+    Module-level functions, methods (class and static ones too), property
+    getters and cached_property bodies; not nested functions or lambdas,
+    and not the methods dataclasses generate.
+    """
+    src = os.path.dirname(os.path.abspath(wqalg.__file__))
+    found = {}
+
+    def add(name, fn):
+        code = getattr(fn, "__code__", None)
+        if code is not None and os.path.dirname(os.path.abspath(code.co_filename)) == src:
+            found[code] = name
+
+    for modname in sorted(m for m in sys.modules if m.startswith("wqalg.")):
+        module = sys.modules[modname]
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == modname:
+                add("%s.%s" % (modname, name), obj)
+            elif inspect.isclass(obj) and obj.__module__ == modname:
+                for attr, member in vars(obj).items():
+                    qual = "%s.%s.%s" % (modname, name, attr)
+                    if isinstance(member, (classmethod, staticmethod)):
+                        member = member.__func__
+                    elif isinstance(member, property):
+                        member = member.fget
+                    elif isinstance(member, functools.cached_property):
+                        member = member.func
+                    if attr not in ("__eq__", "__hash__"):
+                        add(qual, member)
+    return found
+
+
+def test_every_package_function_is_reached_by_the_cli(tmp_path):
+    # every command in every format on g2, e6 and d4, in this process; a
+    # function none of them reaches is API that only tests call
+    import wqalg.cli
+    functions = _package_functions()
+    assert functions
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sink = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for command in wqalg.cli._COMMANDS:
+                for algebra in (["g2"], ["e6"], ["dn", "--n", "4"]):
+                    for fmt in ("text", "json", "latex"):
+                        argv = [command, "--algebra", *algebra, "--format", fmt]
+                        if command == "bracket":
+                            argv += ["--i", "1", "--j", "2"]
+                        if fmt == "latex":
+                            argv += ["--out", str(tmp_path / "out.tex")]
+                        wqalg.cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    unreached = sorted(name for code, name in functions.items() if code not in reached)
+    assert not unreached, "reached by no command: " + ", ".join(unreached)
