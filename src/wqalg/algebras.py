@@ -326,16 +326,20 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
     cof = {p: reduce(mul, (o for o in distinct if o != p), LaurentPoly.one())
            for p in distinct}
     big_l = d[0] * cof[d[0]]
-    # column j of Mtilde D^-1, scaled by L: the nonzero (k, Mtilde_kj L/d_k)
-    cols = [[(k, mtilde[k][j] * cof[d[k]]) for k in range(r) if mtilde[k][j]]
+    # column j of Mtilde D^-1, scaled by L: the nonzero (k, Mtilde_kj L/d_k),
+    # each as its term map
+    cols = [[(k, (mtilde[k][j] * cof[d[k]]).terms) for k in range(r) if mtilde[k][j]]
             for j in range(r)]
     diag = [q * big_l * dj for dj in d]
     zero = LaurentPoly.zero()
     for i in range(r):
         for j in range(r):
-            lhs = zero
+            acc = {}
             for k, w in cols[j]:
-                lhs = lhs + nums[i][k] * w
+                for e1, c1 in nums[i][k].terms.items():
+                    for e2, c2 in w.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+            lhs = LaurentPoly(acc)
             if lhs != (diag[j] if i == j else zero):
                 return ("entry (%d,%d) of M D^-1 Mtilde D^-1: computed %s, expected %d"
                         % (i + 1, j + 1, RationalFunction(lhs, diag[j]), i == j))

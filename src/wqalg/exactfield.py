@@ -4,31 +4,33 @@ This module owns the coefficient policy of both term maps, LaurentPoly's
 exponent -> coefficient and genexpr.SeriesExpr's monomial -> coefficient: a
 coefficient is an exact rational, held as a Python int wherever it is
 integral and as a Fraction only where it is not; zeros are never stored and
-anything else (a float, say) is rejected.  Term maps are built, added,
-subtracted and scaled only through the helpers _collect, _add_terms and
+anything else (a float, say) is rejected.  Term maps are built,
+subtracted and scaled only through the helpers _collect, _sub_terms and
 _scale_terms below, so the policy is applied in one place.
 
-LaurentPoly is a ring: sums, products, division with remainder by a
-polynomial (laurent_divmod) and exact division (laurent_divide).  The
-presets are built and the Cartan and bracket checks run in that ring, with
-no gcd.
+LaurentPoly is the ring the checks run in: products, division with
+remainder by a polynomial (laurent_divmod) and exact division
+(laurent_divide); sums are taken on term maps.  The presets are built and
+the Cartan and bracket checks run in that ring, with no gcd.
 
 RationalFunction is a value type for display: the preset matrices M, D and
 Mtilde as printed, and the bracket symbols.  It is not a field
-implementation: it keeps a unique canonical form so that equality of field
-elements is equality of representations, and it compares and prints, but
-does not add, multiply or divide.  Its constructor is the one place that
-takes a polynomial gcd.  Numerator and denominator are coprime, the
-denominator is an ordinary polynomial (nonzero constant term) with integer
-coprime coefficients and positive leading coefficient.  All unit factors t^k
-and rational scalars live in the numerator.
+implementation: it compares and prints, but does not add, multiply or
+divide.  It keeps the (num, den) it was given, and its canonical form is
+computed once, on first read; equality, hashing and printing go through that
+form, so equality of field elements is equality of canonical forms.  That
+first read is the one place that takes a polynomial gcd, and a value that is
+never read (a bracket symbol that is only decomposed, say) takes none.  In
+canonical form numerator and denominator are coprime, the denominator is an
+ordinary polynomial (nonzero constant term) with integer coprime
+coefficients and positive leading coefficient, and all unit factors t^k and
+rational scalars live in the numerator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
-from operator import add, sub
 
 
 def _int_valued(data: dict) -> dict:
@@ -65,12 +67,11 @@ def _collect(terms) -> dict:
     return _int_valued(data)
 
 
-def _add_terms(a: dict, b: dict, sign: int = 1) -> dict:
-    """Term map of a + b, or of a - b for sign -1."""
-    op = add if sign > 0 else sub
+def _sub_terms(a: dict, b: dict) -> dict:
+    """Term map of a - b."""
     data = dict(a)
     for k, c in b.items():
-        s = op(data.get(k, 0), c)
+        s = data.get(k, 0) - c
         if s:
             data[k] = s
         else:
@@ -136,11 +137,6 @@ class LaurentPoly:
 
     def __neg__(self):
         return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly._raw(_add_terms(self.terms, other.terms))
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -220,7 +216,7 @@ def sym_plus(a: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # The gcd kernel, on dense integer coefficient lists (lowest degree first).
 #
-# The RationalFunction constructor is its only caller; the dense lists serve
+# RationalFunction's canonical form is its only caller; the dense lists serve
 # the gcd alone, and everything else stays on sparse LaurentPolys.  The gcd
 # uses a primitive pseudo-remainder sequence, which keeps every intermediate
 # coefficient an integer of moderate size; monic Euclid over Fraction would
@@ -344,56 +340,68 @@ def _primitive(p: LaurentPoly):
     return _exact_quotient(g, den), LaurentPoly._raw(q)
 
 
-class RationalFunction:
-    """Reduced ratio of Laurent polynomials in t over exact rationals.
+def _canonical(num: LaurentPoly, den: LaurentPoly):
+    """The canonical (num, den) of num / den, for a nonzero den (see the module notes)."""
+    if not num:
+        return LaurentPoly.zero(), LaurentPoly.one()
+    unit = num.min_exp - den.min_exp
+    n_content, num = _primitive(num)
+    d_content, den = _primitive(den)
+    g = _int_poly_gcd([num.terms.get(e, 0) for e in range(num.max_exp + 1)],
+                      [den.terms.get(e, 0) for e in range(den.max_exp + 1)])
+    if len(g) > 1:
+        g = LaurentPoly._raw({e: c for e, c in enumerate(g) if c})
+        num, den = laurent_divide(num, g), laurent_divide(den, g)
+    scale = _exact_quotient(n_content, d_content)
+    return LaurentPoly._raw(_int_valued({e + unit: c * scale
+                                         for e, c in num.terms.items()})), den
 
-    A value type, canonical on construction: two equal field elements are
-    structurally equal.  It has no field arithmetic (see the module notes).
+
+class RationalFunction:
+    """Ratio of Laurent polynomials in t over exact rationals.
+
+    A value type that keeps the (num, den) it was given as stored and
+    computes its canonical form once, on first read of num or den.  Equality,
+    hashing and printing read the canonical form, so two equal field elements
+    compare, hash and print alike whatever their stored pairs.  It has no
+    field arithmetic (see the module notes).
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("stored", "_canon")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if den is None:
             den = LaurentPoly.one()
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
-            return
-        unit = num.min_exp - den.min_exp
-        n_content, num = _primitive(num)
-        d_content, den = _primitive(den)
-        g = _int_poly_gcd([num.terms.get(e, 0) for e in range(num.max_exp + 1)],
-                          [den.terms.get(e, 0) for e in range(den.max_exp + 1)])
-        if len(g) > 1:
-            g = LaurentPoly._raw({e: c for e, c in enumerate(g) if c})
-            num, den = laurent_divide(num, g), laurent_divide(den, g)
-        scale = _exact_quotient(n_content, d_content)
-        self.num = LaurentPoly._raw(_int_valued({e + unit: c * scale
-                                                 for e, c in num.terms.items()}))
-        self.den = den
+        self.stored = (num, den)
+        self._canon = None
 
-    @classmethod
-    def _raw(cls, num: LaurentPoly, den: LaurentPoly):
-        # internal: (num, den) already canonical
-        rf = object.__new__(cls)
-        rf.num = num
-        rf.den = den
-        return rf
+    def _form(self):
+        """The canonical (num, den), computed on the first call only."""
+        if self._canon is None:
+            self._canon = _canonical(*self.stored)
+        return self._canon
+
+    @property
+    def num(self) -> LaurentPoly:
+        return self._form()[0]
+
+    @property
+    def den(self) -> LaurentPoly:
+        return self._form()[1]
 
     @classmethod
     def zero(cls):
-        return cls._raw(LaurentPoly.zero(), LaurentPoly.one())
+        return cls(LaurentPoly.zero())
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._form() == other._form()
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(self._form())
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebras import AlgebraPreset, VerificationOutcome, verify_cartan
-from .exactfield import (LaurentPoly, RationalFunction, _add_terms, _exact_quotient,
-                         _int_valued, _scale_terms, laurent_divide, laurent_divmod)
+from .exactfield import (LaurentPoly, RationalFunction, _exact_quotient, _int_valued,
+                         _scale_terms, _sub_terms, laurent_divide, laurent_divmod)
 from .genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
 
 log = logging.getLogger(__name__)
@@ -59,7 +59,10 @@ class DeltaDecomposition:
 
 
 def symbol(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> RationalFunction:
-    """Exact bracket symbol of two monomials over the preset, canonical form."""
+    """Exact bracket symbol of two monomials over the preset, stored as N / Q.
+
+    Its canonical form is computed only when it is read (printed, compared).
+    """
     return RationalFunction(_symbol_numerator(a, b, preset), preset.pair_table[0])
 
 
@@ -104,22 +107,28 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
         raise NotDecomposableError(
             "no rational base coefficient leaves a pure delta part for symbol (%s)/(%s)"
             % (num, q))
-    return alpha, _add_terms(quo, _scale_terms(quo11, alpha), -1)
+    return alpha, _sub_terms(quo, _scale_terms(quo11, alpha))
 
 
 def decompose(s: RationalFunction, preset: AlgebraPreset) -> DeltaDecomposition:
     """Unique splitting of a bracket symbol into alpha * M_11 plus delta terms.
 
-    s = alpha * M_11 + L with L Laurent forces den(s) | Q, so the symbol is
-    brought onto the denominator Q and split by one division with remainder.
-    Raises NotDecomposableError when no rational alpha works, which signals
-    a wrong monomial table or a wrong convention.
+    Reads the stored (num, den) of s, never its canonical form, so no gcd is
+    taken.  s = alpha * M_11 + L with L Laurent makes s * Q Laurent, so a
+    stored denominator other than Q is brought onto Q by one exact division
+    num * Q / den; a symbol's own denominator is Q already and its numerator
+    is split as it is, by one division with remainder.  Raises
+    NotDecomposableError when no rational alpha works, which signals a wrong
+    monomial table or a wrong convention.
     """
-    cofactor = laurent_divide(preset.pair_table[0], s.den)
-    if cofactor is None:
-        raise NotDecomposableError("symbol %s does not decompose over %s"
-                                   % (s, preset.name))
-    return DeltaDecomposition(*_split_numerator(s.num * cofactor, preset))
+    q = preset.pair_table[0]
+    num, den = s.stored
+    if den != q:
+        num = laurent_divide(num * q, den)
+        if num is None:
+            raise NotDecomposableError("symbol %s does not decompose over %s"
+                                       % (s, preset.name))
+    return DeltaDecomposition(*_split_numerator(num, preset))
 
 
 @dataclass
@@ -136,14 +145,6 @@ class BracketReport:
     @property
     def shifts(self):
         return sorted(self.delta_terms)
-
-    def nonunit_terms(self):
-        out = []
-        for a, series in sorted(self.delta_terms.items()):
-            for m, c in series.sorted_terms():
-                if c not in (1, -1):
-                    out.append((a, m, c))
-        return out
 
     def to_json(self):
         return {
@@ -222,16 +223,14 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                     add(a, key, forward * c)
                 if reverse:
                     add(-a, key.shift_arg(a), -reverse * c)
-    delta_terms = {a: SeriesExpr._raw(_int_valued(d)) for a, d in acc.items() if d}
-    report = BracketReport(algebra=preset.name, base_coeff=base or 0,
-                           delta_terms=delta_terms)
-    nonunit = report.nonunit_terms()
+    nonunit = [(a, m, c) for a, d in acc.items() for m, c in d.items() if c != 1 and c != -1]
     if nonunit:
         # informational: verify_closure matches every coefficient against its series
+        a, _, c = min(nonunit, key=lambda amc: (amc[0], amc[1].sort_key()))
         log.info("%s bracket: %d delta-series coefficients are not +-1 "
-                 "(first: shift %d, coefficient %s)",
-                 preset.name, len(nonunit), nonunit[0][0], nonunit[0][2])
-    return report
+                 "(first: shift %d, coefficient %s)", preset.name, len(nonunit), a, c)
+    delta_terms = {a: SeriesExpr._raw(_int_valued(d)) for a, d in acc.items() if d}
+    return BracketReport(algebra=preset.name, base_coeff=base or 0, delta_terms=delta_terms)
 
 
 @dataclass

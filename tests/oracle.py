@@ -59,6 +59,11 @@ def int_valued(c):
     return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
+def laurent_sum(*polys):
+    """Sum of LaurentPolys, collected from their joined term lists."""
+    return LaurentPoly([item for p in polys for item in p.terms.items()])
+
+
 def assert_int_valued(terms):
     """No zero term, and a Fraction only where the coefficient is not integral.
 
@@ -95,7 +100,7 @@ def fraction_matmul(a, b):
             for k in range(n):
                 (p, q), (r, s) = a[i][k], b[k][j]
                 if p and r:
-                    num, den = num * q * s + p * r * den, den * q * s
+                    num, den = laurent_sum(num * q * s, p * r * den), den * q * s
             row.append((num, den))
         out.append(row)
     return out

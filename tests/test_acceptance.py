@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from oracle import (diagonal_inverse, evaluate, fraction_matrix_inverse, fractions_of,
-                    product_is_identity)
+                    laurent_sum, product_is_identity)
 from wqalg import (build_preset, bracket_sum, decompose, extract_t2_e6, symbol,
                    verify_all, verify_cartan, verify_closure)
 from wqalg.exactfield import LaurentPoly, RationalFunction
@@ -181,7 +181,8 @@ def test_ac7_worked_g2_derivation():
     # -M11 t^-2 + M12 t^-1 - M11, as one numerator over the product of the
     # two reduced denominators
     m11, m12 = preset.M.rows[0][0], preset.M.rows[0][1]
-    num = -(m11.num.shift(-2) + m11.num) * m12.den + m12.num.shift(-1) * m11.den
+    num = laurent_sum(-m11.num.shift(-2) * m12.den, -m11.num * m12.den,
+                      m12.num.shift(-1) * m11.den)
     by_hand_minus_m11 = RationalFunction(num, m11.den * m12.den)
     assert by_hand_minus_m11 == RationalFunction(LaurentPoly({-2: 1, 0: -1}))
     print("AC7: PASS - decompose(symbol(L1, L2)) = (1, {-2: +1, 0: -1}) for g2, "

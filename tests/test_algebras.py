@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import evaluate
+from oracle import evaluate, laurent_sum
 from wqalg import build_preset, verify_all, verify_cartan
 from wqalg.algebras import _classical_limit, _pair_table, symmetrized_cartan
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
@@ -142,11 +142,11 @@ def test_classical_limit_of_rational_coefficients():
 def test_verify_cartan_names_a_pole_of_the_limit(g2):
     # a consistent preset (M = D Mtilde'^-1 D, so the residual check passes)
     # whose Mtilde'_11 = t^2 - t^-2 + 1 is nonzero at t = 1
-    entry = sym_minus(2) + LaurentPoly.one()
+    entry = laurent_sum(sym_minus(2), LaurentPoly.one())
     mtilde = _replace_entry(g2.mtilde, 0, 0, entry)
     # the pair table of M = D adj(Mtilde') D / det Mtilde': Q = det, N = D adj D
     (a, b), (c, d) = mtilde
-    det = a * d + -(b * c)
+    det = laurent_sum(a * d, -(b * c))
     dd = g2.d
     adj = [[d, -b], [-c, a]]
     nums = tuple(tuple(dd[i] * adj[i][j] * dd[j] for j in range(2)) for i in range(2))

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wqalg.exactfield as exactfield
 import wqalg.poisson as poisson_mod
 from oracle import (antisymmetry_ok, assert_int_valued, evaluate, int_valued,
-                    ordered_pair_bracket)
+                    laurent_sum, ordered_pair_bracket)
 from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
                    build_preset, decompose, extract_t2_e6, symbol, verify_all,
                    verify_closure)
@@ -28,7 +29,8 @@ def mono(*factors):
 
 def base_plus_laurent(m11, alpha, laurent):
     """alpha * M_11 + laurent, as one numerator over M_11's denominator."""
-    return RationalFunction(m11.num * LaurentPoly({0: alpha}) + laurent * m11.den, m11.den)
+    return RationalFunction(laurent_sum(m11.num * LaurentPoly({0: alpha}), laurent * m11.den),
+                            m11.den)
 
 
 # --- symbol -----------------------------------------------------------------
@@ -49,7 +51,8 @@ def test_symbol_g2_pair_12_closed_form(g2):
     s = symbol(g2.lambdas[0], g2.lambdas[1], g2)
     m11 = g2.M.rows[0][0]
     # s - m11 = t^-2 - 1, cross-multiplied over the two reduced denominators
-    assert s.num * m11.den == m11.num * s.den + LaurentPoly({-2: 1, 0: -1}) * s.den * m11.den
+    assert s.num * m11.den == laurent_sum(m11.num * s.den,
+                                          LaurentPoly({-2: 1, 0: -1}) * s.den * m11.den)
 
 
 def test_symbol_evaluation_oracle(g2, e6, d5):
@@ -211,6 +214,70 @@ def test_decompose_reconstruction(g2, e6, d4):
                 assert rebuilt == s
                 for x in EVAL_POINTS:
                     assert evaluate(rebuilt, x) == evaluate(s, x)
+
+
+@settings(deadline=None, max_examples=20)
+@given(g=st.dictionaries(st.integers(-6, 6),
+                         st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
+                         min_size=1, max_size=4),
+       e6_pairs=st.lists(st.tuples(st.integers(0, 26), st.integers(0, 26)),
+                         min_size=1, max_size=6))
+def test_decompose_is_independent_of_representation(g2, e6, g, e6_pairs):
+    # a symbol stored as N/Q, as (N g)/(Q g) and in canonical form splits alike
+    g = LaurentPoly(g)
+    cases = [(g2, a, b) for a in g2.lambdas for b in g2.lambdas]
+    cases += [(e6, e6.lambdas[i], e6.lambdas[j]) for i, j in e6_pairs]
+    for preset, a, b in cases:
+        s = symbol(a, b, preset)
+        num, q = s.stored
+        scaled = RationalFunction(num * g, q * g)
+        canonical = RationalFunction(s.num, s.den)
+        want = decompose(s, preset)
+        assert decompose(scaled, preset) == want
+        assert decompose(canonical, preset) == want
+        assert scaled == s == canonical
+        assert hash(scaled) == hash(s) == hash(canonical)
+    bad = RationalFunction(g, LaurentPoly({0: 1, 1: 1, 2: 1}) * g)
+    with pytest.raises(NotDecomposableError):
+        decompose(bad, g2)
+
+
+# --- pair queries take no gcd -------------------------------------------------
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Count the calls of the polynomial gcd kernel behind the canonical form."""
+    calls = []
+    kernel = exactfield._int_poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(exactfield, "_int_poly_gcd", counted)
+    return calls
+
+
+def test_pair_queries_take_no_gcd(g2, e6, gcd_calls):
+    queries = [(p, a, b) for p in (g2, e6) for a in p.lambdas for b in p.lambdas]
+    assert len(queries) == 778
+    for preset, a, b in queries:
+        decompose(symbol(a, b, preset), preset)
+    assert gcd_calls == []
+
+
+def test_bracket_command_takes_one_gcd_for_its_symbol_line(capsys, gcd_calls):
+    assert main(["bracket", "--algebra", "g2", "--i", "1", "--j", "2"]) == 0
+    assert "symbol(t) = " in capsys.readouterr().out
+    assert len(gcd_calls) == 1
+
+
+def test_canonical_form_is_computed_once(g2, gcd_calls):
+    s = symbol(g2.lambdas[0], g2.lambdas[1], g2)
+    assert gcd_calls == []
+    first = (s.num, s.den)
+    assert (s.num, s.den) == first and str(s) and hash(s) == hash(s)
+    assert len(gcd_calls) == 1
 
 
 # --- frozen pair decompositions (D5) -----------------------------------------
