@@ -4,14 +4,16 @@ This module owns the coefficient policy of both term maps, LaurentPoly's
 exponent -> coefficient and genexpr.SeriesExpr's monomial -> coefficient: a
 coefficient is an exact rational, held as a Python int wherever it is
 integral and as a Fraction only where it is not; zeros are never stored and
-anything else (a float, say) is rejected.  Term maps are built,
-subtracted and scaled only through the helpers _collect, _sub_terms and
-_scale_terms below, so the policy is applied in one place.
+anything else (a float, say) is rejected.  Term maps are built through
+the one collector _collect below and normalised by _int_valued, so the
+policy is applied in one place.
 
 LaurentPoly is the ring the checks run in: products, division with
 remainder by a polynomial (laurent_divmod) and exact division
 (laurent_divide); sums are taken on term maps.  The presets are built and
 the Cartan and bracket checks run in that ring, with no gcd.
+laurent_divmod is the module's one division kernel: exact division and
+the canonical form's gcd run on it too.
 
 RationalFunction is a value type for display: the preset matrices M, D and
 Mtilde as printed, and the bracket symbols.  It is not a field
@@ -19,8 +21,9 @@ implementation: it compares and prints, but does not add, multiply or
 divide.  It keeps the (num, den) it was given, and its canonical form is
 computed once, on first read; equality, hashing and printing go through that
 form, so equality of field elements is equality of canonical forms.  That
-first read is the one place that takes a polynomial gcd, and a value that is
-never read (a bracket symbol that is only decomposed, say) takes none.  In
+first read is the one place that takes a polynomial gcd (a primitive
+pseudo-remainder sequence, _poly_gcd), and a value that is never read (a
+bracket symbol that is only decomposed, say) takes none.  In
 canonical form numerator and denominator are coprime, the denominator is an
 ordinary polynomial (nonzero constant term) with integer coprime
 coefficients and positive leading coefficient, and all unit factors t^k and
@@ -67,23 +70,19 @@ def _collect(terms) -> dict:
     return _int_valued(data)
 
 
-def _sub_terms(a: dict, b: dict) -> dict:
-    """Term map of a - b."""
-    data = dict(a)
-    for k, c in b.items():
-        s = data.get(k, 0) - c
-        if s:
-            data[k] = s
-        else:
-            del data[k]
-    return _int_valued(data)
+def _signed_sum(terms, sep) -> str:
+    """The (coeff, body) pairs as a sum of the bodies, signed like the coeffs.
 
-
-def _scale_terms(data: dict, c) -> dict:
-    """Term map of c times data, for an exact rational c."""
-    if not c:
-        return {}
-    return _int_valued({k: v * c for k, v in data.items()})
+    Each body prints |coeff| times its term.  Terms are joined by sep on both
+    sides of each sign, "a - b + c" for sep " "; a leading "+" is dropped and
+    a leading "-" keeps no space.
+    """
+    minus, plus = "-" + sep, "+" + sep
+    out = sep.join([(minus if c < 0 else plus) + body for c, body in terms])
+    if not out:
+        return "0"
+    rest = out[len(plus):]
+    return rest if out[0] == "+" else "-" + rest
 
 
 class LaurentPoly:
@@ -166,37 +165,22 @@ class LaurentPoly:
     def to_json(self):
         return [[e, c.numerator, c.denominator] for e, c in self.sorted_terms()]
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+    def _render(self, power, product, sep):
+        """The terms by descending exponent as a signed sum joined by sep."""
+        terms = []
         for e, c in sorted(self.terms.items(), reverse=True):
-            if e == 0:
-                body = str(c) if c > 0 else str(-c)
-            else:
-                var = "t" if e == 1 else "t^%d" % e
-                mag = abs(c)
-                body = var if mag == 1 else "%s*%s" % (mag, var)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+            mag = abs(c)
+            var = "t" if e == 1 else power % e
+            terms.append((c, str(mag) if e == 0 else var if mag == 1 else product % (mag, var)))
+        return _signed_sum(terms, sep)
+
+    def __str__(self):
+        return self._render("t^%d", "%s*%s", " ")
 
     __repr__ = __str__
 
     def to_latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            if e == 0:
-                body = str(abs(c))
-            else:
-                var = "t" if e == 1 else "t^{%d}" % e
-                mag = abs(c)
-                body = var if mag == 1 else "%s %s" % (mag, var)
-            parts.append(("-" if c < 0 else "+") + body)
-        out = "".join(parts)
-        return out[1:] if out.startswith("+") else out
+        return self._render("t^{%d}", "%s %s", "")
 
 
 def sym_minus(a: int) -> LaurentPoly:
@@ -211,57 +195,6 @@ def sym_plus(a: int) -> LaurentPoly:
     if a < 1:
         raise ValueError("sym_plus requires a positive exponent, got %r" % (a,))
     return LaurentPoly._raw({a: 1, -a: 1})
-
-
-# ---------------------------------------------------------------------------
-# The gcd kernel, on dense integer coefficient lists (lowest degree first).
-#
-# RationalFunction's canonical form is its only caller; the dense lists serve
-# the gcd alone, and everything else stays on sparse LaurentPolys.  The gcd
-# uses a primitive pseudo-remainder sequence, which keeps every intermediate
-# coefficient an integer of moderate size; monic Euclid over Fraction would
-# blow up.
-# ---------------------------------------------------------------------------
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _prim(a):
-    g = 0
-    for c in a:
-        g = _int_gcd(g, abs(c))
-    if g > 1:
-        return [c // g for c in a]
-    return a
-
-
-def _pseudo_mod(a, b):
-    """Pseudo-remainder of integer coefficient lists, lowest degree first."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        la = a[-1]
-        g = _int_gcd(abs(la), abs(lb))
-        mul_a, mul_b = lb // g, la // g
-        k = len(a) - 1 - db
-        a = [c * mul_a for c in a]
-        for i, c in enumerate(b):
-            a[k + i] -= mul_b * c
-        _trim(a)
-    return a
-
-
-def _int_poly_gcd(a, b):
-    """Primitive gcd of two integer coefficient lists (may be empty for zero)."""
-    a, b = _prim(list(a)), _prim(list(b))
-    while b:
-        a, b = b, _prim(_pseudo_mod(a, b))
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
 
 
 def _exact_quotient(x, y):
@@ -340,6 +273,25 @@ def _primitive(p: LaurentPoly):
     return _exact_quotient(g, den), LaurentPoly._raw(q)
 
 
+def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """gcd of two polynomials as _primitive returns them, in the same form.
+
+    A primitive pseudo-remainder sequence on laurent_divmod: prescaling a by
+    lc(b)^(deg a - deg b + 1) keeps each division in ints, and _primitive
+    takes content, sign and t^k out of each remainder.  Dropping t^k loses
+    no common factor: after _primitive neither a nor b is divisible by t.
+    """
+    if a.max_exp < b.max_exp:
+        a, b = b, a
+    while True:
+        top = b.max_exp
+        lead = b.terms[top] ** (a.max_exp - top + 1)
+        _, rem = laurent_divmod(LaurentPoly._raw({e: c * lead for e, c in a.terms.items()}), b)
+        if not rem:
+            return b
+        a, b = b, _primitive(LaurentPoly._raw(rem))[1]
+
+
 def _canonical(num: LaurentPoly, den: LaurentPoly):
     """The canonical (num, den) of num / den, for a nonzero den (see the module notes)."""
     if not num:
@@ -347,10 +299,8 @@ def _canonical(num: LaurentPoly, den: LaurentPoly):
     unit = num.min_exp - den.min_exp
     n_content, num = _primitive(num)
     d_content, den = _primitive(den)
-    g = _int_poly_gcd([num.terms.get(e, 0) for e in range(num.max_exp + 1)],
-                      [den.terms.get(e, 0) for e in range(den.max_exp + 1)])
-    if len(g) > 1:
-        g = LaurentPoly._raw({e: c for e, c in enumerate(g) if c})
+    g = _poly_gcd(num, den)
+    if g.max_exp:
         num, den = laurent_divide(num, g), laurent_divide(den, g)
     scale = _exact_quotient(n_content, d_content)
     return LaurentPoly._raw(_int_valued({e + unit: c * scale

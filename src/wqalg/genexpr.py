@@ -17,7 +17,7 @@ constant prefactors at all; content-level equality is therefore equality.
 
 from __future__ import annotations
 
-from .exactfield import _collect
+from .exactfield import _collect, _signed_sum
 
 
 class YMonomial:
@@ -26,17 +26,7 @@ class YMonomial:
     __slots__ = ("_items",)
 
     def __init__(self, content=()):
-        data = {}
-        items = content.items() if hasattr(content, "items") else content
-        for key, e in items:
-            if e:
-                e0 = data.get(key, 0)
-                e = e0 + e
-                if e:
-                    data[key] = e
-                else:
-                    del data[key]
-        self._items = tuple(sorted(data.items()))
+        self._items = tuple(sorted(_collect(content).items()))
 
     @classmethod
     def _raw(cls, items):
@@ -172,15 +162,8 @@ class SeriesExpr:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            mag = abs(c)
-            body = str(m) if mag == 1 else "%s %s" % (mag, m)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        return _signed_sum(((c, str(m) if abs(c) == 1 else "%s %s" % (abs(c), m))
+                            for m, c in self.sorted_terms()), " ")
 
     __repr__ = __str__
 

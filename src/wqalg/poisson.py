@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .algebras import AlgebraPreset, VerificationOutcome, verify_cartan
 from .exactfield import (LaurentPoly, RationalFunction, _exact_quotient, _int_valued,
-                         _scale_terms, _sub_terms, laurent_divide, laurent_divmod)
+                         laurent_divide, laurent_divmod)
 from .genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
 
 log = logging.getLogger(__name__)
@@ -103,11 +103,17 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
     quo, rem = laurent_divmod(num, q)
     top = max(rem11)
     alpha = _exact_quotient(rem.get(top, 0), rem11[top])
-    if rem != _scale_terms(rem11, alpha):
+    if rem != {e: alpha * c for e, c in rem11.items() if alpha}:
         raise NotDecomposableError(
             "no rational base coefficient leaves a pure delta part for symbol (%s)/(%s)"
             % (num, q))
-    return alpha, _sub_terms(quo, _scale_terms(quo11, alpha))
+    for e, c in quo11.items():
+        y = quo.get(e, 0) - alpha * c
+        if y:
+            quo[e] = y
+        else:
+            quo.pop(e, None)
+    return alpha, _int_valued(quo)
 
 
 def decompose(s: RationalFunction, preset: AlgebraPreset) -> DeltaDecomposition:

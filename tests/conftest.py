@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from wqalg import build_preset
+
+# exact arithmetic on generated inputs has no useful per-example time limit
+settings.register_profile("exact", deadline=None)
+settings.load_profile("exact")
 
 
 @pytest.fixture(scope="session")

@@ -63,7 +63,7 @@ def test_shift_arg_inverse_composition():
         assert m.shift_arg(a).shift_arg(-a) == m
 
 
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(factors=st.lists(st.tuples(st.integers(1, 8), st.integers(-12, 12),
                                   st.integers(-3, 3)), max_size=6),
        s=st.integers(-24, 24))
@@ -78,7 +78,7 @@ factor_lists = st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3),
                                   st.integers(-2, 2)), max_size=6)
 
 
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(left=factor_lists, right=factor_lists)
 def test_mul_matches_canonical_construction(left, right):
     # small node and shift ranges make shared keys and cancellations common

@@ -88,7 +88,7 @@ def monomials(rank):
 
 
 @pytest.mark.parametrize("name", ["g2", "e6", "d5"])
-@settings(deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_symbol_antisymmetry_random_monomials(request, name, data):
     preset = request.getfixturevalue(name)
@@ -162,7 +162,7 @@ def test_decompose_solves_general_base_coefficient(g2):
 
 
 @pytest.mark.parametrize("name", ["g2", "e6", "d5"])
-@settings(deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(alpha=st.fractions(min_value=-20, max_value=20, max_denominator=9),
        deltas=st.dictionaries(
            st.integers(-15, 15),
@@ -216,7 +216,7 @@ def test_decompose_reconstruction(g2, e6, d4):
                     assert evaluate(rebuilt, x) == evaluate(s, x)
 
 
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(g=st.dictionaries(st.integers(-6, 6),
                          st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool),
                          min_size=1, max_size=4),
@@ -248,13 +248,13 @@ def test_decompose_is_independent_of_representation(g2, e6, g, e6_pairs):
 def gcd_calls(monkeypatch):
     """Count the calls of the polynomial gcd kernel behind the canonical form."""
     calls = []
-    kernel = exactfield._int_poly_gcd
+    kernel = exactfield._poly_gcd
 
     def counted(a, b):
         calls.append((a, b))
         return kernel(a, b)
 
-    monkeypatch.setattr(exactfield, "_int_poly_gcd", counted)
+    monkeypatch.setattr(exactfield, "_poly_gcd", counted)
     return calls
 
 
