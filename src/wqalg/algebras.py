@@ -1,11 +1,17 @@
-"""Presets for the D_n, E6 and G2 algebras.
+"""Presets for the D_n, E6 and G2 algebras, and the deformed Cartan check.
 
 Each preset holds its structure as integer Laurent tables: the pair table
 (Q, N) with M_ij = N_ij / Q, the diagonal d of D, and the rows of the
 expected deformed Cartan matrix Mtilde (printed form), plus the
-fundamental-series monomial table.  Everything downstream is verified
-against these tables alone.  M, D and Mtilde as matrices of canonical
-rational functions are display views, built on first use.
+fundamental-series monomial table.  Its sizes are read off these tables:
+the rank is len(d) and the fundamental dimension len(lambdas).  Everything
+downstream is verified against these tables alone.  M, D and Mtilde as
+matrices of canonical rational functions are display views, built on first
+use.
+
+VerificationOutcome is the one verdict record: every verifier, here and in
+the bracket engine, records each of its checks through
+VerificationOutcome.check.
 """
 
 from __future__ import annotations
@@ -26,18 +32,28 @@ LaurentRows = tuple[tuple[LaurentPoly, ...], ...]
 @dataclass(frozen=True, eq=False)
 class AlgebraPreset:
     kind: str                      # "dn" | "e6" | "g2"
-    rank: int
-    n: int | None
     pair_table: tuple[LaurentPoly, LaurentRows]   # (Q, N) with M_ij = N_ij / Q
     d: tuple[LaurentPoly, ...]     # the diagonal of D
     mtilde: LaurentRows            # rows of the expected deformed Cartan matrix
     lambdas: tuple[YMonomial, ...]
-    fundamental_dim: int
 
     def __post_init__(self):
+        r = self.rank
         for name, rows in (("N", self.pair_table[1]), ("mtilde", self.mtilde)):
-            if any(len(row) != len(rows) for row in rows):
-                raise ValueError("the table %s of %s is not square" % (name, self.name))
+            if len(rows) != r or any(len(row) != r for row in rows):
+                raise ValueError("the table %s of %s is not square of size len(d) = %d"
+                                 % (name, self.name, r))
+        if len(set(self.lambdas)) != len(self.lambdas):
+            raise ValueError("fundamental terms are not pairwise distinct for %s" % self.name)
+
+    @property
+    def rank(self) -> int:
+        return len(self.d)
+
+    @property
+    def n(self) -> int | None:
+        """The rank of a D_n preset; None for e6 and g2."""
+        return self.rank if self.kind == "dn" else None
 
     @property
     def name(self) -> str:
@@ -45,23 +61,21 @@ class AlgebraPreset:
 
     @cached_property
     def M(self) -> FieldMatrix:
-        """M as canonical rational functions N_ij / Q, for display.
-
-        Each distinct entry is canonicalised once: the two triangles share theirs.
-        """
+        """M as canonical rational functions N_ij / Q, for display."""
         q, nums = self.pair_table
-        rfs = {e: RationalFunction(e, q) for e in {e for row in nums for e in row}}
-        return FieldMatrix([[rfs[e] for e in row] for row in nums])
+        return _view(nums, q)
 
     @cached_property
     def D(self) -> FieldMatrix:
         """D = diag(d), for display."""
-        return FieldMatrix.diagonal([RationalFunction(e) for e in self.d])
+        zero = LaurentPoly.zero()
+        return _view([[e if i == j else zero for j in range(self.rank)]
+                      for i, e in enumerate(self.d)])
 
     @cached_property
     def expected_mtilde(self) -> FieldMatrix:
         """The rows of mtilde as rational functions, for display."""
-        return FieldMatrix([[RationalFunction(e) for e in row] for row in self.mtilde])
+        return _view(self.mtilde)
 
     @cached_property
     def m11_split(self) -> tuple[dict, dict]:
@@ -87,13 +101,38 @@ class AlgebraPreset:
                 all(e.invert_var() * q == -(e * q_inv) for e in {e for row in nums for e in row}))
 
 
+def _view(rows, den: LaurentPoly | None = None) -> FieldMatrix:
+    """Laurent rows over den as canonical rational functions, for display.
+
+    Each distinct entry is canonicalised once: equal entries, such as the
+    two triangles of a symmetric table, share theirs.
+    """
+    rfs = {e: RationalFunction(e, den) for e in {e for row in rows for e in row}}
+    return FieldMatrix([[rfs[e] for e in row] for row in rows])
+
+
 @dataclass
 class VerificationOutcome:
-    passed: bool
+    """A verdict: the messages of the checks that held, and the first failure."""
+    passed: bool = True
     details: list[str] = field(default_factory=list)
     failure: str | None = None
     # verify_cartan only: whether M D^-1 Mtilde D^-1 = I was shown to hold
     identity_holds: bool = False
+
+    def check(self, ok: bool, good: str, bad: str) -> bool:
+        """Record one check and return ok.
+
+        A check that holds adds good to details; one that fails clears
+        passed, and its bad message becomes the failure if it is the first.
+        """
+        if ok:
+            self.details.append(good)
+        else:
+            self.passed = False
+            if self.failure is None:
+                self.failure = bad
+        return ok
 
 
 def _pair_table(q: LaurentPoly, rows) -> tuple[LaurentPoly, LaurentRows]:
@@ -260,30 +299,20 @@ def build_preset(kind: str, n: int | None = None) -> AlgebraPreset:
         if n is None or n < 4:
             raise ValueError("the dn family needs n >= 4, got %r" % (n,))
         return AlgebraPreset(
-            kind="dn", rank=n, n=n,
-            pair_table=_dn_pair_table(n), d=(sym_minus(1),) * n,
-            mtilde=_graph_mtilde(n, _dn_edges(n)),
-            lambdas=_dn_lambdas(n),
-            fundamental_dim=2 * n,
-        )
+            kind="dn", pair_table=_dn_pair_table(n), d=(sym_minus(1),) * n,
+            mtilde=_graph_mtilde(n, _dn_edges(n)), lambdas=_dn_lambdas(n))
     if n is not None:
         raise ValueError("n is only meaningful for the dn family")
     if kind == "e6":
         return AlgebraPreset(
-            kind="e6", rank=6, n=None,
-            pair_table=_e6_pair_table(), d=(sym_minus(1),) * 6,
+            kind="e6", pair_table=_e6_pair_table(), d=(sym_minus(1),) * 6,
             mtilde=_graph_mtilde(6, _E6_EDGES),
-            lambdas=tuple(YMonomial.from_factors(f) for f in _E6_LAMBDA_FACTORS),
-            fundamental_dim=27,
-        )
+            lambdas=tuple(YMonomial.from_factors(f) for f in _E6_LAMBDA_FACTORS))
     if kind == "g2":
         return AlgebraPreset(
-            kind="g2", rank=2, n=None,
-            pair_table=_g2_pair_table(), d=(sym_minus(1), sym_minus(3)),
+            kind="g2", pair_table=_g2_pair_table(), d=(sym_minus(1), sym_minus(3)),
             mtilde=((sym_minus(2), -sym_minus(3)), (-sym_minus(3), sym_minus(6))),
-            lambdas=tuple(YMonomial.from_factors(f) for f in _G2_LAMBDA_FACTORS),
-            fundamental_dim=7,
-        )
+            lambdas=tuple(YMonomial.from_factors(f) for f in _G2_LAMBDA_FACTORS))
     raise ValueError("unknown algebra kind %r" % (kind,))
 
 
@@ -314,9 +343,6 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
     r = preset.rank
     q, nums = preset.pair_table
     d, mtilde = preset.d, preset.mtilde
-    if not len(nums) == len(d) == len(mtilde) == r:
-        return ("matrix sizes M %d, D %d, Mtilde %d do not match rank %d"
-                % (len(nums), len(d), len(mtilde), r))
     for k, dk in enumerate(d):
         if not dk:
             return ("D entry (%d,%d) is %s; D must be diagonal with a nonzero diagonal"
@@ -358,38 +384,42 @@ def _classical_limit(p: LaurentPoly) -> int | Fraction | None:
     return _exact_quotient(sum(e * c for e, c in p.terms.items()), 2)
 
 
-def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
-    """Check D M^-1 D against the printed deformed Cartan matrix, exactly.
+def _limit_failure(preset: AlgebraPreset) -> str | None:
+    """Check the normalized t -> 1 limit of Mtilde; None if it holds.
 
-    The identity is checked as the division-free residual of
-    _identity_residual, which also proves the dual identity
-    D Mtilde^-1 D = M; identity_holds records its result.  Then checks the
-    normalized classical limit: each entry of Mtilde divided by (t - t^-1)
-    and evaluated at t = 1 must give the symmetrized Cartan integer.  The
-    entries are Laurent, so the limit is read off their terms
-    (_classical_limit).  Fails on the first entry with a pole or a differing
-    limit.
+    Each entry of Mtilde divided by (t - t^-1) and evaluated at t = 1 must
+    give the symmetrized Cartan integer.  The entries are Laurent, so the
+    limit is read off their terms (_classical_limit).  Returns the failure,
+    naming the first entry with a pole or a differing limit.
     """
-    out = VerificationOutcome(passed=True)
-    failure = _identity_residual(preset)
-    if failure is not None:
-        out.passed = False
-        out.failure = failure
-        return out
-    out.identity_holds = True
-    out.details.append("D M^-1 D matches the printed deformed Cartan matrix (%s)" % preset.name)
     expected = symmetrized_cartan(preset)
     for i, row in enumerate(preset.mtilde):
         for j, e in enumerate(row):
             limit = _classical_limit(e)
             if limit is None:
-                out.failure = ("limit entry (%d,%d): %s divided by t - t^-1 has a pole "
-                               "at t = 1" % (i + 1, j + 1, e))
-            elif limit != expected[i][j]:
-                out.failure = ("limit entry (%d,%d): got %s, expected %d"
-                               % (i + 1, j + 1, limit, expected[i][j]))
-            if out.failure is not None:
-                out.passed = False
-                return out
-    out.details.append("normalized t -> 1 limit equals the symmetrized Cartan matrix")
+                return ("limit entry (%d,%d): %s divided by t - t^-1 has a pole at t = 1"
+                        % (i + 1, j + 1, e))
+            if limit != expected[i][j]:
+                return ("limit entry (%d,%d): got %s, expected %d"
+                        % (i + 1, j + 1, limit, expected[i][j]))
+    return None
+
+
+def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
+    """Check D M^-1 D against the printed deformed Cartan matrix, exactly.
+
+    Records two checks: the division-free residual of _identity_residual,
+    which also proves the dual identity D Mtilde^-1 D = M (identity_holds
+    records its result), and then, only if it holds, the normalized
+    classical limit of _limit_failure.
+    """
+    out = VerificationOutcome()
+    residual = _identity_residual(preset)
+    out.identity_holds = out.check(
+        residual is None,
+        "D M^-1 D matches the printed deformed Cartan matrix (%s)" % preset.name, residual)
+    if out.identity_holds:
+        limit = _limit_failure(preset)
+        out.check(limit is None,
+                  "normalized t -> 1 limit equals the symmetrized Cartan matrix", limit)
     return out

@@ -13,7 +13,7 @@ import sys
 
 from .algebras import build_preset, verify_cartan
 from .genexpr import build_t2
-from .poisson import decompose, dual_identity, symbol, verify_all, verify_closure
+from .poisson import ClosureOutcome, decompose, dual_identity, symbol, verify_all, verify_closure
 
 SCHEMA = 1
 
@@ -75,6 +75,26 @@ def _emit(args, text_lines, json_obj, latex_lines=None):
         sys.stdout.write(body)
 
 
+def _emit_outcome(args, preset, outcome):
+    """Print the verdict of a verify-cartan, closure or verify-all run; return the exit status."""
+    lines = ["%s %s: %s" % (args.command, preset.name, "PASS" if outcome.passed else "FAIL")]
+    lines += outcome.details
+    if outcome.failure:
+        prefix = "first failure: " if args.command == "verify-all" else "mismatch: "
+        lines.append(prefix + outcome.failure)
+    obj = {"algebra": preset.name, "passed": outcome.passed,
+           "details": outcome.details, "failure": outcome.failure}
+    latex = None
+    if isinstance(outcome, ClosureOutcome):
+        report = outcome.report
+        obj["report"] = report.to_json() if report is not None else None
+        if report is not None:
+            lines += ["", report.to_text()]
+            latex = [report.to_latex()]
+    _emit(args, lines, obj, latex)
+    return 0 if outcome.passed else 1
+
+
 def _cmd_matrices(args):
     preset = _get_preset(args)
     names = [("M", preset.M), ("D", preset.D), ("Mtilde", preset.expected_mtilde)]
@@ -87,14 +107,7 @@ def _cmd_matrices(args):
 
 def _cmd_verify_cartan(args):
     preset = _get_preset(args)
-    outcome = verify_cartan(preset)
-    lines = ["verify-cartan %s: %s" % (preset.name, "PASS" if outcome.passed else "FAIL")]
-    lines += outcome.details
-    if outcome.failure:
-        lines.append("mismatch: " + outcome.failure)
-    _emit(args, lines, {"algebra": preset.name, "passed": outcome.passed,
-                        "details": outcome.details, "failure": outcome.failure})
-    return 0 if outcome.passed else 1
+    return _emit_outcome(args, preset, verify_cartan(preset))
 
 
 def _cmd_lambda(args):
@@ -111,7 +124,7 @@ def _cmd_lambda(args):
 
 def _cmd_bracket(args):
     preset = _get_preset(args)
-    k = preset.fundamental_dim
+    k = len(preset.lambdas)
     if not (1 <= args.i <= k and 1 <= args.j <= k):
         raise _UsageError("monomial indices must lie in 1..%d" % k)
     a, b = preset.lambdas[args.i - 1], preset.lambdas[args.j - 1]
@@ -136,19 +149,7 @@ def _cmd_bracket(args):
 
 def _cmd_closure(args):
     preset = _get_preset(args)
-    outcome = verify_closure(preset)
-    lines = ["closure %s: %s" % (preset.name, "PASS" if outcome.passed else "FAIL")]
-    lines += outcome.details
-    if outcome.failure:
-        lines.append("mismatch: " + outcome.failure)
-    if outcome.report is not None:
-        lines += ["", outcome.report.to_text()]
-    _emit(args, lines,
-          {"algebra": preset.name, "passed": outcome.passed,
-           "details": outcome.details, "failure": outcome.failure,
-           "report": outcome.report.to_json() if outcome.report else None},
-          [outcome.report.to_latex()] if outcome.report is not None else lines)
-    return 0 if outcome.passed else 1
+    return _emit_outcome(args, preset, verify_closure(preset))
 
 
 def _cmd_dual(args):
@@ -193,14 +194,7 @@ def _cmd_emit_t2(args):
 
 def _cmd_verify_all(args):
     preset = _get_preset(args)
-    outcome = verify_all(preset)
-    lines = ["verify-all %s: %s" % (preset.name, "PASS" if outcome.passed else "FAIL")]
-    lines += outcome.details
-    if outcome.failure:
-        lines.append("first failure: " + outcome.failure)
-    _emit(args, lines, {"algebra": preset.name, "passed": outcome.passed,
-                        "details": outcome.details, "failure": outcome.failure})
-    return 0 if outcome.passed else 1
+    return _emit_outcome(args, preset, verify_all(preset))
 
 
 # name -> (help, handler), in --help order; the parser and main both read it

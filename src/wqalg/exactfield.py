@@ -341,10 +341,6 @@ class RationalFunction:
     def den(self) -> LaurentPoly:
         return self._form()[1]
 
-    @classmethod
-    def zero(cls):
-        return cls(LaurentPoly.zero())
-
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented

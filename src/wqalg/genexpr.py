@@ -173,16 +173,17 @@ class SeriesExpr:
 
 
 def build_t1(preset) -> SeriesExpr:
-    """Sum of all fundamental-series terms with coefficient 1."""
-    t1 = SeriesExpr({m: 1 for m in preset.lambdas})
-    if len(t1) != preset.fundamental_dim:
-        raise ValueError("fundamental terms are not pairwise distinct for %s" % preset.name)
-    return t1
+    """Sum of all fundamental-series terms with coefficient 1.
+
+    The preset's terms are pairwise distinct (AlgebraPreset checks that), so
+    each one is a term of T1.
+    """
+    return SeriesExpr({m: 1 for m in preset.lambdas})
 
 
 def _t2_pairs(preset):
     if preset.kind == "dn":
-        k = preset.fundamental_dim
+        k = len(preset.lambdas)
         pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
         pairs.append((preset.n + 1, preset.n))
         return pairs

@@ -15,12 +15,16 @@ Delta convention, fixed once for every report:
 so delta(w/zq^k) is Delta(-k) and delta(wq^k/z) is Delta(+k).  A symbol
 decomposes uniquely as alpha * M_11(t) + Laurent part because M_11 is not
 a Laurent polynomial; the Laurent part is the delta content.
+
+verify_closure and verify_all record every check through
+VerificationOutcome.check (ClosureOutcome is a VerificationOutcome that
+also carries the bracket report and, for e6, the derived second series).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import AlgebraPreset, VerificationOutcome, verify_cartan
@@ -269,38 +273,20 @@ def extract_t2_e6(report: BracketReport) -> DerivedSeries:
 
 
 @dataclass
-class ClosureOutcome:
-    passed: bool
-    details: list[str] = field(default_factory=list)
-    failure: str | None = None
+class ClosureOutcome(VerificationOutcome):
     report: BracketReport | None = None
     derived: DerivedSeries | None = None   # e6 only: the derived second series
 
 
-def _check(outcome: ClosureOutcome, ok: bool, good: str, bad: str) -> bool:
-    if ok:
-        outcome.details.append(good)
-    else:
-        outcome.passed = False
-        if outcome.failure is None:
-            outcome.failure = bad
-    return ok
-
-
-def _match_series(outcome, report, shift, expected, label):
+def _match_series(out, report, shift, expected, label):
     got = report.delta_terms.get(shift, SeriesExpr.zero())
     if got == expected:
-        outcome.details.append("C(%+d) = %s" % (shift, label))
-        return True
+        return out.check(True, "C(%+d) = %s" % (shift, label), "")
     keys = sorted(set(got.terms) | set(expected.terms), key=YMonomial.sort_key)
     first = next(m for m in keys if got.terms.get(m, 0) != expected.terms.get(m, 0))
-    outcome.passed = False
-    if outcome.failure is None:
-        outcome.failure = ("shift %+d: expected %s; first differing monomial %s "
-                           "(got %s, want %s)"
-                           % (shift, label, first,
-                              got.terms.get(first, 0), expected.terms.get(first, 0)))
-    return False
+    return out.check(False, "", "shift %+d: expected %s; first differing monomial %s "
+                     "(got %s, want %s)" % (shift, label, first, got.terms.get(first, 0),
+                                            expected.terms.get(first, 0)))
 
 
 def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
@@ -311,47 +297,42 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
     against the dual-transform construction.  The orientation of each delta
     pair is computed, never assumed.
     """
+    out = ClosureOutcome()
     if not all(preset.m_parity):
-        return ClosureOutcome(passed=False, failure=_M_NOT_SYMMETRIC_ODD % preset.name)
+        out.check(False, "", _M_NOT_SYMMETRIC_ODD % preset.name)
+        return out
     t1 = build_t1(preset)
     try:
-        report = bracket_sum(t1, t1, preset)
+        report = out.report = bracket_sum(t1, t1, preset)
     except (NotDecomposableError, NonUniformBaseError) as exc:
-        return ClosureOutcome(passed=False, failure=str(exc))
-    out = ClosureOutcome(passed=True, report=report)
+        out.check(False, "", str(exc))
+        return out
 
-    _check(out, report.base_coeff == 1,
-           "base coefficient is exactly 1",
-           "base coefficient is %s, expected 1" % report.base_coeff)
+    out.check(report.base_coeff == 1, "base coefficient is exactly 1",
+              "base coefficient is %s, expected 1" % report.base_coeff)
 
-    if preset.kind == "dn":
-        edge = 2 * preset.n - 2
-        expected_support = {-2, 2, -edge, edge}
-    elif preset.kind == "g2":
-        expected_support = {-2, 2, -8, 8, -12, 12}
+    if preset.kind == "e6":
+        support = {-2, 2, -8, 8}
     else:
-        expected_support = {-2, 2, -8, 8}
-    _check(out, set(report.delta_terms) == expected_support,
-           "delta support is exactly %s" % sorted(expected_support),
-           "delta support %s differs from expected %s"
-           % (report.shifts, sorted(expected_support)))
-
-    one = SeriesExpr.one()
-    if preset.kind in ("dn", "g2"):
-        t2 = build_t2(preset)
-        if _match_series(out, report, -2, t2, "T2(z)"):
-            out.details.append("orientation: delta(w/zq^2) carries T2(z), "
-                               "delta(wq^2/z) carries -T2(w)")
-        _match_series(out, report, 2, -t2.shift_arg(-2), "-T2(zq^-2)")
+        # shift -> (expected series, label), in the order the matches are reported
+        t2, one = build_t2(preset), SeriesExpr.one()
+        table = {-2: (t2, "T2(z)"), 2: (-t2.shift_arg(-2), "-T2(zq^-2)")}
         if preset.kind == "dn":
             edge = 2 * preset.n - 2
-            _match_series(out, report, -edge, one, "1")
-            _match_series(out, report, edge, -one, "-1")
+            table.update({-edge: (one, "1"), edge: (-one, "-1")})
         else:
-            _match_series(out, report, -8, t1.shift_arg(4), "T1(zq^4)")
-            _match_series(out, report, 8, -t1.shift_arg(-4), "-T1(zq^-4)")
-            _match_series(out, report, -12, one, "1")
-            _match_series(out, report, 12, -one, "-1")
+            table.update({-8: (t1.shift_arg(4), "T1(zq^4)"), 8: (-t1.shift_arg(-4), "-T1(zq^-4)"),
+                          -12: (one, "1"), 12: (-one, "-1")})
+        support = set(table)
+    out.check(set(report.delta_terms) == support,
+              "delta support is exactly %s" % sorted(support),
+              "delta support %s differs from expected %s" % (report.shifts, sorted(support)))
+
+    if preset.kind != "e6":
+        for shift, (series, label) in table.items():
+            if _match_series(out, report, shift, series, label) and shift == -2:
+                out.details.append("orientation: delta(w/zq^2) carries T2(z), "
+                                   "delta(wq^2/z) carries -T2(w)")
     else:
         t5 = build_t5_e6(preset)
         if report.delta_terms.get(-8) == t5.shift_arg(4):
@@ -362,12 +343,11 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
             out.details.append("orientation: delta(wq^8/z) carries T5(zq^4)")
             _match_series(out, report, -8, -t5.shift_arg(12), "-T5(zq^12)")
         else:
-            _check(out, False, "",
-                   "neither magnitude-8 delta coefficient equals T5(zq^4)")
+            out.check(False, "", "neither magnitude-8 delta coefficient equals T5(zq^4)")
         try:
             derived = out.derived = extract_t2_e6(report)
         except NotDecomposableError as exc:
-            _check(out, False, "", str(exc))
+            out.check(False, "", str(exc))
         else:
             side = "w/zq^2" if derived.shift == -2 else "wq^2/z"
             out.details.append(
@@ -383,17 +363,12 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
 
 def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
     """Aggregate verification: matrices, dualities, diagonal brackets, closure."""
-    out = VerificationOutcome(passed=True)
+    out = VerificationOutcome()
 
     def check(ok, good, bad):
-        if ok:
-            out.details.append("PASS " + good)
-        else:
-            out.passed = False
+        if not ok:
             out.details.append("FAIL " + bad)
-            if out.failure is None:
-                out.failure = bad
-        return ok
+        return out.check(ok, "PASS " + good, bad)
 
     # one residual check proves D M^-1 D = Mtilde and D Mtilde^-1 D = M together
     cartan = verify_cartan(preset)
@@ -412,31 +387,25 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
     check(cartan.identity_holds, "dual identity D Mtilde^-1 D = M", "dual identity fails")
 
     # the M_11 guard is a property of the preset: report it once, not per bracket
-    m11_ok = bool(preset.m11_split[1])
-    diag_pure = []
-    for i, lam in enumerate(preset.lambdas if m11_ok else (), start=1):
-        try:
-            num = _symbol_numerator(lam, lam, preset)
-            dec = DeltaDecomposition(*_split_numerator(num, preset))
-        except NotDecomposableError as exc:
-            check(False, "", "diagonal bracket %d does not decompose: %s" % (i, exc))
-            continue
-        pure = dec.base_coeff == 1 and not dec.deltas
-        diag_pure.append((i, pure, dec))
-    if not m11_ok:
+    if not preset.m11_split[1]:
         check(False, "", "diagonal brackets do not decompose: " + _LAURENT_M11 % preset.name)
-    elif preset.kind == "dn":
-        bad = [i for i, p, _ in diag_pure if not p]
-        check(not bad, "every diagonal bracket is exactly MM_11 (pure)",
-              "diagonal bracket not pure at index %s" % bad)
     else:
-        impure = [(i, d.sorted_deltas()) for i, p, d in diag_pure if not p]
-        if impure:
-            rendered = "; ".join(
-                "index %d: %s" % (i, ", ".join("Delta(%+d): %s" % (sh, c)
-                                               for sh, c in ds))
-                for i, ds in impure)
-            out.details.append("NOTE diagonal brackets with delta terms: " + rendered)
+        impure = []
+        for i, lam in enumerate(preset.lambdas, start=1):
+            try:
+                alpha, deltas = _split_numerator(_symbol_numerator(lam, lam, preset), preset)
+            except NotDecomposableError as exc:
+                check(False, "", "diagonal bracket %d does not decompose: %s" % (i, exc))
+                continue
+            if alpha != 1 or deltas:
+                impure.append((i, sorted(deltas.items())))
+        if preset.kind == "dn":
+            check(not impure, "every diagonal bracket is exactly MM_11 (pure)",
+                  "diagonal bracket not pure at index %s" % [i for i, _ in impure])
+        elif impure:
+            out.details.append("NOTE diagonal brackets with delta terms: " + "; ".join(
+                "index %d: %s" % (i, ", ".join("Delta(%+d): %s" % sc for sc in ds))
+                for i, ds in impure))
         else:
             out.details.append("NOTE every diagonal bracket is pure")
 

@@ -7,8 +7,6 @@ presets' Laurent tables.
 
 from __future__ import annotations
 
-from .exactfield import RationalFunction
-
 
 class FieldMatrix:
     """Square matrix of RationalFunction entries, immutable after construction."""
@@ -22,13 +20,6 @@ class FieldMatrix:
             raise ValueError("matrix must be square and nonempty")
         self.dim = n
         self.rows = rows
-
-    @classmethod
-    def diagonal(cls, entries):
-        entries = list(entries)
-        zero = RationalFunction.zero()
-        return cls([[entries[i] if i == j else zero for j in range(len(entries))]
-                    for i in range(len(entries))])
 
     def to_json(self):
         return {"dim": self.dim, "rows": [[e.to_json() for e in row] for row in self.rows]}

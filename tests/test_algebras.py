@@ -49,15 +49,21 @@ def test_dn_lambda_boundaries(d4, d5):
 
 
 def test_fundamental_dims(g2, e6, d4, d5):
-    assert g2.fundamental_dim == len(g2.lambdas) == 7
-    assert e6.fundamental_dim == len(e6.lambdas) == 27
-    assert d4.fundamental_dim == len(d4.lambdas) == 8
-    assert d5.fundamental_dim == len(d5.lambdas) == 10
+    assert len(g2.lambdas) == 7
+    assert len(e6.lambdas) == 27
+    assert len(d4.lambdas) == 8
+    assert len(d5.lambdas) == 10
 
 
 def test_lambdas_pairwise_distinct(g2, e6, d4, d5):
-    for preset in (g2, e6, d4, d5):
-        assert len(set(preset.lambdas)) == preset.fundamental_dim
+    for preset, k in ((g2, 7), (e6, 27), (d4, 8), (d5, 10)):
+        assert len(set(preset.lambdas)) == k
+
+
+def test_preset_rejects_repeated_lambdas(g2):
+    lams = g2.lambdas
+    with pytest.raises(ValueError, match="fundamental terms are not pairwise distinct for g2"):
+        dataclasses.replace(g2, lambdas=lams[:-1] + lams[:1])
 
 
 def test_d_matrix_structure(g2, e6, d5):
@@ -67,7 +73,7 @@ def test_d_matrix_structure(g2, e6, d5):
             assert preset.D.rows[i][i] == rf(sym_minus(d))
             for j in range(preset.rank):
                 if j != i:
-                    assert preset.D.rows[i][j] == RationalFunction.zero()
+                    assert preset.D.rows[i][j] == RationalFunction(LaurentPoly.zero())
 
 
 def test_build_preset_rejects_bad_input():
@@ -187,10 +193,10 @@ def test_verify_cartan_rejects_a_zero_diagonal_d_entry(g2):
     assert out.failure == "D entry (2,2) is 0; D must be diagonal with a nonzero diagonal"
 
 
-def test_verify_cartan_rejects_matrices_larger_than_the_rank(e6):
-    out = verify_cartan(dataclasses.replace(e6, rank=5))
-    assert not out.passed
-    assert out.failure == "matrix sizes M 6, D 6, Mtilde 6 do not match rank 5"
+def test_preset_rejects_tables_larger_than_its_diagonal(e6):
+    # the rank is len(d): the 6 x 6 tables of e6 do not fit a diagonal of 5
+    with pytest.raises(ValueError, match="the table N of e6 is not square of size len"):
+        dataclasses.replace(e6, d=e6.d[:5])
 
 
 def test_preset_rejects_a_table_that_is_not_square(g2):
