@@ -16,7 +16,6 @@ VerificationOutcome.check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import mul
@@ -29,21 +28,28 @@ from .rflinalg import FieldMatrix
 LaurentRows = tuple[tuple[LaurentPoly, ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
 class AlgebraPreset:
-    kind: str                      # "dn" | "e6" | "g2"
-    pair_table: tuple[LaurentPoly, LaurentRows]   # (Q, N) with M_ij = N_ij / Q
-    d: tuple[LaurentPoly, ...]     # the diagonal of D
-    mtilde: LaurentRows            # rows of the expected deformed Cartan matrix
-    lambdas: tuple[YMonomial, ...]
+    """A preset's integer Laurent tables; build a new preset to change one."""
 
-    def __post_init__(self):
+    def __init__(self, kind: str, pair_table: tuple[LaurentPoly, LaurentRows],
+                 d: tuple[LaurentPoly, ...], mtilde: LaurentRows,
+                 lambdas: tuple[YMonomial, ...]):
+        self.kind = kind                  # "dn" | "e6" | "g2"
+        self.pair_table = pair_table      # (Q, N) with M_ij = N_ij / Q
+        self.d = d                        # the diagonal of D
+        self.mtilde = mtilde              # rows of the expected deformed Cartan matrix
+        self.lambdas = lambdas
         r = self.rank
-        for name, rows in (("N", self.pair_table[1]), ("mtilde", self.mtilde)):
+        for name, rows in (("N", pair_table[1]), ("mtilde", mtilde)):
             if len(rows) != r or any(len(row) != r for row in rows):
                 raise ValueError("the table %s of %s is not square of size len(d) = %d"
                                  % (name, self.name, r))
-        if len(set(self.lambdas)) != len(self.lambdas):
+        q = pair_table[0]
+        # every delta decomposition divides by Q with laurent_divmod
+        if not q or min(q.terms) != 0:
+            raise ValueError("the table Q of %s is not a polynomial with a nonzero "
+                             "constant term: %s" % (self.name, q))
+        if len(set(lambdas)) != len(lambdas):
             raise ValueError("fundamental terms are not pairwise distinct for %s" % self.name)
 
     @property
@@ -111,14 +117,15 @@ def _view(rows, den: LaurentPoly | None = None) -> FieldMatrix:
     return FieldMatrix([[rfs[e] for e in row] for row in rows])
 
 
-@dataclass
 class VerificationOutcome:
     """A verdict: the messages of the checks that held, and the first failure."""
-    passed: bool = True
-    details: list[str] = field(default_factory=list)
-    failure: str | None = None
-    # verify_cartan only: whether M D^-1 Mtilde D^-1 = I was shown to hold
-    identity_holds: bool = False
+
+    def __init__(self):
+        self.passed = True
+        self.details: list[str] = []
+        self.failure: str | None = None
+        # verify_cartan only: whether M D^-1 Mtilde D^-1 = I was shown to hold
+        self.identity_holds = False
 
     def check(self, ok: bool, good: str, bad: str) -> bool:
         """Record one check and return ok.

@@ -8,7 +8,6 @@ identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .algebras import build_preset, verify_cartan
@@ -57,6 +56,7 @@ def _get_preset(args):
 
 def _emit(args, text_lines, json_obj, latex_lines=None):
     if args.format == "json":
+        import json
         payload = {"schema": SCHEMA}
         payload.update(json_obj)
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -19,12 +19,17 @@ a Laurent polynomial; the Laurent part is the delta content.
 verify_closure and verify_all record every check through
 VerificationOutcome.check (ClosureOutcome is a VerificationOutcome that
 also carries the bracket report and, for e6, the derived second series).
+
+Records go to the wqalg.poisson logger: INFO from bracket_sum when some
+delta-series coefficient is not +-1, WARNING from extract_t2_e6 when the
+derived series has such a coefficient.  logging is imported only when a
+record can be emitted: an INFO record is dropped while logging is not yet
+imported, since until then no handler can be added nor a level lowered.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 
 from .algebras import AlgebraPreset, VerificationOutcome, verify_cartan
@@ -32,7 +37,19 @@ from .exactfield import (LaurentPoly, RationalFunction, _exact_quotient, _int_va
                          laurent_divide, laurent_divmod)
 from .genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
 
-log = logging.getLogger(__name__)
+
+def _log(level: str, msg: str, *args) -> None:
+    """Log msg % args to the wqalg.poisson logger; level is "info" or "warning".
+
+    An info record is dropped unseen while logging is not imported (see the
+    module notes); a warning imports logging.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        if level == "info":
+            return
+        import logging
+    getattr(logging.getLogger(__name__), level)(msg, *args)
 
 
 class NotDecomposableError(ValueError):
@@ -52,11 +69,17 @@ class NonUniformBaseError(ValueError):
     """A term pair produced a base coefficient differing from the rest of the sum."""
 
 
-@dataclass
 class DeltaDecomposition:
     """alpha * M_11 plus delta terms; ints where integral, else Fractions."""
-    base_coeff: int | Fraction
-    deltas: dict[int, int | Fraction]
+
+    def __init__(self, base_coeff: int | Fraction, deltas: dict[int, int | Fraction]):
+        self.base_coeff = base_coeff
+        self.deltas = deltas
+
+    def __eq__(self, other):
+        if not isinstance(other, DeltaDecomposition):
+            return NotImplemented
+        return self.base_coeff == other.base_coeff and self.deltas == other.deltas
 
     def sorted_deltas(self):
         return sorted(self.deltas.items())
@@ -141,16 +164,18 @@ def decompose(s: RationalFunction, preset: AlgebraPreset) -> DeltaDecomposition:
     return DeltaDecomposition(*_split_numerator(num, preset))
 
 
-@dataclass
 class BracketReport:
     """Result of a bracketed pair of series: base times M_11 plus delta terms.
 
     delta_terms maps shift a to C_a(z), the coefficient of Delta(a) after the
     substitution w = zq^{-a}.
     """
-    algebra: str
-    base_coeff: int | Fraction
-    delta_terms: dict[int, SeriesExpr]
+
+    def __init__(self, algebra: str, base_coeff: int | Fraction,
+                 delta_terms: dict[int, SeriesExpr]):
+        self.algebra = algebra
+        self.base_coeff = base_coeff
+        self.delta_terms = delta_terms
 
     @property
     def shifts(self):
@@ -237,18 +262,19 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     if nonunit:
         # informational: verify_closure matches every coefficient against its series
         a, _, c = min(nonunit, key=lambda amc: (amc[0], amc[1].sort_key()))
-        log.info("%s bracket: %d delta-series coefficients are not +-1 "
-                 "(first: shift %d, coefficient %s)", preset.name, len(nonunit), a, c)
+        _log("info", "%s bracket: %d delta-series coefficients are not +-1 "
+             "(first: shift %d, coefficient %s)", preset.name, len(nonunit), a, c)
     delta_terms = {a: SeriesExpr._raw(_int_valued(d)) for a, d in acc.items() if d}
     return BracketReport(algebra=preset.name, base_coeff=base or 0, delta_terms=delta_terms)
 
 
-@dataclass
 class DerivedSeries:
-    shift: int
-    series: SeriesExpr
-    term_count: int
-    coefficient_counts: dict[int | Fraction, int]
+    def __init__(self, shift: int, series: SeriesExpr, term_count: int,
+                 coefficient_counts: dict[int | Fraction, int]):
+        self.shift = shift
+        self.series = series
+        self.term_count = term_count
+        self.coefficient_counts = coefficient_counts
 
 
 def extract_t2_e6(report: BracketReport) -> DerivedSeries:
@@ -265,17 +291,18 @@ def extract_t2_e6(report: BracketReport) -> DerivedSeries:
             for c in series.terms.values():
                 counts[c] = counts.get(c, 0) + 1
             if set(counts) != {1}:
-                log.warning("derived series at shift %d has non-unit coefficients: %s",
-                            shift, {str(k): v for k, v in sorted(counts.items())})
+                _log("warning", "derived series at shift %d has non-unit coefficients: %s",
+                     shift, {str(k): v for k, v in sorted(counts.items())})
             return DerivedSeries(shift=shift, series=series,
                                  term_count=len(series), coefficient_counts=counts)
     raise NotDecomposableError("no magnitude-2 delta series with positive coefficients")
 
 
-@dataclass
 class ClosureOutcome(VerificationOutcome):
-    report: BracketReport | None = None
-    derived: DerivedSeries | None = None   # e6 only: the derived second series
+    def __init__(self):
+        super().__init__()
+        self.report: BracketReport | None = None
+        self.derived: DerivedSeries | None = None   # e6 only: the derived second series
 
 
 def _match_series(out, report, shift, expected, label):

@@ -1,12 +1,13 @@
 """Test-side oracles: exact evaluation, a Fraction-matrix inverse, matrix
-products over Laurent fractions, and a bracket over all ordered pairs.  None
+products over Laurent fractions, and a bracket over all ordered pairs; and
+replace_preset, which builds a changed copy of a preset.  None
 of this is part of the package, and none of it shares code with the
 verification paths it checks.
 """
 
 from fractions import Fraction
 
-from wqalg import decompose, symbol
+from wqalg import AlgebraPreset, decompose, symbol
 from wqalg.exactfield import LaurentPoly, RationalFunction
 from wqalg.genexpr import SeriesExpr, YMonomial
 from wqalg.rflinalg import FieldMatrix
@@ -14,6 +15,14 @@ from wqalg.rflinalg import FieldMatrix
 
 class SingularMatrixError(ValueError):
     pass
+
+
+def replace_preset(preset, **changes):
+    """A new AlgebraPreset with the given tables changed and the others shared."""
+    fields = {name: getattr(preset, name)
+              for name in ("kind", "pair_table", "d", "mtilde", "lambdas")}
+    fields.update(changes)
+    return AlgebraPreset(**fields)
 
 
 def evaluate(obj, x):

@@ -1,6 +1,5 @@
 """Preset data: matrix entries, monomial tables, deformed Cartan verification."""
 
-import dataclasses
 import gc
 import re
 import weakref
@@ -8,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import evaluate, laurent_sum
+from oracle import evaluate, laurent_sum, replace_preset
 from wqalg import build_preset, verify_all, verify_cartan
 from wqalg.algebras import _classical_limit, _pair_table, symmetrized_cartan
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
@@ -63,7 +62,7 @@ def test_lambdas_pairwise_distinct(g2, e6, d4, d5):
 def test_preset_rejects_repeated_lambdas(g2):
     lams = g2.lambdas
     with pytest.raises(ValueError, match="fundamental terms are not pairwise distinct for g2"):
-        dataclasses.replace(g2, lambdas=lams[:-1] + lams[:1])
+        replace_preset(g2, lambdas=lams[:-1] + lams[:1])
 
 
 def test_d_matrix_structure(g2, e6, d5):
@@ -109,7 +108,7 @@ def test_verify_cartan_dn_and_limit(n):
 
 
 def test_verify_cartan_reports_first_mismatch(g2):
-    corrupted = dataclasses.replace(g2, mtilde=_replace_entry(g2.mtilde, 0, 1, sym_minus(1)))
+    corrupted = replace_preset(g2, mtilde=_replace_entry(g2.mtilde, 0, 1, sym_minus(1)))
     out = verify_cartan(corrupted)
     assert not out.passed
     assert "(1,2)" in out.failure
@@ -145,21 +144,38 @@ def test_classical_limit_of_rational_coefficients():
     assert _classical_limit(LaurentPoly({2: 1})) is None
 
 
-def test_verify_cartan_names_a_pole_of_the_limit(g2):
+def _limit_pole_tables(g2):
     # a consistent preset (M = D Mtilde'^-1 D, so the residual check passes)
-    # whose Mtilde'_11 = t^2 - t^-2 + 1 is nonzero at t = 1
+    # whose Mtilde'_11 = t^2 - t^-2 + 1 is nonzero at t = 1: the entry, Mtilde',
+    # Q = det Mtilde' and N = D adj(Mtilde') D
     entry = laurent_sum(sym_minus(2), LaurentPoly.one())
     mtilde = _replace_entry(g2.mtilde, 0, 0, entry)
-    # the pair table of M = D adj(Mtilde') D / det Mtilde': Q = det, N = D adj D
     (a, b), (c, d) = mtilde
     det = laurent_sum(a * d, -(b * c))
     dd = g2.d
     adj = [[d, -b], [-c, a]]
     nums = tuple(tuple(dd[i] * adj[i][j] * dd[j] for j in range(2)) for i in range(2))
-    out = verify_cartan(dataclasses.replace(g2, pair_table=(det, nums), mtilde=mtilde))
+    return entry, mtilde, det, nums
+
+
+def test_verify_cartan_names_a_pole_of_the_limit(g2):
+    entry, mtilde, det, nums = _limit_pole_tables(g2)
+    # Q and N shift together, leaving M unchanged, so that Q has min exponent 0
+    k = det.min_exp
+    nums = tuple(tuple(e.shift(-k) for e in row) for row in nums)
+    out = verify_cartan(replace_preset(g2, pair_table=(det.shift(-k), nums), mtilde=mtilde))
     assert out.identity_holds and not out.passed
     assert out.failure == ("limit entry (1,1): %s divided by t - t^-1 has a pole at t = 1"
                            % entry)
+
+
+def test_preset_rejects_a_q_with_negative_exponents(g2):
+    # laurent_divmod divides by Q, so Q must be a polynomial with a nonzero
+    # constant term; unshifted, det Mtilde' has min exponent -8
+    _, mtilde, det, nums = _limit_pole_tables(g2)
+    assert det.min_exp < 0
+    with pytest.raises(ValueError, match="the table Q of g2 is not a polynomial"):
+        replace_preset(g2, pair_table=(det, nums), mtilde=mtilde)
 
 
 # --- the division-free identity check: failure paths --------------------------
@@ -172,7 +188,7 @@ def _replace_entry(rows, i, j, value):
 
 def test_verify_cartan_names_a_residual_entry_in_the_changed_column(d5):
     mtilde = _replace_entry(d5.mtilde, 1, 2, sym_minus(3))
-    out = verify_cartan(dataclasses.replace(d5, mtilde=mtilde))
+    out = verify_cartan(replace_preset(d5, mtilde=mtilde))
     assert not out.passed and not out.identity_holds
     match = re.match(r"entry \((\d+),(\d+)\) of M D\^-1 Mtilde D\^-1: ", out.failure)
     assert match, out.failure
@@ -188,7 +204,7 @@ def test_verify_cartan_names_a_residual_entry_in_the_changed_column(d5):
 
 
 def test_verify_cartan_rejects_a_zero_diagonal_d_entry(g2):
-    out = verify_cartan(dataclasses.replace(g2, d=(g2.d[0], LaurentPoly.zero())))
+    out = verify_cartan(replace_preset(g2, d=(g2.d[0], LaurentPoly.zero())))
     assert not out.passed and not out.identity_holds
     assert out.failure == "D entry (2,2) is 0; D must be diagonal with a nonzero diagonal"
 
@@ -196,21 +212,21 @@ def test_verify_cartan_rejects_a_zero_diagonal_d_entry(g2):
 def test_preset_rejects_tables_larger_than_its_diagonal(e6):
     # the rank is len(d): the 6 x 6 tables of e6 do not fit a diagonal of 5
     with pytest.raises(ValueError, match="the table N of e6 is not square of size len"):
-        dataclasses.replace(e6, d=e6.d[:5])
+        replace_preset(e6, d=e6.d[:5])
 
 
 def test_preset_rejects_a_table_that_is_not_square(g2):
     a = sym_minus(2)
     with pytest.raises(ValueError, match="the table mtilde of g2 is not square"):
-        dataclasses.replace(g2, mtilde=((a,), (a, a)))
+        replace_preset(g2, mtilde=((a,), (a, a)))
     q, nums = g2.pair_table
     with pytest.raises(ValueError, match="the table N of g2 is not square"):
-        dataclasses.replace(g2, pair_table=(q, (nums[0], nums[1][:1])))
+        replace_preset(g2, pair_table=(q, (nums[0], nums[1][:1])))
 
 
 def test_verify_all_reports_singular_mtilde_without_raising(g2):
     a = sym_minus(2)
-    out = verify_all(dataclasses.replace(g2, mtilde=((a, a), (a, a))))
+    out = verify_all(replace_preset(g2, mtilde=((a, a), (a, a))))
     assert out.passed is False
     assert "FAIL dual identity fails" in out.details
 

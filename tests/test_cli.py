@@ -2,9 +2,14 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wqalg
+from oracle import replace_preset
 from wqalg.cli import main
 
 
@@ -96,6 +101,22 @@ def test_emit_t2_e6_warns_once(capsys, caplog):
     assert len(warnings) == 1, warnings
 
 
+@pytest.mark.parametrize("argv, stderr", [
+    (("emit-t2", "--algebra", "e6"),
+     "derived series at shift -2 has non-unit coefficients: {'1': 324, '2': 27}\n"),
+    # the d4 bracket has coefficients other than +-1: an INFO record, not shown
+    (("closure", "--algebra", "dn", "--n", "4"), ""),
+])
+def test_stderr_of_a_fresh_process(argv, stderr):
+    # pytest imports logging, so only a fresh process takes the path where
+    # wqalg.poisson has to import logging itself to emit a record
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wqalg.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "wqalg.cli", *argv], cwd=src,
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == stderr
+
+
 def test_verify_all_g2(capsys):
     code, out, _ = run(capsys, "verify-all", "--algebra", "g2")
     assert code == 0
@@ -118,12 +139,11 @@ def test_usage_errors_exit_2(capsys, argv):
 
 
 def test_mismatch_exits_1(capsys, monkeypatch):
-    import dataclasses
     import wqalg.cli as cli_mod
     real = cli_mod.build_preset("dn", 9)
     lams = list(real.lambdas)
     lams[0] = lams[0].shift_arg(2)
-    corrupted = dataclasses.replace(real, lambdas=tuple(lams))
+    corrupted = replace_preset(real, lambdas=tuple(lams))
     monkeypatch.setattr(cli_mod, "build_preset", lambda kind, n=None: corrupted)
     code, out, _ = run(capsys, "verify-all", "--algebra", "dn", "--n", "9")
     assert code == 1

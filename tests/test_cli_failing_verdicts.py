@@ -7,13 +7,12 @@ the sha256 of stdout and the exit status are compared with recorded values,
 so the failure paths keep every reported byte too.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
 
 import wqalg.cli as cli_mod
-from oracle import laurent_sum
+from oracle import laurent_sum, replace_preset
 from wqalg import build_preset
 from wqalg.exactfield import LaurentPoly, sym_minus
 
@@ -25,7 +24,7 @@ def _replace_entry(rows, i, j, value):
 
 
 def _wrong_mtilde_entry(g2):
-    return dataclasses.replace(g2, mtilde=_replace_entry(g2.mtilde, 0, 1, sym_minus(1)))
+    return replace_preset(g2, mtilde=_replace_entry(g2.mtilde, 0, 1, sym_minus(1)))
 
 
 def _limit_pole(g2):
@@ -38,32 +37,32 @@ def _limit_pole(g2):
     adj = [[d, -b], [-c, a]]
     nums = tuple(tuple((g2.d[i] * adj[i][j] * g2.d[j]).shift(-det.min_exp) for j in range(2))
                  for i in range(2))
-    return dataclasses.replace(g2, pair_table=(det.shift(-det.min_exp), nums), mtilde=mtilde)
+    return replace_preset(g2, pair_table=(det.shift(-det.min_exp), nums), mtilde=mtilde)
 
 
 def _singular_mtilde(g2):
     a = sym_minus(2)
-    return dataclasses.replace(g2, mtilde=((a, a), (a, a)))
+    return replace_preset(g2, mtilde=((a, a), (a, a)))
 
 
 def _shifted_lambda(index, by):
     def corrupt(preset):
         lams = list(preset.lambdas)
         lams[index] = lams[index].shift_arg(by)
-        return dataclasses.replace(preset, lambdas=tuple(lams))
+        return replace_preset(preset, lambdas=tuple(lams))
     return corrupt
 
 
 def _with_m12(entry):
     def corrupt(g2):
         q, nums = g2.pair_table
-        return dataclasses.replace(g2, pair_table=(q, ((nums[0][0], entry), (entry, nums[1][1]))))
+        return replace_preset(g2, pair_table=(q, ((nums[0][0], entry), (entry, nums[1][1]))))
     return corrupt
 
 
 def _laurent_m11(g2):
     q, nums = g2.pair_table
-    return dataclasses.replace(g2, pair_table=(q, ((sym_minus(1) * q, nums[0][1]), nums[1])))
+    return replace_preset(g2, pair_table=(q, ((sym_minus(1) * q, nums[0][1]), nums[1])))
 
 
 # name -> (kind, n, corruption of the built preset)

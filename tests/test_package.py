@@ -5,7 +5,6 @@ import contextlib
 import functools
 import inspect
 import io
-import json
 import os
 import subprocess
 import sys
@@ -22,16 +21,22 @@ def test_every_exported_name_resolves():
 
 
 def test_cli_import_loads_no_test_code():
-    # a fresh interpreter, so that nothing the test session imported is counted
+    # a fresh interpreter, so that nothing the test session imported is
+    # counted; it prints the modules a bare interpreter loads under this
+    # environment and those loaded once wqalg.cli is imported, each with its file
     src = os.path.dirname(os.path.dirname(os.path.abspath(wqalg.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import json, sys\nimport wqalg.cli\n"
-             "print(json.dumps({name: getattr(mod, '__file__', None)"
-             " for name, mod in list(sys.modules.items())}))")
+    probe = ("import sys\nbare = sorted(sys.modules)\nimport wqalg.cli\n"
+             "print(repr((bare, {name: getattr(mod, '__file__', None)"
+             " for name, mod in list(sys.modules.items())})))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=src,
                           capture_output=True, text=True, check=True)
-    modules = json.loads(proc.stdout)
+    bare, modules = ast.literal_eval(proc.stdout)
     assert "wqalg.cli" in modules
+    # no command needs these to start: json loads for --format json only,
+    # logging only when a record can be emitted
+    added = set(modules) - set(bare)
+    assert not added & {"dataclasses", "inspect", "logging", "json"}
     test_only = [name for name in modules
                  if name.split(".")[0] in ("sympy", "hypothesis", "pytest", "_pytest")]
     assert not test_only
@@ -63,7 +68,7 @@ def _package_functions():
 
     Module-level functions, methods (class and static ones too), property
     getters and cached_property bodies; not nested functions or lambdas,
-    and not the methods dataclasses generate.
+    and not __eq__ or __hash__.
     """
     src = os.path.dirname(os.path.abspath(wqalg.__file__))
     found = {}

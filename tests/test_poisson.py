@@ -1,6 +1,5 @@
 """Bracket symbols, delta decompositions, and closure verification."""
 
-import dataclasses
 import logging
 from fractions import Fraction
 
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 import wqalg.exactfield as exactfield
 import wqalg.poisson as poisson_mod
 from oracle import (antisymmetry_ok, assert_int_valued, evaluate, int_valued,
-                    laurent_sum, ordered_pair_bracket)
+                    laurent_sum, ordered_pair_bracket, replace_preset)
 from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
                    build_preset, decompose, extract_t2_e6, symbol, verify_all,
                    verify_closure)
@@ -180,7 +179,7 @@ def test_decompose_round_trip(request, name, alpha, deltas):
 def test_decompose_rejects_laurent_m11(g2):
     # uniqueness of the split rests on M_11 not being a Laurent polynomial
     q, nums = g2.pair_table
-    laurent = dataclasses.replace(
+    laurent = replace_preset(
         g2, pair_table=(q, ((sym_minus(1) * q, nums[0][1]), nums[1])))
     guard = "M_11 of g2 is a Laurent polynomial; delta decompositions would not be unique"
     with pytest.raises(ValueError, match=guard):
@@ -424,7 +423,7 @@ def test_bracket_sum_not_decomposable_names_pair(g2):
     # N_12 = t^4 (t - t^-1)
     q, nums = g2.pair_table
     odd = LaurentPoly({5: 1, 3: -1})
-    corrupted = dataclasses.replace(g2, pair_table=(q, ((nums[0][0], odd), (odd, nums[1][1]))))
+    corrupted = replace_preset(g2, pair_table=(q, ((nums[0][0], odd), (odd, nums[1][1]))))
     assert corrupted.m_parity == (True, True)
     t1 = build_t1(corrupted)
     with pytest.raises(NotDecomposableError) as err:
@@ -437,7 +436,7 @@ def test_bracket_sum_requires_symmetric_odd_m(g2, monkeypatch, capsys):
     # its reverse would not be exact, so nothing is bracketed
     q, nums = g2.pair_table
     one = LaurentPoly.one()
-    corrupted = dataclasses.replace(g2, pair_table=(q, ((nums[0][0], one), (one, nums[1][1]))))
+    corrupted = replace_preset(g2, pair_table=(q, ((nums[0][0], one), (one, nums[1][1]))))
     assert corrupted.m_parity == (True, False)
     message = ("M of g2 is not both symmetric and odd under t -> 1/t; "
                "brackets over unordered pairs would not be exact")
@@ -471,7 +470,7 @@ def test_verify_closure_reports_series_mismatch(d4, monkeypatch):
 def test_verify_closure_detects_corrupted_lambda(g2):
     lams = list(g2.lambdas)
     lams[5] = lams[5].shift_arg(2)
-    corrupted = dataclasses.replace(g2, lambdas=tuple(lams))
+    corrupted = replace_preset(g2, lambdas=tuple(lams))
     out = verify_closure(corrupted)
     assert not out.passed
     assert out.failure
@@ -546,7 +545,7 @@ def test_verify_all_fails_on_corrupted_preset():
     base = build_preset("dn", 4)
     lams = list(base.lambdas)
     lams[0] = lams[0].shift_arg(1)
-    corrupted = dataclasses.replace(base, lambdas=tuple(lams))
+    corrupted = replace_preset(base, lambdas=tuple(lams))
     out = verify_all(corrupted)
     assert not out.passed
     assert out.failure
