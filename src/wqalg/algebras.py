@@ -94,6 +94,15 @@ class AlgebraPreset:
         return laurent_divmod(nums[0][0], q)
 
     @cached_property
+    def splits(self) -> dict:
+        """The split table: symbol numerator -> (alpha, delta items).
+
+        Empty on a new preset; poisson._split_numerator is its only reader
+        and writer, and stores successful splits only, up to a fixed cap.
+        """
+        return {}
+
+    @cached_property
     def m_parity(self) -> tuple[bool, bool]:
         """(symmetric, odd) for M = N/Q, read off the pair table.
 

@@ -16,6 +16,11 @@ so delta(w/zq^k) is Delta(-k) and delta(wq^k/z) is Delta(+k).  A symbol
 decomposes uniquely as alpha * M_11(t) + Laurent part because M_11 is not
 a Laurent polynomial; the Laurent part is the delta content.
 
+Each preset splits each distinct symbol numerator once: _split_numerator
+keeps the preset's split table (AlgebraPreset.splits), keyed by numerator.
+It stores successful splits only, and stops storing at _SPLIT_TABLE_CAP
+entries; a new preset starts with an empty table.
+
 verify_closure and verify_all record every check through
 VerificationOutcome.check (ClosureOutcome is a VerificationOutcome that
 also carries the bracket report and, for e6, the derived second series).
@@ -59,6 +64,9 @@ class NotDecomposableError(ValueError):
     so that a split would not be unique.
     """
 
+
+# Entries of a preset's split table: d256 has about 260 distinct symbol numerators
+_SPLIT_TABLE_CAP = 4096
 
 _LAURENT_M11 = "M_11 of %s is a Laurent polynomial; delta decompositions would not be unique"
 _M_NOT_SYMMETRIC_ODD = ("M of %s is not both symmetric and odd under t -> 1/t; "
@@ -122,7 +130,15 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
     rem = alpha * rem11, and then the delta part is quo - alpha * quo11.
     The arithmetic stays in ints wherever the coefficients are integral;
     alpha and the nonzero deltas are ints when integral, else Fractions.
+
+    Each distinct numerator is divided once per preset: a success is stored
+    in preset.splits while it holds fewer than _SPLIT_TABLE_CAP entries, and
+    a stored split is returned with a fresh deltas dict.
     """
+    splits = preset.splits
+    hit = splits.get(num)
+    if hit is not None:
+        return hit[0], dict(hit[1])
     q = preset.pair_table[0]
     quo11, rem11 = preset.m11_split
     if not rem11:
@@ -140,7 +156,10 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
             quo[e] = y
         else:
             quo.pop(e, None)
-    return alpha, _int_valued(quo)
+    deltas = _int_valued(quo)
+    if len(splits) < _SPLIT_TABLE_CAP:
+        splits[num] = alpha, tuple(deltas.items())
+    return alpha, deltas
 
 
 def decompose(s: RationalFunction, preset: AlgebraPreset) -> DeltaDecomposition:
@@ -413,27 +432,31 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
           "some matrix entry is not odd under t -> 1/t")
     check(cartan.identity_holds, "dual identity D Mtilde^-1 D = M", "dual identity fails")
 
-    # the M_11 guard is a property of the preset: report it once, not per bracket
+    # the M_11 guard and the parity of M are properties of the preset: report
+    # them once, not per bracket (the closure reports a failed parity)
     if not preset.m11_split[1]:
         check(False, "", "diagonal brackets do not decompose: " + _LAURENT_M11 % preset.name)
-    else:
-        impure = []
+    elif all(preset.m_parity):
+        impure, complete = [], True
         for i, lam in enumerate(preset.lambdas, start=1):
             try:
                 alpha, deltas = _split_numerator(_symbol_numerator(lam, lam, preset), preset)
             except NotDecomposableError as exc:
                 check(False, "", "diagonal bracket %d does not decompose: %s" % (i, exc))
+                complete = False
                 continue
             if alpha != 1 or deltas:
                 impure.append((i, sorted(deltas.items())))
+        # a "pure" verdict covers every diagonal bracket, so it needs a complete set
         if preset.kind == "dn":
-            check(not impure, "every diagonal bracket is exactly MM_11 (pure)",
-                  "diagonal bracket not pure at index %s" % [i for i, _ in impure])
+            if impure or complete:
+                check(not impure, "every diagonal bracket is exactly MM_11 (pure)",
+                      "diagonal bracket not pure at index %s" % [i for i, _ in impure])
         elif impure:
             out.details.append("NOTE diagonal brackets with delta terms: " + "; ".join(
                 "index %d: %s" % (i, ", ".join("Delta(%+d): %s" % sc for sc in ds))
                 for i, ds in impure))
-        else:
+        elif complete:
             out.details.append("NOTE every diagonal bracket is pure")
 
     closure = verify_closure(preset)

@@ -106,9 +106,9 @@ EXPECTED = {
     ("g2-limit-pole", "closure", "json"): (1,
         "76d22f6651f2b614ab170f41e23988066102f1e439dd5246bc3fcf93b412a4d1"),
     ("g2-limit-pole", "verify-all", "text"): (1,
-        "65ff892231a32480f9766f152a740fe634ad6ecf570fd244fe95aadb460acd9b"),
+        "ff0d5bf06e97aa2086561b94c1fbcb3240391254d3cd7f4736e95c1abb2b9efa"),
     ("g2-limit-pole", "verify-all", "json"): (1,
-        "62aeac68b56ca60d94a76d5a96d8d1ab85e280565ae4565e2d561ce4b8b2bef6"),
+        "53a98720231c48703d6f1d9acdc61f94359edc8bd2f5daf11ecbfd53a985aa8e"),
     ("g2-singular-mtilde", "verify-cartan", "text"): (1,
         "eed0b20d3183556203084f89f4114438e85acb353bba314405ab7622dd8794ff"),
     ("g2-singular-mtilde", "verify-cartan", "json"): (1,
@@ -166,9 +166,9 @@ EXPECTED = {
     ("g2-m-not-odd", "closure", "json"): (1,
         "76d22f6651f2b614ab170f41e23988066102f1e439dd5246bc3fcf93b412a4d1"),
     ("g2-m-not-odd", "verify-all", "text"): (1,
-        "2099bd8351b89891f14a1b54a018d5c3ca6860285973ccc877ab7b80189bd987"),
+        "de5d2c1ee5f0e86c598017ce1c0e32418e2715af7c9cf7a8cdc1e06e4ce2baba"),
     ("g2-m-not-odd", "verify-all", "json"): (1,
-        "9dc2bbb7e6823d5f6abfbffac8fad0f3df0cb7ffb5472c74444301253a22dfe6"),
+        "cd2bfe3502bb5affc556affe641b959f9695a3e87b802df00ee28eaf280f83ac"),
     ("g2-m12-not-decomposable", "verify-cartan", "text"): (1,
         "8358cf5dc0ccb28409626fcaa886a26ec5bd5d6039f96821e3276f36e5d68e35"),
     ("g2-m12-not-decomposable", "verify-cartan", "json"): (1,

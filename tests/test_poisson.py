@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wqalg.algebras as algebras_mod
 import wqalg.exactfield as exactfield
 import wqalg.poisson as poisson_mod
 from oracle import (antisymmetry_ok, assert_int_valued, evaluate, int_valued,
@@ -321,6 +322,49 @@ def test_e6_pair_1_5_has_double_delta(e6):
     assert dec.deltas.get(-2) == 2
 
 
+# --- the split table ------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 5)])
+def test_decompose_on_a_warm_preset_matches_a_fresh_one(kind, n):
+    warm = build_preset(kind, n)
+    pairs = [(a, b) for a in warm.lambdas for b in warm.lambdas]
+    for a, b in pairs:
+        decompose(symbol(a, b, warm), warm)
+    assert warm.splits
+    assert replace_preset(warm).splits == {}
+    for a, b in pairs:
+        fresh = replace_preset(warm)
+        assert decompose(symbol(a, b, warm), warm) == decompose(symbol(a, b, fresh), fresh)
+
+
+def test_mutating_returned_deltas_leaves_later_splits_alone():
+    g2 = build_preset("g2")
+    lam = g2.lambdas[3]
+    want = {-4: 1, -2: -1, 2: 1, 4: -1}
+    for _ in range(3):
+        dec = decompose(symbol(lam, lam, g2), g2)
+        assert dec.base_coeff == 1 and dec.deltas == want
+        dec.deltas[0] = 7
+        del dec.deltas[4]
+
+
+def test_split_table_stays_within_its_cap(monkeypatch):
+    uncapped = build_preset("e6")
+    pairs = [(a, b) for a in uncapped.lambdas for b in uncapped.lambdas]
+    want = [decompose(symbol(a, b, uncapped), uncapped) for a, b in pairs]
+    t1 = build_t1(uncapped)
+    report = bracket_sum(t1, t1, uncapped)
+    assert len(uncapped.splits) > 3
+    monkeypatch.setattr(poisson_mod, "_SPLIT_TABLE_CAP", 3)
+    capped = build_preset("e6")
+    for (a, b), dec in zip(pairs, want):
+        assert decompose(symbol(a, b, capped), capped) == dec
+        assert len(capped.splits) <= 3
+    again = bracket_sum(t1, t1, capped)
+    assert len(capped.splits) == 3
+    assert (again.base_coeff, again.delta_terms) == (report.base_coeff, report.delta_terms)
+
+
 # --- bracket_sum and closure ----------------------------------------------------
 
 def test_bracket_sum_g2_full_delta_map(g2):
@@ -377,9 +421,11 @@ def test_bracket_report_antisymmetry(closure_presets):
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 5),
                                     ("dn", 6)])
 def test_bracket_sum_matches_ordered_pair_oracle(kind, n):
-    preset = build_preset(kind, n)
+    # each side on its own preset, so that no split of the oracle's is
+    # read back from the engine's split table
+    preset, oracle_preset = build_preset(kind, n), build_preset(kind, n)
     t1 = build_t1(preset)
-    base, deltas = ordered_pair_bracket(t1, t1, preset)
+    base, deltas = ordered_pair_bracket(t1, t1, oracle_preset)
     report = bracket_sum(t1, t1, preset)
     assert report.base_coeff == base == 1
     assert report.delta_terms == deltas
@@ -389,7 +435,7 @@ def test_bracket_sum_matches_ordered_pair_oracle(kind, n):
     lams = preset.lambdas
     t2 = SeriesExpr([(m, 3) for m in t1.terms] + [(lams[0], -3), (lams[1], Fraction(1, 2))])
     s2 = SeriesExpr(list(t1.terms.items()) + [(lams[-1], -1)])
-    base, deltas = ordered_pair_bracket(t2, s2, preset)
+    base, deltas = ordered_pair_bracket(t2, s2, oracle_preset)
     report = bracket_sum(t2, s2, preset)
     assert report.base_coeff == base and report.delta_terms == deltas
 
@@ -409,6 +455,34 @@ def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
     k = len(t1)
     assert len(calls) == k * (k + 1) // 2
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("kind,n", [("e6", None), ("dn", 7)])
+def test_bracket_sum_divides_each_distinct_numerator_once(kind, n, monkeypatch):
+    # one laurent_divmod per distinct symbol numerator, plus the one of m11_split
+    preset = build_preset(kind, n)
+    numerators, divided, m11 = [], [], []
+
+    def numerator(a, b, p):
+        numerators.append(_symbol_numerator(a, b, p))
+        return numerators[-1]
+
+    def counted(calls):
+        def divmod_(a, q):
+            calls.append(a)
+            return exactfield.laurent_divmod(a, q)
+        return divmod_
+
+    monkeypatch.setattr(poisson_mod, "_symbol_numerator", numerator)
+    monkeypatch.setattr(poisson_mod, "laurent_divmod", counted(divided))
+    monkeypatch.setattr(algebras_mod, "laurent_divmod", counted(m11))
+    t1 = build_t1(preset)
+    bracket_sum(t1, t1, preset)
+    distinct = set(numerators)
+    assert len(numerators) > len(distinct)
+    assert len(divided) == len(distinct) and set(divided) == distinct
+    assert len(m11) == 1
+    assert len(preset.splits) == len(distinct)
 
 
 def test_bracket_sum_nonuniform_base(g2):
@@ -539,6 +613,36 @@ def test_verify_all_passes(g2, e6, d4):
 def test_verify_all_records_g2_diagonal_note(g2):
     out = verify_all(g2)
     assert any(d.startswith("NOTE diagonal") for d in out.details)
+
+
+@pytest.mark.parametrize("kind,n", [("dn", 4), ("e6", None)])
+def test_verify_all_claims_no_pure_set_when_a_diagonal_bracket_fails(kind, n):
+    # M_23 = M_32 = t^(deg Q / 2) (t - t^-1) / Q keeps M symmetric and odd, and
+    # breaks the split of some diagonal brackets; the others are pure
+    base = build_preset(kind, n)
+    q, nums = base.pair_table
+    rows = [list(r) for r in nums]
+    rows[1][2] = rows[2][1] = sym_minus(1).shift(q.max_exp // 2)
+    corrupted = replace_preset(base, pair_table=(q, tuple(map(tuple, rows))))
+    assert corrupted.m_parity == (True, True)
+    out = verify_all(corrupted)
+    assert not out.passed
+    diagonal = [d for d in out.details if "diagonal bracket" in d]
+    assert diagonal and all(d.startswith("FAIL diagonal bracket ") for d in diagonal)
+    assert not [d for d in out.details if "every diagonal bracket" in d]
+
+
+def test_verify_all_reports_m_parity_once(g2):
+    # M_12 = M_21 = 1/Q is symmetric but not odd: no diagonal bracket is split,
+    # and the closure names the cause
+    q, nums = g2.pair_table
+    one = LaurentPoly.one()
+    corrupted = replace_preset(g2, pair_table=(q, ((nums[0][0], one), (one, nums[1][1]))))
+    out = verify_all(corrupted)
+    assert not [d for d in out.details if "diagonal" in d]
+    assert [d for d in out.details if "symmetric and odd" in d] == [
+        "FAIL M of g2 is not both symmetric and odd under t -> 1/t; "
+        "brackets over unordered pairs would not be exact"]
 
 
 def test_verify_all_fails_on_corrupted_preset():
