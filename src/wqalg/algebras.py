@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import mul
 
-from .exactfield import (LaurentPoly, RationalFunction, _exact_quotient, laurent_divide,
-                         laurent_divmod, sym_minus, sym_plus)
+from .exactfield import (LaurentPoly, RationalFunction, _add_scaled, _exact_quotient,
+                         _int_valued, laurent_divide, laurent_divmod, sym_minus, sym_plus)
 from .genexpr import YMonomial
 from .rflinalg import FieldMatrix
 
@@ -188,18 +188,25 @@ def _dn_pair_table(n: int):
     return _pair_table(den_long if n % 2 else den, rows)
 
 
-def _graph_mtilde(n: int, edges) -> LaurentRows:
-    diag, off, zero = sym_minus(2), -sym_minus(1), LaurentPoly.zero()
-    eset = {(min(a, b), max(a, b)) for a, b in edges}
-    return tuple(tuple(diag if i == j else (off if (min(i, j), max(i, j)) in eset else zero)
-                       for j in range(1, n + 1)) for i in range(1, n + 1))
-
-
-def _dn_edges(n: int):
-    return [(i, i + 1) for i in range(1, n - 2)] + [(n - 2, n - 1), (n - 2, n)]
-
-
 _E6_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
+
+
+def _graph_matrix(kind: str, rank: int, diag, off, zero) -> tuple[tuple, ...]:
+    """The rows of a matrix on the Dynkin graph of dn (of that rank) or e6.
+
+    diag on the diagonal, off at each edge (a, b), a < b, of the graph, zero
+    elsewhere.
+    """
+    if kind == "e6":
+        eset = set(_E6_EDGES)
+    else:
+        eset = {(i, i + 1) for i in range(1, rank - 2)} | {(rank - 2, rank - 1), (rank - 2, rank)}
+    return tuple(tuple(diag if i == j else (off if (min(i, j), max(i, j)) in eset else zero)
+                       for j in range(1, rank + 1)) for i in range(1, rank + 1))
+
+
+def _graph_mtilde(kind: str, rank: int) -> LaurentRows:
+    return _graph_matrix(kind, rank, sym_minus(2), -sym_minus(1), LaurentPoly.zero())
 
 
 def _dn_lambdas(n: int) -> tuple[YMonomial, ...]:
@@ -316,13 +323,13 @@ def build_preset(kind: str, n: int | None = None) -> AlgebraPreset:
             raise ValueError("the dn family needs n >= 4, got %r" % (n,))
         return AlgebraPreset(
             kind="dn", pair_table=_dn_pair_table(n), d=(sym_minus(1),) * n,
-            mtilde=_graph_mtilde(n, _dn_edges(n)), lambdas=_dn_lambdas(n))
+            mtilde=_graph_mtilde("dn", n), lambdas=_dn_lambdas(n))
     if n is not None:
         raise ValueError("n is only meaningful for the dn family")
     if kind == "e6":
         return AlgebraPreset(
             kind="e6", pair_table=_e6_pair_table(), d=(sym_minus(1),) * 6,
-            mtilde=_graph_mtilde(6, _E6_EDGES),
+            mtilde=_graph_mtilde("e6", 6),
             lambdas=tuple(YMonomial.from_factors(f) for f in _E6_LAMBDA_FACTORS))
     if kind == "g2":
         return AlgebraPreset(
@@ -336,11 +343,7 @@ def symmetrized_cartan(preset: AlgebraPreset):
     """Integer matrix the normalized t -> 1 limit of the deformed matrix must hit."""
     if preset.kind == "g2":
         return [[2, -3], [-3, 6]]
-    edges = _dn_edges(preset.n) if preset.kind == "dn" else _E6_EDGES
-    eset = {(min(a, b), max(a, b)) for a, b in edges}
-    r = preset.rank
-    return [[2 if i == j else (-1 if (min(i, j), max(i, j)) in eset else 0)
-             for j in range(1, r + 1)] for i in range(1, r + 1)]
+    return _graph_matrix(preset.kind, preset.rank, 2, -1, 0)
 
 
 def _identity_residual(preset: AlgebraPreset) -> str | None:
@@ -378,10 +381,9 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
         for j in range(r):
             acc = {}
             for k, w in cols[j]:
-                for e1, c1 in nums[i][k].terms.items():
-                    for e2, c2 in w.items():
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-            lhs = LaurentPoly(acc)
+                for e, c in nums[i][k].terms.items():
+                    _add_scaled(acc, e, c, w)
+            lhs = LaurentPoly._raw(_int_valued(acc))
             if lhs != (diag[j] if i == j else zero):
                 return ("entry (%d,%d) of M D^-1 Mtilde D^-1: computed %s, expected %d"
                         % (i + 1, j + 1, RationalFunction(lhs, diag[j]), i == j))

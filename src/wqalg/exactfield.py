@@ -6,7 +6,10 @@ coefficient is an exact rational, held as a Python int wherever it is
 integral and as a Fraction only where it is not; zeros are never stored and
 anything else (a float, say) is rejected.  Term maps are built through
 the one collector _collect below and normalised by _int_valued, so the
-policy is applied in one place.
+policy is applied in one place.  Sums of scaled, shifted term maps (products,
+the steps of laurent_divmod, the bracket-symbol numerators, the Cartan
+residual) all add through the one kernel _add_scaled, which is where such a
+sum drops the terms that cancel.
 
 LaurentPoly is the ring the checks run in: products, division with
 remainder by a polynomial (laurent_divmod) and exact division
@@ -68,6 +71,22 @@ def _collect(terms) -> dict:
             else:
                 del data[k]
     return _int_valued(data)
+
+
+def _add_scaled(acc: dict, shift: int, coeff, terms: dict) -> None:
+    """acc += coeff * t^shift * terms, in place, deleting each sum that cancels.
+
+    coeff must be nonzero, and terms holds no zeros, so a key is deleted
+    only where acc held it.  Fractions with denominator 1 are left for
+    _int_valued.
+    """
+    for e, c in terms.items():
+        k = e + shift
+        s = acc.get(k, 0) + coeff * c
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
 
 
 def _signed_sum(terms, sep) -> str:
@@ -141,14 +160,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         data = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = data.get(e, 0) + c1 * c2
-                if s:
-                    data[e] = s
-                else:
-                    del data[e]
+        for e, c in self.terms.items():
+            _add_scaled(data, e, c, other.terms)
         return LaurentPoly._raw(_int_valued(data))
 
     def shift(self, k: int) -> "LaurentPoly":
@@ -229,19 +242,13 @@ def laurent_divmod(a: LaurentPoly, q: LaurentPoly):
     for pivot, exps in ((0, range(min(rem), 0)), (deg, range(max(rem), deg - 1, -1))):
         lead = qt[pivot]
         for e in exps:
-            x = rem.pop(e, 0)
-            if not x:
+            x = rem.get(e)
+            if x is None:
                 continue
             c = _exact_quotient(x, lead)
-            s = e - pivot
-            quo[s] = c
-            for k, v in qt.items():
-                if k != pivot:
-                    y = rem.get(s + k, 0) - c * v
-                    if y:
-                        rem[s + k] = y
-                    else:
-                        rem.pop(s + k, None)
+            quo[e - pivot] = c
+            # clears the term at e exactly: c * lead == x
+            _add_scaled(rem, e - pivot, -c, qt)
     return quo, _int_valued(rem)
 
 

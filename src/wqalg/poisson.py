@@ -38,8 +38,8 @@ import sys
 from fractions import Fraction
 
 from .algebras import AlgebraPreset, VerificationOutcome, verify_cartan
-from .exactfield import (LaurentPoly, RationalFunction, _exact_quotient, _int_valued,
-                         laurent_divide, laurent_divmod)
+from .exactfield import (LaurentPoly, RationalFunction, _add_scaled, _exact_quotient,
+                         _int_valued, laurent_divide, laurent_divmod)
 from .genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
 
 
@@ -109,16 +109,9 @@ def _symbol_numerator(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> Laur
     nums = preset.pair_table[1]
     acc = {}
     for (i, ash), e in a.items():
+        row = nums[i - 1]
         for (j, bsh), f in b.items():
-            coeff = e * f
-            shift = bsh - ash
-            for exp, c in nums[i - 1][j - 1].terms.items():
-                k = exp + shift
-                s = acc.get(k, 0) + coeff * c
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
+            _add_scaled(acc, bsh - ash, e * f, row[j - 1].terms)
     return LaurentPoly._raw(acc)
 
 
@@ -150,12 +143,8 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
         raise NotDecomposableError(
             "no rational base coefficient leaves a pure delta part for symbol (%s)/(%s)"
             % (num, q))
-    for e, c in quo11.items():
-        y = quo.get(e, 0) - alpha * c
-        if y:
-            quo[e] = y
-        else:
-            quo.pop(e, None)
+    if alpha:
+        _add_scaled(quo, 0, -alpha, quo11)
     deltas = _int_valued(quo)
     if len(splits) < _SPLIT_TABLE_CAP:
         splits[num] = alpha, tuple(deltas.items())
@@ -297,24 +286,24 @@ class DerivedSeries:
 
 
 def extract_t2_e6(report: BracketReport) -> DerivedSeries:
-    """The derived E6 second series: the magnitude-2 delta coefficient.
+    """The derived E6 second series: C(-2), the coefficient of delta(w/zq^2).
 
-    The carrying shift is the one whose series has all-positive coefficients;
-    non-unit coefficients are reported at warn level (they arise when distinct
-    weight vectors share a monomial).
+    That is where the D_n and G_2 closures carry T2(z); C(-2) must have
+    all-positive coefficients.  Non-unit coefficients are reported at warn
+    level (they arise when distinct weight vectors share a monomial).
     """
-    for shift in (-2, 2):
-        series = report.delta_terms.get(shift)
-        if series is not None and all(c > 0 for c in series.terms.values()):
-            counts: dict[int | Fraction, int] = {}
-            for c in series.terms.values():
-                counts[c] = counts.get(c, 0) + 1
-            if set(counts) != {1}:
-                _log("warning", "derived series at shift %d has non-unit coefficients: %s",
-                     shift, {str(k): v for k, v in sorted(counts.items())})
-            return DerivedSeries(shift=shift, series=series,
-                                 term_count=len(series), coefficient_counts=counts)
-    raise NotDecomposableError("no magnitude-2 delta series with positive coefficients")
+    series = report.delta_terms.get(-2)
+    if series is None or not all(c > 0 for c in series.terms.values()):
+        raise NotDecomposableError("C(-2), the coefficient of delta(w/zq^2), is not a "
+                                   "nonzero series with positive coefficients")
+    counts: dict[int | Fraction, int] = {}
+    for c in series.terms.values():
+        counts[c] = counts.get(c, 0) + 1
+    if set(counts) != {1}:
+        _log("warning", "derived series at shift -2 has non-unit coefficients: %s",
+             {str(k): v for k, v in sorted(counts.items())})
+    return DerivedSeries(shift=-2, series=series,
+                         term_count=len(series), coefficient_counts=counts)
 
 
 class ClosureOutcome(VerificationOutcome):
@@ -340,8 +329,9 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
 
     D_n and G_2 compare against their displayed second series; E6 records its
     second series as derived output and matches the magnitude-8 coefficients
-    against the dual-transform construction.  The orientation of each delta
-    pair is computed, never assumed.
+    against the dual-transform construction.  All three are held to one
+    orientation: delta(w/zq^2) carries T2(z), and for E6 delta(w/zq^8)
+    carries T5(zq^4); the flipped orientation fails.
     """
     out = ClosureOutcome()
     if not all(preset.m_parity):
@@ -381,25 +371,20 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
                                    "delta(wq^2/z) carries -T2(w)")
     else:
         t5 = build_t5_e6(preset)
-        if report.delta_terms.get(-8) == t5.shift_arg(4):
-            out.details.append("orientation: delta(w/zq^8) carries T5(zq^4), "
-                               "same orientation as the D_n and G_2 closures")
-            _match_series(out, report, 8, -t5.shift_arg(-4), "-T5(zq^-4)")
-        elif report.delta_terms.get(8) == t5.shift_arg(4):
-            out.details.append("orientation: delta(wq^8/z) carries T5(zq^4)")
-            _match_series(out, report, -8, -t5.shift_arg(12), "-T5(zq^12)")
-        else:
-            out.check(False, "", "neither magnitude-8 delta coefficient equals T5(zq^4)")
+        out.check(report.delta_terms.get(-8) == t5.shift_arg(4),
+                  "orientation: delta(w/zq^8) carries T5(zq^4), "
+                  "same orientation as the D_n and G_2 closures",
+                  "shift -8: expected T5(zq^4), the orientation of the D_n and G_2 closures")
+        _match_series(out, report, 8, -t5.shift_arg(-4), "-T5(zq^-4)")
         try:
             derived = out.derived = extract_t2_e6(report)
         except NotDecomposableError as exc:
             out.check(False, "", str(exc))
         else:
-            side = "w/zq^2" if derived.shift == -2 else "wq^2/z"
             out.details.append(
-                "derived T2 recorded from delta(%s): %d distinct terms, "
+                "derived T2 recorded from delta(w/zq^2): %d distinct terms, "
                 "coefficient counts %s"
-                % (side, derived.term_count,
+                % (derived.term_count,
                    {str(k): v for k, v in sorted(derived.coefficient_counts.items())}))
 
     # bracket_sum pairs each term pair with its reverse, given m_parity

@@ -55,20 +55,24 @@ def test_symbol_g2_pair_12_closed_form(g2):
                                           LaurentPoly({-2: 1, 0: -1}) * s.den * m11.den)
 
 
-def test_symbol_evaluation_oracle(g2, e6, d5):
+def assert_symbol_matches_oracle(a, b, preset):
     # direct Fraction arithmetic, bypassing the common-denominator machinery
+    s = symbol(a, b, preset)
+    assert_int_valued(s.stored[0])
+    for x in EVAL_POINTS:
+        expected = Fraction(0)
+        for (i, ash), e in a.items():
+            for (j, bsh), f in b.items():
+                expected += (e * f * evaluate(preset.M.rows[i - 1][j - 1], x)
+                             * x ** (bsh - ash))
+        assert evaluate(s, x) == expected
+
+
+def test_symbol_evaluation_oracle(g2, e6, d5):
     for preset in (g2, e6, d5):
         lams = preset.lambdas
-        pairs = [(lams[0], lams[1]), (lams[2], lams[-1]), (lams[-1], lams[0])]
-        for a, b in pairs:
-            s = symbol(a, b, preset)
-            for x in EVAL_POINTS:
-                expected = Fraction(0)
-                for (i, ash), e in a.items():
-                    for (j, bsh), f in b.items():
-                        expected += (e * f * evaluate(preset.M.rows[i - 1][j - 1], x)
-                                     * x ** (bsh - ash))
-                assert evaluate(s, x) == expected
+        for a, b in [(lams[0], lams[1]), (lams[2], lams[-1]), (lams[-1], lams[0])]:
+            assert_symbol_matches_oracle(a, b, preset)
 
 
 def test_symbol_antisymmetry_sampled(g2, e6):
@@ -85,6 +89,17 @@ def monomials(rank):
     return st.lists(st.tuples(st.integers(1, rank), st.integers(-12, 12),
                               st.sampled_from([-2, -1, 1, 2])),
                     max_size=4).map(YMonomial.from_factors)
+
+
+@pytest.mark.parametrize("name", ["g2", "e6", "d5"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_symbol_evaluation_oracle_random_monomials(request, name, data):
+    # repeated nodes and shifts make factor pairs whose numerator terms cancel
+    preset = request.getfixturevalue(name)
+    a = data.draw(monomials(preset.rank))
+    b = data.draw(monomials(preset.rank))
+    assert_symbol_matches_oracle(a, b, preset)
 
 
 @pytest.mark.parametrize("name", ["g2", "e6", "d5"])
@@ -563,6 +578,17 @@ def test_e6_closure_support_and_t5(e6):
     assert any("delta(w/zq^8) carries T5(zq^4)" in d for d in out.details)
 
 
+def test_e6_closure_fails_on_the_flipped_magnitude_8_orientation(e6, monkeypatch):
+    # a T5 that the flipped orientation, T5(zq^4) on delta(wq^8/z), would match
+    c8 = bracket_sum(build_t1(e6), build_t1(e6), e6).delta_terms[8]
+    monkeypatch.setattr(poisson_mod, "build_t5_e6", lambda preset: c8.shift_arg(-4))
+    out = verify_closure(e6)
+    assert not out.passed
+    assert out.failure == ("shift -8: expected T5(zq^4), the orientation of the "
+                           "D_n and G_2 closures")
+    assert not [d for d in out.details if "carries T5" in d]
+
+
 def test_e6_derived_t2(e6):
     report = bracket_sum(build_t1(e6), build_t1(e6), e6)
     derived = extract_t2_e6(report)
@@ -585,6 +611,14 @@ def test_extract_t2_requires_positive_side(g2):
     fake = BracketReport(algebra="g2", base_coeff=Fraction(1),
                          delta_terms={-2: -SeriesExpr.one(), 2: -SeriesExpr.one()})
     with pytest.raises(NotDecomposableError):
+        extract_t2_e6(fake)
+
+
+def test_extract_t2_reads_only_the_minus_2_shift():
+    from wqalg.poisson import BracketReport
+    fake = BracketReport(algebra="e6", base_coeff=1,
+                         delta_terms={-2: -SeriesExpr.one(), 2: SeriesExpr.one()})
+    with pytest.raises(NotDecomposableError, match=r"C\(-2\)"):
         extract_t2_e6(fake)
 
 
