@@ -51,6 +51,13 @@ class AlgebraPreset:
                              "constant term: %s" % (self.name, q))
         if len(set(lambdas)) != len(lambdas):
             raise ValueError("fundamental terms are not pairwise distinct for %s" % self.name)
+        bad = [i for m in lambdas for (i, _), _ in m.items() if not 1 <= i <= r]
+        if bad:
+            raise ValueError("the table lambdas of %s has a factor on node %d, outside 1..%d"
+                             % (self.name, bad[0], r))
+        # the split table: symbol numerator -> (alpha, delta items), empty on a
+        # new preset; poisson._split_numerator is its only reader and writer
+        self.splits = {}
 
     @property
     def rank(self) -> int:
@@ -92,15 +99,6 @@ class AlgebraPreset:
         """
         q, nums = self.pair_table
         return laurent_divmod(nums[0][0], q)
-
-    @cached_property
-    def splits(self) -> dict:
-        """The split table: symbol numerator -> (alpha, delta items).
-
-        Empty on a new preset; poisson._split_numerator is its only reader
-        and writer, and stores successful splits only, up to a fixed cap.
-        """
-        return {}
 
     @cached_property
     def m_parity(self) -> tuple[bool, bool]:

@@ -4,12 +4,13 @@ This module owns the coefficient policy of both term maps, LaurentPoly's
 exponent -> coefficient and genexpr.SeriesExpr's monomial -> coefficient: a
 coefficient is an exact rational, held as a Python int wherever it is
 integral and as a Fraction only where it is not; zeros are never stored and
-anything else (a float, say) is rejected.  Term maps are built through
-the one collector _collect below and normalised by _int_valued, so the
-policy is applied in one place.  Sums of scaled, shifted term maps (products,
-the steps of laurent_divmod, the bracket-symbol numerators, the Cartan
-residual) all add through the one kernel _add_scaled, which is where such a
-sum drops the terms that cancel.
+anything else (a float, say) is rejected.  Both kinds subclass _TermMap,
+which holds their one constructor (through the collector _collect), their
+equality and their negation; term maps are normalised by _int_valued, so
+the policy is applied in one place.  Sums of scaled, shifted term maps
+(products, the steps of laurent_divmod, the bracket-symbol numerators, the
+Cartan residual) all add through the one kernel _add_scaled, which is where
+such a sum drops the terms that cancel.
 
 LaurentPoly is the ring the checks run in: products, division with
 remainder by a polynomial (laurent_divmod) and exact division
@@ -104,10 +105,12 @@ def _signed_sum(terms, sep) -> str:
     return rest if out[0] == "+" else "-" + rest
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial: a map exponent -> nonzero rational coefficient.
+class _TermMap:
+    """A term map key -> nonzero exact rational coefficient, held as terms.
 
-    Integral coefficients are ints, the others Fractions (see the module notes).
+    The one copy of construction (through _collect), equality and negation of
+    LaurentPoly and genexpr.SeriesExpr; each kind adds its own products,
+    shifts and printing.  Equality holds only between maps of the same kind.
     """
 
     __slots__ = ("terms",)
@@ -126,12 +129,29 @@ class LaurentPoly:
     def zero(cls):
         return cls._raw({})
 
+    def __len__(self):
+        return len(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self.terms.items()})
+
+
+class LaurentPoly(_TermMap):
+    """Sparse Laurent polynomial: a map exponent -> nonzero rational coefficient.
+
+    Integral coefficients are ints, the others Fractions (see the module notes).
+    """
+
+    __slots__ = ()
+
     @classmethod
     def one(cls):
         return cls._raw({0: 1})
-
-    def __bool__(self):
-        return bool(self.terms)
 
     @property
     def min_exp(self) -> int:
@@ -145,16 +165,8 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self.terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):

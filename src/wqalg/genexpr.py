@@ -4,9 +4,11 @@ A YMonomial encodes a finite product  prod Y_i(zq^a)^e  as the map
 (i, a) -> e.  A SeriesExpr is a finite rational-coefficient sum of such
 monomials; the sums T_1, T_2, T_5 and every delta-coefficient series live
 here.  Its coefficients follow exactfield's policy: ints where integral,
-Fractions only where not, through the same term-map helpers as LaurentPoly.
-SeriesExpr holds, compares, negates, shifts, dualises and prints series; it
-has no sums or scalar products (bracket_sum accumulates its own term maps).
+Fractions only where not.  Like LaurentPoly it is an exactfield._TermMap,
+which holds its constructor, equality and negation; SeriesExpr adds shifts,
+dualisation and printing.  It has no sums or scalar products (bracket_sum
+accumulates its own term maps), and no hash.  Monomials are ordered by
+their sorted items() tuples wherever they are sorted.
 
 Scalar prefactors of the Y generators are deliberately not represented.
 Lemma: the prefactor of a product is determined by its Y-content (each
@@ -17,7 +19,7 @@ constant prefactors at all; content-level equality is therefore equality.
 
 from __future__ import annotations
 
-from .exactfield import _collect, _signed_sum
+from .exactfield import _collect, _signed_sum, _TermMap
 
 
 class YMonomial:
@@ -53,9 +55,6 @@ class YMonomial:
 
     def __hash__(self):
         return hash(self._items)
-
-    def sort_key(self):
-        return tuple((i, a, e) for (i, a), e in self._items)
 
     def __mul__(self, other):
         if not isinstance(other, YMonomial):
@@ -119,38 +118,14 @@ class YMonomial:
         return [{"node": i, "shift": a, "exp": e} for (i, a), e in self._items]
 
 
-class SeriesExpr:
+class SeriesExpr(_TermMap):
     """Finite sum of YMonomials with nonzero rational coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        self.terms = _collect(terms)
-
-    @classmethod
-    def _raw(cls, data):
-        s = object.__new__(cls)
-        s.terms = data
-        return s
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
+    __slots__ = ()
 
     @classmethod
     def one(cls):
         return cls._raw({YMonomial.identity(): 1})
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self):
-        return SeriesExpr._raw({m: -c for m, c in self.terms.items()})
 
     def shift_arg(self, s: int) -> "SeriesExpr":
         return SeriesExpr._raw({m.shift_arg(s): c for m, c in self.terms.items()})
@@ -159,7 +134,7 @@ class SeriesExpr:
         return SeriesExpr._raw({m.dual(): c for m, c in self.terms.items()})
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
+        return sorted(self.terms.items(), key=lambda mc: mc[0].items())
 
     def __str__(self):
         return _signed_sum(((c, str(m) if abs(c) == 1 else "%s %s" % (abs(c), m))

@@ -241,7 +241,7 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
             del series[key]
 
     t, s = t_series.terms, s_series.terms
-    monos = sorted(t.keys() | s.keys(), key=YMonomial.sort_key)
+    monos = sorted(t.keys() | s.keys(), key=YMonomial.items)
     for n, x in enumerate(monos):
         tx, sx = t.get(x, 0), s.get(x, 0)
         for y in monos[n:]:
@@ -269,7 +269,7 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     nonunit = [(a, m, c) for a, d in acc.items() for m, c in d.items() if c != 1 and c != -1]
     if nonunit:
         # informational: verify_closure matches every coefficient against its series
-        a, _, c = min(nonunit, key=lambda amc: (amc[0], amc[1].sort_key()))
+        a, _, c = min(nonunit, key=lambda amc: (amc[0], amc[1].items()))
         _log("info", "%s bracket: %d delta-series coefficients are not +-1 "
              "(first: shift %d, coefficient %s)", preset.name, len(nonunit), a, c)
     delta_terms = {a: SeriesExpr._raw(_int_valued(d)) for a, d in acc.items() if d}
@@ -317,7 +317,7 @@ def _match_series(out, report, shift, expected, label):
     got = report.delta_terms.get(shift, SeriesExpr.zero())
     if got == expected:
         return out.check(True, "C(%+d) = %s" % (shift, label), "")
-    keys = sorted(set(got.terms) | set(expected.terms), key=YMonomial.sort_key)
+    keys = sorted(set(got.terms) | set(expected.terms), key=YMonomial.items)
     first = next(m for m in keys if got.terms.get(m, 0) != expected.terms.get(m, 0))
     return out.check(False, "", "shift %+d: expected %s; first differing monomial %s "
                      "(got %s, want %s)" % (shift, label, first, got.terms.get(first, 0),

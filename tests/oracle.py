@@ -158,3 +158,64 @@ def antisymmetry_ok(report):
         if partner != -series.shift_arg(a):
             return False, "shift %d breaks the antisymmetry pairing" % a
     return True, None
+
+
+# --- the Cartan identity at one power of two -------------------------------------
+
+def cartan_identity_at_two_to_the_k(preset):
+    """(holds, K): whether sum_k N_ik Mtilde_kj / d_k = Q d_j delta_ij at t = 2^K.
+
+    Times L, the product of the distinct d_k, the difference of the two sides
+    is a Laurent polynomial R_ij with integer coefficients (the tables must
+    have integer coefficients), and the Cartan identity is R = 0.  Each
+    coefficient of R_ij is at most its l1 norm, and the l1 norm is
+    submultiplicative, so
+
+        B = max_ij  sum_k |N_ik| |Mtilde_kj| |L/d_k|  +  delta_ij |Q| |L| |d_j|
+
+    bounds them all, and bounds the coefficients of every d_k and of L too.
+    A nonzero integer Laurent polynomial whose coefficients are all below
+    2^(K-1) in absolute value is nonzero at 2^K: its lowest coefficient would
+    otherwise be a nonzero multiple of 2^K.  So with 2^(K-1) > B one exact
+    evaluation per entry, by evaluate, decides the identity: a proof, not a
+    sample.  No LaurentPoly arithmetic is used.
+    """
+    q, nums = preset.pair_table
+    d, mtilde = preset.d, preset.mtilde
+    tables = [q, *d, *(e for rows in (nums, mtilde) for row in rows for e in row)]
+    assert all(type(c) is int for p in tables for c in p.terms.values())
+    assert all(p.terms for p in d), "D has a zero diagonal entry"
+
+    def l1(p):
+        return sum(abs(c) for c in p.terms.values())
+
+    # |L/d_k| <= the product of |o| over the distinct diagonal entries o other than d_k
+    distinct = {tuple(sorted(p.terms.items())): l1(p) for p in d}
+    big_l = 1
+    for norm in distinct.values():
+        big_l *= norm
+    r = len(d)
+    n_l1 = [[l1(e) for e in row] for row in nums]
+    # column j of Mtilde: (k, a bound on |Mtilde_kj L/d_k|) for its nonzero entries
+    cols = [[(k, l1(mtilde[k][j]) * big_l // l1(d[k])) for k in range(r) if mtilde[k][j].terms]
+            for j in range(r)]
+    bound = max(sum(n_l1[i][k] * w for k, w in cols[j])
+                + (i == j) * l1(q) * big_l * l1(d[j])
+                for i in range(r) for j in range(r))
+    k_exp = bound.bit_length() + 1
+    assert 2 ** (k_exp - 1) > bound
+    x, values = 2 ** k_exp, {}
+
+    def value(p):
+        if id(p) not in values:
+            values[id(p)] = evaluate(p, x)
+        return values[id(p)]
+
+    dx = [value(p) for p in d]
+    for j, col in enumerate(cols):
+        col = [(k, value(mtilde[k][j]) / dx[k]) for k, _ in col]
+        for i in range(r):
+            lhs = sum(value(nums[i][k]) * w for k, w in col)
+            if lhs != (value(q) * dx[j] if i == j else 0):
+                return False, k_exp
+    return True, k_exp

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import evaluate, laurent_sum, replace_preset
+from oracle import cartan_identity_at_two_to_the_k, evaluate, laurent_sum, replace_preset
 from wqalg import build_preset, verify_all, verify_cartan
 from wqalg.algebras import _classical_limit, _pair_table, symmetrized_cartan
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
@@ -65,6 +65,16 @@ def test_preset_rejects_repeated_lambdas(g2):
         replace_preset(g2, lambdas=lams[:-1] + lams[:1])
 
 
+@pytest.mark.parametrize("node", [0, 3])
+def test_preset_rejects_a_lambda_factor_outside_its_nodes(g2, node):
+    # verify_all would otherwise stop at the first bracket symbol, naming
+    # neither the preset nor the table
+    lams = g2.lambdas[:-1] + (g2.lambdas[-1] * YMonomial.from_factors([(node, -3, 1)]),)
+    with pytest.raises(ValueError, match=re.escape(
+            "the table lambdas of g2 has a factor on node %d, outside 1..2" % node)):
+        replace_preset(g2, lambdas=lams)
+
+
 def test_d_matrix_structure(g2, e6, d5):
     # diagonal entries are t^d - t^-d with d = 1 except the long g2 node
     for preset, ds in [(g2, [1, 3]), (e6, [1] * 6), (d5, [1] * 5)]:
@@ -105,6 +115,29 @@ def test_verify_cartan_dn_and_limit(n):
     assert all(expected[i][i] == 2 for i in range(n))
     assert expected[n - 3][n - 2] == expected[n - 3][n - 1] == -1
     assert expected[n - 2][n - 1] == 0
+
+
+# the ranks sampled from d4..d64 keep the test well under a second
+ORACLE_PRESETS = [("g2", None), ("e6", None)] + [("dn", n) for n in
+                                                  (*range(4, 11), 16, 24, 32, 48, 64)]
+
+
+@pytest.mark.parametrize("kind,n", ORACLE_PRESETS)
+def test_cartan_identity_at_a_power_of_two(kind, n):
+    # one exact evaluation per entry, with no LaurentPoly arithmetic, proves it
+    holds, k_exp = cartan_identity_at_two_to_the_k(build_preset(kind, n))
+    assert holds and k_exp <= 12
+
+
+@pytest.mark.parametrize("kind,n", [("dn", 5), ("dn", 32), ("e6", None), ("g2", None)])
+def test_power_of_two_oracle_rejects_a_corrupted_pair(kind, n):
+    preset = build_preset(kind, n)
+    q, nums = preset.pair_table
+    wrong = laurent_sum(nums[0][1], LaurentPoly({4: 1, 2: -1}))
+    bad = replace_preset(preset, pair_table=(
+        q, _replace_entry(_replace_entry(nums, 0, 1, wrong), 1, 0, wrong)))
+    assert cartan_identity_at_two_to_the_k(bad)[0] is False
+    assert not verify_cartan(bad).passed
 
 
 def test_verify_cartan_reports_first_mismatch(g2):

@@ -316,6 +316,24 @@ def test_inexact_coefficients_are_rejected():
             make()
 
 
+def test_both_term_maps_share_one_slotted_base():
+    m = YMonomial({(1, 0): 1})
+    # a kind that lacked __slots__ = () would give each instance a __dict__
+    for p in (LaurentPoly.zero(), LaurentPoly({1: 2}), -(sym_minus(1) * sym_plus(2)),
+              SeriesExpr.zero(), SeriesExpr([(m, 3)]), -SeriesExpr.one()):
+        assert not hasattr(p, "__dict__"), type(p)
+        assert type(-p) is type(p) is type(type(p).zero())
+    # equality holds only within one kind, even between the empty maps
+    assert LaurentPoly.zero() != SeriesExpr.zero()
+    assert not LaurentPoly.zero() == SeriesExpr.zero()
+    assert not LaurentPoly.zero() and not SeriesExpr.zero()
+    assert len(sym_plus(2)) == 2 and len(SeriesExpr.one()) == 1
+    # LaurentPoly keys the split table; SeriesExpr has no hash
+    assert hash(LaurentPoly({1: 2})) == hash(LaurentPoly([(1, 1), (1, 1)]))
+    with pytest.raises(TypeError):
+        hash(SeriesExpr.one())
+
+
 # --- RationalFunction: canonical uniqueness ------------------------------------
 
 laurent_terms = st.dictionaries(

@@ -91,6 +91,22 @@ def monomials(rank):
                     max_size=4).map(YMonomial.from_factors)
 
 
+@settings(max_examples=100)
+@given(monomials(6), monomials(6))
+def test_monomials_order_by_items_as_by_flattened_factors(a, b):
+    # every sorted listing orders monomials by items(): ((node, shift), exp)
+    # pairs compare like the (node, shift, exp) triples, prefixes first
+    def flat(m):
+        return tuple((i, sh, e) for (i, sh), e in m.items())
+
+    # node 7 sorts after every factor of a, so a is a prefix of longer
+    longer = YMonomial(list(a.items()) + [((7, 0), 1)])
+    for x, y in ((a, b), (a, a * b), (a, longer)):
+        assert (x.items() < y.items()) == (flat(x) < flat(y))
+        assert (y.items() < x.items()) == (flat(y) < flat(x))
+    assert a.items() < longer.items()
+
+
 @pytest.mark.parametrize("name", ["g2", "e6", "d5"])
 @settings(max_examples=25)
 @given(data=st.data())
