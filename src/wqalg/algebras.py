@@ -9,6 +9,12 @@ downstream is verified against these tables alone.  M, D and Mtilde as
 matrices of canonical rational functions are display views, built on first
 use.
 
+Each family is declared once.  D and Mtilde are the t-numbers
+[b] = t^b - t^-b of one integer matrix, the symmetrized Cartan matrix
+B = DC (_cartan_b): Mtilde_ij = [B_ij] and d_i = [B_ii / 2].  B is also
+the classical limit that verify_cartan checks Mtilde against.  The pair
+table is built from the closed forms of M_ij, one per unordered pair i <= j.
+
 VerificationOutcome is the one verdict record: every verifier, here and in
 the bracket engine, records each of its checks through
 VerificationOutcome.check.
@@ -64,13 +70,8 @@ class AlgebraPreset:
         return len(self.d)
 
     @property
-    def n(self) -> int | None:
-        """The rank of a D_n preset; None for e6 and g2."""
-        return self.rank if self.kind == "dn" else None
-
-    @property
     def name(self) -> str:
-        return "d%d" % self.n if self.kind == "dn" else self.kind
+        return "d%d" % self.rank if self.kind == "dn" else self.kind
 
     @cached_property
     def M(self) -> FieldMatrix:
@@ -149,62 +150,64 @@ class VerificationOutcome:
         return ok
 
 
-def _pair_table(q: LaurentPoly, rows) -> tuple[LaurentPoly, LaurentRows]:
-    """(Q, N) from the closed-form entries rows[i][j] = (num, den) and a declared Q.
+def _pair_table(q: LaurentPoly, entries: dict) -> tuple[LaurentPoly, LaurentRows]:
+    """(Q, N) from the closed forms entries[i, j] = (num, den) and a declared Q.
 
-    N_ij = num * Q / den, one exact division per distinct entry; raises
-    ArithmeticError if Q is not a multiple of some den.  Q and N are shifted
-    together so that Q has min exponent 0, as laurent_divmod needs.
+    entries holds one closed form per unordered pair of nodes i <= j
+    (1-based), and N is filled in both triangles from it.  N_ij = num * Q /
+    den, one exact division per distinct entry; raises ArithmeticError if Q
+    is not a multiple of some den.  Q and N are shifted together so that Q
+    has min exponent 0, as laurent_divmod needs.
     """
     q = q.shift(-q.min_exp)
-    nums = {}
-    for row in rows:
-        for num, den in row:
-            if (num, den) not in nums:
-                quo = laurent_divide(num * q, den)
-                if quo is None:
-                    raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, den))
-                nums[num, den] = quo
-    return q, tuple(tuple(nums[e] for e in row) for row in rows)
+    rank = max(j for _, j in entries)
+    nums, rows = {}, [[None] * rank for _ in range(rank)]
+    for (i, j), form in entries.items():
+        quo = nums.get(form)
+        if quo is None:
+            quo = nums[form] = laurent_divide(form[0] * q, form[1])
+            if quo is None:
+                raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, form[1]))
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = quo
+    return q, tuple(map(tuple, rows))
 
 
 def _dn_pair_table(n: int):
     den = sym_plus(n - 1)
     den_long = sym_plus(1) * den
-    rows = [[None] * n for _ in range(n)]
+    entries = {(i, j): (sym_minus(i) * sym_plus(n - 1 - j), den)
+               for i in range(1, n - 1) for j in range(i, n - 1)}
     for i in range(1, n - 1):
-        for j in range(i, n - 1):
-            rows[i - 1][j - 1] = rows[j - 1][i - 1] = (sym_minus(i) * sym_plus(n - 1 - j), den)
-    for i in range(1, n - 1):
-        v = (sym_minus(i), den)
-        rows[n - 1][i - 1] = rows[i - 1][n - 1] = v
-        rows[n - 2][i - 1] = rows[i - 1][n - 2] = v
-    rows[n - 1][n - 2] = rows[n - 2][n - 1] = (sym_minus(n - 2), den_long)
-    rows[n - 2][n - 2] = rows[n - 1][n - 1] = (sym_minus(n), den_long)
+        entries[i, n - 1] = entries[i, n] = (sym_minus(i), den)
+    entries[n - 1, n] = (sym_minus(n - 2), den_long)
+    entries[n - 1, n - 1] = entries[n, n] = (sym_minus(n), den_long)
     # Q is the reduced lcm of den and den_long: for even n, t + t^-1 divides
     # both long-entry numerators
-    return _pair_table(den_long if n % 2 else den, rows)
+    return _pair_table(den_long if n % 2 else den, entries)
 
 
 _E6_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
 
 
-def _graph_matrix(kind: str, rank: int, diag, off, zero) -> tuple[tuple, ...]:
-    """The rows of a matrix on the Dynkin graph of dn (of that rank) or e6.
+def _cartan_b(kind: str, rank: int):
+    """B = DC, the symmetrized Cartan matrix of dn (of that rank), e6 or g2.
 
-    diag on the diagonal, off at each edge (a, b), a < b, of the graph, zero
-    elsewhere.
+    For dn and e6, 2 on the diagonal and -1 at each edge of the Dynkin
+    graph; G2's is a literal.  The one source of the preset's D and Mtilde.
     """
+    if kind == "g2":
+        return [[2, -3], [-3, 6]]
     if kind == "e6":
-        eset = set(_E6_EDGES)
+        edges = set(_E6_EDGES)
     else:
-        eset = {(i, i + 1) for i in range(1, rank - 2)} | {(rank - 2, rank - 1), (rank - 2, rank)}
-    return tuple(tuple(diag if i == j else (off if (min(i, j), max(i, j)) in eset else zero)
+        edges = {(i, i + 1) for i in range(1, rank - 2)} | {(rank - 2, rank - 1), (rank - 2, rank)}
+    return tuple(tuple(2 if i == j else -1 if (min(i, j), max(i, j)) in edges else 0
                        for j in range(1, rank + 1)) for i in range(1, rank + 1))
 
 
-def _graph_mtilde(kind: str, rank: int) -> LaurentRows:
-    return _graph_matrix(kind, rank, sym_minus(2), -sym_minus(1), LaurentPoly.zero())
+def _t_number(b: int) -> LaurentPoly:
+    """The t-number [b] = t^b - t^-b of any integer b: 0 at b = 0, -[-b] below."""
+    return sym_minus(b) if b > 0 else -sym_minus(-b) if b else LaurentPoly.zero()
 
 
 def _dn_lambdas(n: int) -> tuple[YMonomial, ...]:
@@ -235,32 +238,22 @@ def _e6_pair_table():
     d_long = sym_plus(6) * sym_minus(3)
     d_extra = sym_plus(1) * sym_plus(6)
     entries = {}
-
-    def put(i, j, num, den):
-        entries[(i, j)] = entries[(j, i)] = (num, den)
-
-    put(1, 1, sym_minus(1) * sym_minus(8), d_long)
-    put(5, 5, sym_minus(1) * sym_minus(8), d_long)
-    put(1, 2, sym_minus(1) * sym_minus(5) * sym_plus(2), d_long)
-    put(4, 5, sym_minus(1) * sym_minus(5) * sym_plus(2), d_long)
-    put(2, 2, sym_minus(4) * sym_minus(5), d_long)
-    put(4, 4, sym_minus(4) * sym_minus(5), d_long)
-    for i, j in [(1, 3), (2, 6), (4, 6), (3, 5)]:
-        put(i, j, sym_minus(4), d_short)
-    put(2, 3, sym_minus(4) * sym_plus(1), d_short)
-    put(3, 4, sym_minus(4) * sym_plus(1), d_short)
-    put(3, 3, sym_minus(3) * sym_plus(1) * sym_plus(2), d_short)
-    put(1, 6, sym_minus(1) * sym_plus(2), d_short)
-    put(5, 6, sym_minus(1) * sym_plus(2), d_short)
-    put(3, 6, sym_minus(3) * sym_plus(2), d_short)
-    put(6, 6, sym_minus(4) * sym_plus(3), d_extra)
-    put(1, 4, sym_minus(2) * sym_minus(4), d_long)
-    put(2, 5, sym_minus(2) * sym_minus(4), d_long)
-    put(2, 4, sym_minus(2) * sym_minus(4) * sym_plus(1), d_long)
-    put(1, 5, sym_minus(1) * sym_minus(4), d_long)
+    for pairs, form in (
+            (((1, 1), (5, 5)), (sym_minus(1) * sym_minus(8), d_long)),
+            (((1, 2), (4, 5)), (sym_minus(1) * sym_minus(5) * sym_plus(2), d_long)),
+            (((2, 2), (4, 4)), (sym_minus(4) * sym_minus(5), d_long)),
+            (((1, 3), (2, 6), (4, 6), (3, 5)), (sym_minus(4), d_short)),
+            (((2, 3), (3, 4)), (sym_minus(4) * sym_plus(1), d_short)),
+            (((3, 3),), (sym_minus(3) * sym_plus(1) * sym_plus(2), d_short)),
+            (((1, 6), (5, 6)), (sym_minus(1) * sym_plus(2), d_short)),
+            (((3, 6),), (sym_minus(3) * sym_plus(2), d_short)),
+            (((6, 6),), (sym_minus(4) * sym_plus(3), d_extra)),
+            (((1, 4), (2, 5)), (sym_minus(2) * sym_minus(4), d_long)),
+            (((2, 4),), (sym_minus(2) * sym_minus(4) * sym_plus(1), d_long)),
+            (((1, 5),), (sym_minus(1) * sym_minus(4), d_long))):
+        entries.update(dict.fromkeys(pairs, form))
     # the reduced lcm of the denominators: the G2 one times t^2 + 1 + t^-2
-    return _pair_table(_G2_Q * LaurentPoly({2: 1, 0: 1, -2: 1}),
-                       [[entries[(i, j)] for j in range(1, 7)] for i in range(1, 7)])
+    return _pair_table(_G2_Q * LaurentPoly({2: 1, 0: 1, -2: 1}), entries)
 
 
 # The 27 fundamental monomials for E6, exactly as displayed.
@@ -308,40 +301,42 @@ _G2_LAMBDA_FACTORS = (
 
 def _g2_pair_table():
     den = sym_plus(6)
-    m11 = (sym_plus(3) * sym_minus(1) * sym_plus(2), den)
-    m22 = (sym_minus(3) * sym_plus(1) * sym_plus(2), den)
-    m12 = (sym_minus(3) * sym_plus(2), den)
-    return _pair_table(_G2_Q, [[m11, m12], [m12, m22]])
+    return _pair_table(_G2_Q, {(1, 1): (sym_plus(3) * sym_minus(1) * sym_plus(2), den),
+                               (1, 2): (sym_minus(3) * sym_plus(2), den),
+                               (2, 2): (sym_minus(3) * sym_plus(1) * sym_plus(2), den)})
 
 
 def build_preset(kind: str, n: int | None = None) -> AlgebraPreset:
-    """Construct a fully populated preset; kind is one of dn, e6, g2."""
+    """Construct a fully populated preset; kind is one of dn, e6, g2.
+
+    D and Mtilde are read off B = _cartan_b(kind, rank): Mtilde_ij = [B_ij]
+    and d_i = [B_ii / 2], with equal t-numbers one shared object.
+    """
     if kind == "dn":
         if n is None or n < 4:
             raise ValueError("the dn family needs n >= 4, got %r" % (n,))
-        return AlgebraPreset(
-            kind="dn", pair_table=_dn_pair_table(n), d=(sym_minus(1),) * n,
-            mtilde=_graph_mtilde("dn", n), lambdas=_dn_lambdas(n))
-    if n is not None:
+        pair_table, lambdas = _dn_pair_table(n), _dn_lambdas(n)
+    elif n is not None:
         raise ValueError("n is only meaningful for the dn family")
-    if kind == "e6":
-        return AlgebraPreset(
-            kind="e6", pair_table=_e6_pair_table(), d=(sym_minus(1),) * 6,
-            mtilde=_graph_mtilde("e6", 6),
-            lambdas=tuple(YMonomial.from_factors(f) for f in _E6_LAMBDA_FACTORS))
-    if kind == "g2":
-        return AlgebraPreset(
-            kind="g2", pair_table=_g2_pair_table(), d=(sym_minus(1), sym_minus(3)),
-            mtilde=((sym_minus(2), -sym_minus(3)), (-sym_minus(3), sym_minus(6))),
-            lambdas=tuple(YMonomial.from_factors(f) for f in _G2_LAMBDA_FACTORS))
-    raise ValueError("unknown algebra kind %r" % (kind,))
+    elif kind == "e6":
+        pair_table = _e6_pair_table()
+        lambdas = tuple(YMonomial.from_factors(f) for f in _E6_LAMBDA_FACTORS)
+    elif kind == "g2":
+        pair_table = _g2_pair_table()
+        lambdas = tuple(YMonomial.from_factors(f) for f in _G2_LAMBDA_FACTORS)
+    else:
+        raise ValueError("unknown algebra kind %r" % (kind,))
+    b = _cartan_b(kind, len(pair_table[1]))
+    halves = [row[i] // 2 for i, row in enumerate(b)]
+    numbers = {v: _t_number(v) for v in {*halves}.union(*b)}
+    return AlgebraPreset(kind, pair_table, d=tuple(numbers[v] for v in halves),
+                         mtilde=tuple(tuple(numbers[v] for v in row) for row in b),
+                         lambdas=lambdas)
 
 
 def symmetrized_cartan(preset: AlgebraPreset):
-    """Integer matrix the normalized t -> 1 limit of the deformed matrix must hit."""
-    if preset.kind == "g2":
-        return [[2, -3], [-3, 6]]
-    return _graph_matrix(preset.kind, preset.rank, 2, -1, 0)
+    """Integer matrix the normalized t -> 1 limit of the deformed matrix must hit: B."""
+    return _cartan_b(preset.kind, preset.rank)
 
 
 def _identity_residual(preset: AlgebraPreset) -> str | None:

@@ -6,11 +6,12 @@ coefficient is an exact rational, held as a Python int wherever it is
 integral and as a Fraction only where it is not; zeros are never stored and
 anything else (a float, say) is rejected.  Both kinds subclass _TermMap,
 which holds their one constructor (through the collector _collect), their
-equality and their negation; term maps are normalised by _int_valued, so
-the policy is applied in one place.  Sums of scaled, shifted term maps
-(products, the steps of laurent_divmod, the bracket-symbol numerators, the
-Cartan residual) all add through the one kernel _add_scaled, which is where
-such a sum drops the terms that cancel.
+equality and their negation; the constructor also rejects a key of the
+wrong type (a LaurentPoly exponent must be an int).  Term maps are
+normalised by _int_valued, so the policy is applied in one place.  Sums
+of scaled, shifted term maps (products, the steps of laurent_divmod, the
+bracket-symbol numerators, the Cartan residual) all add through the one
+kernel _add_scaled, which is where such a sum drops the terms that cancel.
 
 LaurentPoly is the ring the checks run in: products, division with
 remainder by a polynomial (laurent_divmod) and exact division
@@ -114,9 +115,14 @@ class _TermMap:
     """
 
     __slots__ = ("terms",)
+    _key = object   # each kind's key type, checked on construction (not by _raw)
 
     def __init__(self, terms=()):
         self.terms = _collect(terms)
+        for k in self.terms:
+            if not isinstance(k, self._key):
+                raise TypeError("%s keys must be %s, got %r"
+                                % (type(self).__name__, self._key.__name__, k))
 
     @classmethod
     def _raw(cls, data):
@@ -148,6 +154,7 @@ class LaurentPoly(_TermMap):
     """
 
     __slots__ = ()
+    _key = int
 
     @classmethod
     def one(cls):

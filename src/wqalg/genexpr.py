@@ -28,7 +28,12 @@ class YMonomial:
     __slots__ = ("_items",)
 
     def __init__(self, content=()):
-        self._items = tuple(sorted(_collect(content).items()))
+        data = _collect(content)
+        for k, e in data.items():
+            if not (type(k) is tuple and len(k) == 2 and all(isinstance(x, int) for x in (*k, e))):
+                raise TypeError("a factor is (node, shift) -> exponent, all ints; got %r -> %r"
+                                % (k, e))
+        self._items = tuple(sorted(data.items()))
 
     @classmethod
     def _raw(cls, items):
@@ -122,6 +127,7 @@ class SeriesExpr(_TermMap):
     """Finite sum of YMonomials with nonzero rational coefficients."""
 
     __slots__ = ()
+    _key = YMonomial
 
     @classmethod
     def one(cls):
@@ -160,7 +166,7 @@ def _t2_pairs(preset):
     if preset.kind == "dn":
         k = len(preset.lambdas)
         pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-        pairs.append((preset.n + 1, preset.n))
+        pairs.append((preset.rank + 1, preset.rank))
         return pairs
     if preset.kind == "g2":
         pairs = [(1, i) for i in range(2, 8)]

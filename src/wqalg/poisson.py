@@ -354,7 +354,7 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
         t2, one = build_t2(preset), SeriesExpr.one()
         table = {-2: (t2, "T2(z)"), 2: (-t2.shift_arg(-2), "-T2(zq^-2)")}
         if preset.kind == "dn":
-            edge = 2 * preset.n - 2
+            edge = 2 * preset.rank - 2
             table.update({-edge: (one, "1"), edge: (-one, "-1")})
         else:
             table.update({-8: (t1.shift_arg(4), "T1(zq^4)"), 8: (-t1.shift_arg(-4), "-T1(zq^-4)"),

@@ -1,5 +1,6 @@
 """Test-side oracles: exact evaluation, a Fraction-matrix inverse, matrix
-products over Laurent fractions, and a bracket over all ordered pairs; and
+products over Laurent fractions, a bracket over all ordered pairs, and the
+Cartan identity and the pair table's closed forms at t = 2^K; and
 replace_preset, which builds a changed copy of a preset.  None
 of this is part of the package, and none of it shares code with the
 verification paths it checks.
@@ -217,5 +218,80 @@ def cartan_identity_at_two_to_the_k(preset):
         for i in range(r):
             lhs = sum(value(nums[i][k]) * w for k, w in col)
             if lhs != (value(q) * dx[j] if i == j else 0):
+                return False, k_exp
+    return True, k_exp
+
+
+# --- the pair table against the closed forms, at one power of two -----------------
+# A closed form M_ij = num / den has num and den each a product of factors
+# (a, s), standing for t^a + s t^-a with s = +-1: [a] for s = -1, {a} for s = 1.
+# The forms are restated here from the paper, not read from the package.
+
+G2_PAIR_FORMS = {
+    (1, 1): (((3, 1), (1, -1), (2, 1)), ((6, 1),)),
+    (1, 2): (((3, -1), (2, 1)), ((6, 1),)),
+    (2, 2): (((3, -1), (1, 1), (2, 1)), ((6, 1),)),
+}
+
+
+def dn_pair_forms(n):
+    """The closed forms of M_ij for D_n, one per unordered pair i <= j."""
+    den, den_long = ((n - 1, 1),), ((1, 1), (n - 1, 1))
+    forms = {}
+    for i in range(1, n - 1):
+        for j in range(i, n - 1):
+            forms[i, j] = ((i, -1), (n - 1 - j, 1)), den
+        forms[i, n - 1] = forms[i, n] = ((i, -1),), den
+    forms[n - 1, n] = ((n - 2, -1),), den_long
+    forms[n - 1, n - 1] = forms[n, n] = ((n, -1),), den_long
+    return forms
+
+
+def pair_table_at_two_to_the_k(preset):
+    """(holds, K): whether N_ij den_ij = num_ij Q for every entry, at t = 2^K.
+
+    The forms are G2_PAIR_FORMS for g2 and dn_pair_forms for D_n.  The
+    difference R_ij of the two sides is an integer Laurent polynomial whose
+    coefficients are at most |N_ij| 2^m' + 2^m |Q| in absolute value, with
+    |p| the l1 norm and m, m' the factor counts of num and den (a product of
+    m factors t^a +- t^-a has l1 norm 2^m).  With 2^(K-1) above that bound,
+    R_ij(2^K) = 0 iff R_ij = 0, as in cartan_identity_at_two_to_the_k.  Every
+    value is a plain int: a Laurent polynomial p is taken as p(x) x^s, with
+    t^-s below all of N and Q, and a product of factors with exponent sum A
+    as its value times x^A, prod (x^(2a) + s).  No LaurentPoly arithmetic is used.
+    """
+    q, nums = preset.pair_table
+    r = len(nums)
+    forms = G2_PAIR_FORMS if preset.kind == "g2" else dn_pair_forms(r)
+    assert set(forms) == {(i, j) for i in range(1, r + 1) for j in range(i, r + 1)}
+    entries = {id(e): e for row in nums for e in row}
+    assert all(type(c) is int for p in (q, *entries.values()) for c in p.terms.values())
+
+    def l1(p):
+        return sum(abs(c) for c in p.terms.values())
+
+    n_l1, q_l1 = {k: l1(e) for k, e in entries.items()}, l1(q)
+    bound = max(n_l1[id(nums[i - 1][j - 1])] * 2 ** len(den) + 2 ** len(num) * q_l1
+                for (i, j), (num, den) in forms.items())
+    k_exp = bound.bit_length() + 1
+    assert 2 ** (k_exp - 1) > bound
+    s = max(0, *(-e for p in (q, *entries.values()) for e in p.terms))
+
+    def laurent(p):
+        return sum(c << k_exp * (e + s) for e, c in p.terms.items())
+
+    def product(factors):
+        out = 1
+        for a, sign in factors:
+            out *= (1 << 2 * a * k_exp) + sign
+        return out, sum(a for a, _ in factors)
+
+    values = {k: laurent(e) for k, e in entries.items()}
+    qv = laurent(q)
+    for (i, j), (num, den) in forms.items():
+        (pv, a_num), (dv, a_den) = product(num), product(den)
+        for e in {id(nums[i - 1][j - 1]), id(nums[j - 1][i - 1])}:
+            # N den = num Q, both sides times x^(s + a_num + a_den)
+            if (values[e] * dv) << k_exp * a_num != (pv * qv) << k_exp * a_den:
                 return False, k_exp
     return True, k_exp

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import cartan_identity_at_two_to_the_k, evaluate, laurent_sum, replace_preset
+from oracle import (cartan_identity_at_two_to_the_k, evaluate, laurent_sum,
+                    pair_table_at_two_to_the_k, replace_preset)
 from wqalg import build_preset, verify_all, verify_cartan
 from wqalg.algebras import _classical_limit, _pair_table, symmetrized_cartan
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
@@ -42,7 +43,7 @@ def test_g2_lambda5(g2):
 
 def test_dn_lambda_boundaries(d4, d5):
     for preset in (d4, d5):
-        n = preset.n
+        n = preset.rank
         assert preset.lambdas[0] == YMonomial.from_factors([(1, 0, 1)])
         assert preset.lambdas[2 * n - 1] == YMonomial.from_factors([(1, -2 * n + 2, -1)])
 
@@ -140,6 +141,25 @@ def test_power_of_two_oracle_rejects_a_corrupted_pair(kind, n):
     assert not verify_cartan(bad).passed
 
 
+# ranks sampled from d4..d64, as above: building every rank would take about 2 s
+@pytest.mark.parametrize("kind,n", [("g2", None)] + [("dn", n) for n in
+                                                      (*range(4, 13), 16, 24, 32, 48, 64)])
+def test_pair_table_matches_the_closed_forms_at_a_power_of_two(kind, n):
+    # N_ij den_ij = num_ij Q, with the closed forms restated in the oracle
+    holds, k_exp = pair_table_at_two_to_the_k(build_preset(kind, n))
+    assert holds and k_exp <= 12
+
+
+@pytest.mark.parametrize("kind,n,i,j", [("dn", 5, 1, 0), ("dn", 32, 31, 30), ("g2", None, 1, 1)])
+def test_pair_table_oracle_rejects_a_corrupted_entry(kind, n, i, j):
+    # one entry of one triangle: the oracle reads both
+    preset = build_preset(kind, n)
+    q, nums = preset.pair_table
+    wrong = laurent_sum(nums[i][j], LaurentPoly({4: 1, 2: -1}))
+    bad = replace_preset(preset, pair_table=(q, _replace_entry(nums, i, j, wrong)))
+    assert pair_table_at_two_to_the_k(bad)[0] is False
+
+
 def test_verify_cartan_reports_first_mismatch(g2):
     corrupted = replace_preset(g2, mtilde=_replace_entry(g2.mtilde, 0, 1, sym_minus(1)))
     out = verify_cartan(corrupted)
@@ -177,35 +197,46 @@ def test_classical_limit_of_rational_coefficients():
     assert _classical_limit(LaurentPoly({2: 1})) is None
 
 
-def _limit_pole_tables(g2):
+def _tables_with_mtilde_11(g2, entry):
     # a consistent preset (M = D Mtilde'^-1 D, so the residual check passes)
-    # whose Mtilde'_11 = t^2 - t^-2 + 1 is nonzero at t = 1: the entry, Mtilde',
-    # Q = det Mtilde' and N = D adj(Mtilde') D
-    entry = laurent_sum(sym_minus(2), LaurentPoly.one())
+    # with Mtilde'_11 = entry: Mtilde', Q = det Mtilde' and N = D adj(Mtilde') D
     mtilde = _replace_entry(g2.mtilde, 0, 0, entry)
     (a, b), (c, d) = mtilde
     det = laurent_sum(a * d, -(b * c))
     dd = g2.d
     adj = [[d, -b], [-c, a]]
     nums = tuple(tuple(dd[i] * adj[i][j] * dd[j] for j in range(2)) for i in range(2))
-    return entry, mtilde, det, nums
+    return mtilde, det, nums
+
+
+def _consistent_preset(g2, entry):
+    # Q and N shift together, leaving M unchanged, so that Q has min exponent 0
+    mtilde, det, nums = _tables_with_mtilde_11(g2, entry)
+    k = det.min_exp
+    nums = tuple(tuple(e.shift(-k) for e in row) for row in nums)
+    return replace_preset(g2, pair_table=(det.shift(-k), nums), mtilde=mtilde)
 
 
 def test_verify_cartan_names_a_pole_of_the_limit(g2):
-    entry, mtilde, det, nums = _limit_pole_tables(g2)
-    # Q and N shift together, leaving M unchanged, so that Q has min exponent 0
-    k = det.min_exp
-    nums = tuple(tuple(e.shift(-k) for e in row) for row in nums)
-    out = verify_cartan(replace_preset(g2, pair_table=(det.shift(-k), nums), mtilde=mtilde))
+    # t^2 - t^-2 + 1 is nonzero at t = 1, so its quotient by t - t^-1 has a pole
+    entry = laurent_sum(sym_minus(2), LaurentPoly.one())
+    out = verify_cartan(_consistent_preset(g2, entry))
     assert out.identity_holds and not out.passed
     assert out.failure == ("limit entry (1,1): %s divided by t - t^-1 has a pole at t = 1"
                            % entry)
 
 
+def test_verify_cartan_names_a_finite_wrong_limit(g2):
+    # (t^4 - t^-4) / (t - t^-1) -> 4 at t = 1, where B_11 = 2
+    out = verify_cartan(_consistent_preset(g2, sym_minus(4)))
+    assert out.identity_holds and not out.passed
+    assert out.failure == "limit entry (1,1): got 4, expected 2"
+
+
 def test_preset_rejects_a_q_with_negative_exponents(g2):
     # laurent_divmod divides by Q, so Q must be a polynomial with a nonzero
     # constant term; unshifted, det Mtilde' has min exponent -8
-    _, mtilde, det, nums = _limit_pole_tables(g2)
+    mtilde, det, nums = _tables_with_mtilde_11(g2, laurent_sum(sym_minus(2), LaurentPoly.one()))
     assert det.min_exp < 0
     with pytest.raises(ValueError, match="the table Q of g2 is not a polynomial"):
         replace_preset(g2, pair_table=(det, nums), mtilde=mtilde)
@@ -268,11 +299,11 @@ def test_verify_all_reports_singular_mtilde_without_raising(g2):
 
 def test_pair_table_divides_each_entry_exactly_or_raises():
     # t^3 + t^-3 = (t + t^-1)(t^2 - 1 + t^-2); Q and N shift together by t^3
-    q, nums = _pair_table(sym_plus(3), [[(sym_minus(1), sym_plus(1))]])
+    q, nums = _pair_table(sym_plus(3), {(1, 1): (sym_minus(1), sym_plus(1))})
     assert q == LaurentPoly({6: 1, 0: 1})
     assert nums == ((sym_minus(1) * LaurentPoly({5: 1, 3: -1, 1: 1}),),)
     with pytest.raises(ArithmeticError, match="not a multiple of"):
-        _pair_table(sym_plus(3), [[(sym_minus(1), sym_plus(2))]])
+        _pair_table(sym_plus(3), {(1, 1): (sym_minus(1), sym_plus(2))})
 
 
 def test_pair_table_is_freed_with_its_preset():

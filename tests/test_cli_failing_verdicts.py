@@ -8,6 +8,7 @@ so the failure paths keep every reported byte too.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -217,3 +218,24 @@ def test_failing_verdict_digest(capsys, monkeypatch, corrupted, key):
 def test_every_corruption_and_command_is_pinned():
     assert set(EXPECTED) == {(name, command, fmt) for name in CORRUPTIONS
                              for command in COMMANDS for fmt in FORMATS}
+
+
+# emit-t2 on e6 runs the closure; a failed closure prints its first failure.
+# format -> (exit status, sha256 of stdout)
+EMIT_T2_E6_EXPECTED = {
+    "text": (1, "b9438c1066bdeb189929bb77cfb00226b660b0c7da89679954ea8fc1aceefe4a"),
+    "json": (1, "a7d5590658c083b11a3ef122fd40c7f98df0e257f114ce9e5381fc7a3da0c41a"),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_emit_t2_e6_failure_digest(capsys, monkeypatch, corrupted, fmt):
+    preset = corrupted["e6-shifted-lambda"]
+    monkeypatch.setattr(cli_mod, "build_preset", lambda kind, n=None: preset)
+    code = cli_mod.main(["emit-t2", "--algebra", "e6", "--format", fmt])
+    out = capsys.readouterr().out
+    if fmt == "text":
+        assert out.startswith("emit-t2 e6: FAIL\nmismatch: pair (")
+    else:
+        assert set(json.loads(out)) == {"algebra", "failure", "passed", "schema"}
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == EMIT_T2_E6_EXPECTED[fmt]

@@ -311,7 +311,13 @@ def test_inexact_coefficients_are_rejected():
     m = YMonomial({(1, 0): 1})
     for make in (lambda: LaurentPoly({0: 0.1}), lambda: LaurentPoly([(0, 1), (1, 0.5)]),
                  lambda: SeriesExpr([(m, 0.1)]), lambda: LaurentPoly({0: 1}) * 0.5,
-                 lambda: YMonomial({(1, 0): 0.5})):
+                 lambda: YMonomial({(1, 0): 0.5}),
+                 # exponents, nodes and shifts are ints: t^(1/2) would print as t^0,
+                 # Y_1^(1/2) as Y_1^{0}(z), and a str node fails later, in symbol
+                 lambda: LaurentPoly({Fraction(1, 2): 1, 0: 1}), lambda: LaurentPoly({0.0: 1}),
+                 lambda: YMonomial({(1, 0): Fraction(1, 2)}), lambda: YMonomial({("a", 0): 1}),
+                 lambda: YMonomial({(1, 0.5): 1}), lambda: YMonomial({1: 1}),
+                 lambda: SeriesExpr({1: 1})):
         with pytest.raises(TypeError):
             make()
 

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import functools
+import importlib
 import inspect
 import io
 import os
@@ -126,3 +127,32 @@ def test_every_package_function_is_reached_by_the_cli(tmp_path):
         sys.setprofile(None)
     unreached = sorted(name for code, name in functions.items() if code not in reached)
     assert not unreached, "reached by no command: " + ", ".join(unreached)
+
+
+def test_benchmark_tracer_installs_and_uninstalls_cleanly(monkeypatch):
+    # the benchmark's per-layer metrics come from wrappers that perfbench/tracer.py
+    # installs by attribute path; a renamed or moved target would read 0 unseen
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(TESTS_DIR), "perfbench"))
+    import tracer
+    for modname in tracer.MODULES:
+        importlib.import_module(modname)
+    before = tracer.snapshot()
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        unresolved, wrapped = set(), []
+        for name, modname, path in tracer.TARGETS:
+            owner, obj = None, sys.modules[modname]
+            for part in path.split("."):
+                owner, obj = obj, vars(obj).get(part) if obj is not None else None
+            if obj is None:
+                unresolved.add(name)
+            else:
+                wrapped.append(hasattr(obj, "__wrapped__"))
+        # FieldMatrix lost its inverse and products when the checks moved to
+        # the Laurent tables; every other target must be found and wrapped
+        assert unresolved == {"rflinalg.inverse", "rflinalg.matmul"}
+        assert wrapped and all(wrapped)
+    finally:
+        tr.uninstall()
+    assert tracer.snapshot() == before

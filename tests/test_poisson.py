@@ -605,6 +605,17 @@ def test_e6_closure_fails_on_the_flipped_magnitude_8_orientation(e6, monkeypatch
     assert not [d for d in out.details if "carries T5" in d]
 
 
+def test_e6_closure_records_a_failed_extraction(e6, monkeypatch):
+    def refuse(report):
+        raise NotDecomposableError("no derived series")
+    monkeypatch.setattr(poisson_mod, "extract_t2_e6", refuse)
+    out = verify_closure(e6)
+    assert out.passed is False
+    assert out.failure == "no derived series"
+    assert out.derived is None
+    assert not [d for d in out.details if d.startswith("derived T2")]
+
+
 def test_e6_derived_t2(e6):
     report = bracket_sum(build_t1(e6), build_t1(e6), e6)
     derived = extract_t2_e6(report)
