@@ -154,22 +154,48 @@ def _pair_table(q: LaurentPoly, entries: dict) -> tuple[LaurentPoly, LaurentRows
     """(Q, N) from the closed forms entries[i, j] = (num, den) and a declared Q.
 
     entries holds one closed form per unordered pair of nodes i <= j
-    (1-based), and N is filled in both triangles from it.  N_ij = num * Q /
-    den, one exact division per distinct entry; raises ArithmeticError if Q
-    is not a multiple of some den.  Q and N are shifted together so that Q
-    has min exponent 0, as laurent_divmod needs.
+    (1-based), and N is filled in both triangles from it.  Each den costs at
+    most one exact division, the cofactor Q / den (_cofactor), and each form
+    is then the short product N_ij = num * (Q / den); so D_n, with two
+    denominators, is built in O(n^2).  A form whose den does not divide Q
+    (the den_long forms of even n, every E6 and G2 form) takes the one exact
+    division num * Q / den instead.  Raises ArithmeticError if den does not
+    divide num * Q.  Q and N are shifted together so that Q has min exponent
+    0, as laurent_divmod needs.
     """
     q = q.shift(-q.min_exp)
     rank = max(j for _, j in entries)
-    nums, rows = {}, [[None] * rank for _ in range(rank)]
+    # forms and dens are keyed by id, not hashed: each family passes one
+    # object for a form or den that several pairs share, and entries keeps
+    # them alive; an equal one in another object costs one more product or
+    # division, not a different N
+    cofactors, nums, rows = {}, {}, [[None] * rank for _ in range(rank)]
     for (i, j), form in entries.items():
-        quo = nums.get(form)
+        quo = nums.get(id(form))
         if quo is None:
-            quo = nums[form] = laurent_divide(form[0] * q, form[1])
+            num, den = form
+            try:
+                cof = cofactors[id(den)]
+            except KeyError:
+                cof = cofactors[id(den)] = _cofactor(q, den)
+            quo = nums[id(form)] = num * cof if cof is not None else laurent_divide(num * q, den)
             if quo is None:
-                raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, form[1]))
+                raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, den))
         rows[i - 1][j - 1] = rows[j - 1][i - 1] = quo
     return q, tuple(map(tuple, rows))
+
+
+def _cofactor(q: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
+    """Q / den for a polynomial Q with min exponent 0, or None if den does not divide Q.
+
+    A divisor of Q is at most as wide as Q, and one as wide is c t^k Q, so
+    has as many terms; any other den is refused without a division, so the
+    presets whose denominators do not divide Q (E6, G2) pay for none.
+    """
+    width = den.max_exp - den.min_exp
+    if width < q.max_exp or width == q.max_exp and len(den) == len(q):
+        return laurent_divide(q, den)
+    return None
 
 
 def _dn_pair_table(n: int):

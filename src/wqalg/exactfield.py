@@ -306,6 +306,9 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     lc(b)^(deg a - deg b + 1) keeps each division in ints, and _primitive
     takes content, sign and t^k out of each remainder.  Dropping t^k loses
     no common factor: after _primitive neither a nor b is divisible by t.
+    Each remainder's degree is below b's, so the sequence ends; a remainder
+    that breaks this (a term map holding a stored zero, say) raises
+    ArithmeticError instead of looping.
     """
     if a.max_exp < b.max_exp:
         a, b = b, a
@@ -315,6 +318,9 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         _, rem = laurent_divmod(LaurentPoly._raw({e: c * lead for e, c in a.terms.items()}), b)
         if not rem:
             return b
+        if max(rem) >= top:
+            raise ArithmeticError("gcd remainder of degree %d is not below the divisor's %d"
+                                  % (max(rem), top))
         a, b = b, _primitive(LaurentPoly._raw(rem))[1]
 
 

@@ -233,6 +233,22 @@ G2_PAIR_FORMS = {
     (2, 2): (((3, -1), (1, 1), (2, 1)), ((6, 1),)),
 }
 
+# E6's 21 entries take 12 distinct forms over three denominators: {6},
+# {6}[3] and {1}{6}.  Nodes 1-5 are the chain and node 6 hangs off node 3.
+E6_PAIR_FORMS = {pair: form for pairs, form in (
+    (((1, 1), (5, 5)), (((1, -1), (8, -1)), ((6, 1), (3, -1)))),
+    (((1, 2), (4, 5)), (((1, -1), (5, -1), (2, 1)), ((6, 1), (3, -1)))),
+    (((2, 2), (4, 4)), (((4, -1), (5, -1)), ((6, 1), (3, -1)))),
+    (((1, 3), (2, 6), (4, 6), (3, 5)), (((4, -1),), ((6, 1),))),
+    (((2, 3), (3, 4)), (((4, -1), (1, 1)), ((6, 1),))),
+    (((3, 3),), (((3, -1), (1, 1), (2, 1)), ((6, 1),))),
+    (((1, 6), (5, 6)), (((1, -1), (2, 1)), ((6, 1),))),
+    (((3, 6),), (((3, -1), (2, 1)), ((6, 1),))),
+    (((6, 6),), (((4, -1), (3, 1)), ((1, 1), (6, 1)))),
+    (((1, 4), (2, 5)), (((2, -1), (4, -1)), ((6, 1), (3, -1)))),
+    (((2, 4),), (((2, -1), (4, -1), (1, 1)), ((6, 1), (3, -1)))),
+    (((1, 5),), (((1, -1), (4, -1)), ((6, 1), (3, -1))))) for pair in pairs}
+
 
 def dn_pair_forms(n):
     """The closed forms of M_ij for D_n, one per unordered pair i <= j."""
@@ -250,7 +266,7 @@ def dn_pair_forms(n):
 def pair_table_at_two_to_the_k(preset):
     """(holds, K): whether N_ij den_ij = num_ij Q for every entry, at t = 2^K.
 
-    The forms are G2_PAIR_FORMS for g2 and dn_pair_forms for D_n.  The
+    The forms are G2_PAIR_FORMS, E6_PAIR_FORMS or dn_pair_forms(rank).  The
     difference R_ij of the two sides is an integer Laurent polynomial whose
     coefficients are at most |N_ij| 2^m' + 2^m |Q| in absolute value, with
     |p| the l1 norm and m, m' the factor counts of num and den (a product of
@@ -262,7 +278,8 @@ def pair_table_at_two_to_the_k(preset):
     """
     q, nums = preset.pair_table
     r = len(nums)
-    forms = G2_PAIR_FORMS if preset.kind == "g2" else dn_pair_forms(r)
+    forms = (G2_PAIR_FORMS if preset.kind == "g2" else
+             E6_PAIR_FORMS if preset.kind == "e6" else dn_pair_forms(r))
     assert set(forms) == {(i, j) for i in range(1, r + 1) for j in range(i, r + 1)}
     entries = {id(e): e for row in nums for e in row}
     assert all(type(c) is int for p in (q, *entries.values()) for c in p.terms.values())

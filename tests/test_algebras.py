@@ -9,7 +9,7 @@ import pytest
 
 from oracle import (cartan_identity_at_two_to_the_k, evaluate, laurent_sum,
                     pair_table_at_two_to_the_k, replace_preset)
-from wqalg import build_preset, verify_all, verify_cartan
+from wqalg import algebras, build_preset, exactfield, verify_all, verify_cartan
 from wqalg.algebras import _classical_limit, _pair_table, symmetrized_cartan
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
 from wqalg.genexpr import YMonomial
@@ -141,16 +141,18 @@ def test_power_of_two_oracle_rejects_a_corrupted_pair(kind, n):
     assert not verify_cartan(bad).passed
 
 
-# ranks sampled from d4..d64, as above: building every rank would take about 2 s
-@pytest.mark.parametrize("kind,n", [("g2", None)] + [("dn", n) for n in
-                                                      (*range(4, 13), 16, 24, 32, 48, 64)])
+# ranks sampled from d4..d64, as above: building every rank would take about 2 s.
+# Odd ranks take the cofactor path for every entry, even ranks divide twice
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None)] + [
+    ("dn", n) for n in (*range(4, 13), 16, 24, 32, 33, 48, 63, 64)])
 def test_pair_table_matches_the_closed_forms_at_a_power_of_two(kind, n):
     # N_ij den_ij = num_ij Q, with the closed forms restated in the oracle
     holds, k_exp = pair_table_at_two_to_the_k(build_preset(kind, n))
     assert holds and k_exp <= 12
 
 
-@pytest.mark.parametrize("kind,n,i,j", [("dn", 5, 1, 0), ("dn", 32, 31, 30), ("g2", None, 1, 1)])
+@pytest.mark.parametrize("kind,n,i,j", [("dn", 5, 1, 0), ("dn", 32, 31, 30), ("g2", None, 1, 1),
+                                       ("e6", None, 5, 2)])
 def test_pair_table_oracle_rejects_a_corrupted_entry(kind, n, i, j):
     # one entry of one triangle: the oracle reads both
     preset = build_preset(kind, n)
@@ -298,12 +300,53 @@ def test_verify_all_reports_singular_mtilde_without_raising(g2):
 # --- the pair table lives on the preset ----------------------------------------
 
 def test_pair_table_divides_each_entry_exactly_or_raises():
-    # t^3 + t^-3 = (t + t^-1)(t^2 - 1 + t^-2); Q and N shift together by t^3
-    q, nums = _pair_table(sym_plus(3), {(1, 1): (sym_minus(1), sym_plus(1))})
+    # t^3 + t^-3 = (t + t^-1)(t^2 - 1 + t^-2); Q and N shift together by t^3.
+    # (1,1) multiplies num by the cofactor Q / (t + t^-1); (1,2)'s den is
+    # wider than Q and t^2 + t^-2 does not divide Q, so (1,2) and (2,2)
+    # divide num * Q instead, as even n's den_long forms do
+    q, nums = _pair_table(sym_plus(3), {
+        (1, 1): (sym_minus(1), sym_plus(1)),
+        (1, 2): (sym_minus(2), sym_plus(1) * sym_plus(3)),
+        (2, 2): (sym_minus(4), sym_plus(2))})
     assert q == LaurentPoly({6: 1, 0: 1})
-    assert nums == ((sym_minus(1) * LaurentPoly({5: 1, 3: -1, 1: 1}),),)
-    with pytest.raises(ArithmeticError, match="not a multiple of"):
-        _pair_table(sym_plus(3), {(1, 1): (sym_minus(1), sym_plus(2))})
+    off = sym_minus(1).shift(3)
+    assert nums == ((sym_minus(1) * LaurentPoly({5: 1, 3: -1, 1: 1}), off),
+                    (off, (sym_minus(2) * sym_plus(3)).shift(3)))
+    for den in (sym_plus(2), sym_plus(4)):
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "declared Q = %s is not a multiple of %s" % (q, den))):
+            _pair_table(sym_plus(3), {(1, 1): (sym_minus(1), den)})
+
+
+def _divmod_calls(monkeypatch, kind, n=None):
+    """The number of laurent_divmod calls that build_preset(kind, n) makes."""
+    calls = []
+    real = exactfield.laurent_divmod
+
+    def counting(a, q):
+        calls.append(1)
+        return real(a, q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactfield, "laurent_divmod", counting)
+        patch.setattr(algebras, "laurent_divmod", counting)
+        build_preset(kind, n)
+    return len(calls)
+
+
+@pytest.mark.parametrize("small,large", [(16, 64), (17, 65)])
+def test_dn_build_divides_a_number_of_times_that_does_not_grow_with_n(
+        monkeypatch, small, large):
+    # one cofactor Q / den per den, and the even-n den_long forms, not one
+    # division per entry (about n^2 / 2 of them)
+    assert 0 < _divmod_calls(monkeypatch, "dn", small) == _divmod_calls(monkeypatch, "dn", large)
+
+
+@pytest.mark.parametrize("kind,forms", [("e6", 12), ("g2", 3)])
+def test_exceptional_builds_try_no_cofactor(monkeypatch, kind, forms):
+    # no denominator of theirs divides Q: one division per distinct form,
+    # and none for a cofactor that cannot exist
+    assert _divmod_calls(monkeypatch, kind) == forms
 
 
 def test_pair_table_is_freed_with_its_preset():

@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic and the canonical rational-function form, checked by evaluation."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import assert_int_valued, evaluate, laurent_sum
-from wqalg import build_preset
+from wqalg import build_preset, exactfield
 from wqalg.exactfield import (LaurentPoly, RationalFunction, _poly_gcd, _primitive,
                               laurent_divide, laurent_divmod, sym_minus, sym_plus)
 from wqalg.genexpr import SeriesExpr, YMonomial
@@ -405,3 +406,25 @@ def test_gcd_finds_a_planted_factor(g, a, b):
     assert got.min_exp == 0 and got.terms[got.max_exp] > 0
     assert all(type(c) is int for c in got.terms.values())
     assert sympy_poly(got).monic() == sympy.gcd(sympy_poly(pa), sympy_poly(pb)).monic()
+
+
+def test_poly_gcd_raises_instead_of_looping_on_a_stored_zero(monkeypatch):
+    # an _add_scaled that keeps the sums that cancel leaves zeros in the
+    # remainders: t^2 + 1 over t + 1 leaves {2: 0, 1: 0, 0: 2}, whose degree
+    # does not drop, and the remainder sequence would then cycle for ever
+    def keeps_zeros(acc, shift, coeff, terms):
+        for e, c in terms.items():
+            acc[e + shift] = acc.get(e + shift, 0) + coeff * c
+
+    def timeout(signum, frame):
+        raise TimeoutError("_poly_gcd did not return")
+
+    monkeypatch.setattr(exactfield, "_add_scaled", keeps_zeros)
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ArithmeticError, match="is not below the divisor's 1"):
+            _poly_gcd(LaurentPoly({2: 1, 0: 1}), LaurentPoly({1: 1, 0: 1}))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
