@@ -13,7 +13,8 @@ Each family is declared once.  D and Mtilde are the t-numbers
 [b] = t^b - t^-b of one integer matrix, the symmetrized Cartan matrix
 B = DC (_cartan_b): Mtilde_ij = [B_ij] and d_i = [B_ii / 2].  B is also
 the classical limit that verify_cartan checks Mtilde against.  The pair
-table is built from the closed forms of M_ij, one per unordered pair i <= j.
+table is built from the closed forms of M_ij, grouped under their
+denominators, each denominator declared once.
 
 VerificationOutcome is the one verdict record: every verifier, here and in
 the bracket engine, records each of its checks through
@@ -61,7 +62,7 @@ class AlgebraPreset:
         if bad:
             raise ValueError("the table lambdas of %s has a factor on node %d, outside 1..%d"
                              % (self.name, bad[0], r))
-        # the split table: symbol numerator -> (alpha, delta items), empty on a
+        # the split table: symbol numerator -> (alpha, deltas), empty on a
         # new preset; poisson._split_numerator is its only reader and writer
         self.splits = {}
 
@@ -150,38 +151,31 @@ class VerificationOutcome:
         return ok
 
 
-def _pair_table(q: LaurentPoly, entries: dict) -> tuple[LaurentPoly, LaurentRows]:
-    """(Q, N) from the closed forms entries[i, j] = (num, den) and a declared Q.
+def _pair_table(q: LaurentPoly, forms: dict) -> tuple[LaurentPoly, LaurentRows]:
+    """(Q, N) from a declared Q and the closed forms grouped under their den.
 
-    entries holds one closed form per unordered pair of nodes i <= j
-    (1-based), and N is filled in both triangles from it.  Each den costs at
-    most one exact division, the cofactor Q / den (_cofactor), and each form
-    is then the short product N_ij = num * (Q / den); so D_n, with two
-    denominators, is built in O(n^2).  A form whose den does not divide Q
-    (the den_long forms of even n, every E6 and G2 form) takes the one exact
-    division num * Q / den instead.  Raises ArithmeticError if den does not
-    divide num * Q.  Q and N are shifted together so that Q has min exponent
-    0, as laurent_divmod needs.
+    forms maps each den to a list of (pairs, num): M_ij = num / den for
+    every unordered pair (i, j), i <= j (1-based), in pairs, and N is filled
+    in both triangles from it.  Each den costs at most one exact division,
+    the cofactor Q / den (_cofactor), and each of its forms is then the
+    short product N_ij = num * (Q / den); so D_n, with two denominators, is
+    built in O(n^2).  Under a den that does not divide Q (den_long for even
+    n, every E6 and G2 den) each form takes the one exact division
+    num * Q / den instead.  Raises ArithmeticError if den does not divide
+    num * Q.  Q and N are shifted together so that Q has min exponent 0, as
+    laurent_divmod needs.
     """
     q = q.shift(-q.min_exp)
-    rank = max(j for _, j in entries)
-    # forms and dens are keyed by id, not hashed: each family passes one
-    # object for a form or den that several pairs share, and entries keeps
-    # them alive; an equal one in another object costs one more product or
-    # division, not a different N
-    cofactors, nums, rows = {}, {}, [[None] * rank for _ in range(rank)]
-    for (i, j), form in entries.items():
-        quo = nums.get(id(form))
-        if quo is None:
-            num, den = form
-            try:
-                cof = cofactors[id(den)]
-            except KeyError:
-                cof = cofactors[id(den)] = _cofactor(q, den)
-            quo = nums[id(form)] = num * cof if cof is not None else laurent_divide(num * q, den)
+    rank = max(j for group in forms.values() for pairs, _ in group for _, j in pairs)
+    rows = [[None] * rank for _ in range(rank)]
+    for den, group in forms.items():
+        cof = _cofactor(q, den)
+        for pairs, num in group:
+            quo = num * cof if cof is not None else laurent_divide(num * q, den)
             if quo is None:
                 raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, den))
-        rows[i - 1][j - 1] = rows[j - 1][i - 1] = quo
+            for i, j in pairs:
+                rows[i - 1][j - 1] = rows[j - 1][i - 1] = quo
     return q, tuple(map(tuple, rows))
 
 
@@ -201,15 +195,14 @@ def _cofactor(q: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
 def _dn_pair_table(n: int):
     den = sym_plus(n - 1)
     den_long = sym_plus(1) * den
-    entries = {(i, j): (sym_minus(i) * sym_plus(n - 1 - j), den)
-               for i in range(1, n - 1) for j in range(i, n - 1)}
-    for i in range(1, n - 1):
-        entries[i, n - 1] = entries[i, n] = (sym_minus(i), den)
-    entries[n - 1, n] = (sym_minus(n - 2), den_long)
-    entries[n - 1, n - 1] = entries[n, n] = (sym_minus(n), den_long)
+    forms = {den: [(((i, j),), sym_minus(i) * sym_plus(n - 1 - j))
+                   for i in range(1, n - 1) for j in range(i, n - 1)]
+             + [(((i, n - 1), (i, n)), sym_minus(i)) for i in range(1, n - 1)],
+             den_long: [(((n - 1, n),), sym_minus(n - 2)),
+                        (((n - 1, n - 1), (n, n)), sym_minus(n))]}
     # Q is the reduced lcm of den and den_long: for even n, t + t^-1 divides
     # both long-entry numerators
-    return _pair_table(den_long if n % 2 else den, entries)
+    return _pair_table(den_long if n % 2 else den, forms)
 
 
 _E6_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
@@ -260,26 +253,24 @@ _G2_Q = LaurentPoly({4: 1, 0: -1, -4: 1})
 
 
 def _e6_pair_table():
-    d_short = sym_plus(6)
-    d_long = sym_plus(6) * sym_minus(3)
-    d_extra = sym_plus(1) * sym_plus(6)
-    entries = {}
-    for pairs, form in (
-            (((1, 1), (5, 5)), (sym_minus(1) * sym_minus(8), d_long)),
-            (((1, 2), (4, 5)), (sym_minus(1) * sym_minus(5) * sym_plus(2), d_long)),
-            (((2, 2), (4, 4)), (sym_minus(4) * sym_minus(5), d_long)),
-            (((1, 3), (2, 6), (4, 6), (3, 5)), (sym_minus(4), d_short)),
-            (((2, 3), (3, 4)), (sym_minus(4) * sym_plus(1), d_short)),
-            (((3, 3),), (sym_minus(3) * sym_plus(1) * sym_plus(2), d_short)),
-            (((1, 6), (5, 6)), (sym_minus(1) * sym_plus(2), d_short)),
-            (((3, 6),), (sym_minus(3) * sym_plus(2), d_short)),
-            (((6, 6),), (sym_minus(4) * sym_plus(3), d_extra)),
-            (((1, 4), (2, 5)), (sym_minus(2) * sym_minus(4), d_long)),
-            (((2, 4),), (sym_minus(2) * sym_minus(4) * sym_plus(1), d_long)),
-            (((1, 5),), (sym_minus(1) * sym_minus(4), d_long))):
-        entries.update(dict.fromkeys(pairs, form))
+    forms = {
+        sym_plus(6) * sym_minus(3): [  # d_long
+            (((1, 1), (5, 5)), sym_minus(1) * sym_minus(8)),
+            (((1, 2), (4, 5)), sym_minus(1) * sym_minus(5) * sym_plus(2)),
+            (((2, 2), (4, 4)), sym_minus(4) * sym_minus(5)),
+            (((1, 4), (2, 5)), sym_minus(2) * sym_minus(4)),
+            (((2, 4),), sym_minus(2) * sym_minus(4) * sym_plus(1)),
+            (((1, 5),), sym_minus(1) * sym_minus(4))],
+        sym_plus(6): [  # d_short
+            (((1, 3), (2, 6), (4, 6), (3, 5)), sym_minus(4)),
+            (((2, 3), (3, 4)), sym_minus(4) * sym_plus(1)),
+            (((3, 3),), sym_minus(3) * sym_plus(1) * sym_plus(2)),
+            (((1, 6), (5, 6)), sym_minus(1) * sym_plus(2)),
+            (((3, 6),), sym_minus(3) * sym_plus(2))],
+        sym_plus(1) * sym_plus(6): [  # d_extra
+            (((6, 6),), sym_minus(4) * sym_plus(3))]}
     # the reduced lcm of the denominators: the G2 one times t^2 + 1 + t^-2
-    return _pair_table(_G2_Q * LaurentPoly({2: 1, 0: 1, -2: 1}), entries)
+    return _pair_table(_G2_Q * LaurentPoly({2: 1, 0: 1, -2: 1}), forms)
 
 
 # The 27 fundamental monomials for E6, exactly as displayed.
@@ -326,10 +317,10 @@ _G2_LAMBDA_FACTORS = (
 
 
 def _g2_pair_table():
-    den = sym_plus(6)
-    return _pair_table(_G2_Q, {(1, 1): (sym_plus(3) * sym_minus(1) * sym_plus(2), den),
-                               (1, 2): (sym_minus(3) * sym_plus(2), den),
-                               (2, 2): (sym_minus(3) * sym_plus(1) * sym_plus(2), den)})
+    return _pair_table(_G2_Q, {sym_plus(6): [
+        (((1, 1),), sym_plus(3) * sym_minus(1) * sym_plus(2)),
+        (((1, 2),), sym_minus(3) * sym_plus(2)),
+        (((2, 2),), sym_minus(3) * sym_plus(1) * sym_plus(2))]})
 
 
 def build_preset(kind: str, n: int | None = None) -> AlgebraPreset:

@@ -126,12 +126,13 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
 
     Each distinct numerator is divided once per preset: a success is stored
     in preset.splits while it holds fewer than _SPLIT_TABLE_CAP entries, and
-    a stored split is returned with a fresh deltas dict.
+    the stored pair itself is returned, so callers read deltas and never
+    change it (decompose copies it).
     """
     splits = preset.splits
     hit = splits.get(num)
     if hit is not None:
-        return hit[0], dict(hit[1])
+        return hit
     q = preset.pair_table[0]
     quo11, rem11 = preset.m11_split
     if not rem11:
@@ -145,10 +146,10 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
             % (num, q))
     if alpha:
         _add_scaled(quo, 0, -alpha, quo11)
-    deltas = _int_valued(quo)
+    split = alpha, _int_valued(quo)
     if len(splits) < _SPLIT_TABLE_CAP:
-        splits[num] = alpha, tuple(deltas.items())
-    return alpha, deltas
+        splits[num] = split
+    return split
 
 
 def decompose(s: RationalFunction, preset: AlgebraPreset) -> DeltaDecomposition:
@@ -169,7 +170,8 @@ def decompose(s: RationalFunction, preset: AlgebraPreset) -> DeltaDecomposition:
         if num is None:
             raise NotDecomposableError("symbol %s does not decompose over %s"
                                        % (s, preset.name))
-    return DeltaDecomposition(*_split_numerator(num, preset))
+    alpha, deltas = _split_numerator(num, preset)
+    return DeltaDecomposition(alpha, dict(deltas))
 
 
 class BracketReport:
@@ -334,13 +336,11 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
     carries T5(zq^4); the flipped orientation fails.
     """
     out = ClosureOutcome()
-    if not all(preset.m_parity):
-        out.check(False, "", _M_NOT_SYMMETRIC_ODD % preset.name)
-        return out
     t1 = build_t1(preset)
     try:
         report = out.report = bracket_sum(t1, t1, preset)
-    except (NotDecomposableError, NonUniformBaseError) as exc:
+    except ValueError as exc:
+        # bracket_sum's parity guard, NotDecomposableError or NonUniformBaseError
         out.check(False, "", str(exc))
         return out
 
@@ -403,8 +403,7 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
 
     # one residual check proves D M^-1 D = Mtilde and D Mtilde^-1 D = M together
     cartan = verify_cartan(preset)
-    check(cartan.passed, "deformed Cartan identity D M^-1 D",
-          cartan.failure or "deformed Cartan identity")
+    check(cartan.passed, "deformed Cartan identity D M^-1 D", cartan.failure)
     symmetric, odd = preset.m_parity
     check(symmetric, "M is symmetric", "M is not symmetric")
     check(tuple(zip(*preset.mtilde)) == preset.mtilde,
@@ -445,8 +444,7 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
             out.details.append("NOTE every diagonal bracket is pure")
 
     closure = verify_closure(preset)
-    check(closure.passed, "closure of {T1(z), T1(w)}",
-          closure.failure or "closure of {T1(z), T1(w)}")
+    check(closure.passed, "closure of {T1(z), T1(w)}", closure.failure)
     out.details.extend("  " + d for d in closure.details)
 
     if preset.kind != "dn":

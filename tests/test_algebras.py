@@ -305,9 +305,9 @@ def test_pair_table_divides_each_entry_exactly_or_raises():
     # wider than Q and t^2 + t^-2 does not divide Q, so (1,2) and (2,2)
     # divide num * Q instead, as even n's den_long forms do
     q, nums = _pair_table(sym_plus(3), {
-        (1, 1): (sym_minus(1), sym_plus(1)),
-        (1, 2): (sym_minus(2), sym_plus(1) * sym_plus(3)),
-        (2, 2): (sym_minus(4), sym_plus(2))})
+        sym_plus(1): [(((1, 1),), sym_minus(1))],
+        sym_plus(1) * sym_plus(3): [(((1, 2),), sym_minus(2))],
+        sym_plus(2): [(((2, 2),), sym_minus(4))]})
     assert q == LaurentPoly({6: 1, 0: 1})
     off = sym_minus(1).shift(3)
     assert nums == ((sym_minus(1) * LaurentPoly({5: 1, 3: -1, 1: 1}), off),
@@ -315,7 +315,7 @@ def test_pair_table_divides_each_entry_exactly_or_raises():
     for den in (sym_plus(2), sym_plus(4)):
         with pytest.raises(ArithmeticError, match=re.escape(
                 "declared Q = %s is not a multiple of %s" % (q, den))):
-            _pair_table(sym_plus(3), {(1, 1): (sym_minus(1), den)})
+            _pair_table(sym_plus(3), {den: [(((1, 1),), sym_minus(1))]})
 
 
 def _divmod_calls(monkeypatch, kind, n=None):

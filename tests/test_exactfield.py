@@ -146,6 +146,14 @@ def test_laurent_divmod_rejects_bad_divisors():
         laurent_divmod(a, lp({1: 1, 3: 1}))     # no constant term
     with pytest.raises(ValueError):
         laurent_divmod(a, lp({-1: 1, 0: 1}))    # not a polynomial
+    with pytest.raises(ZeroDivisionError, match="^Laurent division by zero$"):
+        laurent_divide(a, LaurentPoly.zero())
+
+
+@pytest.mark.parametrize("end", ["min_exp", "max_exp"])
+def test_zero_polynomial_has_no_exponents(end):
+    with pytest.raises(ValueError, match="^zero polynomial has no exponents$"):
+        getattr(LaurentPoly.zero(), end)
 
 
 def test_laurent_divide_is_exact_or_none():
@@ -334,6 +342,9 @@ def test_both_term_maps_share_one_slotted_base():
     assert LaurentPoly.zero() != SeriesExpr.zero()
     assert not LaurentPoly.zero() == SeriesExpr.zero()
     assert not LaurentPoly.zero() and not SeriesExpr.zero()
+    # a rational function equals only a rational function
+    rf = RationalFunction(LaurentPoly.one())
+    assert rf.__eq__(LaurentPoly.one()) is NotImplemented and rf != LaurentPoly.one()
     assert len(sym_plus(2)) == 2 and len(SeriesExpr.one()) == 1
     # LaurentPoly keys the split table; SeriesExpr has no hash
     assert hash(LaurentPoly({1: 2})) == hash(LaurentPoly([(1, 1), (1, 1)]))

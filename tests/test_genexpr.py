@@ -30,6 +30,14 @@ def test_identity_and_inverse(g2):
     assert YMonomial.identity().items() == ()
 
 
+def test_monomials_compare_and_multiply_only_with_monomials(g2):
+    lam4 = g2.lambdas[3]
+    assert lam4.__eq__(lam4.items()) is NotImplemented and lam4 != lam4.items()
+    assert lam4.__mul__(2) is NotImplemented
+    with pytest.raises(TypeError):
+        lam4 * 2
+
+
 def test_g2_lambda1_times_shifted_lambda7(g2):
     prod = g2.lambdas[0] * g2.lambdas[6].shift_arg(2)
     assert prod == YMonomial.from_factors([(1, 0, 1), (1, -10, -1)])

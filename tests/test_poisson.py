@@ -169,6 +169,8 @@ def test_decompose_base_itself(g2):
 def test_decompose_pure_delta(g2):
     dec = decompose(RationalFunction(LaurentPoly({3: 1})), g2)
     assert dec.base_coeff == 0 and dec.deltas == {3: 1}
+    # a decomposition equals only a decomposition
+    assert dec.__eq__((0, {3: 1})) is NotImplemented and dec != (0, {3: 1})
 
 
 def test_decompose_worked_g2_example(g2):

@@ -61,6 +61,12 @@ def test_transpose_and_json_roundtrip(g2):
                                                 [zero.to_json(), a.to_json()]]}
 
 
+@pytest.mark.parametrize("rows", [[], [[RationalFunction(sym_minus(1))] * 2]])
+def test_field_matrix_must_be_square_and_nonempty(rows):
+    with pytest.raises(ValueError, match="^matrix must be square and nonempty$"):
+        FieldMatrix(rows)
+
+
 def test_latex_emitter_shape(g2):
     tex = g2.expected_mtilde.to_latex()
     assert tex.startswith("\\begin{pmatrix}")

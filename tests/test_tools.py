@@ -1,0 +1,42 @@
+"""Smoke tests of the scripts under tools/, each run as its own process."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+def run_tool(name, *args):
+    return subprocess.run([sys.executable, os.path.join(TOOLS, name), *args],
+                          capture_output=True, text=True)
+
+
+def test_dn_ranks_checks_each_rank():
+    proc = run_tool("dn_ranks.py", "4", "9")
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.split()[3:6] == ["passed", "cartan@2^K", "pairs@2^K"]
+    assert [line.split()[0] for line in lines] == ["d4", "d9"]
+    for line in lines:
+        fields = line.split()
+        # passed, then each oracle's verdict followed by its K
+        assert (fields[3], fields[4], fields[6]) == ("True", "True", "True"), line
+
+
+@pytest.mark.parametrize("args", [("3",), ()])
+def test_dn_ranks_refuses_a_rank_below_4(args):
+    proc = run_tool("dn_ranks.py", *args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage: dn_ranks.py N [N ...]   (each N >= 4)\n"
+
+
+def test_loc_total_is_the_sum_of_its_modules():
+    proc = run_tool("loc.py")
+    assert proc.returncode == 0, proc.stderr
+    *modules, total = [line.split() for line in proc.stdout.splitlines()]
+    assert modules and all(name.endswith(".py") for name, _ in modules)
+    assert total[0] == "total"
+    assert int(total[1]) == sum(int(count) for _, count in modules)
