@@ -58,7 +58,7 @@ class AlgebraPreset:
                              "constant term: %s" % (self.name, q))
         if len(set(lambdas)) != len(lambdas):
             raise ValueError("fundamental terms are not pairwise distinct for %s" % self.name)
-        bad = [i for m in lambdas for (i, _), _ in m.items() if not 1 <= i <= r]
+        bad = [i for m in lambdas for i, _, _ in m.factors if not 1 <= i <= r]
         if bad:
             raise ValueError("the table lambdas of %s has a factor on node %d, outside 1..%d"
                              % (self.name, bad[0], r))
@@ -413,14 +413,22 @@ def _classical_limit(p: LaurentPoly) -> int | Fraction | None:
 
 
 def _limit_failure(preset: AlgebraPreset) -> str | None:
-    """Check the normalized t -> 1 limit of Mtilde; None if it holds.
+    """Check the normalized t -> 1 limits of D and Mtilde; None if they hold.
 
     Each entry of Mtilde divided by (t - t^-1) and evaluated at t = 1 must
-    give the symmetrized Cartan integer.  The entries are Laurent, so the
-    limit is read off their terms (_classical_limit).  Returns the failure,
-    naming the first entry with a pole or a differing limit.
+    give the symmetrized Cartan integer B_ij, and each d_i must give
+    B_ii / 2.  The residual of D M^-1 D does not see the sign of D, so the
+    limit of d is what fixes it.  The entries are Laurent, so each limit is
+    read off their terms (_classical_limit).  Returns the failure, naming
+    the first entry of d, then of Mtilde, with a pole or a differing limit.
     """
     expected = symmetrized_cartan(preset)
+    for i, e in enumerate(preset.d):
+        limit, half = _classical_limit(e), expected[i][i] // 2
+        if limit is None:
+            return "limit of d_%d: %s divided by t - t^-1 has a pole at t = 1" % (i + 1, e)
+        if limit != half:
+            return "limit of d_%d: got %s, expected %d" % (i + 1, limit, half)
     for i, row in enumerate(preset.mtilde):
         for j, e in enumerate(row):
             limit = _classical_limit(e)

@@ -1,14 +1,17 @@
 """Monomial calculus for generating series built from shifted Y factors.
 
-A YMonomial encodes a finite product  prod Y_i(zq^a)^e  as the map
-(i, a) -> e.  A SeriesExpr is a finite rational-coefficient sum of such
+A YMonomial encodes a finite product  prod Y_i(zq^a)^e  as the sorted
+tuple of its (i, a, e) int triples: the map (i, a) -> e with one small
+tuple per factor, since a series at rank holds hundreds of thousands of
+monomials.  A SeriesExpr is a finite rational-coefficient sum of such
 monomials; the sums T_1, T_2, T_5 and every delta-coefficient series live
 here.  Its coefficients follow exactfield's policy: ints where integral,
 Fractions only where not.  Like LaurentPoly it is an exactfield._TermMap,
 which holds its constructor, equality and negation; SeriesExpr adds shifts,
 dualisation and printing.  It has no sums or scalar products (bracket_sum
 accumulates its own term maps), and no hash.  Monomials are ordered by
-their sorted items() tuples wherever they are sorted.
+their factors tuples wherever they are sorted; the triples compare like
+((i, a), e) pairs, since each (i, a) occurs once.
 
 Scalar prefactors of the Y generators are deliberately not represented.
 Lemma: the prefactor of a product is determined by its Y-content (each
@@ -23,22 +26,27 @@ from .exactfield import _collect, _signed_sum, _TermMap
 
 
 class YMonomial:
-    """Finite product of Y_i(zq^a)^e factors, keyed by (node, shift)."""
+    """Finite product of Y_i(zq^a)^e factors, one (node, shift, exp) triple each.
 
-    __slots__ = ("_items",)
+    factors is the tuple of those int triples, sorted; each (node, shift)
+    occurs once, with a nonzero exponent.
+    """
+
+    __slots__ = ("factors",)
 
     def __init__(self, content=()):
+        """Build from a map (node, shift) -> exponent, or from its (key, exp) pairs."""
         data = _collect(content)
         for k, e in data.items():
             if not (type(k) is tuple and len(k) == 2 and all(isinstance(x, int) for x in (*k, e))):
                 raise TypeError("a factor is (node, shift) -> exponent, all ints; got %r -> %r"
                                 % (k, e))
-        self._items = tuple(sorted(data.items()))
+        self.factors = tuple(sorted((i, a, e) for (i, a), e in data.items()))
 
     @classmethod
-    def _raw(cls, items):
+    def _raw(cls, factors):
         m = object.__new__(cls)
-        m._items = items
+        m.factors = factors
         return m
 
     @classmethod
@@ -47,45 +55,43 @@ class YMonomial:
 
     @classmethod
     def from_factors(cls, factors):
-        """Build from (node, shift, exponent) triples."""
+        """Build from (node, shift, exponent) triples; like (node, shift) add up."""
         return cls(((i, a), e) for i, a, e in factors)
-
-    def items(self):
-        return self._items
 
     def __eq__(self, other):
         if not isinstance(other, YMonomial):
             return NotImplemented
-        return self._items == other._items
+        return self.factors == other.factors
 
     def __hash__(self):
-        return hash(self._items)
+        return hash(self.factors)
 
     def __mul__(self, other):
         if not isinstance(other, YMonomial):
             return NotImplemented
-        a, b = self._items, other._items
+        a, b = self.factors, other.factors
         if not a:
             return other
         if not b:
             return self
-        # both factors are sorted by key: merge them in one pass
+        # both factors are sorted by (node, shift): merge them in one pass
         out = []
         i = j = 0
         na, nb = len(a), len(b)
         while i < na and j < nb:
-            ka, ea = a[i]
-            kb, eb = b[j]
-            if ka < kb:
-                out.append(a[i])
+            x, y = a[i], b[j]
+            if x[0] == y[0] and x[1] == y[1]:
+                e = x[2] + y[2]
+                if e:
+                    out.append((x[0], x[1], e))
                 i += 1
-            elif kb < ka:
-                out.append(b[j])
                 j += 1
-            else:
-                if ea + eb:
-                    out.append((ka, ea + eb))
+            elif x < y:
+                # distinct (node, shift) keys: the triples order by key
+                out.append(x)
                 i += 1
+            else:
+                out.append(y)
                 j += 1
         out += a[i:]
         out += b[j:]
@@ -93,19 +99,21 @@ class YMonomial:
 
     def shift_arg(self, s: int) -> "YMonomial":
         """Substitute z -> zq^s in every factor."""
+        if not s:
+            return self
         # one shift added to every (node, shift) key keeps the keys in order
-        return YMonomial._raw(tuple(((i, a + s), e) for (i, a), e in self._items))
+        return YMonomial._raw(tuple((i, a + s, e) for i, a, e in self.factors))
 
     def dual(self) -> "YMonomial":
         """Replace every Y_i(zq^a)^e by Y_i(zq^-a)^-e."""
-        return YMonomial._raw(tuple(sorted(((i, -a), -e) for (i, a), e in self._items)))
+        return YMonomial._raw(tuple(sorted((i, -a, -e) for i, a, e in self.factors)))
 
     def _render(self, factor, sep):
         """The factors as factor % (node, exponent, argument), joined by sep."""
-        if not self._items:
+        if not self.factors:
             return "1"
         parts = []
-        for (i, a), e in self._items:
+        for i, a, e in self.factors:
             arg = "z" if a == 0 else ("zq" if a == 1 else "zq^{%d}" % a)
             exp = "" if e == 1 else "^{%d}" % e
             parts.append(factor % (i, exp, arg))
@@ -120,7 +128,7 @@ class YMonomial:
         return self._render("Y_{%d}%s(%s)", "")
 
     def to_json(self):
-        return [{"node": i, "shift": a, "exp": e} for (i, a), e in self._items]
+        return [{"node": i, "shift": a, "exp": e} for i, a, e in self.factors]
 
 
 class SeriesExpr(_TermMap):
@@ -140,7 +148,7 @@ class SeriesExpr(_TermMap):
         return SeriesExpr._raw({m.dual(): c for m, c in self.terms.items()})
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mc[0].items())
+        return sorted(self.terms.items(), key=lambda mc: mc[0].factors)
 
     def __str__(self):
         return _signed_sum(((c, str(m) if abs(c) == 1 else "%s %s" % (abs(c), m))

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
 from .algebras import AlgebraPreset, VerificationOutcome, verify_cartan
 from .exactfield import (LaurentPoly, RationalFunction, _add_scaled, _exact_quotient,
@@ -103,14 +104,14 @@ def symbol(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> RationalFunctio
 
 def _symbol_numerator(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> LaurentPoly:
     rank = preset.rank
-    for (i, _), _ in a.items() + b.items():
+    for i, _, _ in a.factors + b.factors:
         if not 1 <= i <= rank:
             raise ValueError("node index out of range for rank %d" % rank)
     nums = preset.pair_table[1]
     acc = {}
-    for (i, ash), e in a.items():
+    for i, ash, e in a.factors:
         row = nums[i - 1]
-        for (j, bsh), f in b.items():
+        for j, bsh, f in b.factors:
             _add_scaled(acc, bsh - ash, e * f, row[j - 1].terms)
     return LaurentPoly._raw(acc)
 
@@ -243,7 +244,7 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
             del series[key]
 
     t, s = t_series.terms, s_series.terms
-    monos = sorted(t.keys() | s.keys(), key=YMonomial.items)
+    monos = sorted(t.keys() | s.keys(), key=attrgetter("factors"))
     for n, x in enumerate(monos):
         tx, sx = t.get(x, 0), s.get(x, 0)
         for y in monos[n:]:
@@ -271,7 +272,7 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     nonunit = [(a, m, c) for a, d in acc.items() for m, c in d.items() if c != 1 and c != -1]
     if nonunit:
         # informational: verify_closure matches every coefficient against its series
-        a, _, c = min(nonunit, key=lambda amc: (amc[0], amc[1].items()))
+        a, _, c = min(nonunit, key=lambda amc: (amc[0], amc[1].factors))
         _log("info", "%s bracket: %d delta-series coefficients are not +-1 "
              "(first: shift %d, coefficient %s)", preset.name, len(nonunit), a, c)
     delta_terms = {a: SeriesExpr._raw(_int_valued(d)) for a, d in acc.items() if d}
@@ -315,11 +316,31 @@ class ClosureOutcome(VerificationOutcome):
         self.derived: DerivedSeries | None = None   # e6 only: the derived second series
 
 
-def _match_series(out, report, shift, expected, label):
+def _is_shifted(got: SeriesExpr, series: SeriesExpr, sign: int, by: int) -> bool:
+    """Whether got = sign * series(zq^by), read term by term.
+
+    Each term m of got is looked up as m(zq^-by) in series, so no shifted
+    copy of series is built.  Equal lengths and a match for every term of
+    got make the two equal, since shift_arg is one-to-one.
+    """
+    want = series.terms
+    return len(got) == len(want) and all(
+        want.get(m.shift_arg(-by)) == sign * c for m, c in got.terms.items())
+
+
+def _match_series(out, report, shift, series, sign, by, label):
+    """Record the check C(shift) = sign * series(zq^by), which label names.
+
+    The shifted, signed series is built only on a mismatch, to name the
+    first monomial where the two differ.
+    """
     got = report.delta_terms.get(shift, SeriesExpr.zero())
-    if got == expected:
+    if _is_shifted(got, series, sign, by):
         return out.check(True, "C(%+d) = %s" % (shift, label), "")
-    keys = sorted(set(got.terms) | set(expected.terms), key=YMonomial.items)
+    expected = series.shift_arg(by)
+    if sign < 0:
+        expected = -expected
+    keys = sorted(set(got.terms) | set(expected.terms), key=attrgetter("factors"))
     first = next(m for m in keys if got.terms.get(m, 0) != expected.terms.get(m, 0))
     return out.check(False, "", "shift %+d: expected %s; first differing monomial %s "
                      "(got %s, want %s)" % (shift, label, first, got.terms.get(first, 0),
@@ -350,32 +371,33 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
     if preset.kind == "e6":
         support = {-2, 2, -8, 8}
     else:
-        # shift -> (expected series, label), in the order the matches are reported
+        # shift -> C(shift) = sign * series(zq^by) as (series, sign, by, label),
+        # in the order the matches are reported
         t2, one = build_t2(preset), SeriesExpr.one()
-        table = {-2: (t2, "T2(z)"), 2: (-t2.shift_arg(-2), "-T2(zq^-2)")}
+        table = {-2: (t2, 1, 0, "T2(z)"), 2: (t2, -1, -2, "-T2(zq^-2)")}
         if preset.kind == "dn":
             edge = 2 * preset.rank - 2
-            table.update({-edge: (one, "1"), edge: (-one, "-1")})
+            table.update({-edge: (one, 1, 0, "1"), edge: (one, -1, 0, "-1")})
         else:
-            table.update({-8: (t1.shift_arg(4), "T1(zq^4)"), 8: (-t1.shift_arg(-4), "-T1(zq^-4)"),
-                          -12: (one, "1"), 12: (-one, "-1")})
+            table.update({-8: (t1, 1, 4, "T1(zq^4)"), 8: (t1, -1, -4, "-T1(zq^-4)"),
+                          -12: (one, 1, 0, "1"), 12: (one, -1, 0, "-1")})
         support = set(table)
     out.check(set(report.delta_terms) == support,
               "delta support is exactly %s" % sorted(support),
               "delta support %s differs from expected %s" % (report.shifts, sorted(support)))
 
     if preset.kind != "e6":
-        for shift, (series, label) in table.items():
-            if _match_series(out, report, shift, series, label) and shift == -2:
+        for shift, match in table.items():
+            if _match_series(out, report, shift, *match) and shift == -2:
                 out.details.append("orientation: delta(w/zq^2) carries T2(z), "
                                    "delta(wq^2/z) carries -T2(w)")
     else:
         t5 = build_t5_e6(preset)
-        out.check(report.delta_terms.get(-8) == t5.shift_arg(4),
+        out.check(_is_shifted(report.delta_terms.get(-8, SeriesExpr.zero()), t5, 1, 4),
                   "orientation: delta(w/zq^8) carries T5(zq^4), "
                   "same orientation as the D_n and G_2 closures",
                   "shift -8: expected T5(zq^4), the orientation of the D_n and G_2 closures")
-        _match_series(out, report, 8, -t5.shift_arg(-4), "-T5(zq^-4)")
+        _match_series(out, report, 8, t5, -1, -4, "-T5(zq^-4)")
         try:
             derived = out.derived = extract_t2_e6(report)
         except NotDecomposableError as exc:
@@ -409,8 +431,8 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
     check(tuple(zip(*preset.mtilde)) == preset.mtilde,
           "expected deformed Cartan matrix is symmetric",
           "expected deformed Cartan matrix is not symmetric")
-    # D and Mtilde are Laurent: odd means e(1/t) = -e(t)
-    laurent = preset.d + tuple(e for row in preset.mtilde for e in row)
+    # D and Mtilde are Laurent: odd means e(1/t) = -e(t), tested once per distinct entry
+    laurent = set(preset.d) | {e for row in preset.mtilde for e in row}
     check(odd and all(e.invert_var() == -e for e in laurent),
           "all matrix entries are odd under t -> 1/t",
           "some matrix entry is not odd under t -> 1/t")

@@ -144,7 +144,8 @@ def ordered_pair_bracket(t_series, s_series, preset):
                 base = dec.base_coeff
             assert dec.base_coeff == base, (x, y, dec.base_coeff, base)
             for a, c in dec.deltas.items():
-                key = YMonomial(list(x.items()) + [((i, sh - a), e) for (i, sh), e in y.items()])
+                y_shifted = [(i, sh - a, e) for i, sh, e in y.factors]
+                key = YMonomial.from_factors(list(x.factors) + y_shifted)
                 acc.setdefault(a, []).append((key, u * v * c))
     deltas = {a: SeriesExpr(terms) for a, terms in acc.items()}
     return base, {a: series for a, series in deltas.items() if series.terms}

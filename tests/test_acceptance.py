@@ -158,8 +158,8 @@ def test_ac6_rational_evaluation_oracle():
                 dec = decompose(s, preset)
                 for x in EVAL_POINTS:
                     direct = Fraction(0)
-                    for (i, ash), e in a.items():
-                        for (j, bsh), f in b.items():
+                    for i, ash, e in a.factors:
+                        for j, bsh, f in b.factors:
                             direct += (e * f
                                        * evaluate(preset.M.rows[i - 1][j - 1], x)
                                        * x ** (bsh - ash))

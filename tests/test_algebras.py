@@ -199,24 +199,25 @@ def test_classical_limit_of_rational_coefficients():
     assert _classical_limit(LaurentPoly({2: 1})) is None
 
 
-def _tables_with_mtilde_11(g2, entry):
+def _tables_with_mtilde_11(g2, entry, dd=None):
     # a consistent preset (M = D Mtilde'^-1 D, so the residual check passes)
-    # with Mtilde'_11 = entry: Mtilde', Q = det Mtilde' and N = D adj(Mtilde') D
+    # with Mtilde'_11 = entry: Mtilde', Q = det Mtilde' and N = D adj(Mtilde') D,
+    # with D = diag(dd) (default g2's)
     mtilde = _replace_entry(g2.mtilde, 0, 0, entry)
     (a, b), (c, d) = mtilde
     det = laurent_sum(a * d, -(b * c))
-    dd = g2.d
+    dd = dd or g2.d
     adj = [[d, -b], [-c, a]]
     nums = tuple(tuple(dd[i] * adj[i][j] * dd[j] for j in range(2)) for i in range(2))
     return mtilde, det, nums
 
 
-def _consistent_preset(g2, entry):
+def _consistent_preset(g2, entry, dd=None):
     # Q and N shift together, leaving M unchanged, so that Q has min exponent 0
-    mtilde, det, nums = _tables_with_mtilde_11(g2, entry)
+    mtilde, det, nums = _tables_with_mtilde_11(g2, entry, dd)
     k = det.min_exp
     nums = tuple(tuple(e.shift(-k) for e in row) for row in nums)
-    return replace_preset(g2, pair_table=(det.shift(-k), nums), mtilde=mtilde)
+    return replace_preset(g2, pair_table=(det.shift(-k), nums), mtilde=mtilde, d=dd or g2.d)
 
 
 def test_verify_cartan_names_a_pole_of_the_limit(g2):
@@ -226,6 +227,15 @@ def test_verify_cartan_names_a_pole_of_the_limit(g2):
     assert out.identity_holds and not out.passed
     assert out.failure == ("limit entry (1,1): %s divided by t - t^-1 has a pole at t = 1"
                            % entry)
+
+
+def test_verify_cartan_names_a_pole_of_the_limit_of_d(g2):
+    # d_2 = t^3 - t^-3 + 1 with M = D Mtilde^-1 D: the residual holds, and
+    # the limit of d_2 is read before any entry of Mtilde
+    d2 = laurent_sum(g2.d[1], LaurentPoly.one())
+    out = verify_cartan(_consistent_preset(g2, g2.mtilde[0][0], (g2.d[0], d2)))
+    assert out.identity_holds and not out.passed
+    assert out.failure == "limit of d_2: %s divided by t - t^-1 has a pole at t = 1" % d2
 
 
 def test_verify_cartan_names_a_finite_wrong_limit(g2):

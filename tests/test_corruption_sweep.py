@@ -15,17 +15,26 @@ counts as caught.  The sweeps are exhaustive over these moves:
 * d: each entry has its sign flipped, and each two distinct entries are
   swapped (only G2's differ).
 
-``verify_cartan`` must fail on every N, mtilde and d corruption.  Flipping
-the sign of the whole diagonal of D leaves D M^-1 D unchanged and passes
-every check: it is kept as a strict xfail.
+``verify_cartan`` must fail on every N, mtilde and d corruption, and on the
+whole diagonal of D negated, which leaves D M^-1 D unchanged and is caught
+by the t -> 1 limit of d alone.
+
+Every lambda corruption is refused inside ``bracket_sum``, before any
+series is matched.  So the expected side is swept on its own: the real
+bracket report has one matched series doctored (a term dropped, a term
+added or a coefficient's sign flipped) at every matched shift of d4, d5,
+g2 and e6, and ``verify_closure`` must fail with a recorded text.
 """
+
+import functools
 
 import pytest
 
+import wqalg.poisson as poisson_mod
 from oracle import laurent_sum, replace_preset
-from wqalg import build_preset, verify_cartan, verify_closure
+from wqalg import bracket_sum, build_preset, verify_cartan, verify_closure
 from wqalg.exactfield import sym_minus
-from wqalg.genexpr import YMonomial
+from wqalg.genexpr import SeriesExpr, YMonomial, build_t1
 
 PRESETS = [("g2", None), ("e6", None), ("dn", 4), ("dn", 5), ("dn", 6)]
 IDS = ["g2", "e6", "d4", "d5", "d6"]
@@ -45,14 +54,14 @@ def _replaced(rows, i, j, value):
 
 def _lambda_corruptions(p):
     for n, lam in enumerate(p.lambdas):
-        items = lam.items()
-        for f, ((node, shift), e) in enumerate(items):
-            moves = [((node, shift + s), e) for s in (-2, -1, 1, 2)]
-            moves += [((node, shift), -e), None]
-            moves += [((other, shift), e) for other in range(1, p.rank + 1) if other != node]
+        factors = lam.factors
+        for f, (node, shift, e) in enumerate(factors):
+            moves = [(node, shift + s, e) for s in (-2, -1, 1, 2)]
+            moves += [(node, shift, -e), None]
+            moves += [(other, shift, e) for other in range(1, p.rank + 1) if other != node]
             for move in moves:
-                factors = items[:f] + ((move,) if move else ()) + items[f + 1:]
-                lambdas = p.lambdas[:n] + (YMonomial(factors),) + p.lambdas[n + 1:]
+                moved = factors[:f] + ((move,) if move else ()) + factors[f + 1:]
+                lambdas = p.lambdas[:n] + (YMonomial.from_factors(moved),) + p.lambdas[n + 1:]
                 yield "Lambda_%d factor %d -> %s" % (n + 1, f + 1, move), {"lambdas": lambdas}
 
 
@@ -116,6 +125,158 @@ def test_sweep_sizes(preset):
     assert (sum(1 for _ in _lambda_corruptions(preset)), len(matrix)) == SIZES[preset.name]
 
 
-@pytest.mark.xfail(strict=True, reason="D M^-1 D, and so every check, is invariant under D -> -D")
 def test_cartan_fails_on_a_negated_diagonal(preset):
-    assert not verify_cartan(replace_preset(preset, d=tuple(-e for e in preset.d))).passed
+    # D M^-1 D is invariant under D -> -D: only the t -> 1 limit of d sees it
+    out = verify_cartan(replace_preset(preset, d=tuple(-e for e in preset.d)))
+    assert not out.passed and out.identity_holds
+    assert out.failure == "limit of d_1: got -1, expected 1"
+
+
+# --- the expected side: each matched series, doctored in the bracket report -------
+
+# The shifts whose delta series verify_closure matches against a given
+# series.  E6's -2 is left out: C(-2) is derived (recorded as T2), not matched.
+MATCHED = {"d4": (-6, -2, 2, 6), "d5": (-8, -2, 2, 8),
+           "g2": (-12, -8, -2, 2, 8, 12), "e6": (-8, 8)}
+PRESET_ARGS = {"d4": ("dn", 4), "d5": ("dn", 5), "g2": ("g2",), "e6": ("e6",)}
+
+
+def _first(series):
+    return series.sorted_terms()[0]
+
+
+DOCTORS = {
+    "drop": lambda s: SeriesExpr({m: c for m, c in s.terms.items() if m != _first(s)[0]}),
+    "add": lambda s: SeriesExpr({**s.terms, _first(s)[0] * YMonomial({(1, 99): 1}): 1}),
+    "flip": lambda s: SeriesExpr({**s.terms, _first(s)[0]: -_first(s)[1]}),
+}
+
+
+@functools.cache
+def _closure(name):
+    """The preset and its real T1 x T1 bracket report, built once per module."""
+    preset = build_preset(*PRESET_ARGS[name])
+    t1 = build_t1(preset)
+    return preset, bracket_sum(t1, t1, preset)
+
+
+@pytest.mark.parametrize("name,shift,doctor", [
+    (name, shift, doctor) for name, shifts in MATCHED.items()
+    for shift in shifts for doctor in DOCTORS])
+def test_closure_fails_on_a_doctored_series(name, shift, doctor, monkeypatch):
+    preset, real = _closure(name)
+
+    def doctored(t_series, s_series, p):
+        terms = dict(real.delta_terms)
+        terms[shift] = DOCTORS[doctor](terms[shift])
+        return poisson_mod.BracketReport(real.algebra, real.base_coeff, terms)
+
+    monkeypatch.setattr(poisson_mod, "bracket_sum", doctored)
+    out = verify_closure(preset)
+    assert not out.passed
+    assert out.failure == SERIES_FAILURES["%s %+d %s" % (name, shift, doctor)]
+
+
+# verify_closure's failure text for each doctored series, byte for byte
+SERIES_FAILURES = {
+    "d4 -6 drop": "shift -6: expected 1; first differing monomial 1 (got 0, want 1)",
+    "d4 -6 add": "shift -6: expected 1; first differing monomial Y_1(zq^{99}) (got 1, want 0)",
+    "d4 -6 flip": "shift -6: expected 1; first differing monomial 1 (got -1, want 1)",
+    "d4 -2 drop":
+        "shift -2: expected T2(z); first differing monomial Y_1^{-1}(zq^{-4}) Y_1^{-1}(zq^{-2}) "
+        "Y_2(zq^{-1}) (got 0, want 1)",
+    "d4 -2 add":
+        "shift -2: expected T2(z); first differing monomial Y_1^{-1}(zq^{-4}) Y_1^{-1}(zq^{-2}) "
+        "Y_1(zq^{99}) Y_2(zq^{-1}) (got 1, want 0)",
+    "d4 -2 flip":
+        "shift -2: expected T2(z); first differing monomial Y_1^{-1}(zq^{-4}) Y_1^{-1}(zq^{-2}) "
+        "Y_2(zq^{-1}) (got -1, want 1)",
+    "d4 +2 drop":
+        "shift +2: expected -T2(zq^-2); first differing monomial Y_1^{-1}(zq^{-6}) "
+        "Y_1^{-1}(zq^{-4}) Y_2(zq^{-3}) (got 0, want -1)",
+    "d4 +2 add":
+        "shift +2: expected -T2(zq^-2); first differing monomial Y_1^{-1}(zq^{-6}) "
+        "Y_1^{-1}(zq^{-4}) Y_1(zq^{99}) Y_2(zq^{-3}) (got 1, want 0)",
+    "d4 +2 flip":
+        "shift +2: expected -T2(zq^-2); first differing monomial Y_1^{-1}(zq^{-6}) "
+        "Y_1^{-1}(zq^{-4}) Y_2(zq^{-3}) (got 1, want -1)",
+    "d4 +6 drop": "shift +6: expected -1; first differing monomial 1 (got 0, want -1)",
+    "d4 +6 add": "shift +6: expected -1; first differing monomial Y_1(zq^{99}) (got 1, want 0)",
+    "d4 +6 flip": "shift +6: expected -1; first differing monomial 1 (got 1, want -1)",
+    "d5 -8 drop": "shift -8: expected 1; first differing monomial 1 (got 0, want 1)",
+    "d5 -8 add": "shift -8: expected 1; first differing monomial Y_1(zq^{99}) (got 1, want 0)",
+    "d5 -8 flip": "shift -8: expected 1; first differing monomial 1 (got -1, want 1)",
+    "d5 -2 drop":
+        "shift -2: expected T2(z); first differing monomial Y_1^{-1}(zq^{-6}) Y_1^{-1}(zq^{-2}) "
+        "Y_2(zq^{-1}) (got 0, want 1)",
+    "d5 -2 add":
+        "shift -2: expected T2(z); first differing monomial Y_1^{-1}(zq^{-6}) Y_1^{-1}(zq^{-2}) "
+        "Y_1(zq^{99}) Y_2(zq^{-1}) (got 1, want 0)",
+    "d5 -2 flip":
+        "shift -2: expected T2(z); first differing monomial Y_1^{-1}(zq^{-6}) Y_1^{-1}(zq^{-2}) "
+        "Y_2(zq^{-1}) (got -1, want 1)",
+    "d5 +2 drop":
+        "shift +2: expected -T2(zq^-2); first differing monomial Y_1^{-1}(zq^{-8}) "
+        "Y_1^{-1}(zq^{-4}) Y_2(zq^{-3}) (got 0, want -1)",
+    "d5 +2 add":
+        "shift +2: expected -T2(zq^-2); first differing monomial Y_1^{-1}(zq^{-8}) "
+        "Y_1^{-1}(zq^{-4}) Y_1(zq^{99}) Y_2(zq^{-3}) (got 1, want 0)",
+    "d5 +2 flip":
+        "shift +2: expected -T2(zq^-2); first differing monomial Y_1^{-1}(zq^{-8}) "
+        "Y_1^{-1}(zq^{-4}) Y_2(zq^{-3}) (got 1, want -1)",
+    "d5 +8 drop": "shift +8: expected -1; first differing monomial 1 (got 0, want -1)",
+    "d5 +8 add": "shift +8: expected -1; first differing monomial Y_1(zq^{99}) (got 1, want 0)",
+    "d5 +8 flip": "shift +8: expected -1; first differing monomial 1 (got 1, want -1)",
+    "g2 -12 drop": "shift -12: expected 1; first differing monomial 1 (got 0, want 1)",
+    "g2 -12 add": "shift -12: expected 1; first differing monomial Y_1(zq^{99}) (got 1, want 0)",
+    "g2 -12 flip": "shift -12: expected 1; first differing monomial 1 (got -1, want 1)",
+    "g2 -8 drop":
+        "shift -8: expected T1(zq^4); first differing monomial Y_1^{-1}(zq^{-8}) (got 0, want 1)",
+    "g2 -8 add":
+        "shift -8: expected T1(zq^4); first differing monomial Y_1^{-1}(zq^{-8}) Y_1(zq^{99}) "
+        "(got 1, want 0)",
+    "g2 -8 flip":
+        "shift -8: expected T1(zq^4); first differing monomial Y_1^{-1}(zq^{-8}) (got -1, want 1)",
+    "g2 -2 drop":
+        "shift -2: expected T2(z); first differing monomial Y_1^{-1}(zq^{-10}) Y_1^{-1}(zq^{-8}) "
+        "Y_1^{-1}(zq^{-6}) Y_2(zq^{-5}) (got 0, want 1)",
+    "g2 -2 add":
+        "shift -2: expected T2(z); first differing monomial Y_1^{-1}(zq^{-10}) Y_1^{-1}(zq^{-8}) "
+        "Y_1^{-1}(zq^{-6}) Y_1(zq^{99}) Y_2(zq^{-5}) (got 1, want 0)",
+    "g2 -2 flip":
+        "shift -2: expected T2(z); first differing monomial Y_1^{-1}(zq^{-10}) Y_1^{-1}(zq^{-8}) "
+        "Y_1^{-1}(zq^{-6}) Y_2(zq^{-5}) (got -1, want 1)",
+    "g2 +2 drop":
+        "shift +2: expected -T2(zq^-2); first differing monomial Y_1^{-1}(zq^{-12}) "
+        "Y_1^{-1}(zq^{-10}) Y_1^{-1}(zq^{-8}) Y_2(zq^{-7}) (got 0, want -1)",
+    "g2 +2 add":
+        "shift +2: expected -T2(zq^-2); first differing monomial Y_1^{-1}(zq^{-12}) "
+        "Y_1^{-1}(zq^{-10}) Y_1^{-1}(zq^{-8}) Y_1(zq^{99}) Y_2(zq^{-7}) (got 1, want 0)",
+    "g2 +2 flip":
+        "shift +2: expected -T2(zq^-2); first differing monomial Y_1^{-1}(zq^{-12}) "
+        "Y_1^{-1}(zq^{-10}) Y_1^{-1}(zq^{-8}) Y_2(zq^{-7}) (got 1, want -1)",
+    "g2 +8 drop":
+        "shift +8: expected -T1(zq^-4); first differing monomial Y_1^{-1}(zq^{-16}) (got 0, want "
+        "-1)",
+    "g2 +8 add":
+        "shift +8: expected -T1(zq^-4); first differing monomial Y_1^{-1}(zq^{-16}) Y_1(zq^{99}) "
+        "(got 1, want 0)",
+    "g2 +8 flip":
+        "shift +8: expected -T1(zq^-4); first differing monomial Y_1^{-1}(zq^{-16}) (got 1, want "
+        "-1)",
+    "g2 +12 drop": "shift +12: expected -1; first differing monomial 1 (got 0, want -1)",
+    "g2 +12 add": "shift +12: expected -1; first differing monomial Y_1(zq^{99}) (got 1, want 0)",
+    "g2 +12 flip": "shift +12: expected -1; first differing monomial 1 (got 1, want -1)",
+    "e6 -8 drop": "shift -8: expected T5(zq^4), the orientation of the D_n and G_2 closures",
+    "e6 -8 add": "shift -8: expected T5(zq^4), the orientation of the D_n and G_2 closures",
+    "e6 -8 flip": "shift -8: expected T5(zq^4), the orientation of the D_n and G_2 closures",
+    "e6 +8 drop":
+        "shift +8: expected -T5(zq^-4); first differing monomial Y_1^{-1}(zq^{-16}) (got 0, want "
+        "-1)",
+    "e6 +8 add":
+        "shift +8: expected -T5(zq^-4); first differing monomial Y_1^{-1}(zq^{-16}) Y_1(zq^{99}) "
+        "(got 1, want 0)",
+    "e6 +8 flip":
+        "shift +8: expected -T5(zq^-4); first differing monomial Y_1^{-1}(zq^{-16}) (got 1, want "
+        "-1)",
+}

@@ -1,6 +1,7 @@
 """Bracket symbols, delta decompositions, and closure verification."""
 
 import logging
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -61,8 +62,8 @@ def assert_symbol_matches_oracle(a, b, preset):
     assert_int_valued(s.stored[0])
     for x in EVAL_POINTS:
         expected = Fraction(0)
-        for (i, ash), e in a.items():
-            for (j, bsh), f in b.items():
+        for i, ash, e in a.factors:
+            for j, bsh, f in b.factors:
                 expected += (e * f * evaluate(preset.M.rows[i - 1][j - 1], x)
                              * x ** (bsh - ash))
         assert evaluate(s, x) == expected
@@ -93,18 +94,22 @@ def monomials(rank):
 
 @settings(max_examples=100)
 @given(monomials(6), monomials(6))
-def test_monomials_order_by_items_as_by_flattened_factors(a, b):
-    # every sorted listing orders monomials by items(): ((node, shift), exp)
-    # pairs compare like the (node, shift, exp) triples, prefixes first
-    def flat(m):
-        return tuple((i, sh, e) for (i, sh), e in m.items())
+def test_monomials_order_by_factors_as_by_nested_pairs(a, b):
+    # every sorted listing orders monomials by factors, (node, shift, exp)
+    # triples; they compare like the nested ((node, shift), exp) pairs,
+    # prefixes first
+    def nested(m):
+        return tuple(((i, sh), e) for i, sh, e in m.factors)
 
     # node 7 sorts after every factor of a, so a is a prefix of longer
-    longer = YMonomial(list(a.items()) + [((7, 0), 1)])
+    longer = YMonomial.from_factors(a.factors + ((7, 0, 1),))
     for x, y in ((a, b), (a, a * b), (a, longer)):
-        assert (x.items() < y.items()) == (flat(x) < flat(y))
-        assert (y.items() < x.items()) == (flat(y) < flat(x))
-    assert a.items() < longer.items()
+        assert (x.factors < y.factors) == (nested(x) < nested(y))
+        assert (y.factors < x.factors) == (nested(y) < nested(x))
+    assert a.factors < longer.factors
+    monos = [a, b, a * b, longer, b.shift_arg(1), b.dual()]
+    by_factors = sorted(monos, key=lambda m: m.factors)
+    assert [nested(m) for m in by_factors] == sorted(map(nested, monos))
 
 
 @pytest.mark.parametrize("name", ["g2", "e6", "d5"])
@@ -671,6 +676,21 @@ def test_verify_all_passes(g2, e6, d4):
     for preset in (g2, e6, d4):
         out = verify_all(preset)
         assert out.passed, (preset.name, out.failure)
+
+
+def test_verify_all_memory_at_d32():
+    # The peak holds C(-2), C(+2) and T2, about 2,000 terms each.  With one
+    # (node, shift, exp) triple per factor, and C(+2) and the edges matched
+    # without a shifted copy of their series, it reads 2.55 MiB; the copies
+    # read 3.52 MiB, and nested ((node, shift), exp) factors with them 4.51
+    preset = build_preset("dn", 32)
+    tracemalloc.start()
+    try:
+        assert verify_all(preset).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, "verify_all(d32) peaked at %.2f MiB" % (peak / 2**20)
 
 
 def test_verify_all_records_g2_diagonal_note(g2):
