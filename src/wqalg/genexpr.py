@@ -191,8 +191,8 @@ def build_t2(preset) -> SeriesExpr:
     from the closure computation instead (see the bracket engine).
     """
     lams = preset.lambdas
-    return SeriesExpr((lams[i - 1] * lams[j - 1].shift_arg(2), 1)
-                      for i, j in _t2_pairs(preset))
+    raised = [lam.shift_arg(2) for lam in lams]
+    return SeriesExpr((lams[i - 1] * raised[j - 1], 1) for i, j in _t2_pairs(preset))
 
 
 def build_t5_e6(preset) -> SeriesExpr:

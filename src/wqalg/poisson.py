@@ -21,6 +21,11 @@ keeps the preset's split table (AlgebraPreset.splits), keyed by numerator.
 It stores successful splits only, and stops storing at _SPLIT_TABLE_CAP
 entries; a new preset starts with an empty table.
 
+bracket_sum splits each unordered pair once.  Of a self-bracket it
+accumulates the positive half only, the C(b) with b >= 0, and derives each
+C(-b) from the finished C(b) as -C(b)(zq^b), which M symmetric and odd
+makes exact.
+
 verify_closure and verify_all record every check through
 VerificationOutcome.check (ClosureOutcome is a VerificationOutcome that
 also carries the bracket report and, for e6, the derived second series).
@@ -104,8 +109,9 @@ def symbol(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> RationalFunctio
 
 def _symbol_numerator(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> LaurentPoly:
     rank = preset.rank
-    for i, _, _ in a.factors + b.factors:
-        if not 1 <= i <= rank:
+    # factors are sorted by node: the first and last bound every node
+    for f in a.factors, b.factors:
+        if f and not (f[0][0] >= 1 and f[-1][0] <= rank):
             raise ValueError("node index out of range for rank %d" % rank)
     nums = preset.pair_table[1]
     acc = {}
@@ -226,30 +232,41 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     symbol decomposition.  M is symmetric and odd, so
     symbol(y, x)(t) = -symbol(x, y)(1/t): the reversed pair shares alpha and
     its delta (a, c) becomes (-a, -c), on the forward key shifted by a.  So
-    each unordered pair is split once, the diagonal counted once, and
-    C(-a) = -shift_arg(C(a), a) holds for a self-bracket by construction.
-    Delta series that cancel to zero are pruned.
+    each unordered pair is split once and the diagonal counted once.
+
+    Both halves of a pair land on one key per delta, x * y(zq^-a) for a > 0,
+    x(zq^a) * y for a < 0 and x * y for a = 0: pos[|a|] holds C(|a|) on it,
+    and neg[|a|] holds C(-|a|) keyed by its monomials shifted by -|a|.  In a
+    self-bracket (the two series one object, or equal) each contribution to
+    neg is minus one to pos on the same key (a diagonal pair's own symbol is
+    odd), so C(-b) = -shift_arg(C(b), b) holds exactly: neg is not kept, and
+    each C(-b) is built once from the finished C(b).  Delta series that
+    cancel to zero are pruned.
     """
     if not all(preset.m_parity):
         raise ValueError(_M_NOT_SYMMETRIC_ODD % preset.name)
     base = None
-    acc: dict[int, dict[YMonomial, int | Fraction]] = {}
+    t, s = t_series.terms, s_series.terms
+    self_bracket = t_series is s_series or t == s
+    pos: dict[int, dict[YMonomial, int | Fraction]] = {}
+    neg: dict[int, dict[YMonomial, int | Fraction]] = {}
 
-    def add(a, key, c):
-        series = acc.setdefault(a, {})
+    def add(acc, b, key, c):
+        series = acc.setdefault(b, {})
         total = series.get(key, 0) + c
         if total:
             series[key] = total
         else:
             del series[key]
 
-    t, s = t_series.terms, s_series.terms
     monos = sorted(t.keys() | s.keys(), key=attrgetter("factors"))
+    lowered = [{} for _ in monos]   # lowered[k][b] = monos[k](zq^-b), built on first use
     for n, x in enumerate(monos):
-        tx, sx = t.get(x, 0), s.get(x, 0)
-        for y in monos[n:]:
+        tx, sx, xlow = t.get(x, 0), s.get(x, 0), lowered[n]
+        for k in range(n, len(monos)):
+            y = monos[k]
             forward = tx * s.get(y, 0)
-            reverse = t.get(y, 0) * sx if y is not x else 0
+            reverse = t.get(y, 0) * sx if k != n else 0
             if not (forward or reverse):
                 continue
             try:
@@ -264,18 +281,34 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                     "pair (%s, %s) has base %s, expected %s"
                     % (x, y, alpha, base))
             for a, c in deltas.items():
-                key = x * y.shift_arg(-a)
-                if forward:
-                    add(a, key, forward * c)
-                if reverse:
-                    add(-a, key.shift_arg(a), -reverse * c)
+                if a > 0:
+                    ylow = lowered[k]
+                    key = x * (ylow.get(a) or ylow.setdefault(a, y.shift_arg(-a)))
+                    b, p, q = a, forward * c, -reverse * c
+                elif a:
+                    b = -a
+                    key = (xlow.get(b) or xlow.setdefault(b, x.shift_arg(a))) * y
+                    p, q = -reverse * c, forward * c
+                else:
+                    b, key, p, q = 0, x * y, (forward - reverse) * c, 0
+                if p:
+                    add(pos, b, key, p)
+                if not self_bracket and q:
+                    add(neg, b, key, q)
+    acc = {b: _int_valued(d) for b, d in pos.items() if d}
+    if self_bracket:
+        # C(-b) = -C(b)(zq^b): one shift_arg per surviving term of C(b)
+        acc.update([(-b, {m.shift_arg(b): -c for m, c in d.items()}) for b, d in acc.items() if b])
+    else:
+        acc.update((-b, {m.shift_arg(b): c for m, c in _int_valued(d).items()})
+                   for b, d in neg.items() if d)
     nonunit = [(a, m, c) for a, d in acc.items() for m, c in d.items() if c != 1 and c != -1]
     if nonunit:
         # informational: verify_closure matches every coefficient against its series
         a, _, c = min(nonunit, key=lambda amc: (amc[0], amc[1].factors))
         _log("info", "%s bracket: %d delta-series coefficients are not +-1 "
              "(first: shift %d, coefficient %s)", preset.name, len(nonunit), a, c)
-    delta_terms = {a: SeriesExpr._raw(_int_valued(d)) for a, d in acc.items() if d}
+    delta_terms = {a: SeriesExpr._raw(d) for a, d in acc.items()}
     return BracketReport(algebra=preset.name, base_coeff=base or 0, delta_terms=delta_terms)
 
 

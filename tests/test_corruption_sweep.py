@@ -20,21 +20,29 @@ whole diagonal of D negated, which leaves D M^-1 D unchanged and is caught
 by the t -> 1 limit of d alone.
 
 Every lambda corruption is refused inside ``bracket_sum``, before any
-series is matched.  So the expected side is swept on its own: the real
-bracket report has one matched series doctored (a term dropped, a term
-added or a coefficient's sign flipped) at every matched shift of d4, d5,
-g2 and e6, and ``verify_closure`` must fail with a recorded text.
+series is matched.  So the expected side is swept on its own, and
+``verify_closure`` must fail on each of these, with a recorded text:
+
+* the real bracket report with one matched series doctored (a term
+  dropped, a term added or a coefficient's sign flipped) at every matched
+  shift of d4, d5, g2 and e6;
+* the real report against a second series built from ``_t2_pairs`` with
+  one pair dropped, reversed or added, on d4, d5, d6 and g2 (477 in all);
+* the real report with the edge series C(-edge) = 1, C(+edge) = -1, or
+  both, moved by +-2, on d4, d5, d6 and g2 (the edge of g2 is 12);
+* the real E6 report against ``T5`` shifted by +-1, +-2 or +-4.
 """
 
 import functools
 
 import pytest
 
+import wqalg.genexpr as genexpr_mod
 import wqalg.poisson as poisson_mod
 from oracle import laurent_sum, replace_preset
 from wqalg import bracket_sum, build_preset, verify_cartan, verify_closure
 from wqalg.exactfield import sym_minus
-from wqalg.genexpr import SeriesExpr, YMonomial, build_t1
+from wqalg.genexpr import SeriesExpr, YMonomial, build_t1, build_t5_e6
 
 PRESETS = [("g2", None), ("e6", None), ("dn", 4), ("dn", 5), ("dn", 6)]
 IDS = ["g2", "e6", "d4", "d5", "d6"]
@@ -138,7 +146,8 @@ def test_cartan_fails_on_a_negated_diagonal(preset):
 # series.  E6's -2 is left out: C(-2) is derived (recorded as T2), not matched.
 MATCHED = {"d4": (-6, -2, 2, 6), "d5": (-8, -2, 2, 8),
            "g2": (-12, -8, -2, 2, 8, 12), "e6": (-8, 8)}
-PRESET_ARGS = {"d4": ("dn", 4), "d5": ("dn", 5), "g2": ("g2",), "e6": ("e6",)}
+PRESET_ARGS = {"d4": ("dn", 4), "d5": ("dn", 5), "d6": ("dn", 6), "g2": ("g2",),
+               "e6": ("e6",)}
 
 
 def _first(series):
@@ -280,3 +289,70 @@ SERIES_FAILURES = {
         "shift +8: expected -T5(zq^-4); first differing monomial Y_1^{-1}(zq^{-16}) (got 1, want "
         "-1)",
 }
+
+
+# --- the expected side: the tables the matched series are built from -------------
+# bracket_sum returns the real report; only the expected series change.
+
+def _real_report(monkeypatch, name):
+    preset, real = _closure(name)
+    monkeypatch.setattr(poisson_mod, "bracket_sum", lambda t, s, p: real)
+    return preset, real
+
+
+def _t2_pair_corruptions(pairs, size):
+    """Each pair dropped, each pair reversed, and each missing ordered pair added."""
+    for n, (i, j) in enumerate(pairs):
+        yield "drop %s" % ((i, j),), pairs[:n] + pairs[n + 1:]
+        yield "reverse %s" % ((i, j),), pairs[:n] + [(j, i)] + pairs[n + 1:]
+    for i in range(1, size + 1):
+        for j in range(1, size + 1):
+            if i != j and (i, j) not in pairs:
+                yield "add %s" % ((i, j),), pairs + [(i, j)]
+
+
+@pytest.mark.parametrize("name", ["d4", "d5", "d6", "g2"])
+def test_closure_fails_on_every_t2_pair_corruption(name, monkeypatch):
+    preset, _ = _real_report(monkeypatch, name)
+    pairs = genexpr_mod._t2_pairs(preset)
+    passed, count = [], 0
+    for label, corrupted in _t2_pair_corruptions(pairs, len(preset.lambdas)):
+        monkeypatch.setattr(genexpr_mod, "_t2_pairs", lambda p, c=corrupted: c)
+        out = verify_closure(preset)
+        count += 1
+        if out.passed or not out.failure.startswith("shift -2: expected T2(z); "):
+            passed.append(label)
+    assert passed == []
+    assert count == T2_CORRUPTIONS[name]
+
+
+# drops, reversals and additions: 2 * pairs + (k(k-1) - pairs), k = len(lambdas)
+T2_CORRUPTIONS = {"d4": 85, "d5": 136, "d6": 199, "g2": 57}
+
+
+@pytest.mark.parametrize("name", ["d4", "d5", "d6", "g2"])
+@pytest.mark.parametrize("moved", [(-1,), (1,), (-1, 1)], ids=["minus", "plus", "both"])
+@pytest.mark.parametrize("by", [-2, 2])
+def test_closure_fails_on_a_moved_edge(name, moved, by, monkeypatch):
+    # the edge series C(-edge) = 1 and C(+edge) = -1 sit at +-(edge + by)
+    preset, real = _closure(name)
+    edge = max(real.delta_terms)
+    terms = dict(real.delta_terms)
+    for sign in moved:
+        terms[sign * (edge + by)] = terms.pop(sign * edge)
+    doctored = poisson_mod.BracketReport(real.algebra, real.base_coeff, terms)
+    monkeypatch.setattr(poisson_mod, "bracket_sum", lambda t, s, p: doctored)
+    out = verify_closure(preset)
+    assert not out.passed
+    assert out.failure == "delta support %s differs from expected %s" % (
+        sorted(terms), sorted(real.delta_terms))
+
+
+@pytest.mark.parametrize("by", [-4, -2, -1, 1, 2, 4])
+def test_e6_closure_fails_on_a_shifted_t5(by, monkeypatch):
+    preset, _ = _real_report(monkeypatch, "e6")
+    t5 = build_t5_e6(preset)
+    monkeypatch.setattr(poisson_mod, "build_t5_e6", lambda p: t5.shift_arg(by))
+    out = verify_closure(preset)
+    assert not out.passed
+    assert out.failure == SERIES_FAILURES["e6 -8 drop"]
