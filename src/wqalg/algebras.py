@@ -65,6 +65,8 @@ class AlgebraPreset:
         # the split table: symbol numerator -> (alpha, deltas), empty on a
         # new preset; poisson._split_numerator is its only reader and writer
         self.splits = {}
+        # the row memo: monomial -> node -> node row, kept by poisson.symbol
+        self.node_rows = {}
 
     @property
     def rank(self) -> int:

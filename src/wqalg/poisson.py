@@ -16,6 +16,13 @@ so delta(w/zq^k) is Delta(-k) and delta(wq^k/z) is Delta(+k).  A symbol
 decomposes uniquely as alpha * M_11(t) + Laurent part because M_11 is not
 a Laurent polynomial; the Laurent part is the delta content.
 
+The numerator of symbol(A, B) over Q, where M = N / Q, is
+sum_l f_l t^{b_l} R_A[j_l], from A's node rows
+R_A[j] = sum_k e_k t^{-a_k} N_{i_k j}, each summed once on first use.
+symbol() keeps them in the preset's row memo (AlgebraPreset.node_rows) for
+up to _ROW_MEMO_CAP monomials; bracket_sum and verify_all keep theirs per
+outer monomial, so neither fills the memo.
+
 Each preset splits each distinct symbol numerator once: _split_numerator
 keeps the preset's split table (AlgebraPreset.splits), keyed by numerator.
 It stores successful splits only, and stops storing at _SPLIT_TABLE_CAP
@@ -73,6 +80,8 @@ class NotDecomposableError(ValueError):
 
 # Entries of a preset's split table: d256 has about 260 distinct symbol numerators
 _SPLIT_TABLE_CAP = 4096
+# Monomials in a preset's row memo: d256 has 512 fundamental ones
+_ROW_MEMO_CAP = 1024
 
 _LAURENT_M11 = "M_11 of %s is a Laurent polynomial; delta decompositions would not be unique"
 _M_NOT_SYMMETRIC_ODD = ("M of %s is not both symmetric and odd under t -> 1/t; "
@@ -104,10 +113,21 @@ def symbol(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> RationalFunctio
 
     Its canonical form is computed only when it is read (printed, compared).
     """
-    return RationalFunction(_symbol_numerator(a, b, preset), preset.pair_table[0])
+    memo = preset.node_rows
+    rows = memo.get(a)
+    if rows is None:
+        rows = {}
+        num = _symbol_numerator(a, b, preset, rows)
+        if len(memo) < _ROW_MEMO_CAP:
+            memo[a] = rows
+    else:
+        num = _symbol_numerator(a, b, preset, rows)
+    return RationalFunction(num, preset.pair_table[0])
 
 
-def _symbol_numerator(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> LaurentPoly:
+def _symbol_numerator(a: YMonomial, b: YMonomial, preset: AlgebraPreset,
+                      rows: dict) -> LaurentPoly:
+    """The numerator over Q of symbol(a, b); rows maps node j to R_a[j]."""
     rank = preset.rank
     # factors are sorted by node: the first and last bound every node
     for f in a.factors, b.factors:
@@ -115,10 +135,13 @@ def _symbol_numerator(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> Laur
             raise ValueError("node index out of range for rank %d" % rank)
     nums = preset.pair_table[1]
     acc = {}
-    for i, ash, e in a.factors:
-        row = nums[i - 1]
-        for j, bsh, f in b.factors:
-            _add_scaled(acc, bsh - ash, e * f, row[j - 1].terms)
+    for j, bsh, f in b.factors:
+        row = rows.get(j)
+        if row is None:
+            row = rows[j] = {}
+            for i, ash, e in a.factors:
+                _add_scaled(row, -ash, e, nums[i - 1][j - 1].terms)
+        _add_scaled(acc, bsh, f, row)
     return LaurentPoly._raw(acc)
 
 
@@ -262,7 +285,7 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     monos = sorted(t.keys() | s.keys(), key=attrgetter("factors"))
     lowered = [{} for _ in monos]   # lowered[k][b] = monos[k](zq^-b), built on first use
     for n, x in enumerate(monos):
-        tx, sx, xlow = t.get(x, 0), s.get(x, 0), lowered[n]
+        tx, sx, xlow, xrows = t.get(x, 0), s.get(x, 0), lowered[n], {}
         for k in range(n, len(monos)):
             y = monos[k]
             forward = tx * s.get(y, 0)
@@ -270,7 +293,7 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
             if not (forward or reverse):
                 continue
             try:
-                alpha, deltas = _split_numerator(_symbol_numerator(x, y, preset), preset)
+                alpha, deltas = _split_numerator(_symbol_numerator(x, y, preset, xrows), preset)
             except NotDecomposableError as exc:
                 raise NotDecomposableError(
                     "pair (%s, %s): %s" % (x, y, exc)) from None
@@ -361,15 +384,16 @@ def _is_shifted(got: SeriesExpr, series: SeriesExpr, sign: int, by: int) -> bool
         want.get(m.shift_arg(-by)) == sign * c for m, c in got.terms.items())
 
 
-def _match_series(out, report, shift, series, sign, by, label):
+def _match_series(out, report, shift, series, sign, by, label, good=None):
     """Record the check C(shift) = sign * series(zq^by), which label names.
 
-    The shifted, signed series is built only on a mismatch, to name the
-    first monomial where the two differ.
+    A match records good, by default "C(shift) = label".  The shifted,
+    signed series is built only on a mismatch, to name the first monomial
+    where the two differ.
     """
     got = report.delta_terms.get(shift, SeriesExpr.zero())
     if _is_shifted(got, series, sign, by):
-        return out.check(True, "C(%+d) = %s" % (shift, label), "")
+        return out.check(True, good or "C(%+d) = %s" % (shift, label), "")
     expected = series.shift_arg(by)
     if sign < 0:
         expected = -expected
@@ -426,10 +450,10 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
                                    "delta(wq^2/z) carries -T2(w)")
     else:
         t5 = build_t5_e6(preset)
-        out.check(_is_shifted(report.delta_terms.get(-8, SeriesExpr.zero()), t5, 1, 4),
-                  "orientation: delta(w/zq^8) carries T5(zq^4), "
-                  "same orientation as the D_n and G_2 closures",
-                  "shift -8: expected T5(zq^4), the orientation of the D_n and G_2 closures")
+        _match_series(out, report, -8, t5, 1, 4,
+                      "T5(zq^4), the orientation of the D_n and G_2 closures",
+                      "orientation: delta(w/zq^8) carries T5(zq^4), "
+                      "same orientation as the D_n and G_2 closures")
         _match_series(out, report, 8, t5, -1, -4, "-T5(zq^-4)")
         try:
             derived = out.derived = extract_t2_e6(report)
@@ -479,7 +503,8 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
         impure, complete = [], True
         for i, lam in enumerate(preset.lambdas, start=1):
             try:
-                alpha, deltas = _split_numerator(_symbol_numerator(lam, lam, preset), preset)
+                alpha, deltas = _split_numerator(
+                    _symbol_numerator(lam, lam, preset, {}), preset)
             except NotDecomposableError as exc:
                 check(False, "", "diagonal bracket %d does not decompose: %s" % (i, exc))
                 complete = False

@@ -1,9 +1,9 @@
 """Test-side oracles: exact evaluation, a Fraction-matrix inverse, matrix
-products over Laurent fractions, a bracket over all ordered pairs, and the
-Cartan identity and the pair table's closed forms at t = 2^K; and
-replace_preset, which builds a changed copy of a preset.  None
-of this is part of the package, and none of it shares code with the
-verification paths it checks.
+products over Laurent fractions, a symbol numerator summed over factor
+pairs, a bracket over all ordered pairs, and the Cartan identity and the
+pair table's closed forms at t = 2^K; and replace_preset, which builds a
+changed copy of a preset.  None of this is part of the package, and none of
+it shares code with the verification paths it checks.
 """
 
 from fractions import Fraction
@@ -127,6 +127,21 @@ def product_is_identity(*factors) -> bool:
 
 
 # --- brackets of monomial sums ---------------------------------------------------
+
+def direct_symbol_numerator(a, b, preset):
+    """The term map of sum_{k,l} e_k f_l N_{i_k j_l} t^{b_l - a_k} over Q.
+
+    Summed over every factor pair, one shifted N entry each, into a plain
+    dict; the terms that cancel are dropped at the end.
+    """
+    nums = preset.pair_table[1]
+    acc = {}
+    for i, ash, e in a.factors:
+        for j, bsh, f in b.factors:
+            for x, c in nums[i - 1][j - 1].shift(bsh - ash).terms.items():
+                acc[x] = acc.get(x, 0) + e * f * c
+    return {x: c for x, c in acc.items() if c}
+
 
 def ordered_pair_bracket(t_series, s_series, preset):
     """(base, {a: C_a}) of the bracket of two sums, over every ordered pair.

@@ -186,6 +186,8 @@ def test_closure_fails_on_a_doctored_series(name, shift, doctor, monkeypatch):
     assert out.failure == SERIES_FAILURES["%s %+d %s" % (name, shift, doctor)]
 
 
+E6_ORIENTATION = "shift -8: expected T5(zq^4), the orientation of the D_n and G_2 closures"
+
 # verify_closure's failure text for each doctored series, byte for byte
 SERIES_FAILURES = {
     "d4 -6 drop": "shift -6: expected 1; first differing monomial 1 (got 0, want 1)",
@@ -276,9 +278,11 @@ SERIES_FAILURES = {
     "g2 +12 drop": "shift +12: expected -1; first differing monomial 1 (got 0, want -1)",
     "g2 +12 add": "shift +12: expected -1; first differing monomial Y_1(zq^{99}) (got 1, want 0)",
     "g2 +12 flip": "shift +12: expected -1; first differing monomial 1 (got 1, want -1)",
-    "e6 -8 drop": "shift -8: expected T5(zq^4), the orientation of the D_n and G_2 closures",
-    "e6 -8 add": "shift -8: expected T5(zq^4), the orientation of the D_n and G_2 closures",
-    "e6 -8 flip": "shift -8: expected T5(zq^4), the orientation of the D_n and G_2 closures",
+    "e6 -8 drop": E6_ORIENTATION + "; first differing monomial Y_1^{-1}(zq^{-8}) (got 0, want 1)",
+    "e6 -8 add":
+        E6_ORIENTATION + "; first differing monomial Y_1^{-1}(zq^{-8}) Y_1(zq^{99}) "
+        "(got 1, want 0)",
+    "e6 -8 flip": E6_ORIENTATION + "; first differing monomial Y_1^{-1}(zq^{-8}) (got -1, want 1)",
     "e6 +8 drop":
         "shift +8: expected -T5(zq^-4); first differing monomial Y_1^{-1}(zq^{-16}) (got 0, want "
         "-1)",
@@ -355,4 +359,9 @@ def test_e6_closure_fails_on_a_shifted_t5(by, monkeypatch):
     monkeypatch.setattr(poisson_mod, "build_t5_e6", lambda p: t5.shift_arg(by))
     out = verify_closure(preset)
     assert not out.passed
-    assert out.failure == SERIES_FAILURES["e6 -8 drop"]
+    # the first differing monomial is the first term of the lower series:
+    # T5(zq^(4+by)) wants it for by < 0, the real C(-8) has it for by > 0
+    first, got, want = ("Y_1^{-1}(zq^{%d})" % (by - 8), 0, 1) if by < 0 else (
+        "Y_1^{-1}(zq^{-8})", 1, 0)
+    assert out.failure == "%s; first differing monomial %s (got %d, want %d)" % (
+        E6_ORIENTATION, first, got, want)

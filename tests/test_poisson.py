@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import wqalg.algebras as algebras_mod
 import wqalg.exactfield as exactfield
 import wqalg.poisson as poisson_mod
-from oracle import (antisymmetry_ok, assert_int_valued, evaluate, int_valued,
-                    laurent_sum, ordered_pair_bracket, replace_preset)
+from oracle import (antisymmetry_ok, assert_int_valued, direct_symbol_numerator, evaluate,
+                    int_valued, laurent_sum, ordered_pair_bracket, replace_preset)
 from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
                    build_preset, decompose, extract_t2_e6, symbol, verify_all,
                    verify_closure)
@@ -155,11 +155,18 @@ def test_out_of_range_node_is_rejected_on_either_side(g2, node, other, bad_side)
 
 @pytest.mark.parametrize("node", [0, 3])
 def test_out_of_range_node_among_valid_factors_is_rejected(g2, node):
-    # factors are sorted by node: among these valid ones, node 0 is first and 3 last
+    # factors are sorted by node: among these valid ones, node 0 is first and 3 last;
+    # both monomials are checked before any node row is built or memoised
+    preset = replace_preset(g2)
     bad = mono((node, 0, 1), (1, 0, 1), (2, 3, -1))
     for a, b in ((bad, mono((1, 0, 1))), (mono((2, 1, 1)), bad)):
+        rows = {}
         with pytest.raises(ValueError, match="node index out of range for rank 2"):
-            symbol(a, b, g2)
+            _symbol_numerator(a, b, preset, rows)
+        assert rows == {}
+        with pytest.raises(ValueError, match="node index out of range for rank 2"):
+            symbol(a, b, preset)
+    assert preset.node_rows == {}
 
 
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 6)])
@@ -168,10 +175,38 @@ def test_symbol_numerators_have_int_coefficients(kind, n):
     q, nums = preset.pair_table
     quo11, rem11 = preset.m11_split
     polys = [q] + [e for row in nums for e in row]
-    polys += [_symbol_numerator(a, b, preset) for a in preset.lambdas for b in preset.lambdas]
+    polys += [_symbol_numerator(a, b, preset, {}) for a in preset.lambdas for b in preset.lambdas]
     coeffs = [c for p in polys for c in p.terms.values()]
     coeffs += list(quo11.values()) + list(rem11.values())
     assert coeffs and all(type(c) is int for c in coeffs)
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None)]
+                         + [("dn", n) for n in (4, 5, 6, 7, 8, 32)])
+def test_symbol_numerator_matches_direct_pair_sum(kind, n):
+    preset = build_preset(kind, n)
+    for a in preset.lambdas:
+        for b in preset.lambdas:
+            assert symbol(a, b, preset).stored[0].terms == direct_symbol_numerator(a, b, preset)
+
+
+def row_test_monomials(rank):
+    # few shifts and nodes, so factors repeat a node and numerator terms cancel
+    factors = st.lists(st.tuples(st.integers(1, rank), st.integers(-3, 3),
+                                 st.sampled_from([-3, -2, -1, 1, 2, 3])), max_size=6)
+    return st.one_of(st.just(YMonomial.identity()), factors.map(YMonomial.from_factors))
+
+
+@pytest.mark.parametrize("name", ["g2", "e6", "d5"])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_symbol_numerator_matches_direct_pair_sum_random_monomials(request, name, data):
+    # the preset is shared by every example, so later ones read memoised rows
+    preset = request.getfixturevalue(name)
+    a = data.draw(row_test_monomials(preset.rank))
+    b = data.draw(row_test_monomials(preset.rank))
+    for x, y in ((a, b), (b, a)):
+        assert symbol(x, y, preset).stored[0].terms == direct_symbol_numerator(x, y, preset)
 
 
 # --- decompose ---------------------------------------------------------------
@@ -413,6 +448,35 @@ def test_split_table_stays_within_its_cap(monkeypatch):
     assert (again.base_coeff, again.delta_terms) == (report.base_coeff, report.delta_terms)
 
 
+# --- the row memo -----------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,n", [("dn", 32), ("e6", None)])
+def test_verify_all_leaves_the_row_memo_empty(kind, n):
+    # bracket_sum and the diagonal brackets keep their rows per call
+    preset = build_preset(kind, n)
+    assert verify_all(preset).passed
+    assert preset.node_rows == {}
+
+
+def test_row_memo_holds_each_queried_left_monomial_once(e6):
+    preset = replace_preset(e6)
+    for a in preset.lambdas:
+        for b in preset.lambdas:
+            decompose(symbol(a, b, preset), preset)
+    assert len(preset.node_rows) == 27
+    assert set(preset.node_rows) == set(preset.lambdas)
+
+
+def test_row_memo_stays_within_its_cap(e6, monkeypatch):
+    pairs = [(a, b) for a in e6.lambdas for b in e6.lambdas]
+    uncapped = replace_preset(e6)
+    want = [decompose(symbol(a, b, uncapped), uncapped) for a, b in pairs]
+    monkeypatch.setattr(poisson_mod, "_ROW_MEMO_CAP", 5)
+    capped = replace_preset(e6)
+    assert [decompose(symbol(a, b, capped), capped) for a, b in pairs] == want
+    assert list(capped.node_rows) == list(e6.lambdas[:5])
+
+
 # --- bracket_sum and closure ----------------------------------------------------
 
 def test_bracket_sum_g2_full_delta_map(g2):
@@ -533,9 +597,9 @@ def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
     preset = build_preset(kind, n)
     calls = []
 
-    def counting(a, b, p):
+    def counting(a, b, p, rows):
         calls.append((a, b))
-        return _symbol_numerator(a, b, p)
+        return _symbol_numerator(a, b, p, rows)
 
     monkeypatch.setattr(poisson_mod, "_symbol_numerator", counting)
     t1 = build_t1(preset)
@@ -551,8 +615,8 @@ def test_bracket_sum_divides_each_distinct_numerator_once(kind, n, monkeypatch):
     preset = build_preset(kind, n)
     numerators, divided, m11 = [], [], []
 
-    def numerator(a, b, p):
-        numerators.append(_symbol_numerator(a, b, p))
+    def numerator(a, b, p, rows):
+        numerators.append(_symbol_numerator(a, b, p, rows))
         return numerators[-1]
 
     def counted(calls):
@@ -657,8 +721,10 @@ def test_e6_closure_fails_on_the_flipped_magnitude_8_orientation(e6, monkeypatch
     monkeypatch.setattr(poisson_mod, "build_t5_e6", lambda preset: c8.shift_arg(-4))
     out = verify_closure(e6)
     assert not out.passed
+    # the flipped T5(zq^4) is C(+8): its first term, coefficient -1, is not in C(-8)
     assert out.failure == ("shift -8: expected T5(zq^4), the orientation of the "
-                           "D_n and G_2 closures")
+                           "D_n and G_2 closures; first differing monomial "
+                           "Y_1^{-1}(zq^{-16}) (got 0, want -1)")
     assert not [d for d in out.details if "carries T5" in d]
 
 

@@ -5,7 +5,9 @@ Each preset's pair table (Q, N) with M_ij = N_ij / Q is hashed as the JSON of
 its sorted term maps, so a changed exponent, coefficient or coefficient type
 (an integral Fraction does not serialise) fails.  The verify_all details are
 hashed line by line, and each bracket_sum(T1, T1) report as the JSON of its
-base coefficient and delta series.
+base coefficient and delta series.  The pair queries, decompose(symbol(a, b))
+over every ordered pair of fundamental monomials, are hashed as the JSON of
+each (base_coeff, sorted deltas), a Fraction as [numerator, denominator].
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import json
 
 import pytest
 
-from wqalg import bracket_sum, build_preset, verify_all
+from wqalg import bracket_sum, build_preset, decompose, symbol, verify_all
 from wqalg.exactfield import LaurentPoly
 from wqalg.genexpr import build_t1
 
@@ -65,6 +67,14 @@ BRACKET_REPORTS = {
     "d32": "529488c7e9effa9ff3b37f654ad775018f84fa307e02ec6783ecb3878159a7a9",
 }
 
+PAIR_QUERIES = {
+    "g2": "72bfcd96415a36c6f61f4f6526aa5b9c3ef909d7c6ae12bdcfb23a658d6ff4f8",
+    "e6": "8b44a97bff073dbc824a22d9f8fc538b5adf6031995d4f964beb06df4b8bc961",
+    "d4": "17e7a203b91720d58d8f2ba2d2fa3e541f158a6d9f7c11e885d67552c21692cb",
+    "d5": "32442f468fb51454feeefbf3825e217924c77bca3996fa085ee5772b55419235",
+    "d32": "1131655961ae9d9d6ce1fbe4543b0c6088eb1660a8e3976d21694c73fe19ee15",
+}
+
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -96,3 +106,13 @@ def test_bracket_report_digest(name):
     t1 = build_t1(preset)
     report = bracket_sum(t1, t1, preset)
     assert sha256(json.dumps(report.to_json())) == BRACKET_REPORTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_QUERIES))
+def test_pair_query_digest(name):
+    preset = build_preset(*SPECS[name])
+    decs = [decompose(symbol(a, b, preset), preset)
+            for a in preset.lambdas for b in preset.lambdas]
+    text = json.dumps([[d.base_coeff, d.sorted_deltas()] for d in decs],
+                      default=lambda c: [c.numerator, c.denominator])
+    assert sha256(text) == PAIR_QUERIES[name]
