@@ -108,14 +108,23 @@ class AlgebraPreset:
     def m_parity(self) -> tuple[bool, bool]:
         """(symmetric, odd) for M = N/Q, read off the pair table.
 
-        M is odd under t -> 1/t iff N(1/t) Q(t) = -N(t) Q(1/t), tested once
-        per distinct entry.  Brackets are taken over unordered pairs, which
-        is exact only when both hold.
+        M is odd under t -> 1/t iff N(1/t) Q(t) + N(t) Q(1/t) = 0, tested once
+        per distinct entry N by adding both products into one term map that
+        must end up empty.  Brackets are taken over unordered pairs, which is
+        exact only when both hold.
         """
         q, nums = self.pair_table
-        q_inv = q.invert_var()
+
+        def odd(terms):
+            acc = {}
+            for e, c in terms.items():
+                _add_scaled(acc, -e, c, q.terms)
+            for e, c in q.terms.items():
+                _add_scaled(acc, -e, c, terms)
+            return not acc
+
         return (tuple(zip(*nums)) == nums,
-                all(e.invert_var() * q == -(e * q_inv) for e in {e for row in nums for e in row}))
+                all(odd(e.terms) for e in {e for row in nums for e in row}))
 
 
 def _view(rows, den: LaurentPoly | None = None) -> FieldMatrix:
@@ -369,7 +378,9 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
     in the Laurent ring.  Over a field a one-sided inverse of a square matrix
     is two-sided, so this proves that M is invertible with D M^-1 D = Mtilde,
     that Mtilde is invertible with D Mtilde^-1 D = M, and that det M != 0.
-    Returns the failure, naming the first entry that breaks the identity.
+    Each entry is one term map, N_ik added once per term of the short
+    Mtilde_kj L/d_k, compared as it is with the right side's terms.  Returns
+    the failure, naming the first entry that breaks the identity.
     """
     r = preset.rank
     q, nums = preset.pair_table
@@ -388,15 +399,15 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
     cols = [[(k, (mtilde[k][j] * cof[d[k]]).terms) for k in range(r) if mtilde[k][j]]
             for j in range(r)]
     diag = [q * big_l * dj for dj in d]
-    zero = LaurentPoly.zero()
     for i in range(r):
         for j in range(r):
             acc = {}
             for k, w in cols[j]:
-                for e, c in nums[i][k].terms.items():
-                    _add_scaled(acc, e, c, w)
-            lhs = LaurentPoly._raw(_int_valued(acc))
-            if lhs != (diag[j] if i == j else zero):
+                n_ik = nums[i][k].terms
+                for e, c in w.items():
+                    _add_scaled(acc, e, c, n_ik)
+            if acc != (diag[j].terms if i == j else {}):
+                lhs = LaurentPoly._raw(_int_valued(acc))
                 return ("entry (%d,%d) of M D^-1 Mtilde D^-1: computed %s, expected %d"
                         % (i + 1, j + 1, RationalFunction(lhs, diag[j]), i == j))
     return None

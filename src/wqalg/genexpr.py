@@ -102,7 +102,7 @@ class YMonomial:
         if not s:
             return self
         # one shift added to every (node, shift) key keeps the keys in order
-        return YMonomial._raw(tuple((i, a + s, e) for i, a, e in self.factors))
+        return YMonomial._raw(tuple([(i, a + s, e) for i, a, e in self.factors]))
 
     def dual(self) -> "YMonomial":
         """Replace every Y_i(zq^a)^e by Y_i(zq^-a)^-e."""
@@ -192,7 +192,11 @@ def build_t2(preset) -> SeriesExpr:
     """
     lams = preset.lambdas
     raised = [lam.shift_arg(2) for lam in lams]
-    return SeriesExpr((lams[i - 1] * raised[j - 1], 1) for i, j in _t2_pairs(preset))
+    terms = {}
+    for i, j in _t2_pairs(preset):
+        m = lams[i - 1] * raised[j - 1]
+        terms[m] = terms.get(m, 0) + 1
+    return SeriesExpr._raw(terms)
 
 
 def build_t5_e6(preset) -> SeriesExpr:

@@ -24,9 +24,10 @@ up to _ROW_MEMO_CAP monomials; bracket_sum and verify_all keep theirs per
 outer monomial, so neither fills the memo.
 
 Each preset splits each distinct symbol numerator once: _split_numerator
-keeps the preset's split table (AlgebraPreset.splits), keyed by numerator.
-It stores successful splits only, and stops storing at _SPLIT_TABLE_CAP
-entries; a new preset starts with an empty table.
+keeps the preset's split table (AlgebraPreset.splits), keyed by the
+frozenset of the numerator's term items.  It stores successful splits
+only, and stops storing at _SPLIT_TABLE_CAP entries; a new preset starts
+with an empty table.
 
 bracket_sum splits each unordered pair once.  Of a self-bracket it
 accumulates the positive half only, the C(b) with b >= 0, and derives each
@@ -160,7 +161,8 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
     change it (decompose copies it).
     """
     splits = preset.splits
-    hit = splits.get(num)
+    key = frozenset(num.terms.items())
+    hit = splits.get(key)
     if hit is not None:
         return hit
     q = preset.pair_table[0]
@@ -178,7 +180,7 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
         _add_scaled(quo, 0, -alpha, quo11)
     split = alpha, _int_valued(quo)
     if len(splits) < _SPLIT_TABLE_CAP:
-        splits[num] = split
+        splits[key] = split
     return split
 
 
@@ -195,7 +197,7 @@ def decompose(s: RationalFunction, preset: AlgebraPreset) -> DeltaDecomposition:
     """
     q = preset.pair_table[0]
     num, den = s.stored
-    if den != q:
+    if den is not q and den != q:
         num = laurent_divide(num * q, den)
         if num is None:
             raise NotDecomposableError("symbol %s does not decompose over %s"
@@ -265,6 +267,10 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     odd), so C(-b) = -shift_arg(C(b), b) holds exactly: neg is not kept, and
     each C(-b) is built once from the finished C(b).  Delta series that
     cancel to zero are pruned.
+
+    A key, one monomial product, is built only for a nonzero coefficient in
+    a kept map: a self-bracket builds none for an off-diagonal Delta(0),
+    where forward = reverse, nor for the neg it does not keep.
     """
     if not all(preset.m_parity):
         raise ValueError(_M_NOT_SYMMETRIC_ODD % preset.name)
@@ -305,18 +311,25 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                     % (x, y, alpha, base))
             for a, c in deltas.items():
                 if a > 0:
-                    ylow = lowered[k]
-                    key = x * (ylow.get(a) or ylow.setdefault(a, y.shift_arg(-a)))
                     b, p, q = a, forward * c, -reverse * c
                 elif a:
-                    b = -a
-                    key = (xlow.get(b) or xlow.setdefault(b, x.shift_arg(a))) * y
-                    p, q = -reverse * c, forward * c
+                    b, p, q = -a, -reverse * c, forward * c
                 else:
-                    b, key, p, q = 0, x * y, (forward - reverse) * c, 0
+                    b, p, q = 0, (forward - reverse) * c, 0
+                if self_bracket:
+                    q = 0
+                if not (p or q):
+                    continue
+                if a > 0:
+                    ylow = lowered[k]
+                    key = x * (ylow.get(a) or ylow.setdefault(a, y.shift_arg(-a)))
+                elif a:
+                    key = (xlow.get(b) or xlow.setdefault(b, x.shift_arg(a))) * y
+                else:
+                    key = x * y
                 if p:
                     add(pos, b, key, p)
-                if not self_bracket and q:
+                if q:
                     add(neg, b, key, q)
     acc = {b: _int_valued(d) for b, d in pos.items() if d}
     if self_bracket:

@@ -1,8 +1,8 @@
 """Test-side oracles: exact evaluation, a Fraction-matrix inverse, matrix
 products over Laurent fractions, a symbol numerator summed over factor
-pairs, a bracket over all ordered pairs, and the Cartan identity and the
-pair table's closed forms at t = 2^K; and replace_preset, which builds a
-changed copy of a preset.  None of this is part of the package, and none of
+pairs, a bracket over all ordered pairs, the parity of M by whole products,
+and the Cartan identity and the pair table's closed forms at t = 2^K; and
+replace_preset, which builds a changed copy of a preset.  None of this is part of the package, and none of
 it shares code with the verification paths it checks.
 """
 
@@ -82,6 +82,18 @@ def assert_int_valued(terms):
     terms = getattr(terms, "terms", terms)
     for c in terms.values():
         assert c != 0 and int_valued(c), terms
+
+
+def m_parity_by_products(preset):
+    """(symmetric, odd) of M = N/Q, each entry tested by two whole products.
+
+    Symmetric: N_ij == N_ji for every i > j.  Odd: N(1/t) Q(t) and
+    -(N(t) Q(1/t)) are built as LaurentPolys and compared, for every entry.
+    """
+    q, nums = preset.pair_table
+    q_inv = q.invert_var()
+    return (all(nums[i][j] == nums[j][i] for i in range(len(nums)) for j in range(i)),
+            all(e.invert_var() * q == -(e * q_inv) for row in nums for e in row))
 
 
 # --- matrices of Laurent fractions ---------------------------------------------

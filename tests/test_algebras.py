@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from oracle import (cartan_identity_at_two_to_the_k, evaluate, laurent_sum,
-                    pair_table_at_two_to_the_k, replace_preset)
+                    m_parity_by_products, pair_table_at_two_to_the_k, replace_preset)
 from wqalg import algebras, build_preset, exactfield, verify_all, verify_cartan
 from wqalg.algebras import _classical_limit, _pair_table, symmetrized_cartan
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
@@ -366,3 +366,74 @@ def test_pair_table_is_freed_with_its_preset():
     del preset
     gc.collect()
     assert ref() is None
+
+
+# the failures recorded before the residual compared term maps in place:
+# (kind, n, Mtilde entry (i, j) 0-based, new value) -> verify_cartan failure
+RESIDUAL_FAILURES = {
+    ("dn", 5, 1, 2): "entry (1,3) of M D^-1 Mtilde D^-1: computed "
+                     "(t^8 + 2*t^6 + 2*t^4 + 2*t^2 + 1) / (t^8 + 1), expected 0",
+    ("dn", 5, 0, 0): "entry (1,1) of M D^-1 Mtilde D^-1: computed "
+                     "(t^9 + t^7 - t^6 + t^5 + t^3 - t^2 + t + t^-1) / (t^8 + 1), expected 1",
+    ("e6", None, 1, 2): "entry (1,3) of M D^-1 Mtilde D^-1: computed "
+                        "(t^12 + 3*t^10 + 4*t^8 + 4*t^6 + 4*t^4 + 3*t^2 + 1) / "
+                        "(t^12 + t^10 - t^6 + t^2 + 1), expected 0",
+    ("e6", None, 0, 0): "entry (1,1) of M D^-1 Mtilde D^-1: computed "
+                        "(t^13 + 2*t^11 - t^10 + 2*t^9 - t^8 + t^7 - t^6 + t^5 - t^4 + 2*t^3 "
+                        "- t^2 + 2*t + t^-1) / (t^12 + t^10 - t^6 + t^2 + 1), expected 1",
+}
+
+
+@pytest.mark.parametrize("kind,n,i,j", sorted(RESIDUAL_FAILURES, key=str))
+def test_residual_failure_text_is_pinned(kind, n, i, j):
+    # one off-diagonal and one diagonal Mtilde entry set to t^3 - t^-3; the
+    # diagonal one breaks a diagonal entry of the product
+    preset = build_preset(kind, n)
+    out = verify_cartan(replace_preset(preset, mtilde=_replace_entry(
+        preset.mtilde, i, j, sym_minus(3))))
+    assert not out.identity_holds
+    assert out.failure == RESIDUAL_FAILURES[kind, n, i, j]
+
+
+# --- the parity of M: one accumulation per entry against whole products ------
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None)]
+                         + [("dn", n) for n in (*range(4, 13), 32)])
+def test_m_parity_matches_the_product_oracle(kind, n):
+    preset = build_preset(kind, n)
+    assert preset.m_parity == m_parity_by_products(preset) == (True, True)
+
+
+def test_m_parity_matches_the_product_oracle_on_a_non_palindromic_q(g2, e6, d5):
+    # Q = det Mtilde' with Mtilde'_11 = t^2 + 1 - t^-2, as in the limit tests
+    # above, where M is not odd; and Q and N of each preset times 1 + 2t,
+    # which leaves M as it is
+    f = LaurentPoly({0: 1, 1: 2})
+    cases = [(_consistent_preset(g2, laurent_sum(sym_minus(2), LaurentPoly.one())),
+              (True, False))]
+    for preset in (g2, e6, d5):
+        q, nums = preset.pair_table
+        cases.append((replace_preset(preset, pair_table=(
+            q * f, tuple(tuple(e * f for e in row) for row in nums))), (True, True)))
+    for preset, parity in cases:
+        q = preset.pair_table[0]
+        assert q.invert_var().shift(q.max_exp) != q
+        assert preset.m_parity == m_parity_by_products(preset) == parity
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 7),
+                                    ("dn", 32)])
+def test_m_parity_matches_the_product_oracle_on_corrupted_entries(kind, n):
+    preset = build_preset(kind, n)
+    q, nums = preset.pair_table
+    corrupted = {
+        # an off-diagonal entry times t, a diagonal entry plus 1, and the
+        # lower triangle negated (each entry stays odd)
+        (False, False): _replace_entry(nums, 0, 1, nums[0][1].shift(1)),
+        (True, False): _replace_entry(nums, 1, 1, laurent_sum(nums[1][1], LaurentPoly.one())),
+        (False, True): tuple(tuple(-e if j < i else e for j, e in enumerate(row))
+                             for i, row in enumerate(nums)),
+    }
+    for parity, table in corrupted.items():
+        bad = replace_preset(preset, pair_table=(q, table))
+        assert bad.m_parity == m_parity_by_products(bad) == parity

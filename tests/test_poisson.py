@@ -609,6 +609,30 @@ def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+@pytest.mark.parametrize("kind,n,products", [("dn", 8, 131), ("dn", 32, 2075),
+                                             ("e6", None, 486), ("g2", None, 43)])
+def test_bracket_sum_builds_a_key_only_for_a_kept_contribution(kind, n, products,
+                                                               monkeypatch):
+    # a self-bracket keeps C(a) for a > 0 only, so it makes one key, one
+    # monomial product, per ordered pair and positive delta; an off-diagonal
+    # Delta(0) cancels against its reverse and a negative delta is mirrored
+    # from the finished C(-a), so neither builds a key
+    preset, oracle_preset = build_preset(kind, n), build_preset(kind, n)
+    t1 = build_t1(preset)
+    kept = sum(1 for x in t1.terms for y in t1.terms
+               for a in decompose(symbol(x, y, oracle_preset), oracle_preset).deltas if a > 0)
+    calls = []
+    mul = YMonomial.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(YMonomial, "__mul__", counting)
+    bracket_sum(t1, t1, preset)
+    assert len(calls) == kept == products
+
+
 @pytest.mark.parametrize("kind,n", [("e6", None), ("dn", 7)])
 def test_bracket_sum_divides_each_distinct_numerator_once(kind, n, monkeypatch):
     # one laurent_divmod per distinct symbol numerator, plus the one of m11_split

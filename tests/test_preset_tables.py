@@ -20,7 +20,7 @@ from wqalg.exactfield import LaurentPoly
 from wqalg.genexpr import build_t1
 
 SPECS = {"g2": ("g2", None), "e6": ("e6", None),
-         **{"d%d" % n: ("dn", n) for n in list(range(4, 13)) + [31, 32, 33, 64]}}
+         **{"d%d" % n: ("dn", n) for n in list(range(4, 13)) + [16, 31, 32, 33, 64]}}
 
 PAIR_TABLES = {
     "g2": "0c2d4e593e56ce2136647941ce362b53fa761718a4a85d6503ee36221445d7c5",
@@ -63,8 +63,12 @@ BRACKET_REPORTS = {
     "d8": "25afd30211328551bc73806c14a3fe892d600313713e0397bf9ab6662fbdf288",
     "d9": "a7e98744d84538297fd6d325049716b17f8fb15b31337a601687a71f81002209",
     "d10": "b5f49a191ced8d625f2ece6d059e0ec948e5db9b19bfa23bbba68c74fa30885a",
+    "d11": "4fb136c90c7be95870b86cc634b02d31d4cad08856756bdff9c36da1e50bdc38",
+    "d12": "c708cb500fee70c3fc2d13710add05ead353e3335b522033f0a60c2a2036b720",
+    "d16": "09a161a39be6df054f26f2341c0a867a6cb9bf5ad99b6bd5f9155f8990954dfe",
     "d31": "0fa53e451453b5a294e9ea030db1417d8db5b6062477f8745f3bc16c8f7cbc1e",
     "d32": "529488c7e9effa9ff3b37f654ad775018f84fa307e02ec6783ecb3878159a7a9",
+    "d64": "1180f5c50ac2cc0fe59fb01d9cbc1c984ca9371dbdc2f58feaf3b7d9c496d5dc",
 }
 
 PAIR_QUERIES = {

@@ -40,3 +40,21 @@ def test_loc_total_is_the_sum_of_its_modules():
     assert modules and all(name.endswith(".py") for name, _ in modules)
     assert total[0] == "total"
     assert int(total[1]) == sum(int(count) for _, count in modules)
+
+
+def test_dn_stages_times_each_stage_per_rank():
+    proc = run_tool("dn_stages.py", "4", "7")
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.split() == ["rank", "build", "verify_cartan", "m_parity", "bracket_sum",
+                              "build_t2", "verify_closure", "verify_all", "rss_mb"]
+    assert [line.split()[0] for line in lines] == ["d4", "d7"]
+    for line in lines:
+        assert all(float(s) >= 0 for s in line.split()[1:]), line
+
+
+@pytest.mark.parametrize("args", [("3",), ("x",), ()])
+def test_dn_stages_refuses_a_rank_below_4(args):
+    proc = run_tool("dn_stages.py", *args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "usage: dn_stages.py N [N ...]   (each N >= 4)\n"

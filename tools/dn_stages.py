@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Time the stages of verify_all on D_n presets, one line per rank.
+
+For each rank n it prints the seconds of build_preset("dn", n), then on
+that preset of verify_cartan, of the first read of m_parity, of
+bracket_sum(T1, T1) and of build_t2, and then of verify_closure and of
+verify_all, each on a new build of the preset, so that neither reads a
+split the bracket before it has stored.  The last column is the process's
+peak RSS so far.  bracket_sum reads the m_parity timed before it, as
+verify_closure and verify_all compute their own.
+
+Usage: python3 tools/dn_stages.py N [N ...]   e.g. 64 128 256
+Run it from a checkout; it imports wqalg from src/.  Standard library and
+the public wqalg calls only.  Single raw runs: on a shared host, repeat a
+rank and read the spread before comparing two checkouts.
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "src"))
+
+from wqalg import (bracket_sum, build_preset, build_t1, build_t2, verify_all,  # noqa: E402
+                   verify_cartan, verify_closure)
+
+STAGES = ("build", "verify_cartan", "m_parity", "bracket_sum", "build_t2",
+          "verify_closure", "verify_all")
+
+
+def _seconds(fn, *args):
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def stage_seconds(n: int) -> list[float]:
+    """The seconds of each of STAGES on d<n>, in that order."""
+    start = time.perf_counter()
+    preset = build_preset("dn", n)
+    times = [time.perf_counter() - start, _seconds(verify_cartan, preset),
+             _seconds(lambda: preset.m_parity)]
+    t1 = build_t1(preset)
+    times += [_seconds(bracket_sum, t1, t1, preset), _seconds(build_t2, preset)]
+    del preset, t1
+    for verify in verify_closure, verify_all:
+        times.append(_seconds(verify, build_preset("dn", n)))
+    return times
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or not all(a.isdigit() and int(a) >= 4 for a in argv):
+        print("usage: dn_stages.py N [N ...]   (each N >= 4)", file=sys.stderr)
+        return 2
+    print("%-6s" % "rank" + "".join(" %14s" % s for s in STAGES) + " %8s" % "rss_mb")
+    for n in map(int, argv):
+        times = stage_seconds(n)
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print("d%-5d" % n + "".join(" %14.4f" % s for s in times) + " %8.1f" % rss_mb,
+              flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
