@@ -41,7 +41,10 @@ class AlgebraPreset:
     def __init__(self, kind: str, pair_table: tuple[LaurentPoly, LaurentRows],
                  d: tuple[LaurentPoly, ...], mtilde: LaurentRows,
                  lambdas: tuple[YMonomial, ...]):
-        self.kind = kind                  # "dn" | "e6" | "g2"
+        # _cartan_b and the second series are tabled for these kinds only
+        if kind not in ("dn", "e6", "g2"):
+            raise ValueError("unknown algebra kind %r" % (kind,))
+        self.kind = kind
         self.pair_table = pair_table      # (Q, N) with M_ij = N_ij / Q
         self.d = d                        # the diagonal of D
         self.mtilde = mtilde              # rows of the expected deformed Cartan matrix

@@ -256,32 +256,29 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     u*v*c * x * shift_arg(y, -a) to C_a for every delta (a, c) of its
     symbol decomposition.  M is symmetric and odd, so
     symbol(y, x)(t) = -symbol(x, y)(1/t): the reversed pair shares alpha and
-    its delta (a, c) becomes (-a, -c), on the forward key shifted by a.  So
-    each unordered pair is split once and the diagonal counted once.
+    its delta (a, c) becomes (-a, -c).  So each unordered pair is split once
+    and the diagonal counted once.
 
-    Both halves of a pair land on one key per delta, x * y(zq^-a) for a > 0,
-    x(zq^a) * y for a < 0 and x * y for a = 0: pos[|a|] holds C(|a|) on it,
-    and neg[|a|] holds C(-|a|) keyed by its monomials shifted by -|a|.  In a
-    self-bracket (the two series one object, or equal) each contribution to
-    neg is minus one to pos on the same key (a diagonal pair's own symbol is
-    odd), so C(-b) = -shift_arg(C(b), b) holds exactly: neg is not kept, and
-    each C(-b) is built once from the finished C(b).  Delta series that
-    cancel to zero are pruned.
-
-    A key, one monomial product, is built only for a nonzero coefficient in
-    a kept map: a self-bracket builds none for an off-diagonal Delta(0),
-    where forward = reverse, nor for the neg it does not keep.
+    One map acc[a] holds C(a), and each half of a pair adds at its own
+    monomial: for a delta (a, c) the forward half adds forward * c to C(a)
+    at x * y(zq^-a), the reverse half adds -reverse * c to C(-a) at
+    x(zq^a) * y, and Delta(0) adds (forward - reverse) * c once at x * y.
+    A key, one monomial product, is built only for a nonzero contribution.
+    In a self-bracket (the two series one object, or equal) the half that
+    lands on a negative shift is minus one on a positive shift (a diagonal
+    pair's own symbol is odd), so C(-b) = -shift_arg(C(b), b) holds exactly:
+    only the halves on b > 0 are kept, and each C(-b) is built once from
+    the finished C(b).  Delta series that cancel to zero are pruned.
     """
     if not all(preset.m_parity):
         raise ValueError(_M_NOT_SYMMETRIC_ODD % preset.name)
     base = None
     t, s = t_series.terms, s_series.terms
     self_bracket = t_series is s_series or t == s
-    pos: dict[int, dict[YMonomial, int | Fraction]] = {}
-    neg: dict[int, dict[YMonomial, int | Fraction]] = {}
+    acc: dict[int, dict[YMonomial, int | Fraction]] = {}
 
-    def add(acc, b, key, c):
-        series = acc.setdefault(b, {})
+    def add(a, key, c):
+        series = acc.setdefault(a, {})
         total = series.get(key, 0) + c
         if total:
             series[key] = total
@@ -310,34 +307,20 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                     "pair (%s, %s) has base %s, expected %s"
                     % (x, y, alpha, base))
             for a, c in deltas.items():
-                if a > 0:
-                    b, p, q = a, forward * c, -reverse * c
-                elif a:
-                    b, p, q = -a, -reverse * c, forward * c
-                else:
-                    b, p, q = 0, (forward - reverse) * c, 0
-                if self_bracket:
-                    q = 0
-                if not (p or q):
+                if not a:
+                    if forward != reverse:
+                        add(0, x * y, (forward - reverse) * c)
                     continue
-                if a > 0:
+                if forward and (a > 0 or not self_bracket):
                     ylow = lowered[k]
-                    key = x * (ylow.get(a) or ylow.setdefault(a, y.shift_arg(-a)))
-                elif a:
-                    key = (xlow.get(b) or xlow.setdefault(b, x.shift_arg(a))) * y
-                else:
-                    key = x * y
-                if p:
-                    add(pos, b, key, p)
-                if q:
-                    add(neg, b, key, q)
-    acc = {b: _int_valued(d) for b, d in pos.items() if d}
+                    add(a, x * (ylow.get(a) or ylow.setdefault(a, y.shift_arg(-a))), forward * c)
+                if reverse and (a < 0 or not self_bracket):
+                    add(-a, (xlow.get(-a) or xlow.setdefault(-a, x.shift_arg(a))) * y,
+                        -reverse * c)
+    acc = {a: _int_valued(d) for a, d in acc.items() if d}
     if self_bracket:
         # C(-b) = -C(b)(zq^b): one shift_arg per surviving term of C(b)
         acc.update([(-b, {m.shift_arg(b): -c for m, c in d.items()}) for b, d in acc.items() if b])
-    else:
-        acc.update((-b, {m.shift_arg(b): c for m, c in _int_valued(d).items()})
-                   for b, d in neg.items() if d)
     nonunit = [(a, m, c) for a, d in acc.items() for m, c in d.items() if c != 1 and c != -1]
     if nonunit:
         # informational: verify_closure matches every coefficient against its series

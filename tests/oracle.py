@@ -294,9 +294,10 @@ def dn_pair_forms(n):
 def pair_table_at_two_to_the_k(preset):
     """(holds, K): whether N_ij den_ij = num_ij Q for every entry, at t = 2^K.
 
-    The forms are G2_PAIR_FORMS, E6_PAIR_FORMS or dn_pair_forms(rank).  The
-    difference R_ij of the two sides is an integer Laurent polynomial whose
-    coefficients are at most |N_ij| 2^m' + 2^m |Q| in absolute value, with
+    The forms are G2_PAIR_FORMS, E6_PAIR_FORMS or dn_pair_forms(rank); any
+    other kind is refused, not read as D_n.  The difference R_ij of the two
+    sides is an integer Laurent polynomial whose coefficients are at most
+    |N_ij| 2^m' + 2^m |Q| in absolute value, with
     |p| the l1 norm and m, m' the factor counts of num and den (a product of
     m factors t^a +- t^-a has l1 norm 2^m).  With 2^(K-1) above that bound,
     R_ij(2^K) = 0 iff R_ij = 0, as in cartan_identity_at_two_to_the_k.  Every
@@ -306,8 +307,14 @@ def pair_table_at_two_to_the_k(preset):
     """
     q, nums = preset.pair_table
     r = len(nums)
-    forms = (G2_PAIR_FORMS if preset.kind == "g2" else
-             E6_PAIR_FORMS if preset.kind == "e6" else dn_pair_forms(r))
+    if preset.kind == "dn":
+        forms = dn_pair_forms(r)
+    elif preset.kind == "e6":
+        forms = E6_PAIR_FORMS
+    elif preset.kind == "g2":
+        forms = G2_PAIR_FORMS
+    else:
+        raise ValueError("no closed forms for kind %r" % (preset.kind,))
     assert set(forms) == {(i, j) for i in range(1, r + 1) for j in range(i, r + 1)}
     entries = {id(e): e for row in nums for e in row}
     assert all(type(c) is int for p in (q, *entries.values()) for c in p.terms.values())

@@ -76,6 +76,23 @@ def test_preset_rejects_a_lambda_factor_outside_its_nodes(g2, node):
         replace_preset(g2, lambdas=lams)
 
 
+@pytest.mark.parametrize("kind", ["b2", "a6"])
+def test_preset_rejects_a_kind_it_has_no_tables_for(g2, e6, kind):
+    # for any other kind _cartan_b would read D_n's B, and build_t2 has no
+    # second series
+    for preset in (g2, e6):
+        with pytest.raises(ValueError, match=re.escape("unknown algebra kind %r" % kind)):
+            replace_preset(preset, kind=kind)
+
+
+def test_pair_table_oracle_names_only_the_tabled_kinds(g2):
+    class Relabelled:
+        kind, pair_table = "b2", g2.pair_table
+
+    with pytest.raises(ValueError, match="no closed forms for kind 'b2'"):
+        pair_table_at_two_to_the_k(Relabelled)
+
+
 def test_d_matrix_structure(g2, e6, d5):
     # diagonal entries are t^d - t^-d with d = 1 except the long g2 node
     for preset, ds in [(g2, [1, 3]), (e6, [1] * 6), (d5, [1] * 5)]:

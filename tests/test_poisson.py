@@ -530,6 +530,13 @@ def test_bracket_report_antisymmetry(closure_presets):
         assert ok, (preset.name, msg)
 
 
+def distinct_series(t1, lams):
+    """Two different series from T1, each missing a monomial of the other."""
+    t2 = SeriesExpr([(m, 3) for m in t1.terms] + [(lams[0], -3), (lams[1], Fraction(1, 2))])
+    s2 = SeriesExpr(list(t1.terms.items()) + [(lams[-1], -1)])
+    return t2, s2
+
+
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 5),
                                     ("dn", 6)])
 def test_bracket_sum_matches_ordered_pair_oracle(kind, n):
@@ -544,9 +551,7 @@ def test_bracket_sum_matches_ordered_pair_oracle(kind, n):
     assert antisymmetry_ok(report) == (True, None)
     # two different series, each missing a monomial of the other: the
     # reversed pairs carry their own coefficients
-    lams = preset.lambdas
-    t2 = SeriesExpr([(m, 3) for m in t1.terms] + [(lams[0], -3), (lams[1], Fraction(1, 2))])
-    s2 = SeriesExpr(list(t1.terms.items()) + [(lams[-1], -1)])
+    t2, s2 = distinct_series(t1, preset.lambdas)
     base, deltas = ordered_pair_bracket(t2, s2, oracle_preset)
     report = bracket_sum(t2, s2, preset)
     assert report.base_coeff == base and report.delta_terms == deltas
@@ -631,6 +636,23 @@ def test_bracket_sum_builds_a_key_only_for_a_kept_contribution(kind, n, products
     monkeypatch.setattr(YMonomial, "__mul__", counting)
     bracket_sum(t1, t1, preset)
     assert len(calls) == kept == products
+
+    # two distinct series keep every half: one key per nonzero ordered half
+    # with a != 0, and one per pair whose Delta(0) does not cancel, where
+    # the ordered pair and its reverse share the key x * y
+    t2, s2 = distinct_series(t1, preset.lambdas)
+    t, s = t2.terms, s2.terms
+    splits = {(x, y): decompose(symbol(x, y, oracle_preset), oracle_preset).deltas
+              for x in t.keys() | s.keys() for y in t.keys() | s.keys()}
+    halves = sum(1 for (x, y), deltas in splits.items() if t.get(x, 0) * s.get(y, 0)
+                 for a in deltas if a)
+    zeros = {frozenset(xy) for xy, deltas in splits.items()
+             if t.get(xy[0], 0) * s.get(xy[1], 0) * deltas.get(0, 0)
+             + t.get(xy[1], 0) * s.get(xy[0], 0) * splits[xy[::-1]].get(0, 0)}
+    calls.clear()
+    bracket_sum(t2, s2, preset)
+    assert zeros
+    assert len(calls) == halves + len(zeros)
 
 
 @pytest.mark.parametrize("kind,n", [("e6", None), ("dn", 7)])

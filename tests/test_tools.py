@@ -1,5 +1,7 @@
-"""Smoke tests of the scripts under tools/, each run as its own process."""
+"""Smoke tests of the scripts under tools/, each run as its own process,
+and one in-process run of dn_stages with a verifier patched to fail."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -58,3 +60,23 @@ def test_dn_stages_refuses_a_rank_below_4(args):
     proc = run_tool("dn_stages.py", *args)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "usage: dn_stages.py N [N ...]   (each N >= 4)\n"
+
+
+def test_dn_stages_exits_1_naming_the_rank_and_stage_that_fails(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("dn_stages", os.path.join(TOOLS, "dn_stages.py"))
+    dn_stages = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dn_stages)
+    closure = dn_stages.verify_closure
+
+    def failing(preset):
+        outcome = closure(preset)
+        outcome.check(False, "", "doctored failure")
+        return outcome
+
+    monkeypatch.setattr(dn_stages, "verify_closure", failing)
+    assert dn_stages.main(["4", "5"]) == 1
+    out, err = capsys.readouterr()
+    header, *lines = out.splitlines()
+    assert header.split()[0] == "rank" and [line.split()[0] for line in lines] == ["d4", "d5"]
+    assert err == ("d4 verify_closure did not pass: doctored failure\n"
+                   "d5 verify_closure did not pass: doctored failure\n")

@@ -7,7 +7,9 @@ bracket_sum(T1, T1) and of build_t2, and then of verify_closure and of
 verify_all, each on a new build of the preset, so that neither reads a
 split the bracket before it has stored.  The last column is the process's
 peak RSS so far.  bracket_sum reads the m_parity timed before it, as
-verify_closure and verify_all compute their own.
+verify_closure and verify_all compute their own.  It exits 1, naming the
+rank and the stage on stderr, when verify_cartan, verify_closure or
+verify_all does not pass.
 
 Usage: python3 tools/dn_stages.py N [N ...]   e.g. 64 128 256
 Run it from a checkout; it imports wqalg from src/.  Standard library and
@@ -38,17 +40,31 @@ def _seconds(fn, *args):
     return time.perf_counter() - start
 
 
-def stage_seconds(n: int) -> list[float]:
-    """The seconds of each of STAGES on d<n>, in that order."""
+def _verified(failures, stage, verify, preset):
+    """The seconds of verify(preset); a failed outcome adds (stage, failure) to failures."""
+    start = time.perf_counter()
+    outcome = verify(preset)
+    seconds = time.perf_counter() - start
+    if not outcome.passed:
+        failures.append((stage, outcome.failure))
+    return seconds
+
+
+def stage_seconds(n: int, failures: list) -> list[float]:
+    """The seconds of each of STAGES on d<n>, in that order.
+
+    Each verifier stage that does not pass adds (stage, failure) to failures.
+    """
     start = time.perf_counter()
     preset = build_preset("dn", n)
-    times = [time.perf_counter() - start, _seconds(verify_cartan, preset),
+    times = [time.perf_counter() - start,
+             _verified(failures, "verify_cartan", verify_cartan, preset),
              _seconds(lambda: preset.m_parity)]
     t1 = build_t1(preset)
     times += [_seconds(bracket_sum, t1, t1, preset), _seconds(build_t2, preset)]
     del preset, t1
-    for verify in verify_closure, verify_all:
-        times.append(_seconds(verify, build_preset("dn", n)))
+    for stage, verify in ("verify_closure", verify_closure), ("verify_all", verify_all):
+        times.append(_verified(failures, stage, verify, build_preset("dn", n)))
     return times
 
 
@@ -58,12 +74,17 @@ def main(argv=None) -> int:
         print("usage: dn_stages.py N [N ...]   (each N >= 4)", file=sys.stderr)
         return 2
     print("%-6s" % "rank" + "".join(" %14s" % s for s in STAGES) + " %8s" % "rss_mb")
+    ok = True
     for n in map(int, argv):
-        times = stage_seconds(n)
+        failures = []
+        times = stage_seconds(n, failures)
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print("d%-5d" % n + "".join(" %14.4f" % s for s in times) + " %8.1f" % rss_mb,
               flush=True)
-    return 0
+        for stage, failure in failures:
+            print("d%d %s did not pass: %s" % (n, stage, failure), file=sys.stderr)
+        ok = ok and not failures
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
