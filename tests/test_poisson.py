@@ -818,12 +818,26 @@ def test_extract_t2_reads_only_the_minus_2_shift():
         extract_t2_e6(fake)
 
 
+def _nonunit_records(preset, caplog):
+    with caplog.at_level(logging.INFO, logger="wqalg.poisson"):
+        bracket_sum(build_t1(preset), build_t1(preset), preset)
+    return [(rec.levelno, rec.getMessage()) for rec in caplog.records]
+
+
 def test_nonunit_warning_emitted(d4, caplog):
     # logged at INFO: verify_closure matches every coefficient against its series
-    with caplog.at_level(logging.INFO, logger="wqalg.poisson"):
-        bracket_sum(build_t1(d4), build_t1(d4), d4)
-    assert any("not +-1" in rec.message and rec.levelno == logging.INFO
-               for rec in caplog.records)
+    assert _nonunit_records(d4, caplog) == [
+        (logging.INFO, "d4 bracket: 2 delta-series coefficients are not +-1 "
+         "(first: shift -2, coefficient 2)")]
+
+
+@pytest.mark.parametrize("kind,n,count", [("dn", 8, 2), ("e6", None, 54)])
+def test_nonunit_record_counts_both_halves(kind, n, count, caplog):
+    # the count covers both halves of the self-bracket, C(-b) and C(+b)
+    preset = build_preset(kind, n)
+    assert _nonunit_records(preset, caplog) == [
+        (logging.INFO, "%s bracket: %d delta-series coefficients are not +-1 "
+         "(first: shift -2, coefficient 2)" % (preset.name, count))]
 
 
 def test_verify_all_d4_logs_no_warning(d4, caplog):
