@@ -30,9 +30,11 @@ only, and stops storing at _SPLIT_TABLE_CAP entries; a new preset starts
 with an empty table.
 
 bracket_sum splits each unordered pair once.  Of a self-bracket it
-accumulates the positive half only, the C(b) with b >= 0, and derives each
-C(-b) from the finished C(b) as -C(b)(zq^b), which M symmetric and odd
-makes exact.
+accumulates the half on a <= 0 only, and its report stores that half: each
+C(+b) = -C(-b)(zq^-b), which M symmetric and odd makes exact, is built from
+the stored C(-b) only when it is read.  verify_closure reads the support
+from the report's shifts, and matches C(+b) through the walk that matched
+C(-b), so a verification builds no mirrored series.
 
 verify_closure and verify_all record every check through
 VerificationOutcome.check (ClosureOutcome is a VerificationOutcome that
@@ -210,18 +212,39 @@ class BracketReport:
     """Result of a bracketed pair of series: base times M_11 plus delta terms.
 
     delta_terms maps shift a to C_a(z), the coefficient of Delta(a) after the
-    substitution w = zq^{-a}.
+    substitution w = zq^{-a}.  A report built through the constructor holds
+    delta_terms exactly as given.  A self-bracket's report from bracket_sum
+    stores the C(a) with a <= 0 only; each C(+b) = -C(-b)(zq^-b) is built the
+    first time it is read, through series(b) or delta_terms, and then kept.
     """
 
     def __init__(self, algebra: str, base_coeff: int | Fraction,
                  delta_terms: dict[int, SeriesExpr]):
         self.algebra = algebra
         self.base_coeff = base_coeff
-        self.delta_terms = delta_terms
+        self._terms = delta_terms
+        self._mirrored = frozenset()    # the shifts b whose C(b) is built from C(-b)
+
+    @property
+    def delta_terms(self) -> dict[int, SeriesExpr]:
+        for b in self._mirrored:
+            self.series(b)
+        return self._terms
 
     @property
     def shifts(self):
-        return sorted(self.delta_terms)
+        return sorted(self._terms.keys() | self._mirrored)
+
+    def series(self, shift: int) -> SeriesExpr | None:
+        """C(shift), or None off the support; a mirrored C(+b) is built on first read."""
+        got = self._terms.get(shift)
+        if got is None and shift in self._mirrored:
+            got = self._terms[shift] = self._mirror(shift)
+        return got
+
+    def _mirror(self, b: int) -> SeriesExpr:
+        """C(b) = -C(-b)(zq^-b): one shift_arg per term of the stored C(-b)."""
+        return SeriesExpr._raw({m.shift_arg(-b): -c for m, c in self._terms[-b].terms.items()})
 
     def to_json(self):
         return {
@@ -265,10 +288,12 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     x(zq^a) * y, and Delta(0) adds (forward - reverse) * c once at x * y.
     A key, one monomial product, is built only for a nonzero contribution.
     In a self-bracket (the two series one object, or equal) the half that
-    lands on a negative shift is minus one on a positive shift (a diagonal
-    pair's own symbol is odd), so C(-b) = -shift_arg(C(b), b) holds exactly:
-    only the halves on b > 0 are kept, and each C(-b) is built once from
-    the finished C(b).  Delta series that cancel to zero are pruned.
+    lands on a positive shift is minus one on a negative shift (a diagonal
+    pair's own symbol is odd), so C(b) = -shift_arg(C(-b), -b) holds exactly:
+    only the halves on a <= 0 are kept, and the report stores them alone and
+    builds each C(+b) from the finished C(-b) when it is read.  So C(-2) is
+    keyed by the products x * y(zq^2) that build_t2 makes.  Delta series
+    that cancel to zero are pruned.
     """
     if not all(preset.m_parity):
         raise ValueError(_M_NOT_SYMMETRIC_ODD % preset.name)
@@ -311,24 +336,26 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                     if forward != reverse:
                         add(0, x * y, (forward - reverse) * c)
                     continue
-                if forward and (a > 0 or not self_bracket):
+                if forward and (a < 0 or not self_bracket):
                     ylow = lowered[k]
                     add(a, x * (ylow.get(a) or ylow.setdefault(a, y.shift_arg(-a))), forward * c)
-                if reverse and (a < 0 or not self_bracket):
+                if reverse and (a > 0 or not self_bracket):
                     add(-a, (xlow.get(-a) or xlow.setdefault(-a, x.shift_arg(a))) * y,
                         -reverse * c)
     acc = {a: _int_valued(d) for a, d in acc.items() if d}
-    if self_bracket:
-        # C(-b) = -C(b)(zq^b): one shift_arg per surviving term of C(b)
-        acc.update([(-b, {m.shift_arg(b): -c for m, c in d.items()}) for b, d in acc.items() if b])
     nonunit = [(a, m, c) for a, d in acc.items() for m, c in d.items() if c != 1 and c != -1]
+    if self_bracket:
+        # the unstored C(+b) = -C(-b)(zq^-b) counts too: mirror its non-unit terms only
+        nonunit += [(-a, m.shift_arg(-a), -c) for a, m, c in nonunit if a]
     if nonunit:
         # informational: verify_closure matches every coefficient against its series
         a, _, c = min(nonunit, key=lambda amc: (amc[0], amc[1].factors))
         _log("info", "%s bracket: %d delta-series coefficients are not +-1 "
              "(first: shift %d, coefficient %s)", preset.name, len(nonunit), a, c)
-    delta_terms = {a: SeriesExpr._raw(d) for a, d in acc.items()}
-    return BracketReport(algebra=preset.name, base_coeff=base or 0, delta_terms=delta_terms)
+    report = BracketReport(preset.name, base or 0, {a: SeriesExpr._raw(d) for a, d in acc.items()})
+    if self_bracket:
+        report._mirrored = frozenset(-a for a in acc if a)
+    return report
 
 
 class DerivedSeries:
@@ -347,7 +374,7 @@ def extract_t2_e6(report: BracketReport) -> DerivedSeries:
     all-positive coefficients.  Non-unit coefficients are reported at warn
     level (they arise when distinct weight vectors share a monomial).
     """
-    series = report.delta_terms.get(-2)
+    series = report.series(-2)
     if series is None or not all(c > 0 for c in series.terms.values()):
         raise NotDecomposableError("C(-2), the coefficient of delta(w/zq^2), is not a "
                                    "nonzero series with positive coefficients")
@@ -387,7 +414,7 @@ def _match_series(out, report, shift, series, sign, by, label, good=None):
     signed series is built only on a mismatch, to name the first monomial
     where the two differ.
     """
-    got = report.delta_terms.get(shift, SeriesExpr.zero())
+    got = report.series(shift) or SeriesExpr.zero()
     if _is_shifted(got, series, sign, by):
         return out.check(True, good or "C(%+d) = %s" % (shift, label), "")
     expected = series.shift_arg(by)
@@ -421,36 +448,39 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
     out.check(report.base_coeff == 1, "base coefficient is exactly 1",
               "base coefficient is %s, expected 1" % report.base_coeff)
 
+    # b -> (series, sign, by, label, label of C(+b)) for C(-b) = sign * series(zq^by),
+    # so that C(+b) = -C(-b)(zq^-b) = -sign * series(zq^(by-b)); matched in this order
+    good = {}
     if preset.kind == "e6":
+        table = {8: (build_t5_e6(preset), 1, 4,
+                     "T5(zq^4), the orientation of the D_n and G_2 closures", "-T5(zq^-4)")}
+        good[8] = ("orientation: delta(w/zq^8) carries T5(zq^4), "
+                   "same orientation as the D_n and G_2 closures")
         support = {-2, 2, -8, 8}
     else:
-        # shift -> C(shift) = sign * series(zq^by) as (series, sign, by, label),
-        # in the order the matches are reported
         t2, one = build_t2(preset), SeriesExpr.one()
-        table = {-2: (t2, 1, 0, "T2(z)"), 2: (t2, -1, -2, "-T2(zq^-2)")}
+        table = {2: (t2, 1, 0, "T2(z)", "-T2(zq^-2)")}
         if preset.kind == "dn":
-            edge = 2 * preset.rank - 2
-            table.update({-edge: (one, 1, 0, "1"), edge: (one, -1, 0, "-1")})
+            table[2 * preset.rank - 2] = (one, 1, 0, "1", "-1")
         else:
-            table.update({-8: (t1, 1, 4, "T1(zq^4)"), 8: (t1, -1, -4, "-T1(zq^-4)"),
-                          -12: (one, 1, 0, "1"), 12: (one, -1, 0, "-1")})
-        support = set(table)
-    out.check(set(report.delta_terms) == support,
+            table.update({8: (t1, 1, 4, "T1(zq^4)", "-T1(zq^-4)"), 12: (one, 1, 0, "1", "-1")})
+        support = {a for b in table for a in (-b, b)}
+    out.check(set(report.shifts) == support,
               "delta support is exactly %s" % sorted(support),
               "delta support %s differs from expected %s" % (report.shifts, sorted(support)))
 
-    if preset.kind != "e6":
-        for shift, match in table.items():
-            if _match_series(out, report, shift, *match) and shift == -2:
-                out.details.append("orientation: delta(w/zq^2) carries T2(z), "
-                                   "delta(wq^2/z) carries -T2(w)")
-    else:
-        t5 = build_t5_e6(preset)
-        _match_series(out, report, -8, t5, 1, 4,
-                      "T5(zq^4), the orientation of the D_n and G_2 closures",
-                      "orientation: delta(w/zq^8) carries T5(zq^4), "
-                      "same orientation as the D_n and G_2 closures")
-        _match_series(out, report, 8, t5, -1, -4, "-T5(zq^-4)")
+    for b, (series, sign, by, label, mirror_label) in table.items():
+        ok = _match_series(out, report, -b, series, sign, by, label, good.get(b))
+        if ok and b == 2:
+            out.details.append("orientation: delta(w/zq^2) carries T2(z), "
+                               "delta(wq^2/z) carries -T2(w)")
+        if b not in report._mirrored:
+            _match_series(out, report, b, series, -sign, by - b, mirror_label)
+        elif ok:
+            # a mirrored C(+b) matches iff C(-b) did, so the walk just made is its
+            # walk; had it failed, the failure of C(-b) would come first
+            out.check(True, "C(%+d) = %s" % (b, mirror_label), "")
+    if preset.kind == "e6":
         try:
             derived = out.derived = extract_t2_e6(report)
         except NotDecomposableError as exc:

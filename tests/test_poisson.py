@@ -618,14 +618,14 @@ def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
                                              ("e6", None, 486), ("g2", None, 43)])
 def test_bracket_sum_builds_a_key_only_for_a_kept_contribution(kind, n, products,
                                                                monkeypatch):
-    # a self-bracket keeps C(a) for a > 0 only, so it makes one key, one
-    # monomial product, per ordered pair and positive delta; an off-diagonal
-    # Delta(0) cancels against its reverse and a negative delta is mirrored
-    # from the finished C(-a), so neither builds a key
+    # a self-bracket keeps C(a) for a < 0 only, so it makes one key, one
+    # monomial product, per ordered pair and negative delta; an off-diagonal
+    # Delta(0) cancels against its reverse and a positive delta is left to
+    # the report to mirror from C(-a), so neither builds a key
     preset, oracle_preset = build_preset(kind, n), build_preset(kind, n)
     t1 = build_t1(preset)
     kept = sum(1 for x in t1.terms for y in t1.terms
-               for a in decompose(symbol(x, y, oracle_preset), oracle_preset).deltas if a > 0)
+               for a in decompose(symbol(x, y, oracle_preset), oracle_preset).deltas if a < 0)
     calls = []
     mul = YMonomial.__mul__
 
@@ -727,6 +727,42 @@ def test_verify_closure_all_presets(closure_presets):
     for preset in closure_presets:
         out = verify_closure(preset)
         assert out.passed, (preset.name, out.failure)
+
+
+def _refuse_mirror(report, b):
+    raise AssertionError("C(%+d) was built" % b)
+
+
+@pytest.mark.parametrize("kind,n", [("dn", 8), ("g2", None), ("e6", None)])
+def test_verifiers_never_build_the_unstored_half(kind, n, monkeypatch):
+    # a self-bracket's report stores C(a) for a <= 0; the verifiers match each
+    # C(+b) through C(-b) and never build it
+    details = tuple(verify(build_preset(kind, n)).details
+                    for verify in (verify_closure, verify_all))
+    preset, oracle_preset = build_preset(kind, n), build_preset(kind, n)
+    with monkeypatch.context() as m:
+        m.setattr(poisson_mod.BracketReport, "_mirror", _refuse_mirror)
+        closure, everything = verify_closure(preset), verify_all(preset)
+    assert closure.passed and everything.passed
+    assert (closure.details, everything.details) == details
+    # read afterwards, the report is the eager one: every C(+b) with int coefficients
+    t1 = build_t1(oracle_preset)
+    assert closure.report.delta_terms == ordered_pair_bracket(t1, t1, oracle_preset)[1]
+    assert all(type(c) is int for series in closure.report.delta_terms.values()
+               for c in series.terms.values())
+
+    # a report built by hand is matched as given, each half on its own
+    monkeypatch.setattr(poisson_mod.BracketReport, "_mirror", _refuse_mirror)
+    real = closure.report
+    for shift in (min(real.shifts), max(real.shifts)):
+        terms = dict(real.delta_terms)
+        first, c = terms[shift].sorted_terms()[0]
+        terms[shift] = SeriesExpr({**terms[shift].terms, first: -c})
+        doctored = poisson_mod.BracketReport(real.algebra, real.base_coeff, terms)
+        monkeypatch.setattr(poisson_mod, "bracket_sum", lambda t, s, p, r=doctored: r)
+        out = verify_closure(preset)
+        assert not out.passed
+        assert out.failure.startswith("shift %+d: expected " % shift), out.failure
 
 
 def test_verify_closure_reports_series_mismatch(d4, monkeypatch):
@@ -855,10 +891,11 @@ def test_verify_all_passes(g2, e6, d4):
 
 
 def test_verify_all_memory_at_d32():
-    # The peak holds C(-2), C(+2) and T2, about 2,000 terms each.  With
-    # C(-2) built once from the finished C(+2), it reads 1.79 MiB; both
-    # halves accumulated read 2.55 MiB, shifted copies of the matched series
-    # with them 3.52, and nested ((node, shift), exp) factors with those 4.51
+    # The peak holds the stored half of the report, C(-2) most of it, and T2:
+    # about 2,000 terms each, keyed by products that share the Lambdas' factor
+    # triples.  It reads 0.70 MiB.  With every C(+b) built from C(-b) it read
+    # 1.69 MiB, both halves accumulated 2.55, shifted copies of the matched
+    # series with them 3.52, and nested ((node, shift), exp) factors with those 4.51
     preset = build_preset("dn", 32)
     tracemalloc.start()
     try:
@@ -866,7 +903,7 @@ def test_verify_all_memory_at_d32():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.3 * 2**20, "verify_all(d32) peaked at %.2f MiB" % (peak / 2**20)
+    assert peak < 1.0 * 2**20, "verify_all(d32) peaked at %.2f MiB" % (peak / 2**20)
 
 
 def test_verify_all_records_g2_diagonal_note(g2):

@@ -9,7 +9,8 @@ This is the large-rank check (d128 and past it) kept out of the test suite.
 
 Usage: python3 tools/dn_ranks.py N [N ...]   e.g. 127 128 255 256 512
 Run it from a checkout; it imports wqalg from src/ and the oracles from
-tests/.  Standard library only.  d512 takes about 50 s and 0.6 GB.
+tests/.  Standard library only.  d512 takes about 50 s and 0.35 GB, d1024
+about 5 minutes and 2.2 GB.
 """
 
 from __future__ import annotations
