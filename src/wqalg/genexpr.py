@@ -8,9 +8,12 @@ monomials; the sums T_1, T_2, T_5 and every delta-coefficient series live
 here.  Its coefficients follow exactfield's policy: ints where integral,
 Fractions only where not.  Like LaurentPoly it is an exactfield._TermMap,
 which holds its constructor, equality and negation; SeriesExpr adds shifts,
-dualisation and printing.  It has no sums or scalar products (bracket_sum
-accumulates its own term maps), and no hash.  Monomials are ordered by
-their factors tuples wherever they are sorted; the triples compare like
+dualisation and printing.  It has no sums or scalar products, and no hash.
+T_2 and the delta-coefficient series are first held as pair sums, which
+map l * len(monos) + r to the coefficient of monos[l] * monos[r](zq^-a):
+bracket_sum accumulates them with no monomial product, and pair_series
+builds the series of one, with one product per pair.  Monomials are ordered
+by their factors tuples wherever they are sorted; the triples compare like
 ((i, a), e) pairs, since each (i, a) occurs once.
 
 Scalar prefactors of the Y generators are deliberately not represented.
@@ -22,7 +25,7 @@ constant prefactors at all; content-level equality is therefore equality.
 
 from __future__ import annotations
 
-from .exactfield import _collect, _signed_sum, _TermMap
+from .exactfield import _collect, _int_valued, _signed_sum, _TermMap
 
 
 class YMonomial:
@@ -184,19 +187,49 @@ def _t2_pairs(preset):
     raise ValueError("no closed-form second series for %s" % preset.name)
 
 
+def pair_series(monos, pairs: dict, shift: int) -> SeriesExpr:
+    """The series of a pair sum: sum of c * monos[l] * monos[r](zq^-shift).
+
+    pairs maps l * len(monos) + r to c.  Each monos[r](zq^-shift) is built
+    once, on first use; one monomial product is made per pair.
+    """
+    size, lowered, terms = len(monos), [None] * len(monos), {}
+    for key, c in pairs.items():
+        l, r = divmod(key, size)
+        low = lowered[r]
+        if low is None:
+            low = lowered[r] = monos[r].shift_arg(-shift)
+        m = monos[l] * low
+        c += terms.get(m, 0)
+        if c:
+            terms[m] = c
+        else:
+            del terms[m]
+    return SeriesExpr._raw(_int_valued(terms))
+
+
+def t2_pair_keys(preset, monos):
+    """The key over monos of each pair (i, j) of _t2_pairs, in turn (see pair_series).
+
+    monos holds every Lambda.  The key of (i, j) is l * len(monos) + r, where
+    monos[l] is L_i and monos[r] is L_j: at shift -2, L_i(z) L_j(zq^2).
+    """
+    at = {m: n for n, m in enumerate(monos)}
+    index = [at[lam] for lam in preset.lambdas]
+    size = len(monos)
+    return (index[i - 1] * size + index[j - 1] for i, j in _t2_pairs(preset))
+
+
 def build_t2(preset) -> SeriesExpr:
     """The displayed second series: sum of L_i(z) L_j(zq^2) over the pair set.
 
     Defined for the D_n and G_2 presets only; the E6 second series is derived
     from the closure computation instead (see the bracket engine).
     """
-    lams = preset.lambdas
-    raised = [lam.shift_arg(2) for lam in lams]
-    terms = {}
-    for i, j in _t2_pairs(preset):
-        m = lams[i - 1] * raised[j - 1]
-        terms[m] = terms.get(m, 0) + 1
-    return SeriesExpr._raw(terms)
+    pairs = {}
+    for key in t2_pair_keys(preset, preset.lambdas):
+        pairs[key] = pairs.get(key, 0) + 1
+    return pair_series(preset.lambdas, pairs, -2)
 
 
 def build_t5_e6(preset) -> SeriesExpr:

@@ -29,12 +29,16 @@ frozenset of the numerator's term items.  It stores successful splits
 only, and stops storing at _SPLIT_TABLE_CAP entries; a new preset starts
 with an empty table.
 
-bracket_sum splits each unordered pair once.  Of a self-bracket it
-accumulates the half on a <= 0 only, and its report stores that half: each
+bracket_sum splits each unordered pair once and makes no monomial product:
+it accumulates each C(a) as a pair sum, whose key stands for the product
+of two of its monomials, and its report builds C(a) only when it is read.
+Of a self-bracket it keeps the half on a <= 0 only: each
 C(+b) = -C(-b)(zq^-b), which M symmetric and odd makes exact, is built from
-the stored C(-b) only when it is read.  verify_closure reads the support
-from the report's shifts, and matches C(+b) through the walk that matched
-C(-b), so a verification builds no mirrored series.
+C(-b).  The report's shifts build only the pair sums whose coefficients add
+up to zero, to see whether they cancel.  verify_closure matches C(-2)
+against T2 of D_n and G2 as pair sums, building only the pairs where they
+differ, and matches C(+b) through the check of C(-b); so on D_n and G2 a
+verification builds neither T2, nor C(-2), nor a mirrored series.
 
 verify_closure and verify_all record every check through
 VerificationOutcome.check (ClosureOutcome is a VerificationOutcome that
@@ -43,8 +47,9 @@ also carries the bracket report and, for e6, the derived second series).
 Records go to the wqalg.poisson logger: INFO from bracket_sum when some
 delta-series coefficient is not +-1, WARNING from extract_t2_e6 when the
 derived series has such a coefficient.  logging is imported only when a
-record can be emitted: an INFO record is dropped while logging is not yet
-imported, since until then no handler can be added nor a level lowered.
+record can be emitted.  The INFO record builds every delta series, so it is
+computed only when logging is already imported (until then no handler can
+be added nor a level lowered) and the logger is enabled for INFO.
 """
 
 from __future__ import annotations
@@ -53,24 +58,22 @@ import sys
 from fractions import Fraction
 from operator import attrgetter
 
+from . import genexpr
 from .algebras import AlgebraPreset, VerificationOutcome, verify_cartan
 from .exactfield import (LaurentPoly, RationalFunction, _add_scaled, _exact_quotient,
                          _int_valued, laurent_divide, laurent_divmod)
-from .genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
+from .genexpr import SeriesExpr, YMonomial, build_t1, build_t5_e6
 
 
-def _log(level: str, msg: str, *args) -> None:
-    """Log msg % args to the wqalg.poisson logger; level is "info" or "warning".
+def _info_logger():
+    """The wqalg.poisson logger if it is enabled for INFO, else None.
 
-    An info record is dropped unseen while logging is not imported (see the
-    module notes); a warning imports logging.
+    It is None while logging is not imported (see the module notes), so a
+    record that no handler could see is not even computed.
     """
     logging = sys.modules.get("logging")
-    if logging is None:
-        if level == "info":
-            return
-        import logging
-    getattr(logging.getLogger(__name__), level)(msg, *args)
+    logger = logging and logging.getLogger(__name__)
+    return logger if logger and logger.isEnabledFor(logging.INFO) else None
 
 
 class NotDecomposableError(ValueError):
@@ -213,9 +216,11 @@ class BracketReport:
 
     delta_terms maps shift a to C_a(z), the coefficient of Delta(a) after the
     substitution w = zq^{-a}.  A report built through the constructor holds
-    delta_terms exactly as given.  A self-bracket's report from bracket_sum
-    stores the C(a) with a <= 0 only; each C(+b) = -C(-b)(zq^-b) is built the
-    first time it is read, through series(b) or delta_terms, and then kept.
+    delta_terms exactly as given.  A report from bracket_sum holds each C(a)
+    as a pair sum over its monomials (genexpr.pair_series), and builds the
+    series the first time it is read, through series(a) or delta_terms; a
+    self-bracket's report stores the C(a) with a <= 0 only, and builds each
+    C(+b) = -C(-b)(zq^-b) from C(-b).  What is built is kept.
     """
 
     def __init__(self, algebra: str, base_coeff: int | Fraction,
@@ -223,27 +228,46 @@ class BracketReport:
         self.algebra = algebra
         self.base_coeff = base_coeff
         self._terms = delta_terms
-        self._mirrored = frozenset()    # the shifts b whose C(b) is built from C(-b)
+        self._monos = ()        # the monomials that the pair-sum keys index
+        self._sums = {}         # shift a -> the pair sum of C(a), kept once C(a) is built
+        self._mirrored = set()  # the shifts b whose C(b) is built from C(-b)
 
     @property
     def delta_terms(self) -> dict[int, SeriesExpr]:
-        for b in self._mirrored:
-            self.series(b)
+        for a in self.shifts:
+            self.series(a)
         return self._terms
 
     @property
     def shifts(self):
-        return sorted(self._terms.keys() | self._mirrored)
+        """The support, decided without building where it can.
+
+        A series that cancels to zero has coefficients that add up to zero,
+        so a pair sum whose coefficients do not (one whose coefficients share
+        one sign, for one) is on the support; only the others are built to
+        see whether they vanish.
+        """
+        for a, pairs in list(self._sums.items()):
+            if not sum(pairs.values()):
+                self.series(a)
+        return sorted(self._terms.keys() | self._sums.keys() | self._mirrored)
 
     def series(self, shift: int) -> SeriesExpr | None:
-        """C(shift), or None off the support; a mirrored C(+b) is built on first read."""
+        """C(shift), or None off the support; built on first read."""
         got = self._terms.get(shift)
-        if got is None and shift in self._mirrored:
+        if got is None and shift in self._sums:
+            got = genexpr.pair_series(self._monos, self._sums[shift], shift)
+            if not got:     # off the support
+                del self._sums[shift]
+                self._mirrored.discard(-shift)
+                return None
+            self._terms[shift] = got
+        elif got is None and shift in self._mirrored and self.series(-shift):
             got = self._terms[shift] = self._mirror(shift)
         return got
 
     def _mirror(self, b: int) -> SeriesExpr:
-        """C(b) = -C(-b)(zq^-b): one shift_arg per term of the stored C(-b)."""
+        """C(b) = -C(-b)(zq^-b): one shift_arg per term of the built C(-b)."""
         return SeriesExpr._raw({m.shift_arg(-b): -c for m, c in self._terms[-b].terms.items()})
 
     def to_json(self):
@@ -282,39 +306,31 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     its delta (a, c) becomes (-a, -c).  So each unordered pair is split once
     and the diagonal counted once.
 
-    One map acc[a] holds C(a), and each half of a pair adds at its own
-    monomial: for a delta (a, c) the forward half adds forward * c to C(a)
-    at x * y(zq^-a), the reverse half adds -reverse * c to C(-a) at
-    x(zq^a) * y, and Delta(0) adds (forward - reverse) * c once at x * y.
-    A key, one monomial product, is built only for a nonzero contribution.
-    In a self-bracket (the two series one object, or equal) the half that
-    lands on a positive shift is minus one on a negative shift (a diagonal
-    pair's own symbol is odd), so C(b) = -shift_arg(C(-b), -b) holds exactly:
-    only the halves on a <= 0 are kept, and the report stores them alone and
-    builds each C(+b) from the finished C(-b) when it is read.  So C(-2) is
-    keyed by the products x * y(zq^2) that build_t2 makes.  Delta series
-    that cancel to zero are pruned.
+    No monomial product is made here: acc[a] holds C(a) as a pair sum over
+    the sorted monomials, key l * len(monos) + r for monos[l] * monos[r](zq^-a),
+    and the report builds a series only when it is read.  For a delta (a, c)
+    of the pair (x, y) = (monos[n], monos[k]) the forward half adds
+    forward * c to C(a) at (n, k), the reverse half adds -reverse * c to
+    C(-a) at (k, n), which stands for x(zq^a) * y, and Delta(0) adds
+    (forward - reverse) * c once at (n, k) when that is nonzero; each key of
+    each C(a) is written once.  In a self-bracket (the two series one
+    object, or equal) the half that lands on a positive shift is minus one
+    on a negative shift (a diagonal pair's own symbol is odd), so
+    C(b) = -shift_arg(C(-b), -b) holds exactly: only the halves on a <= 0
+    are kept, and the report builds each C(+b) from C(-b) when it is read.
+    Delta series that cancel to zero are off the report's support.
     """
     if not all(preset.m_parity):
         raise ValueError(_M_NOT_SYMMETRIC_ODD % preset.name)
     base = None
     t, s = t_series.terms, s_series.terms
     self_bracket = t_series is s_series or t == s
-    acc: dict[int, dict[YMonomial, int | Fraction]] = {}
-
-    def add(a, key, c):
-        series = acc.setdefault(a, {})
-        total = series.get(key, 0) + c
-        if total:
-            series[key] = total
-        else:
-            del series[key]
-
+    acc: dict[int, dict[int, int | Fraction]] = {}
     monos = sorted(t.keys() | s.keys(), key=attrgetter("factors"))
-    lowered = [{} for _ in monos]   # lowered[k][b] = monos[k](zq^-b), built on first use
+    size = len(monos)
     for n, x in enumerate(monos):
-        tx, sx, xlow, xrows = t.get(x, 0), s.get(x, 0), lowered[n], {}
-        for k in range(n, len(monos)):
+        tx, sx, xrows = t.get(x, 0), s.get(x, 0), {}
+        for k in range(n, size):
             y = monos[k]
             forward = tx * s.get(y, 0)
             reverse = t.get(y, 0) * sx if k != n else 0
@@ -334,27 +350,25 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
             for a, c in deltas.items():
                 if not a:
                     if forward != reverse:
-                        add(0, x * y, (forward - reverse) * c)
+                        acc.setdefault(0, {})[n * size + k] = (forward - reverse) * c
                     continue
                 if forward and (a < 0 or not self_bracket):
-                    ylow = lowered[k]
-                    add(a, x * (ylow.get(a) or ylow.setdefault(a, y.shift_arg(-a))), forward * c)
+                    acc.setdefault(a, {})[n * size + k] = forward * c
                 if reverse and (a > 0 or not self_bracket):
-                    add(-a, (xlow.get(-a) or xlow.setdefault(-a, x.shift_arg(a))) * y,
-                        -reverse * c)
-    acc = {a: _int_valued(d) for a, d in acc.items() if d}
-    nonunit = [(a, m, c) for a, d in acc.items() for m, c in d.items() if c != 1 and c != -1]
+                    acc.setdefault(-a, {})[k * size + n] = -reverse * c
+    report = BracketReport(preset.name, base or 0, {})
+    report._monos, report._sums = monos, acc
     if self_bracket:
-        # the unstored C(+b) = -C(-b)(zq^-b) counts too: mirror its non-unit terms only
-        nonunit += [(-a, m.shift_arg(-a), -c) for a, m, c in nonunit if a]
-    if nonunit:
+        report._mirrored = {-a for a in acc if a}
+    logger = _info_logger()
+    if logger:
         # informational: verify_closure matches every coefficient against its series
-        a, _, c = min(nonunit, key=lambda amc: (amc[0], amc[1].factors))
-        _log("info", "%s bracket: %d delta-series coefficients are not +-1 "
-             "(first: shift %d, coefficient %s)", preset.name, len(nonunit), a, c)
-    report = BracketReport(preset.name, base or 0, {a: SeriesExpr._raw(d) for a, d in acc.items()})
-    if self_bracket:
-        report._mirrored = frozenset(-a for a in acc if a)
+        nonunit = [(a, m, c) for a, d in report.delta_terms.items()
+                   for m, c in d.terms.items() if c != 1 and c != -1]
+        if nonunit:
+            a, _, c = min(nonunit, key=lambda amc: (amc[0], amc[1].factors))
+            logger.info("%s bracket: %d delta-series coefficients are not +-1 "
+                        "(first: shift %d, coefficient %s)", preset.name, len(nonunit), a, c)
     return report
 
 
@@ -382,8 +396,10 @@ def extract_t2_e6(report: BracketReport) -> DerivedSeries:
     for c in series.terms.values():
         counts[c] = counts.get(c, 0) + 1
     if set(counts) != {1}:
-        _log("warning", "derived series at shift -2 has non-unit coefficients: %s",
-             {str(k): v for k, v in sorted(counts.items())})
+        import logging
+        logging.getLogger(__name__).warning(
+            "derived series at shift -2 has non-unit coefficients: %s",
+            {str(k): v for k, v in sorted(counts.items())})
     return DerivedSeries(shift=-2, series=series,
                          term_count=len(series), coefficient_counts=counts)
 
@@ -405,6 +421,26 @@ def _is_shifted(got: SeriesExpr, series: SeriesExpr, sign: int, by: int) -> bool
     want = series.terms
     return len(got) == len(want) and all(
         want.get(m.shift_arg(-by)) == sign * c for m, c in got.terms.items())
+
+
+def _is_t2_pair_sum(report: BracketReport, preset: AlgebraPreset) -> bool:
+    """Whether C(-2) = T2(z), read from the report's pair sum; False if it has none.
+
+    Both are sums of L_i(z) L_j(zq^2) over pairs, so each pair of T2 is taken
+    off a copy of the pair sum of C(-2), and only the pairs left, where the
+    two differ, are built: C(-2) = T2(z) iff those sum to zero.
+    """
+    pairs = report._sums.get(-2)
+    if pairs is None:
+        return False
+    diff = dict(pairs)
+    for key in genexpr.t2_pair_keys(preset, report._monos):
+        c = diff.get(key, 0) - 1
+        if c:
+            diff[key] = c
+        else:
+            del diff[key]
+    return not genexpr.pair_series(report._monos, diff, -2)
 
 
 def _match_series(out, report, shift, series, sign, by, label, good=None):
@@ -430,9 +466,10 @@ def _match_series(out, report, shift, series, sign, by, label, good=None):
 def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
     """Bracket the first series with itself and match every delta coefficient.
 
-    D_n and G_2 compare against their displayed second series; E6 records its
-    second series as derived output and matches the magnitude-8 coefficients
-    against the dual-transform construction.  All three are held to one
+    D_n and G_2 compare against their displayed second series, C(-2) as a
+    pair sum against the pairs of T2, building T2 only on a mismatch; E6
+    records its second series as derived output and matches the magnitude-8
+    coefficients against the dual-transform construction.  All three are held to one
     orientation: delta(w/zq^2) carries T2(z), and for E6 delta(w/zq^8)
     carries T5(zq^4); the flipped orientation fails.
     """
@@ -448,37 +485,44 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
     out.check(report.base_coeff == 1, "base coefficient is exactly 1",
               "base coefficient is %s, expected 1" % report.base_coeff)
 
-    # b -> (series, sign, by, label, label of C(+b)) for C(-b) = sign * series(zq^by),
-    # so that C(+b) = -C(-b)(zq^-b) = -sign * series(zq^(by-b)); matched in this order
+    # b -> (build, sign, by, label, label of C(+b)) for C(-b) = sign * build()(zq^by),
+    # so that C(+b) = -C(-b)(zq^-b) = -sign * build()(zq^(by-b)); matched in this order.
+    # A series is built only to be matched; T2 first tries its pair sum
     good = {}
     if preset.kind == "e6":
-        table = {8: (build_t5_e6(preset), 1, 4,
+        table = {8: (lambda: build_t5_e6(preset), 1, 4,
                      "T5(zq^4), the orientation of the D_n and G_2 closures", "-T5(zq^-4)")}
         good[8] = ("orientation: delta(w/zq^8) carries T5(zq^4), "
                    "same orientation as the D_n and G_2 closures")
         support = {-2, 2, -8, 8}
     else:
-        t2, one = build_t2(preset), SeriesExpr.one()
-        table = {2: (t2, 1, 0, "T2(z)", "-T2(zq^-2)")}
+        one = SeriesExpr.one
+        table = {2: (lambda: genexpr.build_t2(preset), 1, 0, "T2(z)", "-T2(zq^-2)")}
         if preset.kind == "dn":
             table[2 * preset.rank - 2] = (one, 1, 0, "1", "-1")
         else:
-            table.update({8: (t1, 1, 4, "T1(zq^4)", "-T1(zq^-4)"), 12: (one, 1, 0, "1", "-1")})
+            table.update({8: (lambda: t1, 1, 4, "T1(zq^4)", "-T1(zq^-4)"),
+                          12: (one, 1, 0, "1", "-1")})
         support = {a for b in table for a in (-b, b)}
     out.check(set(report.shifts) == support,
               "delta support is exactly %s" % sorted(support),
               "delta support %s differs from expected %s" % (report.shifts, sorted(support)))
 
-    for b, (series, sign, by, label, mirror_label) in table.items():
-        ok = _match_series(out, report, -b, series, sign, by, label, good.get(b))
+    for b, (build, sign, by, label, mirror_label) in table.items():
+        series = None
+        if b == 2 and _is_t2_pair_sum(report, preset):
+            ok = out.check(True, "C(-2) = T2(z)", "")
+        else:
+            series = build()
+            ok = _match_series(out, report, -b, series, sign, by, label, good.get(b))
         if ok and b == 2:
             out.details.append("orientation: delta(w/zq^2) carries T2(z), "
                                "delta(wq^2/z) carries -T2(w)")
         if b not in report._mirrored:
-            _match_series(out, report, b, series, -sign, by - b, mirror_label)
+            _match_series(out, report, b, series or build(), -sign, by - b, mirror_label)
         elif ok:
-            # a mirrored C(+b) matches iff C(-b) did, so the walk just made is its
-            # walk; had it failed, the failure of C(-b) would come first
+            # a mirrored C(+b) matches iff C(-b) did, so the check just made is its
+            # check; had it failed, the failure of C(-b) would come first
             out.check(True, "C(%+d) = %s" % (b, mirror_label), "")
     if preset.kind == "e6":
         try:

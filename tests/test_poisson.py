@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import wqalg.algebras as algebras_mod
 import wqalg.exactfield as exactfield
+import wqalg.genexpr as genexpr_mod
 import wqalg.poisson as poisson_mod
 from oracle import (antisymmetry_ok, assert_int_valued, direct_symbol_numerator, evaluate,
                     int_valued, laurent_sum, ordered_pair_bracket, replace_preset)
@@ -614,18 +615,8 @@ def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
-@pytest.mark.parametrize("kind,n,products", [("dn", 8, 131), ("dn", 32, 2075),
-                                             ("e6", None, 486), ("g2", None, 43)])
-def test_bracket_sum_builds_a_key_only_for_a_kept_contribution(kind, n, products,
-                                                               monkeypatch):
-    # a self-bracket keeps C(a) for a < 0 only, so it makes one key, one
-    # monomial product, per ordered pair and negative delta; an off-diagonal
-    # Delta(0) cancels against its reverse and a positive delta is left to
-    # the report to mirror from C(-a), so neither builds a key
-    preset, oracle_preset = build_preset(kind, n), build_preset(kind, n)
-    t1 = build_t1(preset)
-    kept = sum(1 for x in t1.terms for y in t1.terms
-               for a in decompose(symbol(x, y, oracle_preset), oracle_preset).deltas if a < 0)
+def counting_products(monkeypatch):
+    """A list that gains one entry per YMonomial product made from now on."""
     calls = []
     mul = YMonomial.__mul__
 
@@ -634,10 +625,30 @@ def test_bracket_sum_builds_a_key_only_for_a_kept_contribution(kind, n, products
         return mul(a, b)
 
     monkeypatch.setattr(YMonomial, "__mul__", counting)
-    bracket_sum(t1, t1, preset)
+    return calls
+
+
+@pytest.mark.parametrize("kind,n,products", [("dn", 8, 131), ("dn", 32, 2075),
+                                             ("e6", None, 486), ("g2", None, 43)])
+def test_bracket_sum_builds_a_key_only_for_a_kept_contribution(kind, n, products,
+                                                               monkeypatch):
+    # bracket_sum makes no product: it keeps each C(a) as a pair sum, and the
+    # report makes one product per pair when it builds C(a).  A self-bracket
+    # keeps C(a) for a < 0 only, so reading delta_terms makes one product per
+    # ordered pair and negative delta; an off-diagonal Delta(0) cancels
+    # against its reverse and a positive delta is mirrored from C(-a), so
+    # neither adds a pair
+    preset, oracle_preset = build_preset(kind, n), build_preset(kind, n)
+    t1 = build_t1(preset)
+    kept = sum(1 for x in t1.terms for y in t1.terms
+               for a in decompose(symbol(x, y, oracle_preset), oracle_preset).deltas if a < 0)
+    calls = counting_products(monkeypatch)
+    report = bracket_sum(t1, t1, preset)
+    assert len(calls) == 0
+    report.delta_terms
     assert len(calls) == kept == products
 
-    # two distinct series keep every half: one key per nonzero ordered half
+    # two distinct series keep every half: one pair per nonzero ordered half
     # with a != 0, and one per pair whose Delta(0) does not cancel, where
     # the ordered pair and its reverse share the key x * y
     t2, s2 = distinct_series(t1, preset.lambdas)
@@ -650,9 +661,79 @@ def test_bracket_sum_builds_a_key_only_for_a_kept_contribution(kind, n, products
              if t.get(xy[0], 0) * s.get(xy[1], 0) * deltas.get(0, 0)
              + t.get(xy[1], 0) * s.get(xy[0], 0) * splits[xy[::-1]].get(0, 0)}
     calls.clear()
-    bracket_sum(t2, s2, preset)
+    report = bracket_sum(t2, s2, preset)
+    assert len(calls) == 0
+    report.delta_terms
     assert zeros
     assert len(calls) == halves + len(zeros)
+
+
+def _recording_builds(monkeypatch):
+    """A list that gains the shift of each series genexpr.pair_series builds."""
+    built = []
+    pair_series = genexpr_mod.pair_series
+
+    def recording(monos, pairs, shift):
+        built.append(shift)
+        return pair_series(monos, pairs, shift)
+
+    monkeypatch.setattr(genexpr_mod, "pair_series", recording)
+    return built
+
+
+@pytest.mark.parametrize("kind,n", [("dn", 8), ("dn", 32), ("g2", None)])
+def test_report_support_builds_only_the_sums_that_add_up_to_zero(kind, n, monkeypatch):
+    # a series that cancels has coefficients adding up to zero: a pair sum
+    # whose coefficients share one sign (C(-2) of D_n) or add up to anything
+    # else (C(-2) of G_2 has one -1 among 17 pairs) is on the support unbuilt
+    preset = build_preset(kind, n)
+    t1 = build_t1(preset)
+    report = bracket_sum(t1, t1, preset)
+    sums = report._sums
+    assert min(sums[-2].values()) > 0 if kind == "dn" else min(sums[-2].values()) < 0
+    zero_sums = sorted(a for a, pairs in sums.items() if not sum(pairs.values()))
+    built = _recording_builds(monkeypatch)
+    if kind == "dn":
+        edge = 2 * n - 2
+        # the mixed-sign shifts -(edge - 2) .. -4 cancel, and are built to see that
+        assert zero_sums == list(range(2 - edge, -2, 2))
+        assert report.shifts == [-edge, -2, 2, edge]
+    else:
+        assert zero_sums == [-10, -6, -4]
+        assert report.shifts == [-12, -8, -2, 2, 8, 12]
+    assert sorted(built) == zero_sums
+    assert report.delta_terms == ordered_pair_bracket(t1, t1, build_preset(kind, n))[1]
+
+
+# the pairs where C(-2) and T2 differ as pair sums: they cancel as series
+T2_PAIR_DIFFERENCES = {"d8": 2, "d32": 2, "g2": 2}
+
+
+@pytest.mark.parametrize("kind,n", [("dn", 8), ("dn", 32), ("g2", None)])
+def test_closure_matches_t2_as_pair_sums(kind, n, monkeypatch):
+    # verify_closure compares the pair sums of C(-2) and T2 and builds only the
+    # pairs where they differ: neither T2 nor C(-2) is built, so the products
+    # made are the pairs of every other stored sum (the zero-sum shifts and
+    # the matched edge series) and the differing pairs
+    preset = build_preset(kind, n)
+    details = tuple(verify(build_preset(kind, n)).details
+                    for verify in (verify_closure, verify_all))
+    # one pair per ordered pair and negative delta other than -2
+    t1 = build_t1(preset)
+    others = sum(1 for x in t1.terms for y in t1.terms
+                 for a in decompose(symbol(x, y, preset), preset).deltas if a < 0 and a != -2)
+
+    def refuse(p):
+        raise AssertionError("T2 was built")
+
+    monkeypatch.setattr(genexpr_mod, "build_t2", refuse)
+    calls = counting_products(monkeypatch)
+    for verify, expected in zip((verify_closure, verify_all), details):
+        calls.clear()
+        out = verify(build_preset(kind, n))
+        assert out.passed, out.failure
+        assert out.details == expected
+        assert len(calls) == others + T2_PAIR_DIFFERENCES[preset.name]
 
 
 @pytest.mark.parametrize("kind,n", [("e6", None), ("dn", 7)])
@@ -766,10 +847,9 @@ def test_verifiers_never_build_the_unstored_half(kind, n, monkeypatch):
 
 
 def test_verify_closure_reports_series_mismatch(d4, monkeypatch):
-    real = build_t2(d4)
-    key = next(iter(real.terms))
-    doctored = SeriesExpr(list(real.terms.items()) + [(key, 1)])
-    monkeypatch.setattr(poisson_mod, "build_t2", lambda preset: doctored)
+    # the first pair counted twice: T2 gains 1 at its first monomial
+    pairs = genexpr_mod._t2_pairs(d4)
+    monkeypatch.setattr(genexpr_mod, "_t2_pairs", lambda preset: pairs + pairs[:1])
     out = verify_closure(d4)
     assert not out.passed
     assert "differing monomial" in out.failure and "shift" in out.failure
@@ -891,11 +971,13 @@ def test_verify_all_passes(g2, e6, d4):
 
 
 def test_verify_all_memory_at_d32():
-    # The peak holds the stored half of the report, C(-2) most of it, and T2:
-    # about 2,000 terms each, keyed by products that share the Lambdas' factor
-    # triples.  It reads 0.70 MiB.  With every C(+b) built from C(-b) it read
-    # 1.69 MiB, both halves accumulated 2.55, shifted copies of the matched
-    # series with them 3.52, and nested ((node, shift), exp) factors with those 4.51
+    # No series of C(-2) or T2 is built: the peak holds the report's pair sums
+    # and the copy of the pair sum of C(-2) that the pairs of T2 are taken
+    # off, about 2,000 int keys each.  It reads 0.33 MiB in a process of its
+    # own (0.28 inside the suite).  With C(-2) and T2 built it read 0.72
+    # (0.49), with every C(+b) built from C(-b) 1.69 MiB, both halves
+    # accumulated 2.55, shifted copies of the matched series with them 3.52,
+    # and nested ((node, shift), exp) factors with those 4.51
     preset = build_preset("dn", 32)
     tracemalloc.start()
     try:
@@ -903,7 +985,7 @@ def test_verify_all_memory_at_d32():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.0 * 2**20, "verify_all(d32) peaked at %.2f MiB" % (peak / 2**20)
+    assert peak < 0.6 * 2**20, "verify_all(d32) peaked at %.2f MiB" % (peak / 2**20)
 
 
 def test_verify_all_records_g2_diagonal_note(g2):

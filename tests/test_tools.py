@@ -20,12 +20,15 @@ def test_dn_ranks_checks_each_rank():
     proc = run_tool("dn_ranks.py", "4", "9")
     assert proc.returncode == 0, proc.stderr
     header, *lines = proc.stdout.splitlines()
-    assert header.split()[3:6] == ["passed", "cartan@2^K", "pairs@2^K"]
+    assert header.split() == ["rank", "build_s", "verify_all_s", "passed", "verify_rss_mb",
+                              "cartan@2^K", "pairs@2^K", "rss_mb"]
     assert [line.split()[0] for line in lines] == ["d4", "d9"]
     for line in lines:
         fields = line.split()
-        # passed, then each oracle's verdict followed by its K
-        assert (fields[3], fields[4], fields[6]) == ("True", "True", "True"), line
+        # passed, the peak RSS as verify_all returns, then each oracle's
+        # verdict followed by its K, then the peak RSS after the oracles
+        assert (fields[3], fields[5], fields[7]) == ("True", "True", "True"), line
+        assert 0 < float(fields[4]) <= float(fields[9]), line
 
 
 @pytest.mark.parametrize("args", [("3",), ()])
