@@ -9,12 +9,16 @@ downstream is verified against these tables alone.  M, D and Mtilde as
 matrices of canonical rational functions are display views, built on first
 use.
 
-Each family is declared once.  D and Mtilde are the t-numbers
-[b] = t^b - t^-b of one integer matrix, the symmetrized Cartan matrix
-B = DC (_cartan_b): Mtilde_ij = [B_ij] and d_i = [B_ii / 2].  B is also
-the classical limit that verify_cartan checks Mtilde against.  The pair
-table is built from the closed forms of M_ij, grouped under their
-denominators, each denominator declared once.
+Each family is declared once, in build_preset, the only code that knows
+dn, e6 and g2.  D and Mtilde are the t-numbers [b] = t^b - t^-b of one
+integer matrix, the symmetrized Cartan matrix B = DC, which the preset
+carries (b): Mtilde_ij = [B_ij] and d_i = [B_ii / 2].  B of a
+simply-laced family is read off its Dynkin edges (_simply_laced_b); G2's is
+a literal.  B is also the classical limit that verify_cartan checks Mtilde
+against.  The pair table is built from the closed forms of M_ij, grouped
+under their denominators, each denominator declared once.  The preset also
+carries its closure spec (ClosureSpec), what {T1, T1} must give, so every
+verifier reads the preset alone: one built elsewhere is verified the same way.
 
 VerificationOutcome is the one verdict record: every verifier, here and in
 the bracket engine, records each of its checks through
@@ -25,7 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import combinations
 from operator import mul
+from typing import Callable, NamedTuple
 
 from .exactfield import (LaurentPoly, RationalFunction, _add_scaled, _exact_quotient,
                          _int_valued, laurent_divide, laurent_divmod, sym_minus, sym_plus)
@@ -35,25 +41,46 @@ from .rflinalg import FieldMatrix
 LaurentRows = tuple[tuple[LaurentPoly, ...], ...]
 
 
+class ClosureSpec(NamedTuple):
+    """What bracketing a preset's first series with itself must give.
+
+    rows, in match order, are (b, series, by, label, mirror_label, good):
+    C(-b) = series(zq^by), and so C(+b) = -series(zq^(by-b)).  series names
+    "1", "T1", "T2" or "T5", which poisson builds when it reads them; None
+    records C(-b) as the derived second series instead.  label and
+    mirror_label name C(-b) and C(+b) in a failure, and good, when given,
+    is the record of a match of C(-b).  The support is +-b over the rows.
+    t2_pairs(preset) gives the pairs (i, j) of T2 = sum L_i(z) L_j(zq^2),
+    or is None where T2 has no closed form.  dual names T in
+    dual_transform(T1) = T(zq^12), or is None.  pure says whether every
+    diagonal bracket must be exactly M_11, rather than noted.
+    """
+
+    rows: tuple
+    t2_pairs: Callable | None
+    dual: str | None
+    pure: bool
+
+
 class AlgebraPreset:
     """A preset's integer Laurent tables; build a new preset to change one."""
 
-    def __init__(self, kind: str, pair_table: tuple[LaurentPoly, LaurentRows],
+    def __init__(self, name: str, pair_table: tuple[LaurentPoly, LaurentRows],
                  d: tuple[LaurentPoly, ...], mtilde: LaurentRows,
-                 lambdas: tuple[YMonomial, ...]):
-        # _cartan_b and the second series are tabled for these kinds only
-        if kind not in ("dn", "e6", "g2"):
-            raise ValueError("unknown algebra kind %r" % (kind,))
-        self.kind = kind
+                 lambdas: tuple[YMonomial, ...], b: tuple[tuple[int, ...], ...],
+                 closure: ClosureSpec):
+        self.name = name
         self.pair_table = pair_table      # (Q, N) with M_ij = N_ij / Q
         self.d = d                        # the diagonal of D
         self.mtilde = mtilde              # rows of the expected deformed Cartan matrix
         self.lambdas = lambdas
+        self.b = b                        # B = DC, the t -> 1 limit of Mtilde
+        self.closure = closure            # what {T1, T1} must give (ClosureSpec)
         r = self.rank
-        for name, rows in (("N", pair_table[1]), ("mtilde", mtilde)):
+        for table, rows in (("N", pair_table[1]), ("mtilde", mtilde), ("b", b)):
             if len(rows) != r or any(len(row) != r for row in rows):
                 raise ValueError("the table %s of %s is not square of size len(d) = %d"
-                                 % (name, self.name, r))
+                                 % (table, name, r))
         q = pair_table[0]
         # every delta decomposition divides by Q with laurent_divmod
         if not q or min(q.terms) != 0:
@@ -74,10 +101,6 @@ class AlgebraPreset:
     @property
     def rank(self) -> int:
         return len(self.d)
-
-    @property
-    def name(self) -> str:
-        return "d%d" % self.rank if self.kind == "dn" else self.kind
 
     @cached_property
     def M(self) -> FieldMatrix:
@@ -219,23 +242,32 @@ def _dn_pair_table(n: int):
     return _pair_table(den_long if n % 2 else den, forms)
 
 
-_E6_EDGES = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
+_E6_EDGES = {(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)}
 
 
-def _cartan_b(kind: str, rank: int):
-    """B = DC, the symmetrized Cartan matrix of dn (of that rank), e6 or g2.
-
-    For dn and e6, 2 on the diagonal and -1 at each edge of the Dynkin
-    graph; G2's is a literal.  The one source of the preset's D and Mtilde.
-    """
-    if kind == "g2":
-        return [[2, -3], [-3, 6]]
-    if kind == "e6":
-        edges = set(_E6_EDGES)
-    else:
-        edges = {(i, i + 1) for i in range(1, rank - 2)} | {(rank - 2, rank - 1), (rank - 2, rank)}
+def _simply_laced_b(rank: int, edges) -> tuple[tuple[int, ...], ...]:
+    """B = C of a simply-laced Dynkin graph: 2 on the diagonal, -1 at each edge (i, j), i < j."""
     return tuple(tuple(2 if i == j else -1 if (min(i, j), max(i, j)) in edges else 0
                        for j in range(1, rank + 1)) for i in range(1, rank + 1))
+
+
+def _dn_t2_pairs(preset):
+    """The pairs of the D_n second series, in turn: every i < j, then (n + 1, n)."""
+    yield from combinations(range(1, len(preset.lambdas) + 1), 2)
+    yield preset.rank + 1, preset.rank
+
+
+def _g2_t2_pairs(preset):
+    return ([(1, i) for i in range(2, 8)] + [(i, 7) for i in range(2, 7)]
+            + [(2, 5), (2, 6), (3, 5), (3, 6)])
+
+
+# closure rows (see ClosureSpec), each family's in match order
+_T2_ROW = (2, "T2", 0, "T2(z)", "-T2(zq^-2)", None)
+_E6_ROWS = ((8, "T5", 4, "T5(zq^4), the orientation of the D_n and G_2 closures", "-T5(zq^-4)",
+             "orientation: delta(w/zq^8) carries T5(zq^4), "
+             "same orientation as the D_n and G_2 closures"),
+            (2, None, 0, None, None, None))
 
 
 def _t_number(b: int) -> LaurentPoly:
@@ -340,34 +372,35 @@ def _g2_pair_table():
 def build_preset(kind: str, n: int | None = None) -> AlgebraPreset:
     """Construct a fully populated preset; kind is one of dn, e6, g2.
 
-    D and Mtilde are read off B = _cartan_b(kind, rank): Mtilde_ij = [B_ij]
-    and d_i = [B_ii / 2], with equal t-numbers one shared object.
+    Each family's tables, B and closure spec are filled here and nowhere
+    else.  D and Mtilde are read off B: Mtilde_ij = [B_ij] and
+    d_i = [B_ii / 2], with equal t-numbers one shared object.
     """
     if kind == "dn":
         if n is None or n < 4:
             raise ValueError("the dn family needs n >= 4, got %r" % (n,))
-        pair_table, lambdas = _dn_pair_table(n), _dn_lambdas(n)
+        name, pair_table, lambdas = "d%d" % n, _dn_pair_table(n), _dn_lambdas(n)
+        b = _simply_laced_b(n, {(i, i + 1) for i in range(1, n - 2)} | {(n - 2, n - 1), (n - 2, n)})
+        closure = ClosureSpec((_T2_ROW, (2 * n - 2, "1", 0, "1", "-1", None)),
+                              _dn_t2_pairs, None, True)
     elif n is not None:
         raise ValueError("n is only meaningful for the dn family")
     elif kind == "e6":
-        pair_table = _e6_pair_table()
+        name, pair_table, b = kind, _e6_pair_table(), _simply_laced_b(6, _E6_EDGES)
         lambdas = tuple(YMonomial.from_factors(f) for f in _E6_LAMBDA_FACTORS)
+        closure = ClosureSpec(_E6_ROWS, None, "T5", False)
     elif kind == "g2":
-        pair_table = _g2_pair_table()
+        name, pair_table, b = kind, _g2_pair_table(), ((2, -3), (-3, 6))
         lambdas = tuple(YMonomial.from_factors(f) for f in _G2_LAMBDA_FACTORS)
+        closure = ClosureSpec((_T2_ROW, (8, "T1", 4, "T1(zq^4)", "-T1(zq^-4)", None),
+                               (12, "1", 0, "1", "-1", None)), _g2_t2_pairs, "T1", False)
     else:
         raise ValueError("unknown algebra kind %r" % (kind,))
-    b = _cartan_b(kind, len(pair_table[1]))
     halves = [row[i] // 2 for i, row in enumerate(b)]
     numbers = {v: _t_number(v) for v in {*halves}.union(*b)}
-    return AlgebraPreset(kind, pair_table, d=tuple(numbers[v] for v in halves),
+    return AlgebraPreset(name, pair_table, d=tuple(numbers[v] for v in halves),
                          mtilde=tuple(tuple(numbers[v] for v in row) for row in b),
-                         lambdas=lambdas)
-
-
-def symmetrized_cartan(preset: AlgebraPreset):
-    """Integer matrix the normalized t -> 1 limit of the deformed matrix must hit: B."""
-    return _cartan_b(preset.kind, preset.rank)
+                         lambdas=lambdas, b=b, closure=closure)
 
 
 def _identity_residual(preset: AlgebraPreset) -> str | None:
@@ -438,7 +471,7 @@ def _limit_failure(preset: AlgebraPreset) -> str | None:
     read off their terms (_classical_limit).  Returns the failure, naming
     the first entry of d, then of Mtilde, with a pole or a differing limit.
     """
-    expected = symmetrized_cartan(preset)
+    expected = preset.b
     for i, e in enumerate(preset.d):
         limit, half = _classical_limit(e), expected[i][i] // 2
         if limit is None:

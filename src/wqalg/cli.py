@@ -157,17 +157,17 @@ def _cmd_dual(args, preset):
 
 
 def _cmd_emit_t2(args, preset):
-    if preset.kind == "e6":
+    if preset.closure.t2_pairs is None:
         outcome = verify_closure(preset)
         if not outcome.passed:
-            lines = ["emit-t2 e6: FAIL", "mismatch: %s" % outcome.failure]
+            lines = ["emit-t2 %s: FAIL" % preset.name, "mismatch: %s" % outcome.failure]
             _emit(args, lines, {"algebra": preset.name, "passed": False,
                                 "failure": outcome.failure})
             return 1
         derived = outcome.derived
         counts = {str(k): v for k, v in sorted(derived.coefficient_counts.items())}
-        lines = ["derived T2 for e6 (delta shift %+d): %d distinct terms, "
-                 "coefficient counts %s" % (derived.shift, derived.term_count, counts),
+        lines = ["derived T2 for %s (delta shift %+d): %d distinct terms, "
+                 "coefficient counts %s" % (preset.name, derived.shift, derived.term_count, counts),
                  str(derived.series)]
         _emit(args, lines,
               {"algebra": preset.name, "shift": derived.shift,

@@ -174,17 +174,11 @@ def build_t1(preset) -> SeriesExpr:
 
 
 def _t2_pairs(preset):
-    if preset.kind == "dn":
-        k = len(preset.lambdas)
-        pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-        pairs.append((preset.rank + 1, preset.rank))
-        return pairs
-    if preset.kind == "g2":
-        pairs = [(1, i) for i in range(2, 8)]
-        pairs += [(i, 7) for i in range(2, 7)]
-        pairs += [(2, 5), (2, 6), (3, 5), (3, 6)]
-        return pairs
-    raise ValueError("no closed-form second series for %s" % preset.name)
+    """The pairs (i, j) of the second series, from the preset's closure spec."""
+    rule = preset.closure.t2_pairs
+    if rule is None:
+        raise ValueError("no closed-form second series for %s" % preset.name)
+    return rule(preset)
 
 
 def pair_series(monos, pairs: dict, shift: int) -> SeriesExpr:
@@ -223,8 +217,9 @@ def t2_pair_keys(preset, monos):
 def build_t2(preset) -> SeriesExpr:
     """The displayed second series: sum of L_i(z) L_j(zq^2) over the pair set.
 
-    Defined for the D_n and G_2 presets only; the E6 second series is derived
-    from the closure computation instead (see the bracket engine).
+    Defined where the closure spec has a pair rule (D_n and G_2); the E6
+    second series is derived from the closure computation instead (see the
+    bracket engine).
     """
     pairs = {}
     for key in t2_pair_keys(preset, preset.lambdas):
@@ -238,6 +233,6 @@ def build_t5_e6(preset) -> SeriesExpr:
     With this normalization the dual of T1 equals T5(zq^12) by construction,
     matching the duality satisfied by the G_2 first series.
     """
-    if preset.kind != "e6":
+    if preset.closure.dual != "T5":
         raise ValueError("the dual-series construction is specific to e6")
     return build_t1(preset).dual().shift_arg(-12)

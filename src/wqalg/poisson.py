@@ -463,13 +463,20 @@ def _match_series(out, report, shift, series, sign, by, label, good=None):
                                             expected.terms.get(first, 0)))
 
 
-def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
-    """Bracket the first series with itself and match every delta coefficient.
+def _named_series(name: str, preset: AlgebraPreset, t1: SeriesExpr) -> SeriesExpr:
+    """The series a closure spec names, built by the module attribute read now."""
+    return {"1": SeriesExpr.one, "T1": lambda: t1, "T2": lambda: genexpr.build_t2(preset),
+            "T5": lambda: build_t5_e6(preset)}[name]()
 
-    D_n and G_2 compare against their displayed second series, C(-2) as a
-    pair sum against the pairs of T2, building T2 only on a mismatch; E6
-    records its second series as derived output and matches the magnitude-8
-    coefficients against the dual-transform construction.  All three are held to one
+
+def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
+    """Bracket the first series with itself and match it to the preset's closure spec.
+
+    One loop over the spec's rows (AlgebraPreset.closure) matches each
+    C(-b) = series(zq^by) and C(+b) = -series(zq^(by-b)), building a series
+    only to match it.  A T2 row first compares C(-2) as a pair sum against
+    the pairs of T2, building T2 only on a mismatch; a row with no series
+    records C(-2) as the derived second series (E6).  Every spec holds one
     orientation: delta(w/zq^2) carries T2(z), and for E6 delta(w/zq^8)
     carries T5(zq^4); the flipped orientation fails.
     """
@@ -484,57 +491,41 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
 
     out.check(report.base_coeff == 1, "base coefficient is exactly 1",
               "base coefficient is %s, expected 1" % report.base_coeff)
-
-    # b -> (build, sign, by, label, label of C(+b)) for C(-b) = sign * build()(zq^by),
-    # so that C(+b) = -C(-b)(zq^-b) = -sign * build()(zq^(by-b)); matched in this order.
-    # A series is built only to be matched; T2 first tries its pair sum
-    good = {}
-    if preset.kind == "e6":
-        table = {8: (lambda: build_t5_e6(preset), 1, 4,
-                     "T5(zq^4), the orientation of the D_n and G_2 closures", "-T5(zq^-4)")}
-        good[8] = ("orientation: delta(w/zq^8) carries T5(zq^4), "
-                   "same orientation as the D_n and G_2 closures")
-        support = {-2, 2, -8, 8}
-    else:
-        one = SeriesExpr.one
-        table = {2: (lambda: genexpr.build_t2(preset), 1, 0, "T2(z)", "-T2(zq^-2)")}
-        if preset.kind == "dn":
-            table[2 * preset.rank - 2] = (one, 1, 0, "1", "-1")
-        else:
-            table.update({8: (lambda: t1, 1, 4, "T1(zq^4)", "-T1(zq^-4)"),
-                          12: (one, 1, 0, "1", "-1")})
-        support = {a for b in table for a in (-b, b)}
+    rows = preset.closure.rows
+    support = {a for row in rows for a in (-row[0], row[0])}
     out.check(set(report.shifts) == support,
               "delta support is exactly %s" % sorted(support),
               "delta support %s differs from expected %s" % (report.shifts, sorted(support)))
 
-    for b, (build, sign, by, label, mirror_label) in table.items():
+    for b, name, by, label, mirror_label, good in rows:
+        if name is None:
+            try:
+                derived = out.derived = extract_t2_e6(report)
+            except NotDecomposableError as exc:
+                out.check(False, "", str(exc))
+            else:
+                out.details.append(
+                    "derived T2 recorded from delta(w/zq^2): %d distinct terms, "
+                    "coefficient counts %s"
+                    % (derived.term_count,
+                       {str(k): v for k, v in sorted(derived.coefficient_counts.items())}))
+            continue
         series = None
-        if b == 2 and _is_t2_pair_sum(report, preset):
+        if name == "T2" and _is_t2_pair_sum(report, preset):
             ok = out.check(True, "C(-2) = T2(z)", "")
         else:
-            series = build()
-            ok = _match_series(out, report, -b, series, sign, by, label, good.get(b))
-        if ok and b == 2:
+            series = _named_series(name, preset, t1)
+            ok = _match_series(out, report, -b, series, 1, by, label, good)
+        if ok and name == "T2":
             out.details.append("orientation: delta(w/zq^2) carries T2(z), "
                                "delta(wq^2/z) carries -T2(w)")
         if b not in report._mirrored:
-            _match_series(out, report, b, series or build(), -sign, by - b, mirror_label)
+            _match_series(out, report, b, series or _named_series(name, preset, t1), -1,
+                          by - b, mirror_label)
         elif ok:
             # a mirrored C(+b) matches iff C(-b) did, so the check just made is its
             # check; had it failed, the failure of C(-b) would come first
             out.check(True, "C(%+d) = %s" % (b, mirror_label), "")
-    if preset.kind == "e6":
-        try:
-            derived = out.derived = extract_t2_e6(report)
-        except NotDecomposableError as exc:
-            out.check(False, "", str(exc))
-        else:
-            out.details.append(
-                "derived T2 recorded from delta(w/zq^2): %d distinct terms, "
-                "coefficient counts %s"
-                % (derived.term_count,
-                   {str(k): v for k, v in sorted(derived.coefficient_counts.items())}))
 
     # bracket_sum pairs each term pair with its reverse, given m_parity
     out.details.append("antisymmetry pairing C(-a) = -shift_arg(C(a), a) holds")
@@ -582,7 +573,7 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
             if alpha != 1 or deltas:
                 impure.append((i, sorted(deltas.items())))
         # a "pure" verdict covers every diagonal bracket, so it needs a complete set
-        if preset.kind == "dn":
+        if preset.closure.pure:
             if impure or complete:
                 check(not impure, "every diagonal bracket is exactly MM_11 (pure)",
                       "diagonal bracket not pure at index %s" % [i for i, _ in impure])
@@ -597,24 +588,25 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
     check(closure.passed, "closure of {T1(z), T1(w)}", closure.failure)
     out.details.extend("  " + d for d in closure.details)
 
-    if preset.kind != "dn":
+    dual = preset.closure.dual
+    if dual:
         label, _, ok = dual_identity(preset)
         check(ok, "duality: dual_transform(T1) = %s(zq^12)" % label,
               "duality: dual_transform(T1) != %s(zq^12)" % label)
-    if preset.kind == "e6":
+    if dual == "T5":
         check(build_t5_e6(preset) != build_t1(preset),
               "T5 and T1 are distinct series", "T5 equals T1")
     return out
 
 
 def dual_identity(preset: AlgebraPreset) -> tuple[str, SeriesExpr, bool]:
-    """Check dual_transform(T1) = T(zq^12), with T = T5 for e6 and T1 for g2.
+    """Check dual_transform(T1) = T(zq^12), with T the series the closure spec's dual names.
 
     Returns (name of T, dual_transform(T1), whether the identity holds).
     """
-    if preset.kind == "dn":
+    label = preset.closure.dual
+    if label is None:
         raise ValueError("the dual transform identity applies to e6 and g2 only")
     t1 = build_t1(preset)
-    label, target = ("T5", build_t5_e6(preset)) if preset.kind == "e6" else ("T1", t1)
     t1_dual = t1.dual()
-    return label, t1_dual, t1_dual == target.shift_arg(12)
+    return label, t1_dual, t1_dual == _named_series(label, preset, t1).shift_arg(12)

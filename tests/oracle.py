@@ -2,13 +2,15 @@
 products over Laurent fractions, a symbol numerator summed over factor
 pairs, a bracket over all ordered pairs, the parity of M by whole products,
 and the Cartan identity and the pair table's closed forms at t = 2^K; and
-replace_preset, which builds a changed copy of a preset.  None of this is part of the package, and none of
-it shares code with the verification paths it checks.
+replace_preset, which builds a changed copy of a preset, and an_preset, the
+A_n control built from its published closed forms.  None of this is part of
+the package, and none of it shares code with the verification paths it checks.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
-from wqalg import AlgebraPreset, decompose, symbol
+from wqalg import AlgebraPreset, ClosureSpec, decompose, symbol
 from wqalg.exactfield import LaurentPoly, RationalFunction
 from wqalg.genexpr import SeriesExpr, YMonomial
 from wqalg.rflinalg import FieldMatrix
@@ -21,9 +23,37 @@ class SingularMatrixError(ValueError):
 def replace_preset(preset, **changes):
     """A new AlgebraPreset with the given tables changed and the others shared."""
     fields = {name: getattr(preset, name)
-              for name in ("kind", "pair_table", "d", "mtilde", "lambdas")}
+              for name in ("name", "pair_table", "d", "mtilde", "lambdas", "b", "closure")}
     fields.update(changes)
     return AlgebraPreset(**fields)
+
+
+def an_preset(n):
+    """A_n, the preset of W_q(sl_(n+1)), from closed forms alone: no build_preset family.
+
+    With [k] = t^k - t^-k: M_ij = [min(i,j)] [n+1-max(i,j)] / [n+1], over the
+    one denominator Q = [n+1]; B is the A_n Cartan matrix, so d_i = [1] and
+    Mtilde_ij = [B_ij]; Lambda_1 = Y_1(z), Lambda_i = Y_i(zq^(1-i)) Y_(i-1)(zq^-i)^-1
+    and Lambda_(n+1) = Y_n(zq^(-n-1))^-1 (Frenkel-Reshetikhin, q-alg/9505025).
+    Its closure spec: C(-2) = T2(z), with T2 summed over every pair i < j,
+    every diagonal bracket pure, and no duality.
+    """
+    def bracket(k):
+        return LaurentPoly({k: 1, -k: -1}) if k else LaurentPoly.zero()
+
+    nodes = range(1, n + 1)
+    # Q and N times t^(n+1), so that Q is a polynomial with a nonzero constant term
+    nums = tuple(tuple((bracket(min(i, j)) * bracket(n + 1 - max(i, j))).shift(n + 1)
+                       for j in nodes) for i in nodes)
+    b = tuple(tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in nodes)
+              for i in nodes)
+    # Lambda_i = Y_i(zq^(1-i)) Y_(i-1)(zq^-i)^-1, with no factor on node 0 or n + 1
+    lambdas = tuple(YMonomial.from_factors(f for f in ((i, 1 - i, 1), (i - 1, -i, -1))
+                                           if f[0] in nodes) for i in range(1, n + 2))
+    closure = ClosureSpec(((2, "T2", 0, "T2(z)", "-T2(zq^-2)", None),),
+                          lambda p: combinations(range(1, len(p.lambdas) + 1), 2), None, True)
+    return AlgebraPreset("a%d" % n, (bracket(n + 1).shift(n + 1), nums), (bracket(1),) * n,
+                         tuple(tuple(map(bracket, row)) for row in b), lambdas, b, closure)
 
 
 def evaluate(obj, x):
@@ -294,8 +324,8 @@ def dn_pair_forms(n):
 def pair_table_at_two_to_the_k(preset):
     """(holds, K): whether N_ij den_ij = num_ij Q for every entry, at t = 2^K.
 
-    The forms are G2_PAIR_FORMS, E6_PAIR_FORMS or dn_pair_forms(rank); any
-    other kind is refused, not read as D_n.  The difference R_ij of the two
+    The forms are G2_PAIR_FORMS, E6_PAIR_FORMS or dn_pair_forms(rank), chosen
+    by the preset's name; any other name is refused, not read as D_n.  The difference R_ij of the two
     sides is an integer Laurent polynomial whose coefficients are at most
     |N_ij| 2^m' + 2^m |Q| in absolute value, with
     |p| the l1 norm and m, m' the factor counts of num and den (a product of
@@ -307,14 +337,14 @@ def pair_table_at_two_to_the_k(preset):
     """
     q, nums = preset.pair_table
     r = len(nums)
-    if preset.kind == "dn":
+    if preset.name == "d%d" % r:
         forms = dn_pair_forms(r)
-    elif preset.kind == "e6":
+    elif preset.name == "e6":
         forms = E6_PAIR_FORMS
-    elif preset.kind == "g2":
+    elif preset.name == "g2":
         forms = G2_PAIR_FORMS
     else:
-        raise ValueError("no closed forms for kind %r" % (preset.kind,))
+        raise ValueError("no closed forms for %r" % (preset.name,))
     assert set(forms) == {(i, j) for i in range(1, r + 1) for j in range(i, r + 1)}
     entries = {id(e): e for row in nums for e in row}
     assert all(type(c) is int for p in (q, *entries.values()) for c in p.terms.values())

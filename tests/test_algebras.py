@@ -10,7 +10,7 @@ import pytest
 from oracle import (cartan_identity_at_two_to_the_k, evaluate, laurent_sum,
                     m_parity_by_products, pair_table_at_two_to_the_k, replace_preset)
 from wqalg import algebras, build_preset, exactfield, verify_all, verify_cartan
-from wqalg.algebras import _classical_limit, _pair_table, symmetrized_cartan
+from wqalg.algebras import _classical_limit, _pair_table
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
 from wqalg.genexpr import YMonomial
 
@@ -76,20 +76,22 @@ def test_preset_rejects_a_lambda_factor_outside_its_nodes(g2, node):
         replace_preset(g2, lambdas=lams)
 
 
-@pytest.mark.parametrize("kind", ["b2", "a6"])
-def test_preset_rejects_a_kind_it_has_no_tables_for(g2, e6, kind):
-    # for any other kind _cartan_b would read D_n's B, and build_t2 has no
-    # second series
-    for preset in (g2, e6):
-        with pytest.raises(ValueError, match=re.escape("unknown algebra kind %r" % kind)):
-            replace_preset(preset, kind=kind)
+@pytest.mark.parametrize("name", ["g2", "e6", "d8"])
+def test_a_relabelled_preset_verifies_as_its_tables_say(name):
+    # the verifiers read the preset's tables and closure spec, never its name
+    preset = build_preset("dn", 8) if name == "d8" else build_preset(name)
+    relabelled = replace_preset(preset, name="b2")
+    assert relabelled.name == "b2"
+    out, expected = verify_all(relabelled), verify_all(preset)
+    assert out.passed and expected.passed
+    assert out.details == expected.details
 
 
 def test_pair_table_oracle_names_only_the_tabled_kinds(g2):
     class Relabelled:
-        kind, pair_table = "b2", g2.pair_table
+        name, pair_table = "b2", g2.pair_table
 
-    with pytest.raises(ValueError, match="no closed forms for kind 'b2'"):
+    with pytest.raises(ValueError, match="no closed forms for 'b2'"):
         pair_table_at_two_to_the_k(Relabelled)
 
 
@@ -117,7 +119,7 @@ def test_build_preset_rejects_bad_input():
 def test_verify_cartan_g2_and_limit(g2):
     out = verify_cartan(g2)
     assert out.passed, out.failure
-    assert symmetrized_cartan(g2) == [[2, -3], [-3, 6]]
+    assert g2.b == ((2, -3), (-3, 6))
 
 
 def test_verify_cartan_e6(e6):
@@ -129,7 +131,7 @@ def test_verify_cartan_dn_and_limit(n):
     preset = build_preset("dn", n)
     out = verify_cartan(preset)
     assert out.passed, out.failure
-    expected = symmetrized_cartan(preset)
+    expected = preset.b
     assert all(expected[i][i] == 2 for i in range(n))
     assert expected[n - 3][n - 2] == expected[n - 3][n - 1] == -1
     assert expected[n - 2][n - 1] == 0
@@ -315,6 +317,8 @@ def test_preset_rejects_a_table_that_is_not_square(g2):
     q, nums = g2.pair_table
     with pytest.raises(ValueError, match="the table N of g2 is not square"):
         replace_preset(g2, pair_table=(q, (nums[0], nums[1][:1])))
+    with pytest.raises(ValueError, match="the table b of g2 is not square"):
+        replace_preset(g2, b=((2, -3), (-3,)))
 
 
 def test_verify_all_reports_singular_mtilde_without_raising(g2):

@@ -318,7 +318,7 @@ def _t2_pair_corruptions(pairs, size):
 @pytest.mark.parametrize("name", ["d4", "d5", "d6", "g2"])
 def test_closure_fails_on_every_t2_pair_corruption(name, monkeypatch):
     preset, _ = _real_report(monkeypatch, name)
-    pairs = genexpr_mod._t2_pairs(preset)
+    pairs = list(genexpr_mod._t2_pairs(preset))
     passed, count = [], 0
     for label, corrupted in _t2_pair_corruptions(pairs, len(preset.lambdas)):
         monkeypatch.setattr(genexpr_mod, "_t2_pairs", lambda p, c=corrupted: c)

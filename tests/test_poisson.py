@@ -848,11 +848,38 @@ def test_verifiers_never_build_the_unstored_half(kind, n, monkeypatch):
 
 def test_verify_closure_reports_series_mismatch(d4, monkeypatch):
     # the first pair counted twice: T2 gains 1 at its first monomial
-    pairs = genexpr_mod._t2_pairs(d4)
+    pairs = list(genexpr_mod._t2_pairs(d4))
     monkeypatch.setattr(genexpr_mod, "_t2_pairs", lambda preset: pairs + pairs[:1])
     out = verify_closure(d4)
     assert not out.passed
     assert "differing monomial" in out.failure and "shift" in out.failure
+
+
+def test_verify_closure_matches_the_rows_of_the_closure_spec(g2):
+    # the T1 row's shift moved by one: C(-8) is T1(zq^4), not T1(zq^5)
+    rows = tuple(row[:2] + (row[2] + 1,) + row[3:] if row[1] == "T1" else row
+                 for row in g2.closure.rows)
+    out = verify_closure(replace_preset(g2, closure=g2.closure._replace(rows=rows)))
+    assert not out.passed
+    assert out.failure.startswith("shift -8: expected T1(zq^4); first differing monomial ")
+
+
+@pytest.mark.parametrize("name", ["d4", "g2"])
+def test_closure_builds_t2_through_the_module_attribute(name, monkeypatch):
+    # a report with no pair sums is matched against the series that
+    # genexpr.build_t2 gives when the row is read, so a T2 doctored there fails
+    preset = build_preset("dn", 4) if name == "d4" else build_preset("g2")
+    real = bracket_sum(build_t1(preset), build_t1(preset), preset)
+    plain = poisson_mod.BracketReport(real.algebra, real.base_coeff, dict(real.delta_terms))
+    monkeypatch.setattr(poisson_mod, "bracket_sum", lambda t, s, p: plain)
+    assert verify_closure(preset).passed
+    t2 = build_t2(preset)
+    first, c = t2.sorted_terms()[0]
+    monkeypatch.setattr(genexpr_mod, "build_t2", lambda p: SeriesExpr({**t2.terms, first: -c}))
+    out = verify_closure(preset)
+    assert not out.passed
+    assert out.failure == ("shift -2: expected T2(z); first differing monomial %s "
+                           "(got %s, want %s)" % (first, c, -c))
 
 
 def test_verify_closure_detects_corrupted_lambda(g2):
