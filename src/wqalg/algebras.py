@@ -81,6 +81,11 @@ class AlgebraPreset:
             if len(rows) != r or any(len(row) != r for row in rows):
                 raise ValueError("the table %s of %s is not square of size len(d) = %d"
                                  % (table, name, r))
+        for row in closure.rows:
+            # the derived series is read off C(-2) (poisson.extract_t2_e6)
+            if row[1] is None and row[0] != 2:
+                raise ValueError("the closure row %r of %s reads C(-%d); a derived series is C(-2)"
+                                 % (row, name, row[0]))
         q = pair_table[0]
         # every delta decomposition divides by Q with laurent_divmod
         if not q or min(q.terms) != 0:
@@ -134,10 +139,13 @@ class AlgebraPreset:
     def m_parity(self) -> tuple[bool, bool]:
         """(symmetric, odd) for M = N/Q, read off the pair table.
 
-        M is odd under t -> 1/t iff N(1/t) Q(t) + N(t) Q(1/t) = 0, tested once
-        per distinct entry N by adding both products into one term map that
-        must end up empty.  Brackets are taken over unordered pairs, which is
-        exact only when both hold.
+        M is odd under t -> 1/t iff N(1/t) Q(t) + N(t) Q(1/t) = 0, tested per
+        entry N by adding both products into one term map that must end up
+        empty.  A symmetric table's lower triangle repeats its upper one, so
+        only the upper one is tested.  No entry is hashed: a LaurentPoly keeps
+        its hash, and an int per entry of N added 6 MB to the peak RSS of
+        tools/dn_stages.py at d512.  Brackets are taken over unordered pairs,
+        which is exact only when both hold.
         """
         q, nums = self.pair_table
 
@@ -149,8 +157,9 @@ class AlgebraPreset:
                 _add_scaled(acc, -e, c, terms)
             return not acc
 
-        return (tuple(zip(*nums)) == nums,
-                all(odd(e.terms) for e in {e for row in nums for e in row}))
+        symmetric = tuple(zip(*nums)) == nums
+        rows = [row[i:] for i, row in enumerate(nums)] if symmetric else nums
+        return symmetric, all(odd(e.terms) for row in rows for e in row)
 
 
 def _view(rows, den: LaurentPoly | None = None) -> FieldMatrix:
@@ -430,18 +439,17 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
     cof = {p: reduce(mul, (o for o in distinct if o != p), LaurentPoly.one())
            for p in distinct}
     big_l = d[0] * cof[d[0]]
-    # column j of Mtilde D^-1, scaled by L: the nonzero (k, Mtilde_kj L/d_k),
-    # each as its term map
-    cols = [[(k, (mtilde[k][j] * cof[d[k]]).terms) for k in range(r) if mtilde[k][j]]
-            for j in range(r)]
+    # column j of Mtilde D^-1, scaled by L, flattened: a (k, e, c) for each
+    # term c t^e of each nonzero Mtilde_kj L/d_k
+    cols = [[(k, e, c) for k in range(r) if mtilde[k][j]
+             for e, c in (mtilde[k][j] * cof[d[k]]).terms.items()] for j in range(r)]
     diag = [q * big_l * dj for dj in d]
     for i in range(r):
+        row = [n.terms for n in nums[i]]
         for j in range(r):
             acc = {}
-            for k, w in cols[j]:
-                n_ik = nums[i][k].terms
-                for e, c in w.items():
-                    _add_scaled(acc, e, c, n_ik)
+            for k, e, c in cols[j]:
+                _add_scaled(acc, e, c, row[k])
             if acc != (diag[j].terms if i == j else {}):
                 lhs = LaurentPoly._raw(_int_valued(acc))
                 return ("entry (%d,%d) of M D^-1 Mtilde D^-1: computed %s, expected %d"
@@ -472,15 +480,18 @@ def _limit_failure(preset: AlgebraPreset) -> str | None:
     the first entry of d, then of Mtilde, with a pole or a differing limit.
     """
     expected = preset.b
+    # D and Mtilde hold few distinct values: each limit is computed once
+    limits = {e: _classical_limit(e)
+              for e in {*preset.d, *(e for row in preset.mtilde for e in row)}}
     for i, e in enumerate(preset.d):
-        limit, half = _classical_limit(e), expected[i][i] // 2
+        limit, half = limits[e], expected[i][i] // 2
         if limit is None:
             return "limit of d_%d: %s divided by t - t^-1 has a pole at t = 1" % (i + 1, e)
         if limit != half:
             return "limit of d_%d: got %s, expected %d" % (i + 1, limit, half)
     for i, row in enumerate(preset.mtilde):
         for j, e in enumerate(row):
-            limit = _classical_limit(e)
+            limit = limits[e]
             if limit is None:
                 return ("limit entry (%d,%d): %s divided by t - t^-1 has a pole at t = 1"
                         % (i + 1, j + 1, e))

@@ -151,9 +151,12 @@ class LaurentPoly(_TermMap):
     """Sparse Laurent polynomial: a map exponent -> nonzero rational coefficient.
 
     Integral coefficients are ints, the others Fractions (see the module notes).
+    A LaurentPoly is a value: no code changes its term map once it is built
+    (every operation returns a new one), so its hash is computed on the
+    first call and kept.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _key = int
 
     @classmethod
@@ -173,7 +176,11 @@ class LaurentPoly(_TermMap):
         return max(self.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:   # first call: the slot is unset until now
+            self._hash = h = hash(frozenset(self.terms.items()))
+            return h
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):

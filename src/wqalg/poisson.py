@@ -18,10 +18,11 @@ a Laurent polynomial; the Laurent part is the delta content.
 
 The numerator of symbol(A, B) over Q, where M = N / Q, is
 sum_l f_l t^{b_l} R_A[j_l], from A's node rows
-R_A[j] = sum_k e_k t^{-a_k} N_{i_k j}, each summed once on first use.
-symbol() keeps them in the preset's row memo (AlgebraPreset.node_rows) for
-up to _ROW_MEMO_CAP monomials; bracket_sum and verify_all keep theirs per
-outer monomial, so neither fills the memo.
+R_A[j] = sum_k e_k t^{-a_k} N_{i_k j}, each summed once on first use.  One
+function sums it (_numerator_terms), for symbol() and bracket_sum alike.
+symbol() keeps the rows in the preset's row memo (AlgebraPreset.node_rows)
+for up to _ROW_MEMO_CAP monomials; bracket_sum and verify_all keep theirs
+per outer monomial, so neither fills the memo.
 
 Each preset splits each distinct symbol numerator once: _split_numerator
 keeps the preset's split table (AlgebraPreset.splits), keyed by the
@@ -29,16 +30,21 @@ frozenset of the numerator's term items.  It stores successful splits
 only, and stops storing at _SPLIT_TABLE_CAP entries; a new preset starts
 with an empty table.
 
-bracket_sum splits each unordered pair once and makes no monomial product:
-it accumulates each C(a) as a pair sum, whose key stands for the product
-of two of its monomials, and its report builds C(a) only when it is read.
-Of a self-bracket it keeps the half on a <= 0 only: each
-C(+b) = -C(-b)(zq^-b), which M symmetric and odd makes exact, is built from
-C(-b).  The report's shifts build only the pair sums whose coefficients add
-up to zero, to see whether they cancel.  verify_closure matches C(-2)
-against T2 of D_n and G2 as pair sums, building only the pairs where they
-differ, and matches C(+b) through the check of C(-b); so on D_n and G2 a
-verification builds neither T2, nor C(-2), nor a mirrored series.
+bracket_sum makes no monomial product, and does the work of a split once
+per split class: the pairs that share one symbol numerator (the 2,080
+unordered pairs of the D_32 first series fall into 35).  The first pair of
+a class splits its numerator and checks its base; that leaves a plan, the
+pair-sum map and signed coefficient of each kept delta, which every later
+pair of the class applies after one lookup.  It accumulates each C(a) as a
+pair sum, whose key stands for the product of two of its monomials, and
+its report builds C(a) only when it is read.  Of a self-bracket it keeps
+the half on a <= 0 only: each C(+b) = -C(-b)(zq^-b), which M symmetric and
+odd makes exact, is built from C(-b).  The report's shifts build only the
+pair sums whose coefficients add up to zero, to see whether they cancel.
+verify_closure matches C(-2) against T2 of D_n and G2 as pair sums,
+building only the pairs where they differ, and matches C(+b) through the
+check of C(-b); so on D_n and G2 a verification builds neither T2, nor
+C(-2), nor a mirrored series.
 
 verify_closure and verify_all record every check through
 VerificationOutcome.check (ClosureOutcome is a VerificationOutcome that
@@ -134,12 +140,25 @@ def symbol(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> RationalFunctio
 def _symbol_numerator(a: YMonomial, b: YMonomial, preset: AlgebraPreset,
                       rows: dict) -> LaurentPoly:
     """The numerator over Q of symbol(a, b); rows maps node j to R_a[j]."""
-    rank = preset.rank
-    # factors are sorted by node: the first and last bound every node
-    for f in a.factors, b.factors:
+    _check_nodes((a, b), preset.rank)
+    return LaurentPoly._raw(_numerator_terms(a, b, preset.pair_table[1], rows))
+
+
+def _check_nodes(monos, rank: int) -> None:
+    """Raise ValueError unless every factor of every monomial is on a node 1..rank."""
+    for m in monos:
+        # factors are sorted by node: the first and last bound every node
+        f = m.factors
         if f and not (f[0][0] >= 1 and f[-1][0] <= rank):
             raise ValueError("node index out of range for rank %d" % rank)
-    nums = preset.pair_table[1]
+
+
+def _numerator_terms(a: YMonomial, b: YMonomial, nums, rows: dict) -> dict:
+    """The term map of the numerator over Q of symbol(a, b), for checked nodes.
+
+    It is summed from a's node rows: rows maps node j to R_a[j], built from
+    the table N (nums) on first use.
+    """
     acc = {}
     for j, bsh, f in b.factors:
         row = rows.get(j)
@@ -148,10 +167,11 @@ def _symbol_numerator(a: YMonomial, b: YMonomial, preset: AlgebraPreset,
             for i, ash, e in a.factors:
                 _add_scaled(row, -ash, e, nums[i - 1][j - 1].terms)
         _add_scaled(acc, bsh, f, row)
-    return LaurentPoly._raw(acc)
+    return acc
 
 
-def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
+def _split_numerator(num: LaurentPoly, preset: AlgebraPreset,
+                     key: frozenset | None = None):
     """(alpha, deltas) with num / Q = alpha * M_11 + sum_e deltas[e] t^e.
 
     One division with remainder by Q: num = quo * Q + rem.  Since
@@ -163,10 +183,12 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
     Each distinct numerator is divided once per preset: a success is stored
     in preset.splits while it holds fewer than _SPLIT_TABLE_CAP entries, and
     the stored pair itself is returned, so callers read deltas and never
-    change it (decompose copies it).
+    change it (decompose copies it).  key is the table's key of num, the
+    frozenset of its term items; a caller that has built it passes it.
     """
     splits = preset.splits
-    key = frozenset(num.terms.items())
+    if key is None:
+        key = frozenset(num.terms.items())
     hit = splits.get(key)
     if hit is not None:
         return hit
@@ -306,6 +328,17 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     its delta (a, c) becomes (-a, -c).  So each unordered pair is split once
     and the diagonal counted once.
 
+    The pairs are visited in order of the sorted monomials, (n, k) with
+    n <= k, and grouped into split classes by their numerators' terms.  The
+    first pair of a class splits its numerator (_split_numerator) and
+    checks its alpha against the base; it records the class's plan: the
+    pair-sum map and signed coefficient of each kept forward and reverse
+    delta, and the coefficient of Delta(0).  So a failure names the first
+    pair, in that order, that does not split or has another alpha; each
+    later pair costs its numerator, one lookup and one store per kept delta.
+    The coefficients of the two series are read once into lists indexed
+    like the monomials, and the nodes of every monomial are checked once.
+
     No monomial product is made here: acc[a] holds C(a) as a pair sum over
     the sorted monomials, key l * len(monos) + r for monos[l] * monos[r](zq^-a),
     and the report builds a series only when it is read.  For a delta (a, c)
@@ -327,35 +360,51 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     self_bracket = t_series is s_series or t == s
     acc: dict[int, dict[int, int | Fraction]] = {}
     monos = sorted(t.keys() | s.keys(), key=attrgetter("factors"))
-    size = len(monos)
+    _check_nodes(monos, preset.rank)
+    size, nums = len(monos), preset.pair_table[1]
+    tco = [t.get(m, 0) for m in monos]
+    sco = tco if self_bracket else [s.get(m, 0) for m in monos]
+    plans = {}      # frozenset of a numerator's terms -> the plan of its split class
     for n, x in enumerate(monos):
-        tx, sx, xrows = t.get(x, 0), s.get(x, 0), {}
+        tx, sx, xrows = tco[n], sco[n], {}
         for k in range(n, size):
-            y = monos[k]
-            forward = tx * s.get(y, 0)
-            reverse = t.get(y, 0) * sx if k != n else 0
+            forward, reverse = tx * sco[k], (tco[k] * sx if k != n else 0)
             if not (forward or reverse):
                 continue
-            try:
-                alpha, deltas = _split_numerator(_symbol_numerator(x, y, preset, xrows), preset)
-            except NotDecomposableError as exc:
-                raise NotDecomposableError(
-                    "pair (%s, %s): %s" % (x, y, exc)) from None
-            if base is None:
-                base = alpha
-            elif alpha != base:
-                raise NonUniformBaseError(
-                    "pair (%s, %s) has base %s, expected %s"
-                    % (x, y, alpha, base))
-            for a, c in deltas.items():
-                if not a:
-                    if forward != reverse:
-                        acc.setdefault(0, {})[n * size + k] = (forward - reverse) * c
-                    continue
-                if forward and (a < 0 or not self_bracket):
-                    acc.setdefault(a, {})[n * size + k] = forward * c
-                if reverse and (a > 0 or not self_bracket):
-                    acc.setdefault(-a, {})[k * size + n] = -reverse * c
+            y = monos[k]
+            num = _numerator_terms(x, y, nums, xrows)
+            key = frozenset(num.items())
+            plan = plans.get(key)
+            if plan is None:    # the first pair of its split class
+                try:
+                    alpha, deltas = _split_numerator(LaurentPoly._raw(num), preset, key)
+                except NotDecomposableError as exc:
+                    raise NotDecomposableError(
+                        "pair (%s, %s): %s" % (x, y, exc)) from None
+                if base is None:
+                    base = alpha
+                elif alpha != base:
+                    raise NonUniformBaseError(
+                        "pair (%s, %s) has base %s, expected %s"
+                        % (x, y, alpha, base))
+                # the pair-sum map and signed coefficient of each kept half
+                plan = plans[key] = (
+                    [(acc.setdefault(a, {}), c) for a, c in deltas.items()
+                     if a and (a < 0 or not self_bracket)],
+                    [(acc.setdefault(-a, {}), -c) for a, c in deltas.items()
+                     if a and (a > 0 or not self_bracket)],
+                    deltas.get(0, 0))
+            halves, reversed_halves, zero = plan
+            if forward:
+                for sums, c in halves:
+                    sums[n * size + k] = forward * c
+            if reverse:
+                for sums, c in reversed_halves:
+                    sums[k * size + n] = reverse * c
+            if zero and forward != reverse:
+                acc.setdefault(0, {})[n * size + k] = (forward - reverse) * zero
+    # a plan makes the maps of its class's shifts; drop those no pair wrote to
+    acc = {a: sums for a, sums in acc.items() if sums}
     report = BracketReport(preset.name, base or 0, {})
     report._monos, report._sums = monos, acc
     if self_bracket:

@@ -321,6 +321,16 @@ def test_preset_rejects_a_table_that_is_not_square(g2):
         replace_preset(g2, b=((2, -3), (-3,)))
 
 
+def test_preset_rejects_a_derived_closure_row_at_another_shift(e6):
+    # a derived row records C(-2), so a row at b = 4 would check the support
+    # at +-4 and still record the series derived from delta(w/zq^2)
+    rows = tuple((4,) + row[1:] if row[1] is None else row for row in e6.closure.rows)
+    with pytest.raises(ValueError) as err:
+        replace_preset(e6, closure=e6.closure._replace(rows=rows))
+    assert str(err.value) == ("the closure row (4, None, 0, None, None, None) of e6 reads "
+                              "C(-4); a derived series is C(-2)")
+
+
 def test_verify_all_reports_singular_mtilde_without_raising(g2):
     a = sym_minus(2)
     out = verify_all(replace_preset(g2, mtilde=((a, a), (a, a))))

@@ -352,6 +352,28 @@ def test_both_term_maps_share_one_slotted_base():
         hash(SeriesExpr.one())
 
 
+@settings(max_examples=100)
+@given(small_terms, small_terms.filter(lambda d: any(d.values())), divisors, st.integers(-5, 5))
+def test_laurent_hash_is_kept_and_no_operation_changes_an_operand(a, b, q, k):
+    # a LaurentPoly keeps the hash of its first call, which is sound only
+    # because no operation changes a term map once it is built
+    pa, pb = LaurentPoly(a), LaurentPoly(b)
+    operands = (pa, pb, q)
+    before = [dict(p.terms) for p in operands]
+    hashes = [hash(p) for p in operands]
+    pa * pb, pb * q, pa.shift(k), pa.invert_var(), -pa, -q
+    laurent_divmod(pa, q), laurent_divide(pa, pb), laurent_divide(pa * pb, pb)
+    assert [p.terms for p in operands] == before
+    for p, h, terms in zip(operands, hashes, before):
+        assert hash(p) == h == hash(frozenset(terms.items()))
+    # an equal value built another way hashes alike
+    for p, again in ((pa, pa.shift(k).shift(-k)), (pa, pa.invert_var().invert_var()),
+                     (pa, -(-pa)), (pa, pa * LaurentPoly.one()),
+                     (pa, laurent_divide(pa * pb, pb)), (q, laurent_divide(q * pb, pb)),
+                     (pb, LaurentPoly(reversed(pb.terms.items())))):
+        assert again == p and hash(again) == hash(p)
+
+
 # --- RationalFunction: canonical uniqueness ------------------------------------
 
 laurent_terms = st.dictionaries(

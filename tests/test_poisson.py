@@ -21,7 +21,7 @@ from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
 from wqalg.cli import main
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus
 from wqalg.genexpr import SeriesExpr, YMonomial, build_t1, build_t2, build_t5_e6
-from wqalg.poisson import _symbol_numerator
+from wqalg.poisson import _numerator_terms, _symbol_numerator
 
 EVAL_POINTS = [Fraction(2), Fraction(3), Fraction(5, 7)]
 
@@ -603,11 +603,11 @@ def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
     preset = build_preset(kind, n)
     calls = []
 
-    def counting(a, b, p, rows):
+    def counting(a, b, nums, rows):
         calls.append((a, b))
-        return _symbol_numerator(a, b, p, rows)
+        return _numerator_terms(a, b, nums, rows)
 
-    monkeypatch.setattr(poisson_mod, "_symbol_numerator", counting)
+    monkeypatch.setattr(poisson_mod, "_numerator_terms", counting)
     t1 = build_t1(preset)
     bracket_sum(t1, t1, preset)
     k = len(t1)
@@ -742,9 +742,9 @@ def test_bracket_sum_divides_each_distinct_numerator_once(kind, n, monkeypatch):
     preset = build_preset(kind, n)
     numerators, divided, m11 = [], [], []
 
-    def numerator(a, b, p, rows):
-        numerators.append(_symbol_numerator(a, b, p, rows))
-        return numerators[-1]
+    def numerator(a, b, nums, rows):
+        numerators.append(LaurentPoly(_numerator_terms(a, b, nums, rows)))
+        return numerators[-1].terms
 
     def counted(calls):
         def divmod_(a, q):
@@ -752,7 +752,7 @@ def test_bracket_sum_divides_each_distinct_numerator_once(kind, n, monkeypatch):
             return exactfield.laurent_divmod(a, q)
         return divmod_
 
-    monkeypatch.setattr(poisson_mod, "_symbol_numerator", numerator)
+    monkeypatch.setattr(poisson_mod, "_numerator_terms", numerator)
     monkeypatch.setattr(poisson_mod, "laurent_divmod", counted(divided))
     monkeypatch.setattr(algebras_mod, "laurent_divmod", counted(m11))
     t1 = build_t1(preset)
@@ -764,10 +764,79 @@ def test_bracket_sum_divides_each_distinct_numerator_once(kind, n, monkeypatch):
     assert len(preset.splits) == len(distinct)
 
 
+@pytest.mark.parametrize("kind,n", [("dn", 8), ("e6", None), ("g2", None)])
+def test_bracket_sum_splits_once_per_split_class(kind, n, monkeypatch):
+    # a split class is the set of unordered pairs that share one symbol
+    # numerator: only its first pair is split, on a fresh preset and on one
+    # whose split table already holds every split
+    preset = build_preset(kind, n)
+    lams = sorted(preset.lambdas, key=lambda m: m.factors)
+    classes = {frozenset(direct_symbol_numerator(x, y, preset).items())
+               for i, x in enumerate(lams) for y in lams[i:]}
+    split = poisson_mod._split_numerator
+    calls = []
+
+    def counting(num, p, key=None):
+        calls.append(frozenset(num.terms.items()))
+        return split(num, p, key)
+
+    monkeypatch.setattr(poisson_mod, "_split_numerator", counting)
+    t1 = build_t1(preset)
+    for _ in range(2):
+        calls.clear()
+        bracket_sum(t1, t1, preset)
+        assert len(calls) == len(classes) < len(lams) * (len(lams) + 1) // 2
+        assert set(calls) == classes
+
+
+def test_bracket_sum_hashes_no_monomial_per_pair(monkeypatch):
+    # the coefficients are read into lists indexed like the sorted monomials:
+    # at d32, 64 monomials and 2,080 unordered pairs
+    preset = build_preset("dn", 32)
+    t1 = build_t1(preset)
+    preset.m_parity
+    calls = []
+    real = YMonomial.__hash__
+
+    def counting(m):
+        calls.append(None)
+        return real(m)
+
+    monkeypatch.setattr(YMonomial, "__hash__", counting)
+    bracket_sum(t1, t1, preset)
+    assert len(calls) <= 4 * len(t1)
+
+
+def test_verify_all_hashes_each_laurent_poly_once(monkeypatch):
+    # a LaurentPoly keeps its hash: the entry sets of m_parity and of the
+    # oddness check, and the limits of _limit_failure, hash each object once
+    hashed, built = [], []
+    real_hash = LaurentPoly.__hash__
+
+    def recording(p):
+        hashed.append(p)
+        return real_hash(p)
+
+    def counting(items):
+        built.append(None)
+        return frozenset(items)
+
+    monkeypatch.setattr(LaurentPoly, "__hash__", recording)
+    monkeypatch.setattr(exactfield, "frozenset", counting, raising=False)
+    assert verify_all(build_preset("dn", 32)).passed
+    distinct = {id(p) for p in hashed}   # hashed holds them all, so no id is reused
+    assert len(hashed) > len(distinct)
+    assert len(built) == len(distinct)
+
+
 def test_bracket_sum_nonuniform_base(g2):
+    # the identity's symbols are 0, so its pairs come first and set the base 0;
+    # the first pair of two Lambdas has base 1
     t1_plus_const = SeriesExpr(list(build_t1(g2).terms.items()) + [(YMonomial.identity(), 1)])
-    with pytest.raises(NonUniformBaseError):
+    with pytest.raises(NonUniformBaseError) as err:
         bracket_sum(t1_plus_const, t1_plus_const, g2)
+    assert str(err.value) == ("pair (Y_1^{-1}(zq^{-12}), Y_1^{-1}(zq^{-12})) has base 1, "
+                              "expected 0")
 
 
 def test_bracket_sum_not_decomposable_names_pair(g2):
@@ -781,7 +850,11 @@ def test_bracket_sum_not_decomposable_names_pair(g2):
     t1 = build_t1(corrupted)
     with pytest.raises(NotDecomposableError) as err:
         bracket_sum(t1, t1, corrupted)
-    assert "pair (" in str(err.value)
+    # the first pair, (Lambda_7, Lambda_7), reads N_11 only and splits
+    assert str(err.value) == (
+        "pair (Y_1^{-1}(zq^{-12}), Y_1(zq^{-10}) Y_2^{-1}(zq^{-11})): no rational base "
+        "coefficient leaves a pure delta part for symbol "
+        "(-t^10 + t^8 + t^6 - 2*t^4 + t^2)/(t^8 - t^4 + 1)")
 
 
 def test_bracket_sum_requires_symmetric_odd_m(g2, monkeypatch, capsys):

@@ -58,6 +58,26 @@ def test_dn_stages_times_each_stage_per_rank():
         assert all(float(s) >= 0 for s in line.split()[1:]), line
 
 
+def test_dn_ab_pairs_a_checkout_with_itself():
+    proc = run_tool("dn_ab.py", os.path.dirname(TOOLS), "4")
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.split() == ["rank", "stage", "ratio", "ratio_iqr", "this_s", "other_s"]
+    assert [line.split()[:2] for line in lines] == [
+        ["d4", stage] for stage in ("build", "verify_cartan", "m_parity", "bracket_sum",
+                                    "build_t2", "verify_closure", "verify_all")]
+    for line in lines:
+        ratio, iqr, this_s, other_s = map(float, line.split()[2:])
+        assert ratio > 0 and iqr >= 0 and this_s >= 0 and other_s >= 0, line
+
+
+@pytest.mark.parametrize("args", [(), ("no-such-checkout",), (".", "3")])
+def test_dn_ab_refuses_a_missing_checkout_or_a_rank_below_4(args):
+    proc = run_tool("dn_ab.py", *args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: dn_ab.py OTHER_CHECKOUT [N ...]")
+
+
 @pytest.mark.parametrize("args", [("3",), ("x",), ()])
 def test_dn_stages_refuses_a_rank_below_4(args):
     proc = run_tool("dn_stages.py", *args)

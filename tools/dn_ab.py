@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Compare the verify_all stages of this checkout and another, as paired ratios.
+
+It copies the src/wqalg tree of this checkout and of OTHER_CHECKOUT into a
+temporary directory, as the packages wqalg_this and wqalg_other, and runs
+the stages of tools/dn_stages.py (stage_seconds) on each, alternately in
+this one process: ROUNDS rounds per rank, each timing both checkouts, the
+first one in turn.  For each rank and stage it prints the median over the
+rounds of the ratio this / other of one round's seconds, the interquartile
+range of those ratios, and the median seconds of each side.  A ratio below 1
+means this checkout is faster.  Single runs on a shared host drift by 20-60%
+from one minute to the next, while ratios of runs made side by side hold
+within a few percent, so compare two checkouts with this, not with two
+dn_stages.py runs.
+
+It exits 1, naming the checkout, rank and stage on stderr, when a verifier
+does not pass in either checkout.
+
+Usage: python3 tools/dn_ab.py OTHER_CHECKOUT [N ...]   e.g. ../parent 32 64
+(default N: 32).  Standard library only; both checkouts must export the
+calls dn_stages.py imports from wqalg.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROUNDS = 5
+SIDES = ("this", "other")
+
+
+def _stages_module(package: str):
+    """A fresh copy of tools/dn_stages.py whose wqalg calls are those of package."""
+    spec = importlib.util.spec_from_file_location("dn_stages_" + package,
+                                                  os.path.join(HERE, "tools", "dn_stages.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    program = importlib.import_module(package)
+    for name in ("bracket_sum", "build_preset", "build_t1", "build_t2", "verify_all",
+                 "verify_cartan", "verify_closure"):
+        setattr(module, name, getattr(program, name))
+    return module
+
+
+def paired_ratios(modules: dict, n: int, failures: list) -> dict:
+    """{side: [seconds of each stage] per round} for rank n, the sides alternating first.
+
+    A stage that does not pass adds (side, n, stage, failure) to failures.
+    """
+    runs = {side: [] for side in SIDES}
+    for r in range(ROUNDS):
+        for side in SIDES[::-1] if r % 2 else SIDES:
+            found = []
+            runs[side].append(modules[side].stage_seconds(n, found))
+            failures += [(side, n, stage, failure) for stage, failure in found]
+    return runs
+
+
+def summary(this: list, other: list) -> tuple:
+    """(median ratio, IQR of the ratios, median this, median other) of paired seconds."""
+    ratios = [a / b for a, b in zip(this, other)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return statistics.median(ratios), q3 - q1, statistics.median(this), statistics.median(other)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    ranks = argv[1:] or ["32"]
+    if not argv or not os.path.isdir(os.path.join(argv[0], "src", "wqalg")) \
+            or not all(a.isdigit() and int(a) >= 4 for a in ranks):
+        print("usage: dn_ab.py OTHER_CHECKOUT [N ...]   (a checkout with src/wqalg; "
+              "each N >= 4)", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, root in zip(SIDES, (HERE, argv[0])):
+            shutil.copytree(os.path.join(root, "src", "wqalg"),
+                            os.path.join(tmp, "wqalg_" + side),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        sys.path.insert(0, tmp)
+        try:
+            modules = {side: _stages_module("wqalg_" + side) for side in SIDES}
+        finally:
+            sys.path.remove(tmp)
+        stages = modules["this"].STAGES
+        print("%-6s %-16s %10s %10s %10s %10s"
+              % ("rank", "stage", "ratio", "ratio_iqr", "this_s", "other_s"))
+        failures = []
+        for n in map(int, ranks):
+            runs = paired_ratios(modules, n, failures)
+            for i, stage in enumerate(stages):
+                row = summary([r[i] for r in runs["this"]], [r[i] for r in runs["other"]])
+                print("d%-5d %-16s %10.3f %10.3f %10.4f %10.4f" % (n, stage, *row), flush=True)
+        for side, n, stage, failure in dict.fromkeys(failures):
+            print("d%d %s did not pass in the %s checkout: %s" % (n, stage, side, failure),
+                  file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
