@@ -100,8 +100,8 @@ class AlgebraPreset:
         # the split table: symbol numerator -> (alpha, deltas), empty on a
         # new preset; poisson._split_numerator is its only reader and writer
         self.splits = {}
-        # the row memo: monomial -> node -> node row, kept by poisson.symbol
-        self.node_rows = {}
+        # the row memo: fundamental monomial -> node -> node row, filled by poisson.symbol
+        self.node_rows = {m: {} for m in lambdas}
 
     @property
     def rank(self) -> int:

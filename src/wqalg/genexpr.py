@@ -14,7 +14,8 @@ map l * len(monos) + r to the coefficient of monos[l] * monos[r](zq^-a):
 bracket_sum accumulates them with no monomial product, and pair_series
 builds the series of one, with one product per pair.  Monomials are ordered
 by their factors tuples wherever they are sorted; the triples compare like
-((i, a), e) pairs, since each (i, a) occurs once.
+((i, a), e) pairs, since each (i, a) occurs once.  A product merges the
+two sorted tuples in one pass, the empty one of the identity included.
 
 Scalar prefactors of the Y generators are deliberately not represented.
 Lemma: the prefactor of a product is determined by its Y-content (each
@@ -73,10 +74,6 @@ class YMonomial:
         if not isinstance(other, YMonomial):
             return NotImplemented
         a, b = self.factors, other.factors
-        if not a:
-            return other
-        if not b:
-            return self
         # both factors are sorted by (node, shift): merge them in one pass
         out = []
         i = j = 0
@@ -231,8 +228,11 @@ def build_t5_e6(preset) -> SeriesExpr:
     """The E6 dual-series generator: the dual of T1, shifted by -12.
 
     With this normalization the dual of T1 equals T5(zq^12) by construction,
-    matching the duality satisfied by the G_2 first series.
+    matching the duality satisfied by the G_2 first series.  A preset whose
+    closure spec names another dual, or none, is refused.
     """
-    if preset.closure.dual != "T5":
-        raise ValueError("the dual-series construction is specific to e6")
+    dual = preset.closure.dual
+    if dual != "T5":
+        raise ValueError("%s has no T5 dual series: its closure spec names %s as the dual"
+                         % (preset.name, dual or "no series"))
     return build_t1(preset).dual().shift_arg(-12)

@@ -20,9 +20,10 @@ The numerator of symbol(A, B) over Q, where M = N / Q, is
 sum_l f_l t^{b_l} R_A[j_l], from A's node rows
 R_A[j] = sum_k e_k t^{-a_k} N_{i_k j}, each summed once on first use.  One
 function sums it (_numerator_terms), for symbol() and bracket_sum alike.
-symbol() keeps the rows in the preset's row memo (AlgebraPreset.node_rows)
-for up to _ROW_MEMO_CAP monomials; bracket_sum and verify_all keep theirs
-per outer monomial, so neither fills the memo.
+symbol() keeps the rows of each fundamental monomial in the preset's row
+memo (AlgebraPreset.node_rows), whose keys are the preset's lambdas; the
+rows of any other left monomial are built per call.  bracket_sum and
+verify_all keep theirs per outer monomial, so neither fills the memo.
 
 Each preset splits each distinct symbol numerator once: _split_numerator
 keeps the preset's split table (AlgebraPreset.splits), keyed by the
@@ -44,18 +45,19 @@ pair sums whose coefficients add up to zero, to see whether they cancel.
 verify_closure matches C(-2) against T2 of D_n and G2 as pair sums,
 building only the pairs where they differ, and matches C(+b) through the
 check of C(-b); so on D_n and G2 a verification builds neither T2, nor
-C(-2), nor a mirrored series.
+C(-2), nor a mirrored series.  Each other row is one comparison of C(a)
+with the shifted series it names.
 
 verify_closure and verify_all record every check through
 VerificationOutcome.check (ClosureOutcome is a VerificationOutcome that
 also carries the bracket report and, for e6, the derived second series).
 
-Records go to the wqalg.poisson logger: INFO from bracket_sum when some
-delta-series coefficient is not +-1, WARNING from extract_t2_e6 when the
-derived series has such a coefficient.  logging is imported only when a
-record can be emitted.  The INFO record builds every delta series, so it is
-computed only when logging is already imported (until then no handler can
-be added nor a level lowered) and the logger is enabled for INFO.
+Records go to the wqalg.poisson logger, at INFO: from bracket_sum when
+some delta-series coefficient is not +-1, and from extract_t2_e6 when the
+derived series has such a coefficient.  This module never imports logging.
+A record is computed only when logging is already imported (until then no
+handler can be added nor a level lowered) and the logger is enabled for
+INFO; the one from bracket_sum builds every delta series.
 """
 
 from __future__ import annotations
@@ -92,8 +94,6 @@ class NotDecomposableError(ValueError):
 
 # Entries of a preset's split table: d256 has about 260 distinct symbol numerators
 _SPLIT_TABLE_CAP = 4096
-# Monomials in a preset's row memo: d256 has 512 fundamental ones
-_ROW_MEMO_CAP = 1024
 
 _LAURENT_M11 = "M_11 of %s is a Laurent polynomial; delta decompositions would not be unique"
 _M_NOT_SYMMETRIC_ODD = ("M of %s is not both symmetric and odd under t -> 1/t; "
@@ -125,15 +125,7 @@ def symbol(a: YMonomial, b: YMonomial, preset: AlgebraPreset) -> RationalFunctio
 
     Its canonical form is computed only when it is read (printed, compared).
     """
-    memo = preset.node_rows
-    rows = memo.get(a)
-    if rows is None:
-        rows = {}
-        num = _symbol_numerator(a, b, preset, rows)
-        if len(memo) < _ROW_MEMO_CAP:
-            memo[a] = rows
-    else:
-        num = _symbol_numerator(a, b, preset, rows)
+    num = _symbol_numerator(a, b, preset, preset.node_rows.get(a, {}))
     return RationalFunction(num, preset.pair_table[0])
 
 
@@ -422,35 +414,36 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
 
 
 class DerivedSeries:
-    def __init__(self, shift: int, series: SeriesExpr, term_count: int,
-                 coefficient_counts: dict[int | Fraction, int]):
-        self.shift = shift
+    """A derived second series, C(shift), with its term and coefficient counts."""
+
+    shift = -2
+
+    def __init__(self, series: SeriesExpr):
         self.series = series
-        self.term_count = term_count
-        self.coefficient_counts = coefficient_counts
+        self.term_count = len(series)
+        counts = self.coefficient_counts = {}
+        for c in series.terms.values():
+            counts[c] = counts.get(c, 0) + 1
 
 
 def extract_t2_e6(report: BracketReport) -> DerivedSeries:
     """The derived E6 second series: C(-2), the coefficient of delta(w/zq^2).
 
     That is where the D_n and G_2 closures carry T2(z); C(-2) must have
-    all-positive coefficients.  Non-unit coefficients are reported at warn
+    all-positive coefficients.  Non-unit coefficients are recorded at info
     level (they arise when distinct weight vectors share a monomial).
     """
     series = report.series(-2)
     if series is None or not all(c > 0 for c in series.terms.values()):
         raise NotDecomposableError("C(-2), the coefficient of delta(w/zq^2), is not a "
                                    "nonzero series with positive coefficients")
-    counts: dict[int | Fraction, int] = {}
-    for c in series.terms.values():
-        counts[c] = counts.get(c, 0) + 1
-    if set(counts) != {1}:
-        import logging
-        logging.getLogger(__name__).warning(
-            "derived series at shift -2 has non-unit coefficients: %s",
-            {str(k): v for k, v in sorted(counts.items())})
-    return DerivedSeries(shift=-2, series=series,
-                         term_count=len(series), coefficient_counts=counts)
+    derived = DerivedSeries(series)
+    counts = derived.coefficient_counts
+    logger = _info_logger()
+    if logger and set(counts) != {1}:
+        logger.info("derived series at shift -2 has non-unit coefficients: %s",
+                    {str(k): v for k, v in sorted(counts.items())})
+    return derived
 
 
 class ClosureOutcome(VerificationOutcome):
@@ -458,18 +451,6 @@ class ClosureOutcome(VerificationOutcome):
         super().__init__()
         self.report: BracketReport | None = None
         self.derived: DerivedSeries | None = None   # e6 only: the derived second series
-
-
-def _is_shifted(got: SeriesExpr, series: SeriesExpr, sign: int, by: int) -> bool:
-    """Whether got = sign * series(zq^by), read term by term.
-
-    Each term m of got is looked up as m(zq^-by) in series, so no shifted
-    copy of series is built.  Equal lengths and a match for every term of
-    got make the two equal, since shift_arg is one-to-one.
-    """
-    want = series.terms
-    return len(got) == len(want) and all(
-        want.get(m.shift_arg(-by)) == sign * c for m, c in got.terms.items())
 
 
 def _is_t2_pair_sum(report: BracketReport, preset: AlgebraPreset) -> bool:
@@ -492,19 +473,15 @@ def _is_t2_pair_sum(report: BracketReport, preset: AlgebraPreset) -> bool:
     return not genexpr.pair_series(report._monos, diff, -2)
 
 
-def _match_series(out, report, shift, series, sign, by, label, good=None):
-    """Record the check C(shift) = sign * series(zq^by), which label names.
+def _match_series(out, report, shift, expected, label, good=None):
+    """Record the check C(shift) = expected, which label names.
 
-    A match records good, by default "C(shift) = label".  The shifted,
-    signed series is built only on a mismatch, to name the first monomial
-    where the two differ.
+    A match records good, by default "C(shift) = label"; a mismatch names
+    the first monomial where the two differ.
     """
     got = report.series(shift) or SeriesExpr.zero()
-    if _is_shifted(got, series, sign, by):
+    if got == expected:
         return out.check(True, good or "C(%+d) = %s" % (shift, label), "")
-    expected = series.shift_arg(by)
-    if sign < 0:
-        expected = -expected
     keys = sorted(set(got.terms) | set(expected.terms), key=attrgetter("factors"))
     first = next(m for m in keys if got.terms.get(m, 0) != expected.terms.get(m, 0))
     return out.check(False, "", "shift %+d: expected %s; first differing monomial %s "
@@ -564,13 +541,13 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
             ok = out.check(True, "C(-2) = T2(z)", "")
         else:
             series = _named_series(name, preset, t1)
-            ok = _match_series(out, report, -b, series, 1, by, label, good)
+            ok = _match_series(out, report, -b, series.shift_arg(by), label, good)
         if ok and name == "T2":
             out.details.append("orientation: delta(w/zq^2) carries T2(z), "
                                "delta(wq^2/z) carries -T2(w)")
         if b not in report._mirrored:
-            _match_series(out, report, b, series or _named_series(name, preset, t1), -1,
-                          by - b, mirror_label)
+            series = series or _named_series(name, preset, t1)
+            _match_series(out, report, b, -series.shift_arg(by - b), mirror_label)
         elif ok:
             # a mirrored C(+b) matches iff C(-b) did, so the check just made is its
             # check; had it failed, the failure of C(-b) would come first

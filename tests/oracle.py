@@ -321,11 +321,22 @@ def dn_pair_forms(n):
     return forms
 
 
+def an_pair_forms(n):
+    """The closed forms of M_ij for A_n, one per unordered pair i <= j.
+
+    M_ij = [i] [n+1-j] / [n+1]: the form an_preset builds its table from,
+    restated here as factors.
+    """
+    return {(i, j): (((i, -1), (n + 1 - j, -1)), ((n + 1, -1),))
+            for i in range(1, n + 1) for j in range(i, n + 1)}
+
+
 def pair_table_at_two_to_the_k(preset):
     """(holds, K): whether N_ij den_ij = num_ij Q for every entry, at t = 2^K.
 
-    The forms are G2_PAIR_FORMS, E6_PAIR_FORMS or dn_pair_forms(rank), chosen
-    by the preset's name; any other name is refused, not read as D_n.  The difference R_ij of the two
+    The forms are G2_PAIR_FORMS, E6_PAIR_FORMS, dn_pair_forms(rank) or
+    an_pair_forms(rank), chosen by the preset's name; any other name is
+    refused, not read as D_n or A_n.  The difference R_ij of the two
     sides is an integer Laurent polynomial whose coefficients are at most
     |N_ij| 2^m' + 2^m |Q| in absolute value, with
     |p| the l1 norm and m, m' the factor counts of num and den (a product of
@@ -339,6 +350,8 @@ def pair_table_at_two_to_the_k(preset):
     r = len(nums)
     if preset.name == "d%d" % r:
         forms = dn_pair_forms(r)
+    elif preset.name == "a%d" % r:
+        forms = an_pair_forms(r)
     elif preset.name == "e6":
         forms = E6_PAIR_FORMS
     elif preset.name == "g2":

@@ -7,8 +7,10 @@ below reads only what the preset carries.
 
 import pytest
 
-from oracle import an_preset, cartan_identity_at_two_to_the_k, ordered_pair_bracket
+from oracle import (an_preset, cartan_identity_at_two_to_the_k, laurent_sum,
+                    ordered_pair_bracket, pair_table_at_two_to_the_k, replace_preset)
 from wqalg import bracket_sum, build_t1, verify_all, verify_cartan, verify_closure
+from wqalg.exactfield import LaurentPoly
 from wqalg.genexpr import SeriesExpr, YMonomial
 
 
@@ -21,6 +23,18 @@ def test_an_passes_every_verifier(n):
     assert verify_closure(preset).report.shifts == [-2, 2]
     assert "PASS every diagonal bracket is exactly MM_11 (pure)" in verify_all(preset).details
     assert cartan_identity_at_two_to_the_k(preset)[0]
+    holds, k_exp = pair_table_at_two_to_the_k(preset)
+    assert holds and k_exp <= 12
+
+
+def test_an_pair_table_oracle_rejects_a_corrupted_entry():
+    # one entry of one triangle: the oracle reads both
+    preset = an_preset(5)
+    q, nums = preset.pair_table
+    rows = [list(row) for row in nums]
+    rows[3][1] = laurent_sum(rows[3][1], LaurentPoly({4: 1, 2: -1}))
+    bad = replace_preset(preset, pair_table=(q, tuple(map(tuple, rows))))
+    assert pair_table_at_two_to_the_k(bad)[0] is False
 
 
 @pytest.mark.parametrize("n", range(1, 5))

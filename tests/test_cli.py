@@ -93,23 +93,28 @@ def test_emit_t2_e6_derived(capsys):
 
 
 def test_emit_t2_e6_warns_once(capsys, caplog):
-    # the derived series comes from the one closure run, so its warning is logged once
-    with caplog.at_level(logging.WARNING, logger="wqalg.poisson"):
+    # the non-unit coefficients of the derived series are an INFO record, not a
+    # warning; it comes from the one closure run, so it is recorded once
+    with caplog.at_level(logging.INFO, logger="wqalg.poisson"):
         code, _, _ = run(capsys, "emit-t2", "--algebra", "e6")
     assert code == 0
-    warnings = [rec.message for rec in caplog.records if "non-unit coefficients" in rec.message]
-    assert len(warnings) == 1, warnings
+    assert [rec.message for rec in caplog.records if rec.levelno >= logging.WARNING] == []
+    infos = [rec.message for rec in caplog.records
+             if rec.levelno == logging.INFO and "non-unit coefficients" in rec.message]
+    assert infos == ["derived series at shift -2 has non-unit coefficients: {'1': 324, '2': 27}"]
 
 
 @pytest.mark.parametrize("argv, stderr", [
-    (("emit-t2", "--algebra", "e6"),
-     "derived series at shift -2 has non-unit coefficients: {'1': 324, '2': 27}\n"),
+    # the derived E6 series has coefficients 2: an INFO record, not shown
+    (("emit-t2", "--algebra", "e6"), ""),
     # the d4 bracket has coefficients other than +-1: an INFO record, not shown
     (("closure", "--algebra", "dn", "--n", "4"), ""),
+    (("closure", "--algebra", "e6"), ""),
+    (("verify-all", "--algebra", "e6"), ""),
 ])
 def test_stderr_of_a_fresh_process(argv, stderr):
     # pytest imports logging, so only a fresh process takes the path where
-    # wqalg.poisson has to import logging itself to emit a record
+    # logging is not imported when wqalg.poisson could emit a record
     src = os.path.dirname(os.path.dirname(os.path.abspath(wqalg.__file__)))
     proc = subprocess.run([sys.executable, "-m", "wqalg.cli", *argv], cwd=src,
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import an_preset
 from wqalg import build_t1, build_t2, build_t5_e6
 from wqalg.genexpr import SeriesExpr, YMonomial
 
@@ -161,9 +162,16 @@ def test_build_t5_e6(e6):
     assert t5.shift_arg(12).terms.get(y1_inv, 0) == 1
 
 
-def test_build_t5_rejects_non_e6(g2):
-    with pytest.raises(ValueError):
-        build_t5_e6(g2)
+def test_build_t5_rejects_non_e6(g2, d4):
+    # the refusal names the preset and the dual its closure spec names
+    for preset, text in ((g2, "g2 has no T5 dual series: its closure spec names T1 as the dual"),
+                         (d4, "d4 has no T5 dual series: its closure spec names no series "
+                              "as the dual"),
+                         (an_preset(3), "a3 has no T5 dual series: its closure spec names "
+                                        "no series as the dual")):
+        with pytest.raises(ValueError) as err:
+            build_t5_e6(preset)
+        assert str(err.value) == text
 
 
 def test_series_scalar_and_linear_ops():

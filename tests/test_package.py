@@ -35,7 +35,7 @@ def test_cli_import_loads_no_test_code():
     bare, modules = ast.literal_eval(proc.stdout)
     assert "wqalg.cli" in modules
     # no command needs these to start: json loads for --format json only,
-    # logging only when a record can be emitted
+    # and no package code imports logging
     added = set(modules) - set(bare)
     assert not added & {"dataclasses", "inspect", "logging", "json"}
     test_only = [name for name in modules

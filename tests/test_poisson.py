@@ -167,7 +167,7 @@ def test_out_of_range_node_among_valid_factors_is_rejected(g2, node):
         assert rows == {}
         with pytest.raises(ValueError, match="node index out of range for rank 2"):
             symbol(a, b, preset)
-    assert preset.node_rows == {}
+    assert preset.node_rows == {m: {} for m in preset.lambdas}
 
 
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 6)])
@@ -456,7 +456,7 @@ def test_verify_all_leaves_the_row_memo_empty(kind, n):
     # bracket_sum and the diagonal brackets keep their rows per call
     preset = build_preset(kind, n)
     assert verify_all(preset).passed
-    assert preset.node_rows == {}
+    assert preset.node_rows == {m: {} for m in preset.lambdas}
 
 
 def test_row_memo_holds_each_queried_left_monomial_once(e6):
@@ -466,16 +466,25 @@ def test_row_memo_holds_each_queried_left_monomial_once(e6):
             decompose(symbol(a, b, preset), preset)
     assert len(preset.node_rows) == 27
     assert set(preset.node_rows) == set(preset.lambdas)
+    # each row is summed on first use: every queried monomial has one per node
+    nodes = set(range(1, preset.rank + 1))
+    assert all(set(rows) == nodes for rows in preset.node_rows.values())
 
 
-def test_row_memo_stays_within_its_cap(e6, monkeypatch):
-    pairs = [(a, b) for a in e6.lambdas for b in e6.lambdas]
-    uncapped = replace_preset(e6)
-    want = [decompose(symbol(a, b, uncapped), uncapped) for a, b in pairs]
-    monkeypatch.setattr(poisson_mod, "_ROW_MEMO_CAP", 5)
-    capped = replace_preset(e6)
-    assert [decompose(symbol(a, b, capped), capped) for a, b in pairs] == want
-    assert list(capped.node_rows) == list(e6.lambdas[:5])
+def test_row_memo_keeps_only_fundamental_monomials(e6):
+    # the memo's keys are the preset's lambdas, before and after every query;
+    # a left monomial outside them is served, and its rows are not kept
+    preset = replace_preset(e6)
+    lams = preset.lambdas
+    others = [lam.shift_arg(1) for lam in lams[:3]] + [lams[0] * lams[1]]
+    assert not set(others) & set(lams)
+    assert list(preset.node_rows) == list(lams)
+    for a in [*others, *lams]:
+        for b in lams:
+            num = symbol(a, b, preset).stored[0]
+            assert num == LaurentPoly(direct_symbol_numerator(a, b, preset))
+            assert list(preset.node_rows) == list(lams)
+    assert all(preset.node_rows[m] for m in lams)
 
 
 # --- bracket_sum and closure ----------------------------------------------------
