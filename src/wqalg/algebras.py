@@ -139,23 +139,34 @@ class AlgebraPreset:
     def m_parity(self) -> tuple[bool, bool]:
         """(symmetric, odd) for M = N/Q, read off the pair table.
 
-        M is odd under t -> 1/t iff N(1/t) Q(t) + N(t) Q(1/t) = 0, tested per
-        entry N by adding both products into one term map that must end up
-        empty.  A symmetric table's lower triangle repeats its upper one, so
-        only the upper one is tested.  No entry is hashed: a LaurentPoly keeps
-        its hash, and an int per entry of N added 6 MB to the peak RSS of
-        tools/dn_stages.py at d512.  Brackets are taken over unordered pairs,
-        which is exact only when both hold.
+        M is odd under t -> 1/t iff N(1/t) Q(t) + N(t) Q(1/t) = 0 for every
+        entry N.  Every preset's Q is self-reciprocal, Q(1/t) = u t^-m Q(t)
+        with m = deg Q and u = +-1 (its coefficients read the same, times u,
+        from both ends), and then the test reduces to N(1/t) = -u t^-m N(t):
+        each term c t^e of N must meet the term -u c t^(m-e), one lookup per
+        term and no product.  Any other Q is tested by adding both products
+        into one term map that must end up empty.  A symmetric table's lower
+        triangle repeats its upper one, so only the upper one is tested.  No
+        entry is hashed: a LaurentPoly keeps its hash, and an int per entry
+        of N added 6 MB to the peak RSS of tools/dn_stages.py at d512.
+        Brackets are taken over unordered pairs, which is exact only when
+        both hold.
         """
         q, nums = self.pair_table
-
-        def odd(terms):
-            acc = {}
-            for e, c in terms.items():
-                _add_scaled(acc, -e, c, q.terms)
-            for e, c in q.terms.items():
-                _add_scaled(acc, -e, c, terms)
-            return not acc
+        qt = q.terms
+        m = max(qt)   # Q's min exponent is 0
+        u = 1 if qt[m] == qt[0] else -1   # the test below refuses any other ratio
+        if all(qt.get(m - e) == u * c for e, c in qt.items()):
+            def odd(terms):
+                return all(terms.get(m - e) == -u * c for e, c in terms.items())
+        else:
+            def odd(terms):
+                acc = {}
+                for e, c in terms.items():
+                    _add_scaled(acc, -e, c, qt)
+                for e, c in qt.items():
+                    _add_scaled(acc, -e, c, terms)
+                return not acc
 
         symmetric = tuple(zip(*nums)) == nums
         rows = [row[i:] for i, row in enumerate(nums)] if symmetric else nums
@@ -200,26 +211,37 @@ class VerificationOutcome:
 def _pair_table(q: LaurentPoly, forms: dict) -> tuple[LaurentPoly, LaurentRows]:
     """(Q, N) from a declared Q and the closed forms grouped under their den.
 
-    forms maps each den to a list of (pairs, num): M_ij = num / den for
-    every unordered pair (i, j), i <= j (1-based), in pairs, and N is filled
-    in both triangles from it.  Each den costs at most one exact division,
-    the cofactor Q / den (_cofactor), and each of its forms is then the
-    short product N_ij = num * (Q / den); so D_n, with two denominators, is
-    built in O(n^2).  Under a den that does not divide Q (den_long for even
-    n, every E6 and G2 den) each form takes the one exact division
+    forms maps each den to a list of (pairs, *factors): M_ij = num / den for
+    every unordered pair (i, j), i <= j (1-based), in pairs, where num is
+    the product of the factors, and N is filled in both triangles from it.
+    Each den costs at most one exact division, the cofactor Q / den
+    (_cofactor).  Each distinct last factor f is then scaled once,
+    R_f = f * (Q / den), and a form is the product of its other factors
+    with its R_f.  D_n's forms are sym_minus(i) * sym_plus(m): n products
+    make its R_m, and each entry costs one more, so D_n, with two
+    denominators, is built in O(n^2) products of two- and four-term
+    polynomials.  Under a den that does not divide Q (den_long for even n,
+    every E6 and G2 den) each form takes the one exact division
     num * Q / den instead.  Raises ArithmeticError if den does not divide
-    num * Q.  Q and N are shifted together so that Q has min exponent 0, as
-    laurent_divmod needs.
+    num * Q.  Q and N are shifted together so that Q has min exponent 0,
+    as laurent_divmod needs.
     """
     q = q.shift(-q.min_exp)
-    rank = max(j for group in forms.values() for pairs, _ in group for _, j in pairs)
+    rank = max(j for group in forms.values() for pairs, *_ in group for _, j in pairs)
     rows = [[None] * rank for _ in range(rank)]
     for den, group in forms.items():
         cof = _cofactor(q, den)
-        for pairs, num in group:
-            quo = num * cof if cof is not None else laurent_divide(num * q, den)
-            if quo is None:
-                raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, den))
+        scaled = {}   # last factor f -> R_f
+        for pairs, *factors, last in group:
+            if cof is None:
+                quo = laurent_divide(reduce(mul, factors, last) * q, den)
+                if quo is None:
+                    raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, den))
+            else:
+                quo = scaled.get(last)
+                if quo is None:
+                    quo = scaled[last] = last * cof
+                quo = reduce(mul, factors, quo)
             for i, j in pairs:
                 rows[i - 1][j - 1] = rows[j - 1][i - 1] = quo
     return q, tuple(map(tuple, rows))
@@ -241,23 +263,27 @@ def _cofactor(q: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
 def _dn_pair_table(n: int):
     den = sym_plus(n - 1)
     den_long = sym_plus(1) * den
-    forms = {den: [(((i, j),), sym_minus(i) * sym_plus(n - 1 - j))
+    # each t-number is one object, shared by the forms that read it
+    minus = [None] + [sym_minus(i) for i in range(1, n + 1)]
+    plus = [None] + [sym_plus(m) for m in range(1, n - 1)]
+    forms = {den: [(((i, j),), minus[i], plus[n - 1 - j])
                    for i in range(1, n - 1) for j in range(i, n - 1)]
-             + [(((i, n - 1), (i, n)), sym_minus(i)) for i in range(1, n - 1)],
-             den_long: [(((n - 1, n),), sym_minus(n - 2)),
-                        (((n - 1, n - 1), (n, n)), sym_minus(n))]}
+             + [(((i, n - 1), (i, n)), minus[i]) for i in range(1, n - 1)],
+             den_long: [(((n - 1, n),), minus[n - 2]), (((n - 1, n - 1), (n, n)), minus[n])]}
     # Q is the reduced lcm of den and den_long: for even n, t + t^-1 divides
     # both long-entry numerators
     return _pair_table(den_long if n % 2 else den, forms)
 
 
-_E6_EDGES = {(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)}
+_E6_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))
 
 
 def _simply_laced_b(rank: int, edges) -> tuple[tuple[int, ...], ...]:
-    """B = C of a simply-laced Dynkin graph: 2 on the diagonal, -1 at each edge (i, j), i < j."""
-    return tuple(tuple(2 if i == j else -1 if (min(i, j), max(i, j)) in edges else 0
-                       for j in range(1, rank + 1)) for i in range(1, rank + 1))
+    """B = C of a simply-laced Dynkin graph: 2 on the diagonal, -1 at each edge (i, j)."""
+    b = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        b[i - 1][j - 1] = b[j - 1][i - 1] = -1
+    return tuple(map(tuple, b))
 
 
 def _dn_t2_pairs(preset):
@@ -389,7 +415,7 @@ def build_preset(kind: str, n: int | None = None) -> AlgebraPreset:
         if n is None or n < 4:
             raise ValueError("the dn family needs n >= 4, got %r" % (n,))
         name, pair_table, lambdas = "d%d" % n, _dn_pair_table(n), _dn_lambdas(n)
-        b = _simply_laced_b(n, {(i, i + 1) for i in range(1, n - 2)} | {(n - 2, n - 1), (n - 2, n)})
+        b = _simply_laced_b(n, [(i, i + 1) for i in range(1, n - 2)] + [(n - 2, n - 1), (n - 2, n)])
         closure = ClosureSpec((_T2_ROW, (2 * n - 2, "1", 0, "1", "-1", None)),
                               _dn_t2_pairs, None, True)
     elif n is not None:

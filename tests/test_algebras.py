@@ -353,26 +353,40 @@ def test_pair_table_divides_each_entry_exactly_or_raises():
     off = sym_minus(1).shift(3)
     assert nums == ((sym_minus(1) * LaurentPoly({5: 1, 3: -1, 1: 1}), off),
                     (off, (sym_minus(2) * sym_plus(3)).shift(3)))
+    # a den of 2 (t^3 + t^-3) leaves the unit cofactor t^3 / 2
+    half = LaurentPoly({3: Fraction(1, 2)})
+    assert _pair_table(sym_plus(3), {LaurentPoly({3: 2, -3: 2}): [(((1, 1),), sym_minus(1))]}) \
+        == (q, ((sym_minus(1) * half,),))
     for den in (sym_plus(2), sym_plus(4)):
         with pytest.raises(ArithmeticError, match=re.escape(
                 "declared Q = %s is not a multiple of %s" % (q, den))):
             _pair_table(sym_plus(3), {den: [(((1, 1),), sym_minus(1))]})
 
 
-def _divmod_calls(monkeypatch, kind, n=None):
-    """The number of laurent_divmod calls that build_preset(kind, n) makes."""
-    calls = []
-    real = exactfield.laurent_divmod
+def _calls(monkeypatch, targets, fn):
+    """(the number of calls to targets while fn() runs, fn()'s result).
 
-    def counting(a, q):
-        calls.append(1)
-        return real(a, q)
+    targets holds (owner, name) pairs naming one callable, patched in each
+    owner that looks it up.
+    """
+    calls = []
+    real = getattr(*targets[0])
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(exactfield, "laurent_divmod", counting)
-        patch.setattr(algebras, "laurent_divmod", counting)
-        build_preset(kind, n)
-    return len(calls)
+        for owner, name in targets:
+            patch.setattr(owner, name, counting)
+        result = fn()
+    return len(calls), result
+
+
+def _divmod_calls(monkeypatch, kind, n=None):
+    """The number of laurent_divmod calls that build_preset(kind, n) makes."""
+    return _calls(monkeypatch, [(exactfield, "laurent_divmod"), (algebras, "laurent_divmod")],
+                  lambda: build_preset(kind, n))[0]
 
 
 @pytest.mark.parametrize("small,large", [(16, 64), (17, 65)])
@@ -388,6 +402,16 @@ def test_exceptional_builds_try_no_cofactor(monkeypatch, kind, forms):
     # no denominator of theirs divides Q: one division per distinct form,
     # and none for a cofactor that cannot exist
     assert _divmod_calls(monkeypatch, kind) == forms
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_dn_build_makes_one_product_per_entry(monkeypatch, n):
+    # each R_m = sym_plus(m) * Q / den is made once and each entry is the one
+    # product sym_minus(i) * R_m
+    products, preset = _calls(monkeypatch, [(LaurentPoly, "__mul__")],
+                              lambda: build_preset("dn", n))
+    nums = preset.pair_table[1]
+    assert products <= len({e for row in nums for e in row}) + 2 * n
 
 
 def test_pair_table_is_freed_with_its_preset():
@@ -426,30 +450,43 @@ def test_residual_failure_text_is_pinned(kind, n, i, j):
     assert out.failure == RESIDUAL_FAILURES[kind, n, i, j]
 
 
-# --- the parity of M: one accumulation per entry against whole products ------
+# --- the parity of M: reflection or accumulation, against whole products ------
+
+_PRODUCTS = [(LaurentPoly, "__mul__")]
+_ACCUMULATIONS = [(exactfield, "_add_scaled"), (algebras, "_add_scaled")]
+
 
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None)]
                          + [("dn", n) for n in (*range(4, 13), 32)])
-def test_m_parity_matches_the_product_oracle(kind, n):
+def test_m_parity_matches_the_product_oracle(monkeypatch, kind, n):
+    # every preset's Q is self-reciprocal, so its parity is read by
+    # reflection, with no product and no accumulation
     preset = build_preset(kind, n)
-    assert preset.m_parity == m_parity_by_products(preset) == (True, True)
+    assert _calls(monkeypatch, _PRODUCTS, lambda: _calls(
+        monkeypatch, _ACCUMULATIONS, lambda: preset.m_parity)) == (0, (0, (True, True)))
+    assert m_parity_by_products(preset) == (True, True)
 
 
-def test_m_parity_matches_the_product_oracle_on_a_non_palindromic_q(g2, e6, d5):
+def test_m_parity_matches_the_product_oracle_on_a_non_palindromic_q(monkeypatch, g2, e6, d5):
     # Q = det Mtilde' with Mtilde'_11 = t^2 + 1 - t^-2, as in the limit tests
-    # above, where M is not odd; and Q and N of each preset times 1 + 2t,
-    # which leaves M as it is
-    f = LaurentPoly({0: 1, 1: 2})
+    # above, where M is not odd; and Q and N of each preset times a factor
+    # that leaves M as it is: 1 + 2t, after which Q is not self-reciprocal
+    # and each entry is tested by accumulation, or t^2 - 1, after which Q is
+    # self-reciprocal with the sign u = -1 and is read by reflection
     cases = [(_consistent_preset(g2, laurent_sum(sym_minus(2), LaurentPoly.one())),
-              (True, False))]
+              (True, False), True)]
     for preset in (g2, e6, d5):
         q, nums = preset.pair_table
-        cases.append((replace_preset(preset, pair_table=(
-            q * f, tuple(tuple(e * f for e in row) for row in nums))), (True, True)))
-    for preset, parity in cases:
+        for f, accumulates in (LaurentPoly({0: 1, 1: 2}), True), (LaurentPoly({2: 1, 0: -1}), False):
+            cases.append((replace_preset(preset, pair_table=(
+                q * f, tuple(tuple(e * f for e in row) for row in nums))), (True, True),
+                accumulates))
+    for preset, parity, accumulates in cases:
         q = preset.pair_table[0]
         assert q.invert_var().shift(q.max_exp) != q
-        assert preset.m_parity == m_parity_by_products(preset) == parity
+        calls, got = _calls(monkeypatch, _ACCUMULATIONS, lambda: preset.m_parity)
+        assert got == m_parity_by_products(preset) == parity
+        assert (calls > 0) == accumulates
 
 
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 7),
@@ -457,14 +494,23 @@ def test_m_parity_matches_the_product_oracle_on_a_non_palindromic_q(g2, e6, d5):
 def test_m_parity_matches_the_product_oracle_on_corrupted_entries(kind, n):
     preset = build_preset(kind, n)
     q, nums = preset.pair_table
-    corrupted = {
+    terms = nums[0][1].terms
+    top = max(terms)
+    corrupted = [
         # an off-diagonal entry times t, a diagonal entry plus 1, and the
         # lower triangle negated (each entry stays odd)
-        (False, False): _replace_entry(nums, 0, 1, nums[0][1].shift(1)),
-        (True, False): _replace_entry(nums, 1, 1, laurent_sum(nums[1][1], LaurentPoly.one())),
-        (False, True): tuple(tuple(-e if j < i else e for j, e in enumerate(row))
-                             for i, row in enumerate(nums)),
-    }
-    for parity, table in corrupted.items():
+        ((False, False), _replace_entry(nums, 0, 1, nums[0][1].shift(1))),
+        ((True, False), _replace_entry(nums, 1, 1, laurent_sum(nums[1][1], LaurentPoly.one()))),
+        ((False, True), tuple(tuple(-e if j < i else e for j, e in enumerate(row))
+                              for i, row in enumerate(nums))),
+    ]
+    # in both triangles, an off-diagonal entry without its top term, whose
+    # reflection, its lowest term, stays, and one with its top coefficient
+    # doubled, whose reflection keeps its coefficient
+    for entry in (LaurentPoly({e: c for e, c in terms.items() if e != top}),
+                  LaurentPoly({**terms, top: 2 * terms[top]})):
+        corrupted.append(((True, False),
+                          _replace_entry(_replace_entry(nums, 0, 1, entry), 1, 0, entry)))
+    for parity, table in corrupted:
         bad = replace_preset(preset, pair_table=(q, table))
         assert bad.m_parity == m_parity_by_products(bad) == parity

@@ -62,13 +62,17 @@ def test_dn_ab_pairs_a_checkout_with_itself():
     proc = run_tool("dn_ab.py", os.path.dirname(TOOLS), "4")
     assert proc.returncode == 0, proc.stderr
     header, *lines = proc.stdout.splitlines()
-    assert header.split() == ["rank", "stage", "ratio", "ratio_iqr", "this_s", "other_s"]
+    assert header.split() == ["rank", "stage", "ratio", "ratio_iqr", "this_s", "other_s",
+                              "rounds"]
     assert [line.split()[:2] for line in lines] == [
         ["d4", stage] for stage in ("build", "verify_cartan", "m_parity", "bracket_sum",
                                     "build_t2", "verify_closure", "verify_all")]
     for line in lines:
-        ratio, iqr, this_s, other_s = map(float, line.split()[2:])
+        *seconds, rounds = line.split()[2:]
+        ratio, iqr, this_s, other_s = map(float, seconds)
         assert ratio > 0 and iqr >= 0 and this_s >= 0 and other_s >= 0, line
+        # the first round's time sets the count, clamped to 5..51
+        assert 5 <= int(rounds) <= 51, line
 
 
 @pytest.mark.parametrize("args", [(), ("no-such-checkout",), (".", "3")])

@@ -4,10 +4,13 @@
 It copies the src/wqalg tree of this checkout and of OTHER_CHECKOUT into a
 temporary directory, as the packages wqalg_this and wqalg_other, and runs
 the stages of tools/dn_stages.py (stage_seconds) on each, alternately in
-this one process: ROUNDS rounds per rank, each timing both checkouts, the
-first one in turn.  For each rank and stage it prints the median over the
-rounds of the ratio this / other of one round's seconds, the interquartile
-range of those ratios, and the median seconds of each side.  A ratio below 1
+this one process: rounds of both checkouts per rank, the first one in
+turn.  The first round's time sets their number: as many as fill BUDGET_S
+seconds, at least MIN_ROUNDS and at most MAX_ROUNDS; the first round
+carries the cold start, so it can only lower the number.  For each rank
+and stage it prints the median over the rounds of the ratio this / other
+of one round's seconds, the interquartile range of those ratios, the
+median seconds of each side and the number of rounds.  A ratio below 1
 means this checkout is faster.  Single runs on a shared host drift by 20-60%
 from one minute to the next, while ratios of runs made side by side hold
 within a few percent, so compare two checkouts with this, not with two
@@ -30,9 +33,13 @@ import shutil
 import statistics
 import sys
 import tempfile
+import time
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ROUNDS = 5
+BUDGET_S = 5.0
+# five rounds gave ratio IQRs of 0.05-0.58 at d16-d32 on a shared 2-vCPU
+# host; the cap keeps a d4 run, some 6 ms a round, to a fraction of a second
+MIN_ROUNDS, MAX_ROUNDS = 5, 51
 SIDES = ("this", "other")
 
 
@@ -52,14 +59,22 @@ def _stages_module(package: str):
 def paired_ratios(modules: dict, n: int, failures: list) -> dict:
     """{side: [seconds of each stage] per round} for rank n, the sides alternating first.
 
+    The first round's time sets the number of rounds (see the module notes).
     A stage that does not pass adds (side, n, stage, failure) to failures.
     """
     runs = {side: [] for side in SIDES}
-    for r in range(ROUNDS):
+
+    def one_round(r):
         for side in SIDES[::-1] if r % 2 else SIDES:
             found = []
             runs[side].append(modules[side].stage_seconds(n, found))
-            failures += [(side, n, stage, failure) for stage, failure in found]
+            failures.extend((side, n, stage, failure) for stage, failure in found)
+
+    start = time.perf_counter()
+    one_round(0)
+    fill = int(BUDGET_S / (time.perf_counter() - start))
+    for r in range(1, max(MIN_ROUNDS, min(MAX_ROUNDS, fill))):
+        one_round(r)
     return runs
 
 
@@ -89,14 +104,15 @@ def main(argv=None) -> int:
         finally:
             sys.path.remove(tmp)
         stages = modules["this"].STAGES
-        print("%-6s %-16s %10s %10s %10s %10s"
-              % ("rank", "stage", "ratio", "ratio_iqr", "this_s", "other_s"))
+        print("%-6s %-16s %10s %10s %10s %10s %6s"
+              % ("rank", "stage", "ratio", "ratio_iqr", "this_s", "other_s", "rounds"))
         failures = []
         for n in map(int, ranks):
             runs = paired_ratios(modules, n, failures)
             for i, stage in enumerate(stages):
                 row = summary([r[i] for r in runs["this"]], [r[i] for r in runs["other"]])
-                print("d%-5d %-16s %10.3f %10.3f %10.4f %10.4f" % (n, stage, *row), flush=True)
+                print("d%-5d %-16s %10.3f %10.3f %10.4f %10.4f %6d"
+                      % (n, stage, *row, len(runs["this"])), flush=True)
         for side, n, stage, failure in dict.fromkeys(failures):
             print("d%d %s did not pass in the %s checkout: %s" % (n, stage, side, failure),
                   file=sys.stderr)
