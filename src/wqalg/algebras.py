@@ -156,21 +156,27 @@ class AlgebraPreset:
         qt = q.terms
         m = max(qt)   # Q's min exponent is 0
         u = 1 if qt[m] == qt[0] else -1   # the test below refuses any other ratio
-        if all(qt.get(m - e) == u * c for e, c in qt.items()):
-            def odd(terms):
-                return all(terms.get(m - e) == -u * c for e, c in terms.items())
-        else:
-            def odd(terms):
-                acc = {}
-                for e, c in terms.items():
-                    _add_scaled(acc, -e, c, qt)
-                for e, c in qt.items():
-                    _add_scaled(acc, -e, c, terms)
-                return not acc
-
         symmetric = tuple(zip(*nums)) == nums
         rows = [row[i:] for i, row in enumerate(nums)] if symmetric else nums
-        return symmetric, all(odd(e.terms) for row in rows for e in row)
+        if all(qt.get(m - e) == u * c for e, c in qt.items()):
+            v = -u
+            for row in rows:
+                for entry in row:
+                    terms = entry.terms
+                    for e, c in terms.items():
+                        if terms.get(m - e) != v * c:
+                            return symmetric, False
+            return symmetric, True
+        for row in rows:
+            for entry in row:
+                acc = {}
+                for e, c in entry.terms.items():
+                    _add_scaled(acc, -e, c, qt)
+                for e, c in qt.items():
+                    _add_scaled(acc, -e, c, entry.terms)
+                if acc:
+                    return symmetric, False
+        return symmetric, True
 
 
 def _view(rows, den: LaurentPoly | None = None) -> FieldMatrix:
@@ -438,38 +444,74 @@ def build_preset(kind: str, n: int | None = None) -> AlgebraPreset:
                          lambdas=lambdas, b=b, closure=closure)
 
 
-def _identity_residual(preset: AlgebraPreset) -> str | None:
-    """Check M D^-1 Mtilde D^-1 = I exactly, without division; None if it holds.
+def _q_cartan(d: tuple[LaurentPoly, ...], mtilde: LaurentRows) -> tuple[LaurentPoly, list]:
+    """(L, Z) with Z = L D^-1 Mtilde in the Laurent ring, as a list of rows.
 
-    With M = N/Q, d_k = D_kk and L the product of the distinct d_k, the
+    With B = DC, Mtilde_kj = [r_k C_kj] and d_k = [r_k], so row k of
+    D^-1 Mtilde is Laurent: t^r_k + t^-r_k on the diagonal and -1 on each
+    simply-laced edge, the q-Cartan matrix of W_q(g).  Where d_k divides
+    every entry of row k, row k of Z is that row divided by d_k, one exact
+    laurent_divide per distinct pair of entry and d_k, times L.  L is the
+    product of the distinct d_k that do not divide their row, and such a
+    row of Z is Mtilde_kj (L/d_k).  So L is 1, and Z is the q-Cartan matrix
+    itself, on every correct preset.  d must have no zero entry.
+    """
+    quotients = {}   # (Mtilde entry, d_k) -> Mtilde entry / d_k, or None
+    rows = []        # row k of D^-1 Mtilde, or None where d_k does not divide it
+    for dk, row in zip(d, mtilde):
+        quo = []
+        for e in row:
+            if e:
+                key = e, dk
+                if key not in quotients:
+                    quotients[key] = laurent_divide(e, dk)
+                e = quotients[key]
+                if e is None:
+                    quo = None
+                    break
+            quo.append(e)
+        rows.append(quo)
+    undivided = dict.fromkeys(dk for dk, quo in zip(d, rows) if quo is None)
+    if not undivided:
+        return LaurentPoly.one(), rows
+    # L/d_k is the product of the other undivided diagonal entries
+    cof = {p: reduce(mul, (o for o in undivided if o != p), LaurentPoly.one())
+           for p in undivided}
+    big_l = reduce(mul, undivided, LaurentPoly.one())
+    return big_l, [[e * cof[dk] for e in row] if quo is None else [e * big_l for e in quo]
+                   for dk, row, quo in zip(d, mtilde, rows)]
+
+
+def _identity_residual(preset: AlgebraPreset) -> str | None:
+    """Check M D^-1 Mtilde D^-1 = I exactly, with no fraction; None if it holds.
+
+    With M = N/Q, d_k = D_kk and Z = L D^-1 Mtilde from _q_cartan, the
     identity reads
 
-        sum_k N_ik Mtilde_kj (L/d_k) = Q L d_j delta_ij
+        sum_k N_ik Z_kj = Q L d_j delta_ij
 
-    in the Laurent ring.  Over a field a one-sided inverse of a square matrix
-    is two-sided, so this proves that M is invertible with D M^-1 D = Mtilde,
-    that Mtilde is invertible with D Mtilde^-1 D = M, and that det M != 0.
-    Each entry is one term map, N_ik added once per term of the short
-    Mtilde_kj L/d_k, compared as it is with the right side's terms.  Returns
-    the failure, naming the first entry that breaks the identity.
+    in the Laurent ring, where L is 1 on every correct preset, so Z is the
+    q-Cartan matrix D^-1 Mtilde.  Over a field a one-sided inverse of a
+    square matrix is two-sided, so this proves that M is invertible with
+    D M^-1 D = Mtilde, that Mtilde is invertible with D Mtilde^-1 D = M,
+    and that det M != 0.  Each entry is one term map, N_ik added once per
+    term of the short Z_kj, compared as it is with the right side's terms.
+    Returns the failure, naming the first entry that breaks the identity;
+    it prints the canonical form of lhs / rhs, which does not depend on L.
     """
     r = preset.rank
     q, nums = preset.pair_table
-    d, mtilde = preset.d, preset.mtilde
+    d = preset.d
     for k, dk in enumerate(d):
         if not dk:
             return ("D entry (%d,%d) is %s; D must be diagonal with a nonzero diagonal"
                     % (k + 1, k + 1, dk))
-    distinct = dict.fromkeys(d)
-    # L/d_k is the product of the other distinct diagonal entries
-    cof = {p: reduce(mul, (o for o in distinct if o != p), LaurentPoly.one())
-           for p in distinct}
-    big_l = d[0] * cof[d[0]]
-    # column j of Mtilde D^-1, scaled by L, flattened: a (k, e, c) for each
-    # term c t^e of each nonzero Mtilde_kj L/d_k
-    cols = [[(k, e, c) for k in range(r) if mtilde[k][j]
-             for e, c in (mtilde[k][j] * cof[d[k]]).terms.items()] for j in range(r)]
-    diag = [q * big_l * dj for dj in d]
+    big_l, z = _q_cartan(d, preset.mtilde)
+    # column j of Z, flattened: a (k, e, c) for each term c t^e of each nonzero Z_kj
+    cols = [[(k, e, c) for k in range(r) if z[k][j] for e, c in z[k][j].terms.items()]
+            for j in range(r)]
+    ql = q * big_l
+    diag = [ql * dj for dj in d]
     for i in range(r):
         row = [n.terms for n in nums[i]]
         for j in range(r):
@@ -500,21 +542,22 @@ def _limit_failure(preset: AlgebraPreset) -> str | None:
 
     Each entry of Mtilde divided by (t - t^-1) and evaluated at t = 1 must
     give the symmetrized Cartan integer B_ij, and each d_i must give
-    B_ii / 2.  The residual of D M^-1 D does not see the sign of D, so the
-    limit of d is what fixes it.  The entries are Laurent, so each limit is
-    read off their terms (_classical_limit).  Returns the failure, naming
-    the first entry of d, then of Mtilde, with a pole or a differing limit.
+    B_ii / 2, a Fraction where B_ii is odd.  The residual of D M^-1 D does
+    not see the sign of D, so the limit of d is what fixes it.  The entries
+    are Laurent, so each limit is read off their terms (_classical_limit).
+    Returns the failure, naming the first entry of d, then of Mtilde, with a
+    pole or a differing limit.
     """
     expected = preset.b
     # D and Mtilde hold few distinct values: each limit is computed once
     limits = {e: _classical_limit(e)
               for e in {*preset.d, *(e for row in preset.mtilde for e in row)}}
     for i, e in enumerate(preset.d):
-        limit, half = limits[e], expected[i][i] // 2
+        limit, half = limits[e], _exact_quotient(expected[i][i], 2)
         if limit is None:
             return "limit of d_%d: %s divided by t - t^-1 has a pole at t = 1" % (i + 1, e)
         if limit != half:
-            return "limit of d_%d: got %s, expected %d" % (i + 1, limit, half)
+            return "limit of d_%d: got %s, expected %s" % (i + 1, limit, half)
     for i, row in enumerate(preset.mtilde):
         for j, e in enumerate(row):
             limit = limits[e]
@@ -530,10 +573,12 @@ def _limit_failure(preset: AlgebraPreset) -> str | None:
 def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
     """Check D M^-1 D against the printed deformed Cartan matrix, exactly.
 
-    Records two checks: the division-free residual of _identity_residual,
-    which also proves the dual identity D Mtilde^-1 D = M (identity_holds
-    records its result), and then, only if it holds, the normalized
-    classical limit of _limit_failure.
+    Records two checks: the residual of _identity_residual over the
+    q-Cartan matrix, sum_k N_ik Z_kj = Q L d_j delta_ij with
+    Z = L D^-1 Mtilde and L = 1 on every correct preset, which also proves
+    the dual identity D Mtilde^-1 D = M (identity_holds records its
+    result), and then, only if it holds, the normalized classical limit of
+    _limit_failure.
     """
     out = VerificationOutcome()
     residual = _identity_residual(preset)

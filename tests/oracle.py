@@ -1,7 +1,8 @@
 """Test-side oracles: exact evaluation, a Fraction-matrix inverse, matrix
 products over Laurent fractions, a symbol numerator summed over factor
 pairs, a bracket over all ordered pairs, the parity of M by whole products,
-and the Cartan identity and the pair table's closed forms at t = 2^K; and
+the Cartan residual cleared of D^-1 by every distinct d_k, and the Cartan
+identity and the pair table's closed forms at t = 2^K; and
 replace_preset, which builds a changed copy of a preset, and an_preset, the
 A_n control built from its published closed forms.  None of this is part of
 the package, and none of it shares code with the verification paths it checks.
@@ -166,6 +167,45 @@ def product_is_identity(*factors) -> bool:
         prod = fraction_matmul(prod, f)
     return all(num == (den if i == j else LaurentPoly.zero())
                for i, row in enumerate(prod) for j, (num, den) in enumerate(row))
+
+
+# --- the Cartan residual cleared by every distinct d_k ----------------------------
+
+def residual_cleared_by_every_d(preset):
+    """The failure of sum_k N_ik Mtilde_kj (L/d_k) = Q L d_j delta_ij, or None if it holds.
+
+    L is the product of all the distinct d_k, so every entry is cleared of
+    D^-1 whatever divides it; each side is built from whole LaurentPoly
+    products and sums.  The failure names the first entry, row by row, that
+    breaks the identity, and prints the canonical form of lhs / rhs, in the
+    words of verify_cartan; a zero d_k is named before any entry.
+    """
+    q, nums = preset.pair_table
+    d, mtilde = preset.d, preset.mtilde
+    r = len(d)
+    for k, dk in enumerate(d):
+        if not dk:
+            return ("D entry (%d,%d) is %s; D must be diagonal with a nonzero diagonal"
+                    % (k + 1, k + 1, dk))
+
+    def product(polys):
+        out = LaurentPoly.one()
+        for p in polys:
+            out = out * p
+        return out
+
+    distinct = list(dict.fromkeys(d))
+    big_l = product(distinct)
+    scaled = [[mtilde[k][j] * product(o for o in distinct if o != d[k]) for j in range(r)]
+              for k in range(r)]
+    for i in range(r):
+        for j in range(r):
+            lhs = laurent_sum(*(nums[i][k] * scaled[k][j] for k in range(r)))
+            rhs = q * big_l * d[j]
+            if lhs != (rhs if i == j else LaurentPoly.zero()):
+                return ("entry (%d,%d) of M D^-1 Mtilde D^-1: computed %s, expected %d"
+                        % (i + 1, j + 1, RationalFunction(lhs, rhs), i == j))
+    return None
 
 
 # --- brackets of monomial sums ---------------------------------------------------

@@ -6,9 +6,12 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle import (cartan_identity_at_two_to_the_k, evaluate, laurent_sum,
-                    m_parity_by_products, pair_table_at_two_to_the_k, replace_preset)
+from oracle import (an_preset, cartan_identity_at_two_to_the_k, evaluate, laurent_sum,
+                    m_parity_by_products, pair_table_at_two_to_the_k, replace_preset,
+                    residual_cleared_by_every_d)
 from wqalg import algebras, build_preset, exactfield, verify_all, verify_cartan
 from wqalg.algebras import _classical_limit, _pair_table
 from wqalg.exactfield import LaurentPoly, RationalFunction, sym_minus, sym_plus
@@ -514,3 +517,123 @@ def test_m_parity_matches_the_product_oracle_on_corrupted_entries(kind, n):
     for parity, table in corrupted:
         bad = replace_preset(preset, pair_table=(q, table))
         assert bad.m_parity == m_parity_by_products(bad) == parity
+
+
+# --- the residual over the q-Cartan matrix Z = L D^-1 Mtilde -------------------
+
+def _q_cartan_entry(r, c):
+    """[r c] / [r] for a Cartan integer c: sign(c) (t^(r(|c|-1)) + ... + t^(-r(|c|-1)))."""
+    sign = 1 if c > 0 else -1
+    return LaurentPoly({r * (abs(c) - 1 - 2 * m): sign for m in range(abs(c))})
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None)]
+                         + [("dn", n) for n in (*range(4, 13), 32)]
+                         + [("an", n) for n in range(1, 9)])
+def test_q_cartan_of_a_correct_preset_clears_nothing(kind, n):
+    # d_k = [r_k] divides row k of Mtilde = [B]: L is 1 and Z = D^-1 Mtilde is
+    # the q-Cartan matrix, t^r_k + t^-r_k on the diagonal
+    preset = an_preset(n) if kind == "an" else build_preset(kind, n)
+    big_l, z = algebras._q_cartan(preset.d, preset.mtilde)
+    assert big_l == LaurentPoly.one()
+    for k, (row_b, row_z) in enumerate(zip(preset.b, z)):
+        r = row_b[k] // 2
+        assert list(row_z) == [_q_cartan_entry(r, bkj // r) for bkj in row_b]
+
+
+def _undivided(name, g2, d5, e6):
+    """A preset in which some d_k does not divide row k of Mtilde, and its L."""
+    return {
+        "g2 Mtilde_21 = [2]": (replace_preset(g2, mtilde=_replace_entry(
+            g2.mtilde, 1, 0, sym_minus(2))), sym_minus(3)),
+        "g2 d_2 = [2]": (replace_preset(g2, d=(g2.d[0], sym_minus(2))), sym_minus(2)),
+        "d5 d_1 = [2]": (replace_preset(d5, d=(sym_minus(2),) + d5.d[1:]), sym_minus(2)),
+        "e6 d_6 = [3]": (replace_preset(e6, d=e6.d[:5] + (sym_minus(3),)), sym_minus(3)),
+        # two undivided rows: L = [2] [4], and row k of Z is Mtilde_kj L / d_k
+        "g2 d = ([2], [4])": (replace_preset(g2, d=(sym_minus(2), sym_minus(4))),
+                              sym_minus(2) * sym_minus(4)),
+        # M = D Mtilde^-1 D with D = diag([1], [2]), then diag([2], [4]): the
+        # residual holds with L = [2], then with L = [2] [4]
+        "g2 consistent, d_2 = [2]": (_consistent_preset(g2, g2.mtilde[0][0],
+                                                        (g2.d[0], sym_minus(2))), sym_minus(2)),
+        "g2 consistent, d = ([2], [4])": (
+            _consistent_preset(g2, g2.mtilde[0][0], (sym_minus(2), sym_minus(4))),
+            sym_minus(2) * sym_minus(4)),
+    }[name]
+
+
+# verify_cartan's failures on those presets, recorded while the residual was
+# cleared by the product of every distinct d_k
+UNDIVIDED_FAILURES = {
+    "g2 Mtilde_21 = [2]": "entry (1,1) of M D^-1 Mtilde D^-1: computed "
+                          "(t^8 + t^6 + t^5 + t^3 + t^2 + 1) / (t^8 - t^4 + 1), expected 1",
+    "g2 d_2 = [2]": "entry (1,1) of M D^-1 Mtilde D^-1: computed "
+                    "(t^10 - t^9 + 2*t^8 - 2*t^7 + t^6 - 3*t^5 + t^4 - 2*t^3 + 2*t^2 - t + 1) / "
+                    "(t^10 + t^8 - t^6 - t^4 + t^2 + 1), expected 1",
+    "d5 d_1 = [2]": "entry (1,1) of M D^-1 Mtilde D^-1: computed "
+                    "(t^8 - t^7 - t^3 + t^2) / (t^10 + t^8 + t^2 + 1), expected 1",
+    "e6 d_6 = [3]": "entry (1,3) of M D^-1 Mtilde D^-1: computed "
+                    "(t^8 + t^4) / (t^12 + t^10 - t^6 + t^2 + 1), expected 0",
+    "g2 d = ([2], [4])": "entry (1,1) of M D^-1 Mtilde D^-1: computed "
+                         "(t^14 - t^10 - t^8 - t^6 + t^2) / "
+                         "(t^16 + 2*t^14 + t^12 + t^4 + 2*t^2 + 1), expected 1",
+    "g2 consistent, d_2 = [2]": "limit of d_2: got 2, expected 3",
+    "g2 consistent, d = ([2], [4])": "limit of d_1: got 2, expected 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDIVIDED_FAILURES))
+def test_undivided_rows_keep_the_verdict_text(name, g2, d5, e6):
+    preset, big_l = _undivided(name, g2, d5, e6)
+    assert algebras._q_cartan(preset.d, preset.mtilde)[0] == big_l
+    out = verify_cartan(preset)
+    assert not out.passed
+    assert out.identity_holds == name.startswith("g2 consistent")
+    assert out.failure == UNDIVIDED_FAILURES[name]
+    assert residual_cleared_by_every_d(preset) == (None if out.identity_holds else out.failure)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_residual_matches_the_oracle_on_single_entry_corruptions(g2, d5, e6, data):
+    # one entry of Mtilde, d or N set to a t-number or moved by one term; a
+    # t-number on d or Mtilde often leaves a row that d_k does not divide
+    preset = data.draw(st.sampled_from([g2, d5, e6]))
+    table = data.draw(st.sampled_from(["mtilde", "d", "N"]))
+    i, j = data.draw(st.tuples(st.integers(0, preset.rank - 1), st.integers(0, preset.rank - 1)))
+    q, nums = preset.pair_table
+    old = preset.d[i] if table == "d" else (preset.mtilde if table == "mtilde" else nums)[i][j]
+    value = data.draw(st.one_of(
+        st.integers(-6, 6).map(algebras._t_number),
+        st.tuples(st.integers(-4, 4), st.sampled_from([-2, -1, 1, 2])).map(
+            lambda ec: laurent_sum(old, LaurentPoly({ec[0]: ec[1]})))))
+    if table == "d":
+        bad = replace_preset(preset, d=preset.d[:i] + (value,) + preset.d[i + 1:])
+    elif table == "mtilde":
+        bad = replace_preset(preset, mtilde=_replace_entry(preset.mtilde, i, j, value))
+    else:
+        bad = replace_preset(preset, pair_table=(q, _replace_entry(nums, i, j, value)))
+    out, expected = verify_cartan(bad), residual_cleared_by_every_d(bad)
+    assert out.identity_holds == (expected is None)
+    if expected is not None:
+        assert out.failure == expected
+
+
+@pytest.mark.parametrize("kind,n,adds", [("dn", 32, 4032), ("e6", None, 132), ("g2", None, 16)])
+def test_residual_adds_each_term_of_z_once_per_row_of_n(monkeypatch, kind, n, adds):
+    # entry (i, j) adds N_ik once per term of Z_kj, so each of the r rows of N
+    # costs the total term count of Z's columns
+    preset = build_preset(kind, n)
+    z = algebras._q_cartan(preset.d, preset.mtilde)[1]
+    calls, out = _calls(monkeypatch, [(algebras, "_add_scaled")], lambda: verify_cartan(preset))
+    assert out.passed
+    assert calls == preset.rank * sum(len(e) for row in z for e in row) == adds
+
+
+def test_verify_cartan_names_a_half_integral_limit_of_d(g2):
+    # B_11 = 3 with Mtilde_11 = [3] and d_1 = [1]: the residual holds, and the
+    # limit of d_1 is 1, not B_11 / 2 = 3/2
+    preset = replace_preset(_consistent_preset(g2, sym_minus(3)), b=((3, -3), (-3, 6)))
+    out = verify_cartan(preset)
+    assert out.identity_holds and not out.passed
+    assert out.failure == "limit of d_1: got 1, expected 3/2"
