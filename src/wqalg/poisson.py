@@ -31,10 +31,15 @@ frozenset of the numerator's term items.  It stores successful splits
 only, and stops storing at _SPLIT_TABLE_CAP entries; a new preset starts
 with an empty table.
 
-bracket_sum makes no monomial product, and does the work of a split once
-per split class: the pairs that share one symbol numerator (the 2,080
-unordered pairs of the D_32 first series fall into 35).  The first pair of
-a class splits its numerator and checks its base; that leaves a plan, the
+bracket_sum makes no monomial product.  It sums one symbol numerator per
+unordered pair, or, in a self-bracket of a series that equals its dual
+shifted by c, coefficients included (the D_n and G2 first series), one per
+two dual partners {x, y} and {y*, x*}, where m* = dual(m)(zq^c): M
+symmetric gives the ordered pair (y*, x*) the numerator of (x, y).  So the
+2,080 unordered pairs of the D_32 first series take 1,056 numerators.  It
+does the work of a split once per split class: the pairs that share one
+symbol numerator (those 2,080 pairs fall into 35).  The first pair of a
+class splits its numerator and checks its base; that leaves a plan, the
 pair-sum map and signed coefficient of each kept delta, which every later
 pair of the class applies after one lookup.  It accumulates each C(a) as a
 pair sum, whose key stands for the product of two of its monomials, and
@@ -51,6 +56,9 @@ with the shifted series it names.
 verify_closure and verify_all record every check through
 VerificationOutcome.check (ClosureOutcome is a VerificationOutcome that
 also carries the bracket report and, for e6, the derived second series).
+The closure keeps each series it builds, and verify_all's duality checks
+read them from it: one verify_all(e6) builds T1 once for the bracket and
+T5 once (which builds T1 once more).
 
 Records go to the wqalg.poisson logger, at INFO: from bracket_sum when
 some delta-series coefficient is not +-1, and from extract_t2_e6 when the
@@ -309,6 +317,26 @@ class BracketReport:
         return " + ".join(parts)
 
 
+def _dual_pairing(monos, coeffs):
+    """The list pi with monos[pi[n]] = monos[n].dual().shift_arg(c), or None.
+
+    c is the least plus the greatest shift of any factor, the one shift under
+    which the series can equal its dual.  pi exists when every image is
+    among monos and has the coefficient (coeffs[n]) of its preimage.  The
+    monomials are indexed by their factors, so none is hashed.
+    """
+    shifts = [a for m in monos for _, a, _ in m.factors]
+    c = min(shifts) + max(shifts) if shifts else 0
+    index = {m.factors: n for n, m in enumerate(monos)}
+    pi = []
+    for m, u in zip(monos, coeffs):
+        n = index.get(m.dual().shift_arg(c).factors)
+        if n is None or coeffs[n] != u:
+            return None
+        pi.append(n)
+    return pi
+
+
 def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                 preset: AlgebraPreset) -> BracketReport:
     """Bracket two monomial sums; all pairs must share one base coefficient.
@@ -320,16 +348,30 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     its delta (a, c) becomes (-a, -c).  So each unordered pair is split once
     and the diagonal counted once.
 
+    A self-bracket whose series equals its dual shifted by c, coefficients
+    included, halves that again (_dual_pairing; D_n and G2 first series,
+    not E6's).  With m* = dual(m)(zq^c), symbol(y*, x*) sums
+    (-f)(-e) M_ji(t) t^((c-a)-(c-b)) over the factors Y_i(zq^a)^e of x and
+    Y_j(zq^b)^f of y, and M symmetric makes that symbol(x, y): so the
+    ordered pair (y*, x*) has the numerator, and the deltas, of (x, y), and
+    the unordered pair {y*, x*} is written with the plan of {x, y}, the
+    forward halves at (y*, x*) and the reverse ones at (x*, y*).  Of two
+    such partners the first in (n, k) order sums the numerator and writes
+    both; a pair that is its own partner is written once.
+
     The pairs are visited in order of the sorted monomials, (n, k) with
     n <= k, and grouped into split classes by their numerators' terms.  The
     first pair of a class splits its numerator (_split_numerator) and
     checks its alpha against the base; it records the class's plan: the
     pair-sum map and signed coefficient of each kept forward and reverse
     delta, and the coefficient of Delta(0).  So a failure names the first
-    pair, in that order, that does not split or has another alpha; each
-    later pair costs its numerator, one lookup and one store per kept delta.
-    The coefficients of the two series are read once into lists indexed
-    like the monomials, and the nodes of every monomial are checked once.
+    pair, in that order, that does not split or has another alpha: a pair
+    left to its dual partner has the partner's numerator or its t -> 1/t
+    reflection, which M odd splits exactly when it does, with the same
+    alpha, and the partner came first.  Each later pair of a class costs
+    its numerator, one lookup and one store per kept delta.  The
+    coefficients of the two series are read once into lists indexed like
+    the monomials, and the nodes of every monomial are checked once.
 
     No monomial product is made here: acc[a] holds C(a) as a pair sum over
     the sorted monomials, key l * len(monos) + r for monos[l] * monos[r](zq^-a),
@@ -356,10 +398,22 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     size, nums = len(monos), preset.pair_table[1]
     tco = [t.get(m, 0) for m in monos]
     sco = tco if self_bracket else [s.get(m, 0) for m in monos]
+    pi = _dual_pairing(monos, tco) if self_bracket else None
     plans = {}      # frozenset of a numerator's terms -> the plan of its split class
     for n, x in enumerate(monos):
         tx, sx, xrows = tco[n], sco[n], {}
+        pn = pi[n] if pi else None
         for k in range(n, size):
+            # the forward and reverse keys of this pair, then of its dual partner
+            nk = n * size + k
+            keys = ((nk, k * size + n),)
+            if pi:
+                pk = pi[k]
+                partner = pk * size + pn if pk <= pn else pn * size + pk
+                if partner < nk:    # its writes are done
+                    continue
+                if partner != nk:
+                    keys += ((pk * size + pn, pn * size + pk),)
             forward, reverse = tx * sco[k], (tco[k] * sx if k != n else 0)
             if not (forward or reverse):
                 continue
@@ -387,14 +441,15 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                      if a and (a > 0 or not self_bracket)],
                     deltas.get(0, 0))
             halves, reversed_halves, zero = plan
-            if forward:
-                for sums, c in halves:
-                    sums[n * size + k] = forward * c
-            if reverse:
-                for sums, c in reversed_halves:
-                    sums[k * size + n] = reverse * c
-            if zero and forward != reverse:
-                acc.setdefault(0, {})[n * size + k] = (forward - reverse) * zero
+            for fkey, rkey in keys:
+                if forward:
+                    for sums, c in halves:
+                        sums[fkey] = forward * c
+                if reverse:
+                    for sums, c in reversed_halves:
+                        sums[rkey] = reverse * c
+                if zero and forward != reverse:
+                    acc.setdefault(0, {})[fkey] = (forward - reverse) * zero
     # a plan makes the maps of its class's shifts; drop those no pair wrote to
     acc = {a: sums for a, sums in acc.items() if sums}
     report = BracketReport(preset.name, base or 0, {})
@@ -451,6 +506,7 @@ class ClosureOutcome(VerificationOutcome):
         super().__init__()
         self.report: BracketReport | None = None
         self.derived: DerivedSeries | None = None   # e6 only: the derived second series
+        self._series = {}   # name -> each series the verification built (_named_series)
 
 
 def _is_t2_pair_sum(report: BracketReport, preset: AlgebraPreset) -> bool:
@@ -489,10 +545,16 @@ def _match_series(out, report, shift, expected, label, good=None):
                                             expected.terms.get(first, 0)))
 
 
-def _named_series(name: str, preset: AlgebraPreset, t1: SeriesExpr) -> SeriesExpr:
-    """The series a closure spec names, built by the module attribute read now."""
-    return {"1": SeriesExpr.one, "T1": lambda: t1, "T2": lambda: genexpr.build_t2(preset),
-            "T5": lambda: build_t5_e6(preset)}[name]()
+def _named_series(name: str, preset: AlgebraPreset, built: dict) -> SeriesExpr:
+    """The series a closure spec names, kept in built (which holds "T1").
+
+    A series not in built yet is built by the module attribute read now.
+    """
+    got = built.get(name)
+    if got is None:
+        got = built[name] = {"1": SeriesExpr.one, "T2": lambda: genexpr.build_t2(preset),
+                             "T5": lambda: build_t5_e6(preset)}[name]()
+    return got
 
 
 def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
@@ -504,10 +566,12 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
     the pairs of T2, building T2 only on a mismatch; a row with no series
     records C(-2) as the derived second series (E6).  Every spec holds one
     orientation: delta(w/zq^2) carries T2(z), and for E6 delta(w/zq^8)
-    carries T5(zq^4); the flipped orientation fails.
+    carries T5(zq^4); the flipped orientation fails.  Each series it builds
+    is kept in the outcome's _series, for verify_all to read again.
     """
     out = ClosureOutcome()
     t1 = build_t1(preset)
+    built = out._series = {"T1": t1}
     try:
         report = out.report = bracket_sum(t1, t1, preset)
     except ValueError as exc:
@@ -540,13 +604,13 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
         if name == "T2" and _is_t2_pair_sum(report, preset):
             ok = out.check(True, "C(-2) = T2(z)", "")
         else:
-            series = _named_series(name, preset, t1)
+            series = _named_series(name, preset, built)
             ok = _match_series(out, report, -b, series.shift_arg(by), label, good)
         if ok and name == "T2":
             out.details.append("orientation: delta(w/zq^2) carries T2(z), "
                                "delta(wq^2/z) carries -T2(w)")
         if b not in report._mirrored:
-            series = series or _named_series(name, preset, t1)
+            series = series or _named_series(name, preset, built)
             _match_series(out, report, b, -series.shift_arg(by - b), mirror_label)
         elif ok:
             # a mirrored C(+b) matches iff C(-b) did, so the check just made is its
@@ -614,13 +678,14 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
     check(closure.passed, "closure of {T1(z), T1(w)}", closure.failure)
     out.details.extend("  " + d for d in closure.details)
 
-    dual = preset.closure.dual
+    # T1 and any series the closure built are read from it, not built again
+    dual, built = preset.closure.dual, closure._series
     if dual:
-        label, _, ok = dual_identity(preset)
-        check(ok, "duality: dual_transform(T1) = %s(zq^12)" % label,
-              "duality: dual_transform(T1) != %s(zq^12)" % label)
+        _, ok = _dual_identity(preset, built)
+        check(ok, "duality: dual_transform(T1) = %s(zq^12)" % dual,
+              "duality: dual_transform(T1) != %s(zq^12)" % dual)
     if dual == "T5":
-        check(build_t5_e6(preset) != build_t1(preset),
+        check(_named_series("T5", preset, built) != built["T1"],
               "T5 and T1 are distinct series", "T5 equals T1")
     return out
 
@@ -633,6 +698,10 @@ def dual_identity(preset: AlgebraPreset) -> tuple[str, SeriesExpr, bool]:
     label = preset.closure.dual
     if label is None:
         raise ValueError("the dual transform identity applies to e6 and g2 only")
-    t1 = build_t1(preset)
-    t1_dual = t1.dual()
-    return label, t1_dual, t1_dual == _named_series(label, preset, t1).shift_arg(12)
+    return (label,) + _dual_identity(preset, {"T1": build_t1(preset)})
+
+
+def _dual_identity(preset: AlgebraPreset, built: dict) -> tuple[SeriesExpr, bool]:
+    """(dual_transform(T1), whether it is T(zq^12)), reading T1 and T through built."""
+    t1_dual = built["T1"].dual()
+    return t1_dual, t1_dual == _named_series(preset.closure.dual, preset, built).shift_arg(12)

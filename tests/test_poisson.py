@@ -13,8 +13,8 @@ import wqalg.algebras as algebras_mod
 import wqalg.exactfield as exactfield
 import wqalg.genexpr as genexpr_mod
 import wqalg.poisson as poisson_mod
-from oracle import (antisymmetry_ok, assert_int_valued, direct_symbol_numerator, evaluate,
-                    int_valued, laurent_sum, ordered_pair_bracket, replace_preset)
+from oracle import (an_preset, antisymmetry_ok, assert_int_valued, direct_symbol_numerator,
+                    evaluate, int_valued, laurent_sum, ordered_pair_bracket, replace_preset)
 from wqalg import (NonUniformBaseError, NotDecomposableError, bracket_sum,
                    build_preset, decompose, extract_t2_e6, symbol, verify_all,
                    verify_closure)
@@ -607,8 +607,28 @@ def test_bracket_sum_matches_ordered_pair_oracle_on_sub_series(kind, n, case, da
         assert antisymmetry_ok(report) == (True, None)
 
 
+def dual_partner(series):
+    """m -> m*, the dual of m shifted by the least plus the greatest factor shift,
+    when that maps the series onto itself with its coefficients; else m -> m."""
+    shifts = [a for m in series.terms for _, a, _ in m.factors]
+    c = min(shifts) + max(shifts)
+    star = {m: YMonomial.from_factors((i, c - a, -e) for i, a, e in m.factors)
+            for m in series.terms}
+    if all(series.terms.get(star[m]) == u for m, u in series.terms.items()):
+        return star
+    return {m: m for m in series.terms}
+
+
+# numerators summed by bracket_sum(T1, T1): (P + F) / 2 of the P unordered
+# pairs, F of them fixed by the dual pairing; E6's T1 is not self-dual, so
+# it sums all P = 378
+DUAL_ORBIT_NUMERATORS = {"g2": 16, "e6": 378, "d4": 20, "d7": 56}
+
+
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 7)])
 def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
+    # each unordered pair is either computed or is the dual partner
+    # {y*, x*} of exactly one computed pair {x, y}, which shares its numerator
     preset = build_preset(kind, n)
     calls = []
 
@@ -619,9 +639,81 @@ def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
     monkeypatch.setattr(poisson_mod, "_numerator_terms", counting)
     t1 = build_t1(preset)
     bracket_sum(t1, t1, preset)
-    k = len(t1)
-    assert len(calls) == k * (k + 1) // 2
-    assert len(set(calls)) == len(calls)
+    lams = list(t1.terms)
+    pairs = {frozenset((x, y)) for i, x in enumerate(lams) for y in lams[i:]}
+    star = dual_partner(t1)
+
+    def partner(pair):
+        return frozenset(star[m] for m in pair)
+
+    fixed = sum(1 for pair in pairs if partner(pair) == pair)
+    assert len(calls) == (len(pairs) + fixed) // 2 == DUAL_ORBIT_NUMERATORS[preset.name]
+    computed = {frozenset(xy) for xy in calls}
+    assert len(computed) == len(calls)
+    assert all(len({pair, partner(pair)} & computed) == 1 for pair in pairs)
+
+
+def _pairing(series):
+    """bracket_sum's dual pairing of a series, over its sorted monomials."""
+    monos = sorted(series.terms, key=lambda m: m.factors)
+    return monos, poisson_mod._dual_pairing(monos, [series.terms[m] for m in monos])
+
+
+@pytest.mark.parametrize("kind,n", [("dn", n) for n in range(4, 13)]
+                         + [("dn", 32), ("g2", None), ("an", 1)])
+def test_dual_pairing_is_an_involution(kind, n):
+    # dual(T1)(zq^c) = T1 with c = -(2n - 2) on D_n, -12 on G2 and -2 on A_1
+    preset = an_preset(n) if kind == "an" else build_preset(kind, n)
+    monos, pi = _pairing(build_t1(preset))
+    c = -(2 * n - 2) if kind == "dn" else {"g2": -12, "an": -2}[kind]
+    assert sorted(pi) == list(range(len(monos)))
+    assert all(pi[pi[k]] == k for k in range(len(monos)))
+    assert [monos[k] for k in pi] == [m.dual().shift_arg(c) for m in monos]
+
+
+@pytest.mark.parametrize("kind,n", [("e6", None)] + [("an", n) for n in range(2, 9)])
+def test_dual_pairing_is_none_off_self_dual_series(kind, n):
+    preset = an_preset(n) if kind == "an" else build_preset(kind, n)
+    assert _pairing(build_t1(preset))[1] is None
+
+
+def dual_closed_series(lambdas, unequal):
+    """Unions of dual orbits {m, m*} of T1, one int or Fraction coefficient per
+    orbit; with unequal, one orbit of two monomials carries two coefficients."""
+    star = dual_partner(SeriesExpr((m, 1) for m in lambdas))
+    orbits = list({frozenset((m, star[m])) for m in lambdas})
+    coeffs = st.one_of(st.integers(-3, 3),
+                       st.fractions(min_value=-2, max_value=2, max_denominator=3)).filter(bool)
+
+    @st.composite
+    def build(draw):
+        chosen = draw(st.lists(st.sampled_from(orbits), min_size=1, max_size=4, unique=True)
+                      .filter(lambda os: not unequal or any(len(o) == 2 for o in os)))
+        terms = {}
+        for orbit in chosen:
+            u = draw(coeffs)
+            terms.update((m, u) for m in orbit)
+        if unequal:
+            m = min((m for o in chosen if len(o) == 2 for m in o), key=lambda m: m.factors)
+            terms[m] = draw(coeffs.filter(lambda v: v != terms[m]))
+        return SeriesExpr(terms.items())
+
+    return build()
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("dn", 4), ("dn", 5), ("dn", 7)])
+@pytest.mark.parametrize("unequal", [False, True])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_bracket_sum_over_dual_orbits_matches_ordered_pair_oracle(kind, n, unequal, data):
+    # a dual-closed series with orbit-constant coefficients has a pairing and
+    # sums one numerator per pair of dual pairs; one unequal orbit has none
+    preset, oracle_preset = _engine_and_oracle_presets(kind, n)
+    t = data.draw(dual_closed_series(preset.lambdas, unequal))
+    assert (_pairing(t)[1] is None) == unequal
+    report = bracket_sum(t, t, preset)
+    base, deltas = ordered_pair_bracket(t, t, oracle_preset)
+    assert (report.base_coeff, report.delta_terms) == (base, deltas)
 
 
 def counting_products(monkeypatch):
@@ -1077,6 +1169,27 @@ def test_verify_all_passes(g2, e6, d4):
     for preset in (g2, e6, d4):
         out = verify_all(preset)
         assert out.passed, (preset.name, out.failure)
+
+
+@pytest.mark.parametrize("kind,t1_builds,t5_builds", [("e6", 2, 1), ("g2", 1, 0)])
+def test_verify_all_builds_each_series_once(kind, t1_builds, t5_builds, monkeypatch):
+    # the closure keeps the series it builds, and the duality checks read them:
+    # E6 builds T1 for the bracket and once more inside its one build of T5
+    built = []
+
+    def counting(name, build):
+        def wrapper(preset):
+            built.append(name)
+            return build(preset)
+        return wrapper
+
+    t1 = counting("T1", genexpr_mod.build_t1)
+    monkeypatch.setattr(genexpr_mod, "build_t1", t1)
+    monkeypatch.setattr(poisson_mod, "build_t1", t1)
+    monkeypatch.setattr(poisson_mod, "build_t5_e6", counting("T5", genexpr_mod.build_t5_e6))
+    out = verify_all(build_preset(kind))
+    assert out.passed, out.failure
+    assert (built.count("T1"), built.count("T5")) == (t1_builds, t5_builds)
 
 
 def test_verify_all_memory_at_d32():
