@@ -178,6 +178,22 @@ class AlgebraPreset:
                     return symmetric, False
         return symmetric, True
 
+    @cached_property
+    def cartan_residual(self) -> tuple[str | None, list, tuple]:
+        """(failure, cols, ld): the residual of M D^-1 Mtilde D^-1 = I, once per preset.
+
+        failure is None when the residual holds, else the text naming the
+        first entry that breaks it (_identity_residual); verify_cartan reads
+        it.  cols[i] is column i of Z = L D^-1 Mtilde (_q_cartan) as
+        (k, e, c) triples, k 0-based, one per term c t^e of each nonzero
+        Z_ki: the factors Y_(k+1)(zq^(b+e))^c of A_(i+1)(zq^b).  ld[k] is
+        L d_k.  Where the residual holds, N Z = Q L D makes each lowering
+        step by an A_i exact on symbols, and poisson.bracket_sum derives its
+        splits along such steps.  cols and ld are empty when D has a zero
+        entry.
+        """
+        return _identity_residual(self)
+
 
 def _view(rows, den: LaurentPoly | None = None) -> FieldMatrix:
     """Laurent rows over den as canonical rational functions, for display.
@@ -482,8 +498,8 @@ def _q_cartan(d: tuple[LaurentPoly, ...], mtilde: LaurentRows) -> tuple[LaurentP
                    for dk, row, quo in zip(d, mtilde, rows)]
 
 
-def _identity_residual(preset: AlgebraPreset) -> str | None:
-    """Check M D^-1 Mtilde D^-1 = I exactly, with no fraction; None if it holds.
+def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
+    """Check M D^-1 Mtilde D^-1 = I exactly, with no fraction: the cartan_residual.
 
     With M = N/Q, d_k = D_kk and Z = L D^-1 Mtilde from _q_cartan, the
     identity reads
@@ -496,8 +512,8 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
     D M^-1 D = Mtilde, that Mtilde is invertible with D Mtilde^-1 D = M,
     and that det M != 0.  Each entry is one term map, N_ik added once per
     term of the short Z_kj, compared as it is with the right side's terms.
-    Returns the failure, naming the first entry that breaks the identity;
-    it prints the canonical form of lhs / rhs, which does not depend on L.
+    The failure names the first entry that breaks the identity; it prints
+    the canonical form of lhs / rhs, which does not depend on L.
     """
     r = preset.rank
     q, nums = preset.pair_table
@@ -505,24 +521,23 @@ def _identity_residual(preset: AlgebraPreset) -> str | None:
     for k, dk in enumerate(d):
         if not dk:
             return ("D entry (%d,%d) is %s; D must be diagonal with a nonzero diagonal"
-                    % (k + 1, k + 1, dk))
+                    % (k + 1, k + 1, dk)), [], ()
     big_l, z = _q_cartan(d, preset.mtilde)
     # column j of Z, flattened: a (k, e, c) for each term c t^e of each nonzero Z_kj
     cols = [[(k, e, c) for k in range(r) if z[k][j] for e, c in z[k][j].terms.items()]
             for j in range(r)]
-    ql = q * big_l
-    diag = [ql * dj for dj in d]
+    ld = d if big_l == LaurentPoly.one() else tuple(big_l * dj for dj in d)
     for i in range(r):
         row = [n.terms for n in nums[i]]
         for j in range(r):
             acc = {}
             for k, e, c in cols[j]:
                 _add_scaled(acc, e, c, row[k])
-            if acc != (diag[j].terms if i == j else {}):
+            if acc != ((q * ld[j]).terms if i == j else {}):
                 lhs = LaurentPoly._raw(_int_valued(acc))
                 return ("entry (%d,%d) of M D^-1 Mtilde D^-1: computed %s, expected %d"
-                        % (i + 1, j + 1, RationalFunction(lhs, diag[j]), i == j))
-    return None
+                        % (i + 1, j + 1, RationalFunction(lhs, q * ld[j]), i == j)), cols, ld
+    return None, cols, ld
 
 
 def _classical_limit(p: LaurentPoly) -> int | Fraction | None:
@@ -573,15 +588,16 @@ def _limit_failure(preset: AlgebraPreset) -> str | None:
 def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
     """Check D M^-1 D against the printed deformed Cartan matrix, exactly.
 
-    Records two checks: the residual of _identity_residual over the
-    q-Cartan matrix, sum_k N_ik Z_kj = Q L d_j delta_ij with
-    Z = L D^-1 Mtilde and L = 1 on every correct preset, which also proves
-    the dual identity D Mtilde^-1 D = M (identity_holds records its
-    result), and then, only if it holds, the normalized classical limit of
-    _limit_failure.
+    Records two checks: the residual over the q-Cartan matrix,
+    sum_k N_ik Z_kj = Q L d_j delta_ij with Z = L D^-1 Mtilde and L = 1 on
+    every correct preset, which also proves the dual identity
+    D Mtilde^-1 D = M (identity_holds records its result), and then, only
+    if it holds, the normalized classical limit of _limit_failure.  The
+    residual is the preset's cartan_residual, computed on the first read,
+    here or in bracket_sum, whose lowering steps read it too.
     """
     out = VerificationOutcome()
-    residual = _identity_residual(preset)
+    residual = preset.cartan_residual[0]
     out.identity_holds = out.check(
         residual is None,
         "D M^-1 D matches the printed deformed Cartan matrix (%s)" % preset.name, residual)

@@ -31,27 +31,30 @@ frozenset of the numerator's term items.  It stores successful splits
 only, and stops storing at _SPLIT_TABLE_CAP entries; a new preset starts
 with an empty table.
 
-bracket_sum makes no monomial product.  It sums one symbol numerator per
-unordered pair, or, in a self-bracket of a series that equals its dual
-shifted by c, coefficients included (the D_n and G2 first series), one per
-two dual partners {x, y} and {y*, x*}, where m* = dual(m)(zq^c): M
-symmetric gives the ordered pair (y*, x*) the numerator of (x, y).  So the
-2,080 unordered pairs of the D_32 first series take 1,056 numerators.  It
-does the work of a split once per split class: the pairs that share one
-symbol numerator (those 2,080 pairs fall into 35).  The first pair of a
-class splits its numerator and checks its base; that leaves a plan, the
-pair-sum map and signed coefficient of each kept delta, which every later
-pair of the class applies after one lookup.  It accumulates each C(a) as a
-pair sum, whose key stands for the product of two of its monomials, and
-its report builds C(a) only when it is read.  Of a self-bracket it keeps
-the half on a <= 0 only: each C(+b) = -C(-b)(zq^-b), which M symmetric and
-odd makes exact, is built from C(-b).  The report's shifts build only the
-pair sums whose coefficients add up to zero, to see whether they cancel.
-verify_closure matches C(-2) against T2 of D_n and G2 as pair sums,
-building only the pairs where they differ, and matches C(+b) through the
-check of C(-b); so on D_n and G2 a verification builds neither T2, nor
-C(-2), nor a mirrored series.  Each other row is one comparison of C(a)
-with the shifted series it names.
+bracket_sum makes no monomial product, and, where the preset's Cartan
+residual holds (AlgebraPreset.cartan_residual), sums almost no numerator.
+The monomials of T1 are linked by lowering steps y = p * A_i(zq^b)^-1, and
+N Z = Q L D, with Z = L D^-1 Mtilde, makes each step exact on symbols:
+symbol(x, y) = symbol(x, p) - L d_i sum_{Y_i(zq^a)^e in x} e t^(b-a), the
+same alpha and a Laurent part moved by a few terms.  So it splits only the
+pairs of roots of the lowering forest of its monomials (each preset's T1
+has one root, so its 2,080 pairs at D_32 take one split), gets a root
+column by antisymmetry, and derives every other split along the steps,
+with no numerator and no division.  Where the residual fails, it splits
+every pair directly, once per split class: the pairs that share one
+symbol numerator.  Either way a split leaves a plan, the pair-sum map and
+signed coefficient of each kept delta, which every pair with that split
+applies.  It accumulates each C(a) as a pair sum, whose key stands for
+the product of two of its monomials, and its report builds C(a) only when
+it is read.  Of a self-bracket it keeps the half on a <= 0 only: each
+C(+b) = -C(-b)(zq^-b), which M symmetric and odd makes exact, is built
+from C(-b).  The report's shifts build only the pair sums whose
+coefficients add up to zero, to see whether they cancel.  verify_closure
+matches C(-2) against T2 of D_n and G2 as pair sums, building only the
+pairs where they differ, and matches C(+b) through the check of C(-b); so
+on D_n and G2 a verification builds neither T2, nor C(-2), nor a mirrored
+series.  Each other row is one comparison of C(a) with the shifted series
+it names.
 
 verify_closure and verify_all record every check through
 VerificationOutcome.check (ClosureOutcome is a VerificationOutcome that
@@ -100,7 +103,9 @@ class NotDecomposableError(ValueError):
     """
 
 
-# Entries of a preset's split table: d256 has about 260 distinct symbol numerators
+# Entries of a preset's split table.  decompose and verify_all's diagonal brackets
+# fill it, and bracket_sum with the pairs it splits: one per preset's T1 where the
+# Cartan residual holds, each distinct numerator (about 260 at d256) where it fails
 _SPLIT_TABLE_CAP = 4096
 
 _LAURENT_M11 = "M_11 of %s is a Laurent polynomial; delta decompositions would not be unique"
@@ -317,24 +322,129 @@ class BracketReport:
         return " + ".join(parts)
 
 
-def _dual_pairing(monos, coeffs):
-    """The list pi with monos[pi[n]] = monos[n].dual().shift_arg(c), or None.
+def _lowering_steps(monos, cols) -> tuple[list, list]:
+    """(roots, steps): the lowering forest of the sorted monomials monos.
 
-    c is the least plus the greatest shift of any factor, the one shift under
-    which the series can equal its dual.  pi exists when every image is
-    among monos and has the coefficient (coeffs[n]) of its preimage.  The
-    monomials are indexed by their factors, so none is hashed.
+    A step (k, p, i, b) says monos[k] = monos[p] * A_(i+1)(zq^b)^-1, where
+    A_(i+1)(zq^b) is the product of Y_(j+1)(zq^(b+e))^c over column i of Z,
+    cols[i] (AlgebraPreset.cartan_residual).  The candidate parents of a monomial
+    come from its negative factors: a positive term c t^e of Z_ji makes
+    A_(i+1)(zq^b)^-1 hold Y_(j+1)(zq^(b+e))^-c, so a factor Y_(j+1)(zq^a)^-f
+    proposes b = a - e.  The first candidate among monos is the parent, and
+    a monomial with none is a root.  The steps come parents first.  No step
+    leads back to where it started: the residual makes Z invertible, so no
+    product of the A_i is 1.  The monomials are indexed by their factors, so
+    none is hashed.
     """
-    shifts = [a for m in monos for _, a, _ in m.factors]
-    c = min(shifts) + max(shifts) if shifts else 0
     index = {m.factors: n for n, m in enumerate(monos)}
-    pi = []
-    for m, u in zip(monos, coeffs):
-        n = index.get(m.dual().shift_arg(c).factors)
-        if n is None or coeffs[n] != u:
-            return None
-        pi.append(n)
-    return pi
+    # node j + 1 -> the (i, e) of each positive term c t^e of Z_ji, lowest e
+    # first: the lowering of Y_(j+1)(zq^(b+r)) leaves Y_(j+1)(zq^(b-r))^-1
+    raising = {}
+    for i, col in enumerate(cols):
+        for j, e, c in sorted(col, key=lambda jec: jec[1]):
+            if c > 0:
+                raising.setdefault(j + 1, []).append((i, e))
+
+    def parent(m):
+        for j, a, f in m.factors:
+            for i, e in raising.get(j, ()) if f < 0 else ():
+                b = a - e
+                up = {(node, shift): x for node, shift, x in m.factors}   # m * A_(i+1)(zq^b)
+                for k, s, c in cols[i]:
+                    key = k + 1, b + s
+                    c += up.get(key, 0)
+                    if c:
+                        up[key] = c
+                    else:
+                        del up[key]
+                p = index.get(tuple(sorted((node, shift, x) for (node, shift), x in up.items())))
+                if p is not None:
+                    return p, i, b
+        return None
+
+    parents = {n: p for n, p in enumerate(map(parent, monos)) if p}
+    steps, placed = [], set()
+    for n in parents:
+        chain = []
+        while n in parents and n not in placed:
+            placed.add(n)
+            chain.append(n)
+            n = parents[n][0]
+        steps.extend((k, *parents[k]) for k in reversed(chain))
+    return [n for n in range(len(monos)) if n not in parents], steps
+
+
+def _lowered_rows(monos, preset: AlgebraPreset, plan):
+    """(alpha, rows): every split of the pairs of monos, derived along lowering steps.
+
+    rows(n)[k] is (deltas, plan(deltas)) for the split of
+    (monos[n], monos[k]), whose alpha is the one alpha of every pair.  Only
+    pairs of roots of the lowering forest (_lowering_steps) are split
+    directly, by _split_numerator; a root column of a row comes by
+    antisymmetry, the deltas (a, c) of (y, x) becoming (-a, -c) for (x, y).
+    Every other split is its parent's moved by a Laurent polynomial: with
+    y = p * A_i(zq^b)^-1 and N Z = Q L D, which the Cartan residual proves,
+    symbol(x, y) = symbol(x, p) - L d_i sum_{Y_i(zq^a)^e in x} e t^(b-a),
+    with the same alpha; a row where x has no factor on node i shares its
+    parent's entry.  Returns None, so that every pair is split directly,
+    when the residual fails, when a pair of roots does not split, or when
+    two of them have different alphas.
+    """
+    failure, cols, ld = preset.cartan_residual
+    if failure:
+        return None
+    ld = [e.terms for e in ld]
+    roots, steps = _lowering_steps(monos, cols)
+    size, nums = len(monos), preset.pair_table[1]
+
+    def reflected(entry):
+        deltas = {-a: -c for a, c in entry[0].items()}
+        return deltas, plan(deltas)
+
+    def lowered(row, x):
+        on_node = {}    # node index -> the (shift, exponent) of each factor of x there
+        for i, a, e in x.factors:
+            on_node.setdefault(i - 1, []).append((a, e))
+        for k, p, i, b in steps:
+            factors = on_node.get(i)
+            if factors is None:
+                row[k] = row[p]
+                continue
+            deltas = dict(row[p][0])
+            for a, e in factors:
+                _add_scaled(deltas, b - a, -e, ld[i])
+            row[k] = deltas, plan(deltas)
+        return row
+
+    alpha, root_rows = None, {}
+    for r in roots:
+        row, xrows = [None] * size, {}
+        for r2 in roots:
+            if r2 < r:
+                row[r2] = reflected(root_rows[r2][r])
+                continue
+            try:
+                split = _split_numerator(LaurentPoly._raw(
+                    _numerator_terms(monos[r], monos[r2], nums, xrows)), preset)
+            except NotDecomposableError:
+                return None
+            if alpha is None:
+                alpha = split[0]
+            elif split[0] != alpha:
+                return None
+            row[r2] = split[1], plan(split[1])
+        root_rows[r] = lowered(row, monos[r])
+
+    def rows(n):
+        row = root_rows.get(n)
+        if row is None:
+            row = [None] * size
+            for r in roots:
+                row[r] = reflected(root_rows[r][n])
+            lowered(row, monos[n])
+        return row
+
+    return alpha, rows
 
 
 def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
@@ -345,51 +455,43 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     u*v*c * x * shift_arg(y, -a) to C_a for every delta (a, c) of its
     symbol decomposition.  M is symmetric and odd, so
     symbol(y, x)(t) = -symbol(x, y)(1/t): the reversed pair shares alpha and
-    its delta (a, c) becomes (-a, -c).  So each unordered pair is split once
-    and the diagonal counted once.
+    its delta (a, c) becomes (-a, -c).  So each unordered pair is visited
+    once and the diagonal counted once.
 
-    A self-bracket whose series equals its dual shifted by c, coefficients
-    included, halves that again (_dual_pairing; D_n and G2 first series,
-    not E6's).  With m* = dual(m)(zq^c), symbol(y*, x*) sums
-    (-f)(-e) M_ji(t) t^((c-a)-(c-b)) over the factors Y_i(zq^a)^e of x and
-    Y_j(zq^b)^f of y, and M symmetric makes that symbol(x, y): so the
-    ordered pair (y*, x*) has the numerator, and the deltas, of (x, y), and
-    the unordered pair {y*, x*} is written with the plan of {x, y}, the
-    forward halves at (y*, x*) and the reverse ones at (x*, y*).  Of two
-    such partners the first in (n, k) order sums the numerator and writes
-    both; a pair that is its own partner is written once.
+    Where the preset's Cartan residual holds, the splits come from
+    _lowered_rows: only pairs of roots of the lowering forest of the two
+    series' monomials are split, one pair on every preset's first series,
+    and each other split is derived along the lowering steps, with no
+    numerator and no division.  Otherwise, and when a pair of roots does
+    not split or two have different alphas, every pair is split directly,
+    grouped into split classes by its numerator's terms: the first pair of a
+    class splits its numerator (_split_numerator) and checks its alpha
+    against the base.  Either way a split leaves a plan: the pair-sum map
+    and signed coefficient of each kept forward and reverse delta, and the
+    coefficient of Delta(0).  The derived splits equal the direct ones
+    exactly, so each failure is found on the direct path, which names the
+    first pair, in the (n, k) order below, that does not split or has
+    another alpha, with its own numerator.  The coefficients of the two
+    series are read once into lists indexed like the monomials, and the
+    nodes of every monomial are checked once.
 
     The pairs are visited in order of the sorted monomials, (n, k) with
-    n <= k, and grouped into split classes by their numerators' terms.  The
-    first pair of a class splits its numerator (_split_numerator) and
-    checks its alpha against the base; it records the class's plan: the
-    pair-sum map and signed coefficient of each kept forward and reverse
-    delta, and the coefficient of Delta(0).  So a failure names the first
-    pair, in that order, that does not split or has another alpha: a pair
-    left to its dual partner has the partner's numerator or its t -> 1/t
-    reflection, which M odd splits exactly when it does, with the same
-    alpha, and the partner came first.  Each later pair of a class costs
-    its numerator, one lookup and one store per kept delta.  The
-    coefficients of the two series are read once into lists indexed like
-    the monomials, and the nodes of every monomial are checked once.
-
-    No monomial product is made here: acc[a] holds C(a) as a pair sum over
-    the sorted monomials, key l * len(monos) + r for monos[l] * monos[r](zq^-a),
-    and the report builds a series only when it is read.  For a delta (a, c)
-    of the pair (x, y) = (monos[n], monos[k]) the forward half adds
-    forward * c to C(a) at (n, k), the reverse half adds -reverse * c to
-    C(-a) at (k, n), which stands for x(zq^a) * y, and Delta(0) adds
-    (forward - reverse) * c once at (n, k) when that is nonzero; each key of
-    each C(a) is written once.  In a self-bracket (the two series one
-    object, or equal) the half that lands on a positive shift is minus one
-    on a negative shift (a diagonal pair's own symbol is odd), so
-    C(b) = -shift_arg(C(-b), -b) holds exactly: only the halves on a <= 0
-    are kept, and the report builds each C(+b) from C(-b) when it is read.
-    Delta series that cancel to zero are off the report's support.
+    n <= k.  No monomial product is made here: acc[a] holds C(a) as a pair
+    sum over the sorted monomials, key l * len(monos) + r for
+    monos[l] * monos[r](zq^-a), and the report builds a series only when it
+    is read.  For a delta (a, c) of the pair (x, y) = (monos[n], monos[k])
+    the forward half adds forward * c to C(a) at (n, k), the reverse half
+    adds -reverse * c to C(-a) at (k, n), which stands for x(zq^a) * y, and
+    Delta(0) adds (forward - reverse) * c once at (n, k) when that is
+    nonzero; each key of each C(a) is written once.  In a self-bracket (the
+    two series one object, or equal) the half that lands on a positive
+    shift is minus one on a negative shift (a diagonal pair's own symbol is
+    odd), so C(b) = -shift_arg(C(-b), -b) holds exactly: only the halves on
+    a <= 0 are kept, and the report builds each C(+b) from C(-b) when it is
+    read.  Delta series that cancel to zero are off the report's support.
     """
     if not all(preset.m_parity):
         raise ValueError(_M_NOT_SYMMETRIC_ODD % preset.name)
-    base = None
     t, s = t_series.terms, s_series.terms
     self_bracket = t_series is s_series or t == s
     acc: dict[int, dict[int, int | Fraction]] = {}
@@ -398,61 +500,58 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     size, nums = len(monos), preset.pair_table[1]
     tco = [t.get(m, 0) for m in monos]
     sco = tco if self_bracket else [s.get(m, 0) for m in monos]
-    pi = _dual_pairing(monos, tco) if self_bracket else None
+
+    def plan(deltas):
+        # the pair-sum map and signed coefficient of each kept half, and Delta(0)'s
+        return ([(acc.setdefault(a, {}), c) for a, c in deltas.items()
+                 if a and (a < 0 or not self_bracket)],
+                [(acc.setdefault(-a, {}), -c) for a, c in deltas.items()
+                 if a and (a > 0 or not self_bracket)],
+                deltas.get(0, 0))
+
+    base, rows = _lowered_rows(monos, preset, plan) or (None, None)
     plans = {}      # frozenset of a numerator's terms -> the plan of its split class
     for n, x in enumerate(monos):
         tx, sx, xrows = tco[n], sco[n], {}
-        pn = pi[n] if pi else None
+        row = rows(n) if rows else None
         for k in range(n, size):
-            # the forward and reverse keys of this pair, then of its dual partner
-            nk = n * size + k
-            keys = ((nk, k * size + n),)
-            if pi:
-                pk = pi[k]
-                partner = pk * size + pn if pk <= pn else pn * size + pk
-                if partner < nk:    # its writes are done
-                    continue
-                if partner != nk:
-                    keys += ((pk * size + pn, pn * size + pk),)
             forward, reverse = tx * sco[k], (tco[k] * sx if k != n else 0)
             if not (forward or reverse):
                 continue
-            y = monos[k]
-            num = _numerator_terms(x, y, nums, xrows)
-            key = frozenset(num.items())
-            plan = plans.get(key)
-            if plan is None:    # the first pair of its split class
-                try:
-                    alpha, deltas = _split_numerator(LaurentPoly._raw(num), preset, key)
-                except NotDecomposableError as exc:
-                    raise NotDecomposableError(
-                        "pair (%s, %s): %s" % (x, y, exc)) from None
-                if base is None:
-                    base = alpha
-                elif alpha != base:
-                    raise NonUniformBaseError(
-                        "pair (%s, %s) has base %s, expected %s"
-                        % (x, y, alpha, base))
-                # the pair-sum map and signed coefficient of each kept half
-                plan = plans[key] = (
-                    [(acc.setdefault(a, {}), c) for a, c in deltas.items()
-                     if a and (a < 0 or not self_bracket)],
-                    [(acc.setdefault(-a, {}), -c) for a, c in deltas.items()
-                     if a and (a > 0 or not self_bracket)],
-                    deltas.get(0, 0))
-            halves, reversed_halves, zero = plan
-            for fkey, rkey in keys:
-                if forward:
-                    for sums, c in halves:
-                        sums[fkey] = forward * c
-                if reverse:
-                    for sums, c in reversed_halves:
-                        sums[rkey] = reverse * c
-                if zero and forward != reverse:
-                    acc.setdefault(0, {})[fkey] = (forward - reverse) * zero
-    # a plan makes the maps of its class's shifts; drop those no pair wrote to
+            if row:
+                halves, reversed_halves, zero = row[k][1]
+            else:
+                y = monos[k]
+                num = _numerator_terms(x, y, nums, xrows)
+                key = frozenset(num.items())
+                found = plans.get(key)
+                if found is None:   # the first pair of its split class
+                    try:
+                        alpha, deltas = _split_numerator(LaurentPoly._raw(num), preset, key)
+                    except NotDecomposableError as exc:
+                        raise NotDecomposableError(
+                            "pair (%s, %s): %s" % (x, y, exc)) from None
+                    if base is None:
+                        base = alpha
+                    elif alpha != base:
+                        raise NonUniformBaseError(
+                            "pair (%s, %s) has base %s, expected %s"
+                            % (x, y, alpha, base))
+                    found = plans[key] = plan(deltas)
+                halves, reversed_halves, zero = found
+            nk, kn = n * size + k, k * size + n
+            if forward:
+                for sums, c in halves:
+                    sums[nk] = forward * c
+            if reverse:
+                for sums, c in reversed_halves:
+                    sums[kn] = reverse * c
+            if zero and forward != reverse:
+                acc.setdefault(0, {})[nk] = (forward - reverse) * zero
+    # a plan makes the maps of its shifts; drop those no pair wrote to
     acc = {a: sums for a, sums in acc.items() if sums}
-    report = BracketReport(preset.name, base or 0, {})
+    # some pair has a nonzero coefficient, and so a base, iff both series are nonzero
+    report = BracketReport(preset.name, base if t and s else 0, {})
     report._monos, report._sums = monos, acc
     if self_bracket:
         report._mirrored = {-a for a in acc if a}

@@ -1,16 +1,19 @@
 """No false PASS: every small corruption of a preset's tables fails its check.
 
 Each corruption changes one entry (or one symmetric pair of entries) of one
-table of g2, e6, d4, d5 or d6, and builds a new preset from it with
-``replace_preset``.  A corruption that the AlgebraPreset constructor refuses
-counts as caught.  The sweeps are exhaustive over these moves:
+table of g2, e6, d4, d5, d6 or the A_3 control (oracle.an_preset), and
+builds a new preset from it with ``replace_preset``.  A corruption that the
+AlgebraPreset constructor refuses counts as caught.  The sweeps are
+exhaustive over these moves:
 
 * lambdas: each factor Y_i(zq^a)^e of each Lambda gets its shift moved by
   -2, -1, +1 or +2, gets its exponent negated, is dropped, or moves to each
-  other node (1,498 presets); ``verify_closure`` must fail on every one.
-* N: N_ij and N_ji get +-t^s (t^k - t^-k) added, k = 1, 2, 3 (420 presets).
-  Q = t^s Q_0 with Q_0 even under t -> 1/t, so M stays symmetric and odd.
-* mtilde: Mtilde_ij and Mtilde_ji get t^k - t^-k added, k = 1, 2 (140
+  other node (1,546 presets); ``verify_closure`` must fail on every one.
+* N: N_ij and N_ji get +-t^s (t^k - t^-k) added, k = 1, 2, 3, where
+  Q = t^s Q_0 with Q_0 even under t -> 1/t, and +-t^s (t^k + t^-k) where
+  Q_0 is odd (A_3's Q_0 = t^4 - t^-4), so M stays symmetric and odd (456
+  presets).
+* mtilde: Mtilde_ij and Mtilde_ji get t^k - t^-k added, k = 1, 2 (152
   presets).
 * d: each entry has its sign flipped, and each two distinct entries are
   swapped (only G2's differ).
@@ -39,18 +42,19 @@ import pytest
 
 import wqalg.genexpr as genexpr_mod
 import wqalg.poisson as poisson_mod
-from oracle import laurent_sum, replace_preset
+from oracle import an_preset, laurent_sum, replace_preset
 from wqalg import bracket_sum, build_preset, verify_cartan, verify_closure
-from wqalg.exactfield import sym_minus
+from wqalg.exactfield import sym_minus, sym_plus
 from wqalg.genexpr import SeriesExpr, YMonomial, build_t1, build_t5_e6
 
-PRESETS = [("g2", None), ("e6", None), ("dn", 4), ("dn", 5), ("dn", 6)]
-IDS = ["g2", "e6", "d4", "d5", "d6"]
+PRESETS = [("g2", None), ("e6", None), ("dn", 4), ("dn", 5), ("dn", 6), ("an", 3)]
+IDS = ["g2", "e6", "d4", "d5", "d6", "a3"]
 
 
 @pytest.fixture(scope="module", params=PRESETS, ids=IDS)
 def preset(request):
-    return build_preset(*request.param)
+    kind, n = request.param
+    return an_preset(n) if kind == "an" else build_preset(kind, n)
 
 
 def _replaced(rows, i, j, value):
@@ -76,10 +80,12 @@ def _lambda_corruptions(p):
 def _matrix_corruptions(p):
     q, nums = p.pair_table
     half = q.max_exp // 2
+    # M = N_0 / Q_0 is odd: the added term has the parity of N_0, the opposite of Q_0's
+    sym = sym_minus if q.shift(-half).invert_var() == q.shift(-half) else sym_plus
     for i in range(p.rank):
         for j in range(i, p.rank):
             for k in (1, 2, 3):
-                for delta in (sym_minus(k), -sym_minus(k)):
+                for delta in (sym(k), -sym(k)):
                     entry = laurent_sum(nums[i][j], delta.shift(half))
                     yield ("N_%d%d += %s" % (i + 1, j + 1, delta),
                            {"pair_table": (q, _replaced(nums, i, j, entry))})
@@ -124,8 +130,9 @@ def test_matrix_corruptions_keep_m_symmetric_and_odd(preset):
             assert replace_preset(preset, **changes).m_parity == (True, True)
 
 
-# (lambda corruptions, N and mtilde corruptions) per preset: 1,498 and 560 in all
-SIZES = {"g2": (98, 24), "e6": (792, 168), "d4": (144, 80), "d5": (200, 120), "d6": (264, 168)}
+# (lambda corruptions, N and mtilde corruptions) per preset: 1,546 and 608 in all
+SIZES = {"g2": (98, 24), "e6": (792, 168), "d4": (144, 80), "d5": (200, 120), "d6": (264, 168),
+         "a3": (48, 48)}
 
 
 def test_sweep_sizes(preset):

@@ -567,10 +567,17 @@ def test_bracket_sum_matches_ordered_pair_oracle(kind, n):
     assert report.base_coeff == base and report.delta_terms == deltas
 
 
+# presets that build_preset does not make: A_n, and D_n with a failing Cartan
+# residual, whose every pair bracket_sum splits directly
+BUILDERS = {"an": an_preset,
+            "dn_residual_fails": lambda n: residual_failing(build_preset("dn", n))}
+
+
 @functools.cache
 def _engine_and_oracle_presets(kind, n):
     """Two builds of one preset, so that the oracle reads no split of the engine's."""
-    return build_preset(kind, n), build_preset(kind, n)
+    build = BUILDERS.get(kind, functools.partial(build_preset, kind))
+    return build(n), build(n)
 
 
 def sub_series(lambdas):
@@ -581,14 +588,18 @@ def sub_series(lambdas):
                            max_size=8).map(SeriesExpr)
 
 
-@pytest.mark.parametrize("kind,n", [("g2", None), ("dn", 4), ("dn", 5), ("e6", None)])
+@pytest.mark.parametrize("kind,n", [("g2", None), ("dn", 4), ("dn", 5), ("e6", None),
+                                    ("dn", 8), ("an", 3), ("dn_residual_fails", 5)])
 @pytest.mark.parametrize("case", ["self", "equal", "distinct"])
 @settings(max_examples=10)
 @given(data=st.data())
 def test_bracket_sum_matches_ordered_pair_oracle_on_sub_series(kind, n, case, data):
     # a self-bracket passed as one object or as two equal ones keeps only the
     # positive shifts and mirrors them; two distinct series keep both halves,
-    # including Delta(0), where their reversed pairs do not cancel
+    # including Delta(0), where their reversed pairs do not cancel.  A
+    # sub-series is a lowering forest of one or more roots: the pairs of roots
+    # are split and every other split derived, or, where the Cartan residual
+    # fails, every pair is split
     preset, oracle_preset = _engine_and_oracle_presets(kind, n)
     t = data.draw(sub_series(preset.lambdas))
     if case == "self":
@@ -607,6 +618,39 @@ def test_bracket_sum_matches_ordered_pair_oracle_on_sub_series(kind, n, case, da
         assert antisymmetry_ok(report) == (True, None)
 
 
+def lowering_a_inverse(preset, i, b):
+    """A_i(zq^b)^-1 from B alone: Y_j(zq^(b+e))^-c for each term c t^e of
+    [r_j C_ji] / [r_j], where r_j = B_jj / 2 and C_ji = B_ji / r_j."""
+    factors = []
+    for j, row in enumerate(preset.b, start=1):
+        r, c = row[j - 1] // 2, row[i - 1] // (row[j - 1] // 2)
+        sign = 1 if c > 0 else -1
+        factors += [(j, b + r * (abs(c) - 1 - 2 * m), -sign) for m in range(abs(c))]
+    return YMonomial.from_factors(factors)
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None)]
+                         + [("dn", n) for n in (*range(4, 13), 32)]
+                         + [("an", n) for n in range(1, 9)])
+def test_each_first_series_has_one_lowering_root(kind, n):
+    # every monomial of T1 but one is its parent lowered by one A_i, so
+    # bracket_sum splits one pair of T1 x T1; T1 without a monomial that has
+    # children is a forest of several roots
+    preset = an_preset(n) if kind == "an" else build_preset(kind, n)
+    monos = sorted(build_t1(preset).terms, key=lambda m: m.factors)
+    roots, steps = lowering_forest(preset, build_t1(preset))
+    assert len(roots) == 1 and len(steps) == len(monos) - 1
+    assert monos[roots[0]].factors == ((1, 0, 1),)     # Y_1(z), the dominant monomial
+    placed = set(roots)
+    for k, p, i, b in steps:
+        assert p in placed and monos[k] == monos[p] * lowering_a_inverse(preset, i + 1, b)
+        placed.add(k)
+    if len(monos) > 2:
+        cut = steps[0][0]
+        rest = SeriesExpr((m, 1) for m in monos if m != monos[cut])
+        assert len(lowering_forest(preset, rest)[0]) > 1
+
+
 def dual_partner(series):
     """m -> m*, the dual of m shifted by the least plus the greatest factor shift,
     when that maps the series onto itself with its coefficients; else m -> m."""
@@ -619,17 +663,26 @@ def dual_partner(series):
     return {m: m for m in series.terms}
 
 
-# numerators summed by bracket_sum(T1, T1): (P + F) / 2 of the P unordered
-# pairs, F of them fixed by the dual pairing; E6's T1 is not self-dual, so
-# it sums all P = 378
-DUAL_ORBIT_NUMERATORS = {"g2": 16, "e6": 378, "d4": 20, "d7": 56}
+def residual_failing(preset):
+    """preset with N_22 moved by Q (t - t^-1): M stays symmetric and odd, and every
+    symbol still splits, with its alpha, but the Cartan residual fails."""
+    q, nums = preset.pair_table
+    entry = laurent_sum(nums[1][1], q * sym_minus(1))
+    bad = replace_preset(preset, pair_table=(q, tuple(
+        tuple(entry if (i, j) == (1, 1) else e for j, e in enumerate(row))
+        for i, row in enumerate(nums))))
+    assert bad.m_parity == (True, True) and bad.cartan_residual[0]
+    return bad
 
 
-@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 7)])
-def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
-    # each unordered pair is either computed or is the dual partner
-    # {y*, x*} of exactly one computed pair {x, y}, which shares its numerator
-    preset = build_preset(kind, n)
+def lowering_forest(preset, series):
+    """The roots and steps of the lowering forest of a series' sorted monomials."""
+    monos = sorted(series.terms, key=lambda m: m.factors)
+    return poisson_mod._lowering_steps(monos, preset.cartan_residual[1])
+
+
+def counting_numerators(monkeypatch):
+    """A list that gains the pair (a, b) of each symbol numerator summed from now on."""
     calls = []
 
     def counting(a, b, nums, rows):
@@ -637,44 +690,64 @@ def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
         return _numerator_terms(a, b, nums, rows)
 
     monkeypatch.setattr(poisson_mod, "_numerator_terms", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 7)])
+def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
+    # where the Cartan residual holds, only the pair of the one root of the
+    # lowering forest of T1 is summed, and every other split is derived;
+    # where it fails, each unordered pair is summed once
+    preset = build_preset(kind, n)
+    calls = counting_numerators(monkeypatch)
     t1 = build_t1(preset)
+    roots, _ = lowering_forest(preset, t1)
     bracket_sum(t1, t1, preset)
+    assert len(roots) == 1 and len(calls) == 1
+    assert calls[0] == (sorted(t1.terms, key=lambda m: m.factors)[roots[0]],) * 2
+
+    calls.clear()
+    bracket_sum(t1, t1, residual_failing(preset))
     lams = list(t1.terms)
     pairs = {frozenset((x, y)) for i, x in enumerate(lams) for y in lams[i:]}
-    star = dual_partner(t1)
-
-    def partner(pair):
-        return frozenset(star[m] for m in pair)
-
-    fixed = sum(1 for pair in pairs if partner(pair) == pair)
-    assert len(calls) == (len(pairs) + fixed) // 2 == DUAL_ORBIT_NUMERATORS[preset.name]
-    computed = {frozenset(xy) for xy in calls}
-    assert len(computed) == len(calls)
-    assert all(len({pair, partner(pair)} & computed) == 1 for pair in pairs)
+    assert len(calls) == len(pairs)
+    assert {frozenset(xy) for xy in calls} == pairs
 
 
-def _pairing(series):
-    """bracket_sum's dual pairing of a series, over its sorted monomials."""
-    monos = sorted(series.terms, key=lambda m: m.factors)
-    return monos, poisson_mod._dual_pairing(monos, [series.terms[m] for m in monos])
+def dual_partner(series):
+    """m -> m*, the dual of m shifted by the least plus the greatest factor shift,
+    when that maps the series onto itself with its coefficients; else m -> m."""
+    shifts = [a for m in series.terms for _, a, _ in m.factors]
+    c = min(shifts) + max(shifts)
+    star = {m: YMonomial.from_factors((i, c - a, -e) for i, a, e in m.factors)
+            for m in series.terms}
+    if all(series.terms.get(star[m]) == u for m, u in series.terms.items()):
+        return star
+    return {m: m for m in series.terms}
 
 
 @pytest.mark.parametrize("kind,n", [("dn", n) for n in range(4, 13)]
                          + [("dn", 32), ("g2", None), ("an", 1)])
 def test_dual_pairing_is_an_involution(kind, n):
-    # dual(T1)(zq^c) = T1 with c = -(2n - 2) on D_n, -12 on G2 and -2 on A_1
+    # dual(T1)(zq^c) = T1 with c = -(2n - 2) on D_n, -12 on G2 and -2 on A_1:
+    # m -> m* pairs the monomials of T1, and the test below draws its series
+    # from those dual orbits
     preset = an_preset(n) if kind == "an" else build_preset(kind, n)
-    monos, pi = _pairing(build_t1(preset))
+    t1 = build_t1(preset)
     c = -(2 * n - 2) if kind == "dn" else {"g2": -12, "an": -2}[kind]
-    assert sorted(pi) == list(range(len(monos)))
-    assert all(pi[pi[k]] == k for k in range(len(monos)))
-    assert [monos[k] for k in pi] == [m.dual().shift_arg(c) for m in monos]
+    assert t1.dual().shift_arg(c) == t1
+    star = dual_partner(t1)
+    assert all(star[m] == m.dual().shift_arg(c) and star[star[m]] == m for m in t1.terms)
 
 
 @pytest.mark.parametrize("kind,n", [("e6", None)] + [("an", n) for n in range(2, 9)])
 def test_dual_pairing_is_none_off_self_dual_series(kind, n):
+    # the only shift that could map T1 onto its dual does not
     preset = an_preset(n) if kind == "an" else build_preset(kind, n)
-    assert _pairing(build_t1(preset))[1] is None
+    t1 = build_t1(preset)
+    shifts = [a for m in t1.terms for _, a, _ in m.factors]
+    assert t1.dual().shift_arg(min(shifts) + max(shifts)) != t1
+    assert all(star == m for m, star in dual_partner(t1).items())
 
 
 def dual_closed_series(lambdas, unequal):
@@ -706,11 +779,13 @@ def dual_closed_series(lambdas, unequal):
 @settings(max_examples=8)
 @given(data=st.data())
 def test_bracket_sum_over_dual_orbits_matches_ordered_pair_oracle(kind, n, unequal, data):
-    # a dual-closed series with orbit-constant coefficients has a pairing and
-    # sums one numerator per pair of dual pairs; one unequal orbit has none
+    # a dual-closed series with orbit-constant coefficients equals its dual
+    # shifted by the least plus the greatest factor shift; one unequal orbit
+    # breaks that
     preset, oracle_preset = _engine_and_oracle_presets(kind, n)
     t = data.draw(dual_closed_series(preset.lambdas, unequal))
-    assert (_pairing(t)[1] is None) == unequal
+    shifts = [a for m in t.terms for _, a, _ in m.factors]
+    assert (t.dual().shift_arg(min(shifts) + max(shifts)) == t) is not unequal
     report = bracket_sum(t, t, preset)
     base, deltas = ordered_pair_bracket(t, t, oracle_preset)
     assert (report.base_coeff, report.delta_terms) == (base, deltas)
@@ -839,8 +914,9 @@ def test_closure_matches_t2_as_pair_sums(kind, n, monkeypatch):
 
 @pytest.mark.parametrize("kind,n", [("e6", None), ("dn", 7)])
 def test_bracket_sum_divides_each_distinct_numerator_once(kind, n, monkeypatch):
-    # one laurent_divmod per distinct symbol numerator, plus the one of m11_split
-    preset = build_preset(kind, n)
+    # where the Cartan residual holds, one laurent_divmod for the pair of the
+    # root, plus the one of m11_split; where it fails, one per distinct
+    # symbol numerator, plus the one of m11_split
     numerators, divided, m11 = [], [], []
 
     def numerator(a, b, nums, rows):
@@ -856,24 +932,29 @@ def test_bracket_sum_divides_each_distinct_numerator_once(kind, n, monkeypatch):
     monkeypatch.setattr(poisson_mod, "_numerator_terms", numerator)
     monkeypatch.setattr(poisson_mod, "laurent_divmod", counted(divided))
     monkeypatch.setattr(algebras_mod, "laurent_divmod", counted(m11))
+    preset = build_preset(kind, n)
+    bad = residual_failing(preset)
     t1 = build_t1(preset)
-    bracket_sum(t1, t1, preset)
-    distinct = set(numerators)
-    assert len(numerators) > len(distinct)
-    assert len(divided) == len(distinct) and set(divided) == distinct
-    assert len(m11) == 1
-    assert len(preset.splits) == len(distinct)
+    for p, direct in ((preset, False), (bad, True)):
+        for calls in numerators, divided, m11:
+            calls.clear()
+        bracket_sum(t1, t1, p)
+        distinct = set(numerators)
+        assert len(numerators) > len(distinct) if direct else len(numerators) == 1
+        assert len(divided) == len(distinct) and set(divided) == distinct
+        assert len(m11) == 1
+        assert len(p.splits) == len(distinct)
 
 
 @pytest.mark.parametrize("kind,n", [("dn", 8), ("e6", None), ("g2", None)])
 def test_bracket_sum_splits_once_per_split_class(kind, n, monkeypatch):
     # a split class is the set of unordered pairs that share one symbol
-    # numerator: only its first pair is split, on a fresh preset and on one
-    # whose split table already holds every split
+    # numerator.  Where the Cartan residual holds, only the pair of the root
+    # is split; where it fails, only the first pair of each class.  Both hold
+    # on a fresh preset and on one whose split table already holds the splits
     preset = build_preset(kind, n)
+    bad = residual_failing(preset)
     lams = sorted(preset.lambdas, key=lambda m: m.factors)
-    classes = {frozenset(direct_symbol_numerator(x, y, preset).items())
-               for i, x in enumerate(lams) for y in lams[i:]}
     split = poisson_mod._split_numerator
     calls = []
 
@@ -883,11 +964,16 @@ def test_bracket_sum_splits_once_per_split_class(kind, n, monkeypatch):
 
     monkeypatch.setattr(poisson_mod, "_split_numerator", counting)
     t1 = build_t1(preset)
-    for _ in range(2):
-        calls.clear()
-        bracket_sum(t1, t1, preset)
-        assert len(calls) == len(classes) < len(lams) * (len(lams) + 1) // 2
-        assert set(calls) == classes
+    root = lams[lowering_forest(preset, t1)[0][0]]
+    root_class = frozenset(direct_symbol_numerator(root, root, preset).items())
+    classes = {frozenset(direct_symbol_numerator(x, y, bad).items())
+               for i, x in enumerate(lams) for y in lams[i:]}
+    for p, expected in ((preset, {root_class}), (bad, classes)):
+        for _ in range(2):
+            calls.clear()
+            bracket_sum(t1, t1, p)
+            assert len(calls) == len(expected) and set(calls) == expected
+    assert len(classes) < len(lams) * (len(lams) + 1) // 2
 
 
 def test_bracket_sum_hashes_no_monomial_per_pair(monkeypatch):

@@ -6,12 +6,15 @@ that preset of verify_cartan, of the first read of m_parity, of
 bracket_sum(T1, T1) and of build_t2, and then of verify_closure and of
 verify_all, each on a new build of the preset, so that neither reads a
 split the bracket before it has stored.  The last column is the process's
-peak RSS so far.  bracket_sum reads the m_parity timed before it, as
-verify_closure and verify_all compute their own.  The bracket_sum column
-times the accumulation only: the report holds each delta series as a pair
-sum and builds it when it is read, and verify_closure on D_n builds neither
-C(-2) nor T2 (it compares their pair sums), so the build_t2 column is a
-stage that verify_closure runs only on a mismatch.  It exits 1, naming the
+peak RSS so far.  bracket_sum reads the m_parity timed before it, and the
+Cartan residual (AlgebraPreset.cartan_residual) that the verify_cartan
+column computed, whose lowering steps it derives its splits along;
+verify_closure and verify_all compute their own, so the verify_closure
+column includes the residual.  The bracket_sum column times the
+accumulation only: the report holds each delta series as a pair sum and
+builds it when it is read, and verify_closure on D_n builds neither C(-2)
+nor T2 (it compares their pair sums), so the build_t2 column is a stage
+that verify_closure runs only on a mismatch.  It exits 1, naming the
 rank and the stage on stderr, when verify_cartan, verify_closure or
 verify_all does not pass.
 
