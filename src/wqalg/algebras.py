@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations
-from operator import mul
+from itertools import chain, combinations, islice, repeat
+from math import lcm
+from operator import add, lshift, mul
 from typing import Callable, NamedTuple
 
 from .exactfield import (LaurentPoly, RationalFunction, _add_scaled, _exact_quotient,
@@ -183,14 +184,14 @@ class AlgebraPreset:
         """(failure, cols, ld): the residual of M D^-1 Mtilde D^-1 = I, once per preset.
 
         failure is None when the residual holds, else the text naming the
-        first entry that breaks it (_identity_residual); verify_cartan reads
-        it.  cols[i] is column i of Z = L D^-1 Mtilde (_q_cartan) as
-        (k, e, c) triples, k 0-based, one per term c t^e of each nonzero
-        Z_ki: the factors Y_(k+1)(zq^(b+e))^c of A_(i+1)(zq^b).  ld[k] is
-        L d_k.  Where the residual holds, N Z = Q L D makes each lowering
-        step by an A_i exact on symbols, and poisson.bracket_sum derives its
-        splits along such steps.  cols and ld are empty when D has a zero
-        entry.
+        first entry that breaks it; _identity_residual decides it with one
+        exact int per table entry at t = 2^w, and verify_cartan reads it.
+        cols[i] is column i of Z = L D^-1 Mtilde (_q_cartan) as (k, e, c)
+        triples, k 0-based, one per term c t^e of each nonzero Z_ki: the
+        factors Y_(k+1)(zq^(b+e))^c of A_(i+1)(zq^b).  ld[k] is L d_k.
+        Where the residual holds, N Z = Q L D makes each lowering step by an
+        A_i exact on symbols, and poisson.bracket_sum derives its splits
+        along such steps.  cols and ld are empty when D has a zero entry.
         """
         return _identity_residual(self)
 
@@ -461,31 +462,35 @@ def build_preset(kind: str, n: int | None = None) -> AlgebraPreset:
 
 
 def _q_cartan(d: tuple[LaurentPoly, ...], mtilde: LaurentRows) -> tuple[LaurentPoly, list]:
-    """(L, Z) with Z = L D^-1 Mtilde in the Laurent ring, as a list of rows.
+    """(L, Z) with Z = L D^-1 Mtilde in the Laurent ring, as sparse rows.
 
-    With B = DC, Mtilde_kj = [r_k C_kj] and d_k = [r_k], so row k of
-    D^-1 Mtilde is Laurent: t^r_k + t^-r_k on the diagonal and -1 on each
-    simply-laced edge, the q-Cartan matrix of W_q(g).  Where d_k divides
-    every entry of row k, row k of Z is that row divided by d_k, one exact
-    laurent_divide per distinct pair of entry and d_k, times L.  L is the
-    product of the distinct d_k that do not divide their row, and such a
-    row of Z is Mtilde_kj (L/d_k).  So L is 1, and Z is the q-Cartan matrix
-    itself, on every correct preset.  d must have no zero entry.
+    Row k of Z is the list of (j, Z_kj) over its nonzero entries, j
+    ascending.  With B = DC, Mtilde_kj = [r_k C_kj] and d_k = [r_k], so row
+    k of D^-1 Mtilde is Laurent: t^r_k + t^-r_k on the diagonal and -1 on
+    each simply-laced edge, the q-Cartan matrix of W_q(g).  Where d_k
+    divides every entry of row k, row k of Z is that row divided by d_k,
+    one exact laurent_divide per distinct pair of entry and d_k objects
+    (a preset shares each t-number), times L.  L is the product of the
+    distinct d_k that do not divide their row, and such a row of Z is
+    Mtilde_kj (L/d_k).  So L is 1, and Z is the q-Cartan matrix itself, on
+    every correct preset.  d must have no zero entry.
     """
-    quotients = {}   # (Mtilde entry, d_k) -> Mtilde entry / d_k, or None
-    rows = []        # row k of D^-1 Mtilde, or None where d_k does not divide it
+    quotients = {}   # (id(Mtilde entry), id(d_k)) -> Mtilde entry / d_k, or None
+    nonzero = []     # the nonzero (j, Mtilde_kj) of each row k
+    rows = []        # the nonzero (j, Mtilde_kj / d_k) of row k; None where d_k fails to divide
     for dk, row in zip(d, mtilde):
+        entries = [(j, e) for j, e in enumerate(row) if e.terms]
+        nonzero.append(entries)
         quo = []
-        for e in row:
-            if e:
-                key = e, dk
-                if key not in quotients:
-                    quotients[key] = laurent_divide(e, dk)
-                e = quotients[key]
-                if e is None:
-                    quo = None
-                    break
-            quo.append(e)
+        for j, e in entries:
+            key = id(e), id(dk)
+            if key not in quotients:
+                quotients[key] = laurent_divide(e, dk)
+            e = quotients[key]
+            if e is None:
+                quo = None
+                break
+            quo.append((j, e))
         rows.append(quo)
     undivided = dict.fromkeys(dk for dk, quo in zip(d, rows) if quo is None)
     if not undivided:
@@ -494,8 +499,36 @@ def _q_cartan(d: tuple[LaurentPoly, ...], mtilde: LaurentRows) -> tuple[LaurentP
     cof = {p: reduce(mul, (o for o in undivided if o != p), LaurentPoly.one())
            for p in undivided}
     big_l = reduce(mul, undivided, LaurentPoly.one())
-    return big_l, [[e * cof[dk] for e in row] if quo is None else [e * big_l for e in quo]
-                   for dk, row, quo in zip(d, mtilde, rows)]
+    return big_l, [[(j, e * cof[dk]) for j, e in row] if quo is None
+                   else [(j, e * big_l) for j, e in quo]
+                   for dk, row, quo in zip(d, nonzero, rows)]
+
+
+def _integral(maps: list) -> tuple[list, int]:
+    """(maps, c): term maps scaled to int coefficients, and their largest |coefficient|.
+
+    The scale is the lcm of every denominator, shared by all the maps.  An
+    all-int list, which is every preset's, is returned as it is: a sum of
+    ints is an int, and any Fraction makes the sum one.
+    """
+    coeffs = list(chain.from_iterable(map(dict.values, maps)))
+    top = max(max(coeffs), -min(coeffs))
+    if type(sum(coeffs)) is int:
+        return maps, top
+    s = lcm(*(c.denominator for c in coeffs))
+    return [{e: int(c * s) for e, c in m.items()} for m in maps], int(top * s)
+
+
+def _at_power_of_two(maps: list, w: int) -> list[int]:
+    """The value at t = 2^w of each int term map times t^-lo, lo their least exponent.
+
+    The one offset lo makes every shift non-negative, so each value is one
+    exact int; at least one map must be nonzero.
+    """
+    exps = set().union(*maps)
+    lo = min(exps)
+    shift = {e: w * (e - lo) for e in exps}
+    return [sum(map(lshift, m.values(), map(shift.__getitem__, m))) for m in maps]
 
 
 def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
@@ -504,40 +537,91 @@ def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
     With M = N/Q, d_k = D_kk and Z = L D^-1 Mtilde from _q_cartan, the
     identity reads
 
-        sum_k N_ik Z_kj = Q L d_j delta_ij
+        R_ij = sum_k N_ik Z_kj - Q L d_j delta_ij = 0
 
     in the Laurent ring, where L is 1 on every correct preset, so Z is the
     q-Cartan matrix D^-1 Mtilde.  Over a field a one-sided inverse of a
     square matrix is two-sided, so this proves that M is invertible with
     D M^-1 D = Mtilde, that Mtilde is invertible with D Mtilde^-1 D = M,
-    and that det M != 0.  Each entry is one term map, N_ik added once per
-    term of the short Z_kj, compared as it is with the right side's terms.
-    The failure names the first entry that breaks the identity; it prints
-    the canonical form of lhs / rhs, which does not depend on L.
+    and that det M != 0.
+
+    It is decided with one exact integer per table entry (Kronecker
+    substitution).  Q, N, Z and L d are scaled to int coefficients by the
+    lcm s of their denominators, which turns R into s^2 R, and each is
+    multiplied by t^-lo, lo their least exponent, which turns R_ij into the
+    polynomial s^2 R_ij t^(-2 lo).  With c the largest |coefficient| after
+    scaling, a polynomial of n terms has l1 norm at most n c, and the l1
+    norm is submultiplicative, so every coefficient of it is at most
+
+        bound = c^2 (max_ik #N_ik * max_j #Z_*j + #Q * max_j #(L d_j)),
+
+    #p the number of terms of p and Z_*j column j of Z.  With
+    2^(w-1) > bound a nonzero such polynomial is nonzero at t = 2^w: its
+    lowest coefficient would otherwise be a nonzero multiple of 2^w.  So
+    the equality of the two ints of each entry is a proof, not a sample.
+    Each entry of N (of its upper triangle, mirrored, where N is symmetric)
+    and of Z is evaluated once, and column j of N Z - Q L D at 2^w is the
+    sum of the columns k of N times the ints Z_kj(2^w), less Q(2^w)
+    (L d_j)(2^w) on the diagonal, one product per distinct L d_j.
+
+    The failure names the first entry, row by row, that breaks the
+    identity.  That entry alone is summed again as a term map, N_ik added
+    once per term of Z_kj, to print the canonical form of lhs / rhs, which
+    does not depend on L.  The test oracle residual_cleared_by_every_d
+    keeps the term-map sum of every entry as the cross-check, and
+    cartan_identity_at_two_to_the_k shares only the method.
     """
     r = preset.rank
     q, nums = preset.pair_table
     d = preset.d
     for k, dk in enumerate(d):
-        if not dk:
+        if not dk.terms:
             return ("D entry (%d,%d) is %s; D must be diagonal with a nonzero diagonal"
                     % (k + 1, k + 1, dk)), [], ()
     big_l, z = _q_cartan(d, preset.mtilde)
+    zcols = [[] for _ in range(r)]   # the nonzero Z_kj of each column j, as (k, term map)
+    for k, row in enumerate(z):
+        for j, e in row:
+            zcols[j].append((k, e.terms))
     # column j of Z, flattened: a (k, e, c) for each term c t^e of each nonzero Z_kj
-    cols = [[(k, e, c) for k in range(r) if z[k][j] for e, c in z[k][j].terms.items()]
-            for j in range(r)]
+    cols = [[(k, e, c) for k, t in col for e, c in t.items()] for col in zcols]
     ld = d if big_l == LaurentPoly.one() else tuple(big_l * dj for dj in d)
-    for i in range(r):
-        row = [n.terms for n in nums[i]]
-        for j in range(r):
-            acc = {}
-            for k, e, c in cols[j]:
-                _add_scaled(acc, e, c, row[k])
-            if acc != ((q * ld[j]).terms if i == j else {}):
-                lhs = LaurentPoly._raw(_int_valued(acc))
-                return ("entry (%d,%d) of M D^-1 Mtilde D^-1: computed %s, expected %d"
-                        % (i + 1, j + 1, RationalFunction(lhs, q * ld[j]), i == j)), cols, ld
-    return None, cols, ld
+    distinct = {id(e): e for e in ld}
+    symmetric = tuple(zip(*nums)) == nums
+    n_maps = [e.terms for i, row in enumerate(nums) for e in (row[i:] if symmetric else row)]
+    ld_maps = [e.terms for e in distinct.values()]
+    maps, c = _integral([q.terms, *n_maps, *ld_maps, *(t for col in zcols for _, t in col)])
+    bound = c * c * (max(map(len, n_maps)) * max(map(len, cols))
+                     + len(q.terms) * max(map(len, ld_maps)))
+    # the values at 2^w, in the order of maps
+    values = iter(_at_power_of_two(maps, bound.bit_length() + 1))
+    q_value = next(values)
+    # the rows of N, or of its upper triangle padded with zeros where N is symmetric
+    rows = [[0] * i + list(islice(values, r - i)) for i in (range(r) if symmetric else [0] * r)]
+    ncols = list(zip(*rows))
+    if symmetric:
+        # column k of N: the upper triangle's column k above the diagonal, then its row k
+        ncols = [col[:k] + tuple(row[k:]) for k, (col, row) in enumerate(zip(ncols, rows))]
+    rhs = {key: q_value * next(values) for key in distinct}
+    failed = []   # (the first row i that breaks column j, j)
+    for j, col in enumerate(zcols):
+        # column j of N Z - Q L D at 2^w; zip reads col first, so it takes
+        # exactly len(col) values
+        acc = [0] * r
+        acc[j] = -rhs[id(ld[j])]
+        for (k, _), v in zip(col, values):
+            acc = list(map(add, acc, map(mul, ncols[k], repeat(v))))
+        if any(acc):
+            failed.append((next(i for i, v in enumerate(acc) if v), j))
+    if not failed:
+        return None, cols, ld
+    i, j = min(failed)   # the first failing entry, row by row
+    acc = {}
+    for k, e, c in cols[j]:
+        _add_scaled(acc, e, c, nums[i][k].terms)
+    lhs = LaurentPoly._raw(_int_valued(acc))
+    return ("entry (%d,%d) of M D^-1 Mtilde D^-1: computed %s, expected %d"
+            % (i + 1, j + 1, RationalFunction(lhs, q * ld[j]), i == j)), cols, ld
 
 
 def _classical_limit(p: LaurentPoly) -> int | Fraction | None:
@@ -593,8 +677,10 @@ def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
     every correct preset, which also proves the dual identity
     D Mtilde^-1 D = M (identity_holds records its result), and then, only
     if it holds, the normalized classical limit of _limit_failure.  The
-    residual is the preset's cartan_residual, computed on the first read,
-    here or in bracket_sum, whose lowering steps read it too.
+    residual is decided by one exact int per table entry at t = 2^w, a
+    proof for int and rational tables alike (_identity_residual); it is the
+    preset's cartan_residual, computed on the first read, here or in
+    bracket_sum, whose lowering steps read it too.
     """
     out = VerificationOutcome()
     residual = preset.cartan_residual[0]

@@ -10,8 +10,10 @@ equality and their negation; the constructor also rejects a key of the
 wrong type (a LaurentPoly exponent must be an int).  Term maps are
 normalised by _int_valued, so the policy is applied in one place.  Sums
 of scaled, shifted term maps (products, the steps of laurent_divmod, the
-bracket-symbol numerators, the Cartan residual) all add through the one
-kernel _add_scaled, which is where such a sum drops the terms that cancel.
+bracket-symbol numerators, the entry a failing Cartan residual names) all
+add through the one kernel _add_scaled, which is where such a sum drops
+the terms that cancel; the Cartan residual itself compares one int per
+entry at t = 2^w (algebras._identity_residual).
 
 LaurentPoly is the ring the checks run in: products, division with
 remainder by a polynomial (laurent_divmod) and exact division
@@ -280,13 +282,14 @@ def laurent_divmod(a: LaurentPoly, q: LaurentPoly):
 
 def laurent_divide(a: LaurentPoly, b: LaurentPoly):
     """Exact quotient a / b in the Laurent ring, or None if b does not divide a."""
-    if not b:
+    if not b.terms:
         raise ZeroDivisionError("Laurent division by zero")
-    k = b.min_exp
+    k = min(b.terms)
     quo, rem = laurent_divmod(a, b.shift(-k))
     if rem:
         return None
-    return LaurentPoly({e - k: c for e, c in quo.items()})
+    # laurent_divmod's quotient holds no zero, and an int wherever it is integral
+    return LaurentPoly._raw({e - k: c for e, c in quo.items()})
 
 
 def _primitive(p: LaurentPoly):

@@ -538,7 +538,7 @@ def test_q_cartan_of_a_correct_preset_clears_nothing(kind, n):
     assert big_l == LaurentPoly.one()
     for k, (row_b, row_z) in enumerate(zip(preset.b, z)):
         r = row_b[k] // 2
-        assert list(row_z) == [_q_cartan_entry(r, bkj // r) for bkj in row_b]
+        assert row_z == [(j, _q_cartan_entry(r, bkj // r)) for j, bkj in enumerate(row_b) if bkj]
 
 
 def _undivided(name, g2, d5, e6):
@@ -596,8 +596,9 @@ def test_undivided_rows_keep_the_verdict_text(name, g2, d5, e6):
 @settings(max_examples=100)
 @given(data=st.data())
 def test_residual_matches_the_oracle_on_single_entry_corruptions(g2, d5, e6, data):
-    # one entry of Mtilde, d or N set to a t-number or moved by one term; a
-    # t-number on d or Mtilde often leaves a row that d_k does not divide
+    # one entry of Mtilde, d or N set to a t-number or moved by one term,
+    # integral, rational or large; a t-number on d or Mtilde often leaves a
+    # row that d_k does not divide
     preset = data.draw(st.sampled_from([g2, d5, e6]))
     table = data.draw(st.sampled_from(["mtilde", "d", "N"]))
     i, j = data.draw(st.tuples(st.integers(0, preset.rank - 1), st.integers(0, preset.rank - 1)))
@@ -605,7 +606,9 @@ def test_residual_matches_the_oracle_on_single_entry_corruptions(g2, d5, e6, dat
     old = preset.d[i] if table == "d" else (preset.mtilde if table == "mtilde" else nums)[i][j]
     value = data.draw(st.one_of(
         st.integers(-6, 6).map(algebras._t_number),
-        st.tuples(st.integers(-4, 4), st.sampled_from([-2, -1, 1, 2])).map(
+        st.tuples(st.integers(-4, 4), st.sampled_from(
+            [-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3),
+             2 ** 40, -2 ** 40])).map(
             lambda ec: laurent_sum(old, LaurentPoly({ec[0]: ec[1]})))))
     if table == "d":
         bad = replace_preset(preset, d=preset.d[:i] + (value,) + preset.d[i + 1:])
@@ -619,15 +622,79 @@ def test_residual_matches_the_oracle_on_single_entry_corruptions(g2, d5, e6, dat
         assert out.failure == expected
 
 
-@pytest.mark.parametrize("kind,n,adds", [("dn", 32, 4032), ("e6", None, 132), ("g2", None, 16)])
-def test_residual_adds_each_term_of_z_once_per_row_of_n(monkeypatch, kind, n, adds):
-    # entry (i, j) adds N_ik once per term of Z_kj, so each of the r rows of N
-    # costs the total term count of Z's columns
+@pytest.mark.parametrize("kind,n", [("dn", 32), ("e6", None), ("g2", None)])
+def test_a_passing_residual_sums_no_term_map(monkeypatch, kind, n):
+    # each table entry is one int at t = 2^w, so a residual that holds adds no
+    # N_ik into a term map
     preset = build_preset(kind, n)
-    z = algebras._q_cartan(preset.d, preset.mtilde)[1]
     calls, out = _calls(monkeypatch, [(algebras, "_add_scaled")], lambda: verify_cartan(preset))
     assert out.passed
-    assert calls == preset.rank * sum(len(e) for row in z for e in row) == adds
+    assert calls == 0
+
+
+def test_a_failing_residual_sums_only_the_entry_it_names(monkeypatch, d5):
+    # the corruption of test_verify_cartan_names_a_residual_entry_in_the_changed_column:
+    # the named entry (i, j) alone is summed again, N_ik once per term of Z_kj
+    bad = replace_preset(d5, mtilde=_replace_entry(d5.mtilde, 1, 2, sym_minus(3)))
+    calls, out = _calls(monkeypatch, [(algebras, "_add_scaled")], lambda: verify_cartan(bad))
+    j = int(re.match(r"entry \(\d+,(\d+)\)", out.failure).group(1)) - 1
+    assert calls == len(bad.cartan_residual[1][j]) > 0
+    assert out.failure == residual_cleared_by_every_d(bad)
+
+
+def test_the_first_failing_entry_is_taken_row_by_row(d5):
+    # N_31 and N_15 moved by one break row 3 in columns 1 and 2, and row 1 in
+    # columns 3 and 5 (node 5 hangs off node 3): column 1 breaks first, yet
+    # the first entry row by row is (1,3)
+    q, nums = d5.pair_table
+    one = LaurentPoly.one()
+    table = _replace_entry(nums, 2, 0, laurent_sum(nums[2][0], one))
+    table = _replace_entry(table, 0, 4, laurent_sum(table[0][4], one))
+    bad = replace_preset(d5, pair_table=(q, table))
+    out = verify_cartan(bad)
+    assert out.failure == residual_cleared_by_every_d(bad)
+    assert out.failure.startswith("entry (1,3) ")
+
+
+def _over(p, k):
+    return LaurentPoly({e: Fraction(c, k) for e, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("dn", 5)])
+def test_a_rational_pair_table_is_scaled_to_ints(kind, n):
+    # Q and N both divided by 3 leave M as it is, and the residual still holds;
+    # one coefficient of N moved by 1/3, on the diagonal (N stays symmetric)
+    # or off it, breaks it where the term-map oracle says
+    preset = build_preset(kind, n)
+    q, nums = preset.pair_table
+    thirds = replace_preset(preset, pair_table=(
+        _over(q, 3), tuple(tuple(_over(e, 3) for e in row) for row in nums)))
+    assert thirds.M.rows == preset.M.rows
+    assert verify_cartan(thirds).passed
+    third = LaurentPoly({0: Fraction(1, 3)})
+    for i, j in (0, 0), (0, 1):
+        bad = replace_preset(preset, pair_table=(q, _replace_entry(
+            nums, i, j, laurent_sum(nums[i][j], third))))
+        out = verify_cartan(bad)
+        assert not out.identity_holds
+        assert out.failure == residual_cleared_by_every_d(bad)
+
+
+@pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 5)])
+def test_a_corruption_that_vanishes_at_a_small_power_of_two_is_found(kind, n):
+    # N_11 plus 2^64 - t vanishes at t = 2^64, where every entry of the
+    # corrupted row would read true; w is bounded from the corrupted table,
+    # so the residual evaluates past it
+    preset = build_preset(kind, n)
+    q, nums = preset.pair_table
+    moved = LaurentPoly({0: 2 ** 64, 1: -1})
+    assert evaluate(moved, 2 ** 64) == 0
+    bad = replace_preset(preset, pair_table=(q, _replace_entry(
+        nums, 0, 0, laurent_sum(nums[0][0], moved))))
+    out = verify_cartan(bad)
+    assert not out.identity_holds
+    assert out.failure == residual_cleared_by_every_d(bad)
+    assert out.failure.startswith("entry (1,")
 
 
 def test_verify_cartan_names_a_half_integral_limit_of_d(g2):

@@ -135,7 +135,10 @@ def test_laurent_divmod_is_unique(b, r, q):
     r = {e: c for e, c in r.items() if e < q.max_exp}
     quo, rem = laurent_divmod(laurent_sum(LaurentPoly(b) * q, LaurentPoly(r)), q)
     assert LaurentPoly(quo) == LaurentPoly(b) and LaurentPoly(rem) == LaurentPoly(r)
-    assert laurent_divide(LaurentPoly(b) * q, q) == LaurentPoly(b)
+    exact = laurent_divide(LaurentPoly(b) * q, q)
+    assert exact == LaurentPoly(b)
+    # the quotient is built from laurent_divmod's terms as they are
+    assert_int_valued(exact)
 
 
 def test_laurent_divmod_rejects_bad_divisors():

@@ -48,25 +48,31 @@ def test_loc_total_is_the_sum_of_its_modules():
 
 
 def test_dn_stages_times_each_stage_per_rank():
-    proc = run_tool("dn_stages.py", "4", "7")
+    proc = run_tool("dn_stages.py", "4", "7", "e6", "g2")
     assert proc.returncode == 0, proc.stderr
     header, *lines = proc.stdout.splitlines()
     assert header.split() == ["rank", "build", "verify_cartan", "m_parity", "bracket_sum",
                               "build_t2", "verify_closure", "verify_all", "rss_mb"]
-    assert [line.split()[0] for line in lines] == ["d4", "d7"]
+    assert [line.split()[0] for line in lines] == ["d4", "d7", "e6", "g2"]
     for line in lines:
-        assert all(float(s) >= 0 for s in line.split()[1:]), line
+        fields = line.split()[1:]
+        # E6 has no closed-form T2, so no build_t2 stage
+        assert (fields[4] == "-") == line.startswith("e6"), line
+        assert all(float(s) >= 0 for s in fields if s != "-"), line
 
 
 def test_dn_ab_pairs_a_checkout_with_itself():
-    proc = run_tool("dn_ab.py", os.path.dirname(TOOLS), "4")
+    proc = run_tool("dn_ab.py", os.path.dirname(TOOLS), "4", "e6", "g2")
     assert proc.returncode == 0, proc.stderr
     header, *lines = proc.stdout.splitlines()
     assert header.split() == ["rank", "stage", "ratio", "ratio_iqr", "this_s", "other_s",
                               "rounds"]
+    stages = ("build", "verify_cartan", "m_parity", "bracket_sum", "build_t2",
+              "verify_closure", "verify_all")
+    # E6 has no closed-form T2, so no build_t2 line
     assert [line.split()[:2] for line in lines] == [
-        ["d4", stage] for stage in ("build", "verify_cartan", "m_parity", "bracket_sum",
-                                    "build_t2", "verify_closure", "verify_all")]
+        [name, stage] for name in ("d4", "e6", "g2") for stage in stages
+        if (name, stage) != ("e6", "build_t2")]
     for line in lines:
         *seconds, rounds = line.split()[2:]
         ratio, iqr, this_s, other_s = map(float, seconds)
@@ -75,18 +81,19 @@ def test_dn_ab_pairs_a_checkout_with_itself():
         assert 5 <= int(rounds) <= 51, line
 
 
-@pytest.mark.parametrize("args", [(), ("no-such-checkout",), (".", "3")])
+@pytest.mark.parametrize("args", [(), ("no-such-checkout",), (".", "3"), (".", "e7")])
 def test_dn_ab_refuses_a_missing_checkout_or_a_rank_below_4(args):
     proc = run_tool("dn_ab.py", *args)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("usage: dn_ab.py OTHER_CHECKOUT [N ...]")
+    assert proc.stderr.startswith("usage: dn_ab.py OTHER_CHECKOUT [ALGEBRA ...]")
 
 
-@pytest.mark.parametrize("args", [("3",), ("x",), ()])
+@pytest.mark.parametrize("args", [("3",), ("x",), (), ("e7",), ("4", "G2")])
 def test_dn_stages_refuses_a_rank_below_4(args):
     proc = run_tool("dn_stages.py", *args)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "usage: dn_stages.py N [N ...]   (each N >= 4)\n"
+    assert proc.stderr == ("usage: dn_stages.py ALGEBRA [ALGEBRA ...]   "
+                           "(each a rank N >= 4, e6 or g2)\n")
 
 
 def test_dn_stages_exits_1_naming_the_rank_and_stage_that_fails(monkeypatch, capsys):
@@ -101,9 +108,11 @@ def test_dn_stages_exits_1_naming_the_rank_and_stage_that_fails(monkeypatch, cap
         return outcome
 
     monkeypatch.setattr(dn_stages, "verify_closure", failing)
-    assert dn_stages.main(["4", "5"]) == 1
+    assert dn_stages.main(["4", "5", "g2"]) == 1
     out, err = capsys.readouterr()
     header, *lines = out.splitlines()
-    assert header.split()[0] == "rank" and [line.split()[0] for line in lines] == ["d4", "d5"]
+    assert header.split()[0] == "rank"
+    assert [line.split()[0] for line in lines] == ["d4", "d5", "g2"]
     assert err == ("d4 verify_closure did not pass: doctored failure\n"
-                   "d5 verify_closure did not pass: doctored failure\n")
+                   "d5 verify_closure did not pass: doctored failure\n"
+                   "g2 verify_closure did not pass: doctored failure\n")

@@ -4,23 +4,25 @@
 It copies the src/wqalg tree of this checkout and of OTHER_CHECKOUT into a
 temporary directory, as the packages wqalg_this and wqalg_other, and runs
 the stages of tools/dn_stages.py (stage_seconds) on each, alternately in
-this one process: rounds of both checkouts per rank, the first one in
-turn.  The first round's time sets their number: as many as fill BUDGET_S
-seconds, at least MIN_ROUNDS and at most MAX_ROUNDS; the first round
-carries the cold start, so it can only lower the number.  For each rank
+this one process: rounds of both checkouts per algebra, the first one in
+turn.  An algebra is a D_n rank, e6 or g2, as in dn_stages.py.  The
+first round's time sets their number: as many as fill BUDGET_S seconds,
+at least MIN_ROUNDS and at most MAX_ROUNDS; the first round carries the
+cold start, so it can only lower the number.  For each algebra
 and stage it prints the median over the rounds of the ratio this / other
 of one round's seconds, the interquartile range of those ratios, the
 median seconds of each side and the number of rounds.  A ratio below 1
 means this checkout is faster.  Single runs on a shared host drift by 20-60%
 from one minute to the next, while ratios of runs made side by side hold
 within a few percent, so compare two checkouts with this, not with two
-dn_stages.py runs.
+dn_stages.py runs.  A stage that does not apply to an algebra (build_t2 on
+E6) has no line.
 
-It exits 1, naming the checkout, rank and stage on stderr, when a verifier
-does not pass in either checkout.
+It exits 1, naming the checkout, algebra and stage on stderr, when a
+verifier does not pass in either checkout.
 
-Usage: python3 tools/dn_ab.py OTHER_CHECKOUT [N ...]   e.g. ../parent 32 64
-(default N: 32).  Standard library only; both checkouts must export the
+Usage: python3 tools/dn_ab.py OTHER_CHECKOUT [ALGEBRA ...]   e.g. ../parent 32 64 g2
+(default: 32).  Standard library only; both checkouts must export the
 calls dn_stages.py imports from wqalg.
 """
 
@@ -56,19 +58,21 @@ def _stages_module(package: str):
     return module
 
 
-def paired_ratios(modules: dict, n: int, failures: list) -> dict:
-    """{side: [seconds of each stage] per round} for rank n, the sides alternating first.
+def paired_ratios(modules: dict, algebra: tuple, failures: list) -> dict:
+    """{side: [seconds of each stage] per round} for one algebra, the sides alternating first.
 
-    The first round's time sets the number of rounds (see the module notes).
-    A stage that does not pass adds (side, n, stage, failure) to failures.
+    algebra is (label, kind, n), from dn_stages.algebra.  The first round's
+    time sets the number of rounds (see the module notes).  A stage that
+    does not pass adds (side, label, stage, failure) to failures.
     """
     runs = {side: [] for side in SIDES}
+    name, kind, n = algebra
 
     def one_round(r):
         for side in SIDES[::-1] if r % 2 else SIDES:
             found = []
-            runs[side].append(modules[side].stage_seconds(n, found))
-            failures.extend((side, n, stage, failure) for stage, failure in found)
+            runs[side].append(modules[side].stage_seconds(kind, n, found))
+            failures.extend((side, name, stage, failure) for stage, failure in found)
 
     start = time.perf_counter()
     one_round(0)
@@ -85,14 +89,17 @@ def summary(this: list, other: list) -> tuple:
     return statistics.median(ratios), q3 - q1, statistics.median(this), statistics.median(other)
 
 
+def _usage() -> int:
+    print("usage: dn_ab.py OTHER_CHECKOUT [ALGEBRA ...]   (a checkout with src/wqalg; "
+          "each ALGEBRA a rank N >= 4, e6 or g2)", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ranks = argv[1:] or ["32"]
-    if not argv or not os.path.isdir(os.path.join(argv[0], "src", "wqalg")) \
-            or not all(a.isdigit() and int(a) >= 4 for a in ranks):
-        print("usage: dn_ab.py OTHER_CHECKOUT [N ...]   (a checkout with src/wqalg; "
-              "each N >= 4)", file=sys.stderr)
-        return 2
+    names = argv[1:] or ["32"]
+    if not argv or not os.path.isdir(os.path.join(argv[0], "src", "wqalg")):
+        return _usage()
     with tempfile.TemporaryDirectory() as tmp:
         for side, root in zip(SIDES, (HERE, argv[0])):
             shutil.copytree(os.path.join(root, "src", "wqalg"),
@@ -103,18 +110,23 @@ def main(argv=None) -> int:
             modules = {side: _stages_module("wqalg_" + side) for side in SIDES}
         finally:
             sys.path.remove(tmp)
+        algebras = [modules["this"].algebra(a) for a in names]
+        if None in algebras:
+            return _usage()
         stages = modules["this"].STAGES
         print("%-6s %-16s %10s %10s %10s %10s %6s"
               % ("rank", "stage", "ratio", "ratio_iqr", "this_s", "other_s", "rounds"))
         failures = []
-        for n in map(int, ranks):
-            runs = paired_ratios(modules, n, failures)
+        for algebra in algebras:
+            label, runs = algebra[0], paired_ratios(modules, algebra, failures)
             for i, stage in enumerate(stages):
+                if runs["this"][0][i] is None:
+                    continue
                 row = summary([r[i] for r in runs["this"]], [r[i] for r in runs["other"]])
-                print("d%-5d %-16s %10.3f %10.3f %10.4f %10.4f %6d"
-                      % (n, stage, *row, len(runs["this"])), flush=True)
-        for side, n, stage, failure in dict.fromkeys(failures):
-            print("d%d %s did not pass in the %s checkout: %s" % (n, stage, side, failure),
+                print("%-6s %-16s %10.3f %10.3f %10.6f %10.6f %6d"
+                      % (label, stage, *row, len(runs["this"])), flush=True)
+        for side, name, stage, failure in dict.fromkeys(failures):
+            print("%s %s did not pass in the %s checkout: %s" % (name, stage, side, failure),
                   file=sys.stderr)
     return 1 if failures else 0
 
