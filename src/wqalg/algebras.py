@@ -137,6 +137,16 @@ class AlgebraPreset:
         return laurent_divmod(nums[0][0], q)
 
     @cached_property
+    def n_symmetric(self) -> bool:
+        """Whether the table N, and so M, is symmetric: one test of its r^2 entries.
+
+        m_parity and the Cartan residual both read it; where it holds, each
+        tests or evaluates the upper triangle only.
+        """
+        nums = self.pair_table[1]
+        return tuple(zip(*nums)) == nums
+
+    @cached_property
     def m_parity(self) -> tuple[bool, bool]:
         """(symmetric, odd) for M = N/Q, read off the pair table.
 
@@ -157,7 +167,7 @@ class AlgebraPreset:
         qt = q.terms
         m = max(qt)   # Q's min exponent is 0
         u = 1 if qt[m] == qt[0] else -1   # the test below refuses any other ratio
-        symmetric = tuple(zip(*nums)) == nums
+        symmetric = self.n_symmetric
         rows = [row[i:] for i, row in enumerate(nums)] if symmetric else nums
         if all(qt.get(m - e) == u * c for e, c in qt.items()):
             v = -u
@@ -587,7 +597,7 @@ def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
     cols = [[(k, e, c) for k, t in col for e, c in t.items()] for col in zcols]
     ld = d if big_l == LaurentPoly.one() else tuple(big_l * dj for dj in d)
     distinct = {id(e): e for e in ld}
-    symmetric = tuple(zip(*nums)) == nums
+    symmetric = preset.n_symmetric
     n_maps = [e.terms for i, row in enumerate(nums) for e in (row[i:] if symmetric else row)]
     ld_maps = [e.terms for e in distinct.values()]
     maps, c = _integral([q.terms, *n_maps, *ld_maps, *(t for col in zcols for _, t in col)])

@@ -40,13 +40,15 @@ same alpha and a Laurent part moved by a few terms.  So it splits only the
 pairs of roots of the lowering forest of its monomials (each preset's T1
 has one root, so its 2,080 pairs at D_32 take one split), gets a root
 column by antisymmetry, and derives every other split along the steps,
-with no numerator and no division.  Where the residual fails, it splits
-every pair directly, once per split class: the pairs that share one
-symbol numerator.  Either way a split leaves a plan, the pair-sum map and
-signed coefficient of each kept delta, which every pair with that split
-applies.  It accumulates each C(a) as a pair sum, whose key stands for
-the product of two of its monomials, and its report builds C(a) only when
-it is read.  Of a self-bracket it keeps the half on a <= 0 only: each
+with no numerator and no division.  Where the residual fails, every
+monomial is a root with no step, so every pair is split.  A pair splits
+iff its roots' pair does, with the same alpha, so a failure names the
+first pair, with a nonzero coefficient, whose roots' pair does not split
+or has another alpha, and splits that pair's own numerator for its text.
+Each split leaves a plan, the pair-sum map and signed coefficient of each
+kept delta, which every pair with that split applies.  It accumulates each
+C(a) as a pair sum, whose key stands for the product of two of its
+monomials, and its report builds C(a) only when it is read.  Of a self-bracket it keeps the half on a <= 0 only: each
 C(+b) = -C(-b)(zq^-b), which M symmetric and odd makes exact, is built
 from C(-b).  The report's shifts build only the pair sums whose
 coefficients add up to zero, to see whether they cancel.  verify_closure
@@ -104,8 +106,9 @@ class NotDecomposableError(ValueError):
 
 
 # Entries of a preset's split table.  decompose and verify_all's diagonal brackets
-# fill it, and bracket_sum with the pairs it splits: one per preset's T1 where the
-# Cartan residual holds, each distinct numerator (about 260 at d256) where it fails
+# fill it, and bracket_sum with the pairs of roots it splits: one per preset's T1
+# where the Cartan residual holds, each distinct numerator of every pair where it
+# fails (about 260 at d256)
 _SPLIT_TABLE_CAP = 4096
 
 _LAURENT_M11 = "M_11 of %s is a Laurent polynomial; delta decompositions would not be unique"
@@ -175,8 +178,7 @@ def _numerator_terms(a: YMonomial, b: YMonomial, nums, rows: dict) -> dict:
     return acc
 
 
-def _split_numerator(num: LaurentPoly, preset: AlgebraPreset,
-                     key: frozenset | None = None):
+def _split_numerator(num: LaurentPoly, preset: AlgebraPreset):
     """(alpha, deltas) with num / Q = alpha * M_11 + sum_e deltas[e] t^e.
 
     One division with remainder by Q: num = quo * Q + rem.  Since
@@ -188,12 +190,11 @@ def _split_numerator(num: LaurentPoly, preset: AlgebraPreset,
     Each distinct numerator is divided once per preset: a success is stored
     in preset.splits while it holds fewer than _SPLIT_TABLE_CAP entries, and
     the stored pair itself is returned, so callers read deltas and never
-    change it (decompose copies it).  key is the table's key of num, the
-    frozenset of its term items; a caller that has built it passes it.
+    change it (decompose copies it).  The table's key is the frozenset of
+    num's term items.
     """
     splits = preset.splits
-    if key is None:
-        key = frozenset(num.terms.items())
+    key = frozenset(num.terms.items())
     hit = splits.get(key)
     if hit is not None:
         return hit
@@ -374,65 +375,70 @@ def _lowering_steps(monos, cols) -> tuple[list, list]:
     return [n for n in range(len(monos)) if n not in parents], steps
 
 
-def _lowered_rows(monos, preset: AlgebraPreset, plan):
-    """(alpha, rows): every split of the pairs of monos, derived along lowering steps.
+def _split_rows(monos, preset: AlgebraPreset, plan, first):
+    """(base, rows): the split of every pair of monos, read off its roots' pair.
 
-    rows(n)[k] is (deltas, plan(deltas)) for the split of
-    (monos[n], monos[k]), whose alpha is the one alpha of every pair.  Only
-    pairs of roots of the lowering forest (_lowering_steps) are split
-    directly, by _split_numerator; a root column of a row comes by
-    antisymmetry, the deltas (a, c) of (y, x) becoming (-a, -c) for (x, y).
-    Every other split is its parent's moved by a Laurent polynomial: with
-    y = p * A_i(zq^b)^-1 and N Z = Q L D, which the Cartan residual proves,
+    rows(n)[k] is plan(deltas), for the deltas of the split of
+    (monos[n], monos[k]), or None where that pair does not split or its
+    alpha is not base.  base is the alpha of the pair first, (n, k), read off
+    its roots' split; it is 0 when first is None, where no pair has a
+    nonzero coefficient.  Each pair of roots is split once, by
+    _split_numerator; a root column of a row comes by antisymmetry, the
+    deltas (a, c) of (y, x) becoming (-a, -c) for (x, y).  Where the Cartan
+    residual holds, the roots and steps are those of the lowering forest
+    (_lowering_steps), and every other split is its parent's moved by a
+    Laurent polynomial: with y = p * A_i(zq^b)^-1 and N Z = Q L D,
     symbol(x, y) = symbol(x, p) - L d_i sum_{Y_i(zq^a)^e in x} e t^(b-a),
-    with the same alpha; a row where x has no factor on node i shares its
-    parent's entry.  Returns None, so that every pair is split directly,
-    when the residual fails, when a pair of roots does not split, or when
-    two of them have different alphas.
+    with the same alpha, so an entry is None exactly where its roots' entry
+    is; a row where x has no factor on node i shares its parent's entry.
+    Where the residual fails, every monomial is a root with no step, and
+    every pair is split.
     """
     failure, cols, ld = preset.cartan_residual
-    if failure:
-        return None
-    ld = [e.terms for e in ld]
-    roots, steps = _lowering_steps(monos, cols)
     size, nums = len(monos), preset.pair_table[1]
+    roots, steps = (range(size), []) if failure else _lowering_steps(monos, cols)
+    ld = [e.terms for e in ld]
+    root_of = list(range(size))
+    for k, p, _, _ in steps:
+        root_of[k] = root_of[p]
+    splits = {}     # (r, r2), roots with r <= r2 -> their split, None where it fails
+    for i, r in enumerate(roots):
+        xrows = {}
+        for r2 in roots[i:]:
+            try:
+                splits[r, r2] = _split_numerator(LaurentPoly._raw(
+                    _numerator_terms(monos[r], monos[r2], nums, xrows)), preset)
+            except NotDecomposableError:
+                splits[r, r2] = None
+    first_split = first and splits[tuple(sorted(root_of[n] for n in first))]
+    base = first_split[0] if first_split else 0
 
     def reflected(entry):
-        deltas = {-a: -c for a, c in entry[0].items()}
-        return deltas, plan(deltas)
+        return entry and plan({-a: -c for a, c in entry[0].items()})
 
     def lowered(row, x):
         on_node = {}    # node index -> the (shift, exponent) of each factor of x there
         for i, a, e in x.factors:
             on_node.setdefault(i - 1, []).append((a, e))
         for k, p, i, b in steps:
-            factors = on_node.get(i)
-            if factors is None:
-                row[k] = row[p]
+            factors, entry = on_node.get(i), row[p]
+            if factors is None or entry is None:
+                row[k] = entry
                 continue
-            deltas = dict(row[p][0])
+            deltas = dict(entry[0])
             for a, e in factors:
                 _add_scaled(deltas, b - a, -e, ld[i])
-            row[k] = deltas, plan(deltas)
+            row[k] = plan(deltas)
         return row
 
-    alpha, root_rows = None, {}
+    root_rows = {}
     for r in roots:
-        row, xrows = [None] * size, {}
+        row = [None] * size
         for r2 in roots:
             if r2 < r:
                 row[r2] = reflected(root_rows[r2][r])
-                continue
-            try:
-                split = _split_numerator(LaurentPoly._raw(
-                    _numerator_terms(monos[r], monos[r2], nums, xrows)), preset)
-            except NotDecomposableError:
-                return None
-            if alpha is None:
-                alpha = split[0]
-            elif split[0] != alpha:
-                return None
-            row[r2] = split[1], plan(split[1])
+            elif (split := splits[r, r2]) and split[0] == base:
+                row[r2] = plan(split[1])
         root_rows[r] = lowered(row, monos[r])
 
     def rows(n):
@@ -444,7 +450,7 @@ def _lowered_rows(monos, preset: AlgebraPreset, plan):
             lowered(row, monos[n])
         return row
 
-    return alpha, rows
+    return base, rows
 
 
 def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
@@ -458,21 +464,20 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     its delta (a, c) becomes (-a, -c).  So each unordered pair is visited
     once and the diagonal counted once.
 
-    Where the preset's Cartan residual holds, the splits come from
-    _lowered_rows: only pairs of roots of the lowering forest of the two
-    series' monomials are split, one pair on every preset's first series,
-    and each other split is derived along the lowering steps, with no
-    numerator and no division.  Otherwise, and when a pair of roots does
-    not split or two have different alphas, every pair is split directly,
-    grouped into split classes by its numerator's terms: the first pair of a
-    class splits its numerator (_split_numerator) and checks its alpha
-    against the base.  Either way a split leaves a plan: the pair-sum map
-    and signed coefficient of each kept forward and reverse delta, and the
-    coefficient of Delta(0).  The derived splits equal the direct ones
-    exactly, so each failure is found on the direct path, which names the
-    first pair, in the (n, k) order below, that does not split or has
-    another alpha, with its own numerator.  The coefficients of the two
-    series are read once into lists indexed like the monomials, and the
+    The splits come from _split_rows: only pairs of roots are split, and
+    where the preset's Cartan residual holds, these are the roots of the
+    lowering forest of the two series' monomials, one on every preset's
+    first series, and each other split is derived along the lowering steps,
+    with no numerator and no division; where it fails, every monomial is a
+    root.  The base is the alpha of the first pair, in the (n, k) order
+    below, with a nonzero coefficient.  A pair with a nonzero coefficient
+    whose split is missing, because its roots' pair does not split or has
+    another alpha, is the failure: its own numerator is split once, and its
+    NotDecomposableError, or a NonUniformBaseError, names it.  A pair whose
+    two coefficients are 0 is skipped and never fails.  Each split leaves a
+    plan: the pair-sum map and signed coefficient of each kept forward and
+    reverse delta, and the coefficient of Delta(0).  The coefficients of the
+    two series are read once into lists indexed like the monomials, and the
     nodes of every monomial are checked once.
 
     The pairs are visited in order of the sorted monomials, (n, k) with
@@ -502,43 +507,35 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     sco = tco if self_bracket else [s.get(m, 0) for m in monos]
 
     def plan(deltas):
-        # the pair-sum map and signed coefficient of each kept half, and Delta(0)'s
-        return ([(acc.setdefault(a, {}), c) for a, c in deltas.items()
-                 if a and (a < 0 or not self_bracket)],
-                [(acc.setdefault(-a, {}), -c) for a, c in deltas.items()
-                 if a and (a > 0 or not self_bracket)],
-                deltas.get(0, 0))
+        # deltas, with the pair-sum map and signed coefficient of each kept half,
+        # and Delta(0)'s
+        return deltas, ([(acc.setdefault(a, {}), c) for a, c in deltas.items()
+                         if a and (a < 0 or not self_bracket)],
+                        [(acc.setdefault(-a, {}), -c) for a, c in deltas.items()
+                         if a and (a > 0 or not self_bracket)],
+                        deltas.get(0, 0))
 
-    base, rows = _lowered_rows(monos, preset, plan) or (None, None)
-    plans = {}      # frozenset of a numerator's terms -> the plan of its split class
+    # the first pair with a nonzero coefficient, whose alpha is the base
+    first = next(((n, k) for n in range(size) for k in range(n, size)
+                  if tco[n] * sco[k] or k != n and tco[k] * sco[n]), None)
+    base, rows = _split_rows(monos, preset, plan, first)
     for n, x in enumerate(monos):
-        tx, sx, xrows = tco[n], sco[n], {}
-        row = rows(n) if rows else None
+        tx, sx, row = tco[n], sco[n], rows(n)
         for k in range(n, size):
             forward, reverse = tx * sco[k], (tco[k] * sx if k != n else 0)
             if not (forward or reverse):
                 continue
-            if row:
+            try:
                 halves, reversed_halves, zero = row[k][1]
-            else:
+            except TypeError:   # row[k] is None: the pair does not split, or has another alpha
                 y = monos[k]
-                num = _numerator_terms(x, y, nums, xrows)
-                key = frozenset(num.items())
-                found = plans.get(key)
-                if found is None:   # the first pair of its split class
-                    try:
-                        alpha, deltas = _split_numerator(LaurentPoly._raw(num), preset, key)
-                    except NotDecomposableError as exc:
-                        raise NotDecomposableError(
-                            "pair (%s, %s): %s" % (x, y, exc)) from None
-                    if base is None:
-                        base = alpha
-                    elif alpha != base:
-                        raise NonUniformBaseError(
-                            "pair (%s, %s) has base %s, expected %s"
-                            % (x, y, alpha, base))
-                    found = plans[key] = plan(deltas)
-                halves, reversed_halves, zero = found
+                try:
+                    alpha = _split_numerator(
+                        LaurentPoly._raw(_numerator_terms(x, y, nums, {})), preset)[0]
+                except NotDecomposableError as exc:
+                    raise NotDecomposableError("pair (%s, %s): %s" % (x, y, exc)) from None
+                raise NonUniformBaseError("pair (%s, %s) has base %s, expected %s"
+                                          % (x, y, alpha, base)) from None
             nk, kn = n * size + k, k * size + n
             if forward:
                 for sums, c in halves:
@@ -550,8 +547,7 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
                 acc.setdefault(0, {})[nk] = (forward - reverse) * zero
     # a plan makes the maps of its shifts; drop those no pair wrote to
     acc = {a: sums for a, sums in acc.items() if sums}
-    # some pair has a nonzero coefficient, and so a base, iff both series are nonzero
-    report = BracketReport(preset.name, base if t and s else 0, {})
+    report = BracketReport(preset.name, base, {})
     report._monos, report._sums = monos, acc
     if self_bracket:
         report._mirrored = {-a for a in acc if a}

@@ -568,7 +568,7 @@ def test_bracket_sum_matches_ordered_pair_oracle(kind, n):
 
 
 # presets that build_preset does not make: A_n, and D_n with a failing Cartan
-# residual, whose every pair bracket_sum splits directly
+# residual, where every monomial is a root and bracket_sum splits every pair
 BUILDERS = {"an": an_preset,
             "dn_residual_fails": lambda n: residual_failing(build_preset("dn", n))}
 
@@ -712,18 +712,6 @@ def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
     pairs = {frozenset((x, y)) for i, x in enumerate(lams) for y in lams[i:]}
     assert len(calls) == len(pairs)
     assert {frozenset(xy) for xy in calls} == pairs
-
-
-def dual_partner(series):
-    """m -> m*, the dual of m shifted by the least plus the greatest factor shift,
-    when that maps the series onto itself with its coefficients; else m -> m."""
-    shifts = [a for m in series.terms for _, a, _ in m.factors]
-    c = min(shifts) + max(shifts)
-    star = {m: YMonomial.from_factors((i, c - a, -e) for i, a, e in m.factors)
-            for m in series.terms}
-    if all(series.terms.get(star[m]) == u for m, u in series.terms.items()):
-        return star
-    return {m: m for m in series.terms}
 
 
 @pytest.mark.parametrize("kind,n", [("dn", n) for n in range(4, 13)]
@@ -947,33 +935,26 @@ def test_bracket_sum_divides_each_distinct_numerator_once(kind, n, monkeypatch):
 
 
 @pytest.mark.parametrize("kind,n", [("dn", 8), ("e6", None), ("g2", None)])
-def test_bracket_sum_splits_once_per_split_class(kind, n, monkeypatch):
-    # a split class is the set of unordered pairs that share one symbol
-    # numerator.  Where the Cartan residual holds, only the pair of the root
-    # is split; where it fails, only the first pair of each class.  Both hold
-    # on a fresh preset and on one whose split table already holds the splits
+def test_bracket_sum_splits_the_pair_of_the_root_once(kind, n, monkeypatch):
+    # where the Cartan residual holds, only the pair of the root is split, on
+    # a fresh preset and on one whose split table already holds the split
     preset = build_preset(kind, n)
-    bad = residual_failing(preset)
     lams = sorted(preset.lambdas, key=lambda m: m.factors)
     split = poisson_mod._split_numerator
     calls = []
 
-    def counting(num, p, key=None):
+    def counting(num, p):
         calls.append(frozenset(num.terms.items()))
-        return split(num, p, key)
+        return split(num, p)
 
     monkeypatch.setattr(poisson_mod, "_split_numerator", counting)
     t1 = build_t1(preset)
     root = lams[lowering_forest(preset, t1)[0][0]]
-    root_class = frozenset(direct_symbol_numerator(root, root, preset).items())
-    classes = {frozenset(direct_symbol_numerator(x, y, bad).items())
-               for i, x in enumerate(lams) for y in lams[i:]}
-    for p, expected in ((preset, {root_class}), (bad, classes)):
-        for _ in range(2):
-            calls.clear()
-            bracket_sum(t1, t1, p)
-            assert len(calls) == len(expected) and set(calls) == expected
-    assert len(classes) < len(lams) * (len(lams) + 1) // 2
+    root_split = frozenset(direct_symbol_numerator(root, root, preset).items())
+    for _ in range(2):
+        calls.clear()
+        bracket_sum(t1, t1, preset)
+        assert calls == [root_split]
 
 
 def test_bracket_sum_hashes_no_monomial_per_pair(monkeypatch):
@@ -1026,14 +1007,32 @@ def test_bracket_sum_nonuniform_base(g2):
                               "expected 0")
 
 
-def test_bracket_sum_not_decomposable_names_pair(g2):
-    # M_12 = M_21 = (t - t^-1)/(t^4 - 1 + t^-4) is symmetric and odd, but breaks
-    # the delta decomposition of the T1 x T1 symbols; Q = t^8 - t^4 + 1, so
-    # N_12 = t^4 (t - t^-1)
+def undecomposable_g2(g2):
+    """g2 with M_12 = M_21 = (t - t^-1)/(t^4 - 1 + t^-4): symmetric and odd, but it
+    breaks the delta decomposition of the T1 x T1 symbols; Q = t^8 - t^4 + 1, so
+    N_12 = t^4 (t - t^-1)."""
     q, nums = g2.pair_table
     odd = LaurentPoly({5: 1, 3: -1})
     corrupted = replace_preset(g2, pair_table=(q, ((nums[0][0], odd), (odd, nums[1][1]))))
     assert corrupted.m_parity == (True, True)
+    return corrupted
+
+
+@pytest.mark.parametrize("name", ["g2", "d4", "e6", "undecomposable_g2"])
+def test_bracket_sum_never_fails_on_a_pair_with_zero_coefficients(request, name):
+    # the identity brackets to 0 with every monomial, so the base is 0.  A pair
+    # of two monomials of T1 has alpha 1 on g2, d4 and e6, and does not split
+    # on the corrupted g2, but its two coefficients are 0, so it never fails
+    preset = (undecomposable_g2(request.getfixturevalue("g2")) if name == "undecomposable_g2"
+              else request.getfixturevalue(name))
+    one, t1 = SeriesExpr({YMonomial.identity(): 1}), build_t1(preset)
+    report = bracket_sum(one, t1, preset)
+    assert (report.base_coeff, report.delta_terms) == (0, {})
+    assert ordered_pair_bracket(one, t1, preset) == (0, {})
+
+
+def test_bracket_sum_not_decomposable_names_pair(g2):
+    corrupted = undecomposable_g2(g2)
     t1 = build_t1(corrupted)
     with pytest.raises(NotDecomposableError) as err:
         bracket_sum(t1, t1, corrupted)

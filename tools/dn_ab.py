@@ -6,16 +6,21 @@ temporary directory, as the packages wqalg_this and wqalg_other, and runs
 the stages of tools/dn_stages.py (stage_seconds) on each, alternately in
 this one process: rounds of both checkouts per algebra, the first one in
 turn.  An algebra is a D_n rank, e6 or g2, as in dn_stages.py.  The
-first round's time sets their number: as many as fill BUDGET_S seconds,
-at least MIN_ROUNDS and at most MAX_ROUNDS; the first round carries the
-cold start, so it can only lower the number.  For each algebra
-and stage it prints the median over the rounds of the ratio this / other
-of one round's seconds, the interquartile range of those ratios, the
-median seconds of each side and the number of rounds.  A ratio below 1
-means this checkout is faster.  Single runs on a shared host drift by 20-60%
-from one minute to the next, while ratios of runs made side by side hold
-within a few percent, so compare two checkouts with this, not with two
-dn_stages.py runs.  A stage that does not apply to an algebra (build_t2 on
+first round, one call per side, sets two numbers.  Each later round calls
+stage_seconds on the two sides in turn, as many times each as fill
+ROUND_S seconds and at least once, and averages each stage over the
+calls: a stage of a few microseconds is timed over many calls, not one.
+Each call builds fresh presets, so no call reads what another stored.
+The rounds are as many as fill BUDGET_S seconds, at least MIN_ROUNDS and
+at most MAX_ROUNDS.  The first round carries the cold start, so it can
+only lower both numbers.  For each algebra and stage it prints the median
+over the rounds of the ratio this / other of one round's seconds, the
+interquartile range of those ratios, the median seconds per call of each
+side and the number of rounds.  A ratio below 1 means this checkout is
+faster.  Single runs on a shared host drift by 20-60% from one minute to
+the next, while ratios of runs made side by side hold within a few
+percent, so compare two checkouts with this, not with two dn_stages.py
+runs.  A stage that does not apply to an algebra (build_t2 on
 E6) has no line.
 
 It exits 1, naming the checkout, algebra and stage on stderr, when a
@@ -42,6 +47,10 @@ BUDGET_S = 5.0
 # five rounds gave ratio IQRs of 0.05-0.58 at d16-d32 on a shared 2-vCPU
 # host; the cap keeps a d4 run, some 6 ms a round, to a fraction of a second
 MIN_ROUNDS, MAX_ROUNDS = 5, 51
+# timed once a round, the g2 stages of 9-700 us a call gave ratio IQRs of
+# 0.04-0.26 over 51 rounds on a shared 2-vCPU host, and about half that when a
+# round repeats them to fill 20 ms; an e6 round, some 13 ms, is not repeated
+ROUND_S = 0.02
 SIDES = ("this", "other")
 
 
@@ -59,26 +68,35 @@ def _stages_module(package: str):
 
 
 def paired_ratios(modules: dict, algebra: tuple, failures: list) -> dict:
-    """{side: [seconds of each stage] per round} for one algebra, the sides alternating first.
+    """{side: [seconds per call of each stage] per round} for one algebra, the sides
+    alternating first.
 
     algebra is (label, kind, n), from dn_stages.algebra.  The first round's
-    time sets the number of rounds (see the module notes).  A stage that
-    does not pass adds (side, label, stage, failure) to failures.
+    time sets the calls per round and the number of rounds (see the module
+    notes).  A stage that does not pass adds (side, label, stage, failure)
+    to failures.
     """
     runs = {side: [] for side in SIDES}
     name, kind, n = algebra
 
-    def one_round(r):
-        for side in SIDES[::-1] if r % 2 else SIDES:
-            found = []
-            runs[side].append(modules[side].stage_seconds(kind, n, found))
-            failures.extend((side, name, stage, failure) for stage, failure in found)
+    def one_round(r, calls):
+        each = {side: [] for side in SIDES}
+        for _ in range(calls):
+            for side in SIDES[::-1] if r % 2 else SIDES:
+                found = []
+                each[side].append(modules[side].stage_seconds(kind, n, found))
+                failures.extend((side, name, stage, failure) for stage, failure in found)
+        for side, times in each.items():
+            runs[side].append([None if col[0] is None else sum(col) / calls
+                               for col in zip(*times)])
 
     start = time.perf_counter()
-    one_round(0)
-    fill = int(BUDGET_S / (time.perf_counter() - start))
+    one_round(0, 1)
+    seconds = time.perf_counter() - start
+    calls = max(1, int(ROUND_S / seconds))
+    fill = int(BUDGET_S / (calls * seconds))
     for r in range(1, max(MIN_ROUNDS, min(MAX_ROUNDS, fill))):
-        one_round(r)
+        one_round(r, calls)
     return runs
 
 
