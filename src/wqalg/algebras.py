@@ -248,12 +248,12 @@ def _pair_table(q: LaurentPoly, forms: dict) -> tuple[LaurentPoly, LaurentRows]:
     every unordered pair (i, j), i <= j (1-based), in pairs, where num is
     the product of the factors, and N is filled in both triangles from it.
     Each den costs at most one exact division, the cofactor Q / den
-    (_cofactor).  Each distinct last factor f is then scaled once,
-    R_f = f * (Q / den), and a form is the product of its other factors
-    with its R_f.  D_n's forms are sym_minus(i) * sym_plus(m): n products
-    make its R_m, and each entry costs one more, so D_n, with two
-    denominators, is built in O(n^2) products of two- and four-term
-    polynomials.  Under a den that does not divide Q (den_long for even n,
+    (_cofactor).  Each last factor f is then scaled once per object,
+    R_f = f * (Q / den), found by id, so no factor is hashed, and a form is
+    the product of its other factors with its R_f.  D_n's forms are
+    sym_minus(i) * sym_plus(m): n products make its R_m, and each entry
+    costs one more, so D_n, with two denominators, is built in O(n^2)
+    products of two- and four-term polynomials.  Under a den that does not divide Q (den_long for even n,
     every E6 and G2 den) each form takes the one exact division
     num * Q / den instead.  Raises ArithmeticError if den does not divide
     num * Q.  Q and N are shifted together so that Q has min exponent 0,
@@ -264,16 +264,16 @@ def _pair_table(q: LaurentPoly, forms: dict) -> tuple[LaurentPoly, LaurentRows]:
     rows = [[None] * rank for _ in range(rank)]
     for den, group in forms.items():
         cof = _cofactor(q, den)
-        scaled = {}   # last factor f -> R_f
+        scaled = {}   # id(f), for each last factor f -> R_f
         for pairs, *factors, last in group:
             if cof is None:
                 quo = laurent_divide(reduce(mul, factors, last) * q, den)
                 if quo is None:
                     raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, den))
             else:
-                quo = scaled.get(last)
+                quo = scaled.get(id(last))
                 if quo is None:
-                    quo = scaled[last] = last * cof
+                    quo = scaled[id(last)] = last * cof
                 quo = reduce(mul, factors, quo)
             for i, j in pairs:
                 rows[i - 1][j - 1] = rows[j - 1][i - 1] = quo
@@ -658,18 +658,22 @@ def _limit_failure(preset: AlgebraPreset) -> str | None:
     pole or a differing limit.
     """
     expected = preset.b
-    # D and Mtilde hold few distinct values: each limit is computed once
-    limits = {e: _classical_limit(e)
-              for e in {*preset.d, *(e for row in preset.mtilde for e in row)}}
+    # D and Mtilde share one object per t-number: each limit is computed once
+    # per distinct object, which is found by id, so no entry is hashed
+    limits = {id(e): e for e in chain(preset.d, *preset.mtilde)}
+    limits = {key: _classical_limit(e) for key, e in limits.items()}
     for i, e in enumerate(preset.d):
-        limit, half = limits[e], _exact_quotient(expected[i][i], 2)
+        limit, half = limits[id(e)], _exact_quotient(expected[i][i], 2)
         if limit is None:
             return "limit of d_%d: %s divided by t - t^-1 has a pole at t = 1" % (i + 1, e)
         if limit != half:
             return "limit of d_%d: got %s, expected %s" % (i + 1, limit, half)
     for i, row in enumerate(preset.mtilde):
+        # a row is walked entry by entry only where it fails, for the text
+        if tuple(map(limits.__getitem__, map(id, row))) == expected[i]:
+            continue
         for j, e in enumerate(row):
-            limit = limits[e]
+            limit = limits[id(e)]
             if limit is None:
                 return ("limit entry (%d,%d): %s divided by t - t^-1 has a pole at t = 1"
                         % (i + 1, j + 1, e))

@@ -22,8 +22,9 @@ R_A[j] = sum_k e_k t^{-a_k} N_{i_k j}, each summed once on first use.  One
 function sums it (_numerator_terms), for symbol() and bracket_sum alike.
 symbol() keeps the rows of each fundamental monomial in the preset's row
 memo (AlgebraPreset.node_rows), whose keys are the preset's lambdas; the
-rows of any other left monomial are built per call.  bracket_sum and
-verify_all keep theirs per outer monomial, so neither fills the memo.
+rows of any other left monomial are built per call.  bracket_sum keeps its
+rows per outer root, and verify_all's own diagonal splits per bracket, so
+neither fills the memo.
 
 Each preset splits each distinct symbol numerator once: _split_numerator
 keeps the preset's split table (AlgebraPreset.splits), keyed by the
@@ -45,10 +46,13 @@ monomial is a root with no step, so every pair is split.  A pair splits
 iff its roots' pair does, with the same alpha, so a failure names the
 first pair, with a nonzero coefficient, whose roots' pair does not split
 or has another alpha, and splits that pair's own numerator for its text.
-Each split leaves a plan, the pair-sum map and signed coefficient of each
-kept delta, which every pair with that split applies.  It accumulates each
+Each distinct split leaves one plan, the pair-sum map and signed
+coefficient of each kept delta, which every pair with that split applies.  It accumulates each
 C(a) as a pair sum, whose key stands for the product of two of its
-monomials, and its report builds C(a) only when it is read.  Of a self-bracket it keeps the half on a <= 0 only: each
+monomials, and its report builds C(a) only when it is read.  The report keeps the split of each diagonal pair (x, x),
+which verify_all reads for its diagonal brackets, so a verification where
+the residual holds sums and divides the one numerator of T1's root pair.
+Of a self-bracket it keeps the half on a <= 0 only: each
 C(+b) = -C(-b)(zq^-b), which M symmetric and odd makes exact, is built
 from C(-b).  The report's shifts build only the pair sums whose
 coefficients add up to zero, to see whether they cancel.  verify_closure
@@ -77,6 +81,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import chain
 from operator import attrgetter
 
 from . import genexpr
@@ -105,8 +110,9 @@ class NotDecomposableError(ValueError):
     """
 
 
-# Entries of a preset's split table.  decompose and verify_all's diagonal brackets
-# fill it, and bracket_sum with the pairs of roots it splits: one per preset's T1
+# Entries of a preset's split table.  decompose fills it, verify_all's diagonal
+# brackets where the closure keeps no split for them, and bracket_sum with the
+# pairs of roots it splits: one per preset's T1
 # where the Cartan residual holds, each distinct numerator of every pair where it
 # fails (about 260 at d256)
 _SPLIT_TABLE_CAP = 4096
@@ -259,6 +265,7 @@ class BracketReport:
         self._monos = ()        # the monomials that the pair-sum keys index
         self._sums = {}         # shift a -> the pair sum of C(a), kept once C(a) is built
         self._mirrored = set()  # the shifts b whose C(b) is built from C(-b)
+        self._diagonal = {}     # the factors of x -> the deltas of symbol(x, x), or None
 
     @property
     def delta_terms(self) -> dict[int, SeriesExpr]:
@@ -294,6 +301,18 @@ class BracketReport:
             got = self._terms[shift] = self._mirror(shift)
         return got
 
+    def diagonal_split(self, x: YMonomial):
+        """(base_coeff, deltas) of symbol(x, x), for a monomial x of the bracketed series.
+
+        bracket_sum keeps the split of each monomial's diagonal pair that its
+        rows hold, so its alpha is the base.  None where the report keeps no
+        split: x is not a monomial of the two series, the pair does not split,
+        or its alpha is another.  The deltas are shared: callers never change
+        them.
+        """
+        deltas = self._diagonal.get(x.factors)
+        return None if deltas is None else (self.base_coeff, deltas)
+
     def _mirror(self, b: int) -> SeriesExpr:
         """C(b) = -C(-b)(zq^-b): one shift_arg per term of the built C(-b)."""
         return SeriesExpr._raw({m.shift_arg(-b): -c for m, c in self._terms[-b].terms.items()})
@@ -323,8 +342,8 @@ class BracketReport:
         return " + ".join(parts)
 
 
-def _lowering_steps(monos, cols) -> tuple[list, list]:
-    """(roots, steps): the lowering forest of the sorted monomials monos.
+def _lowering_steps(monos, cols) -> tuple[list, list, list]:
+    """(roots, steps, root_of): the lowering forest of the sorted monomials monos.
 
     A step (k, p, i, b) says monos[k] = monos[p] * A_(i+1)(zq^b)^-1, where
     A_(i+1)(zq^b) is the product of Y_(j+1)(zq^(b+e))^c over column i of Z,
@@ -332,10 +351,11 @@ def _lowering_steps(monos, cols) -> tuple[list, list]:
     come from its negative factors: a positive term c t^e of Z_ji makes
     A_(i+1)(zq^b)^-1 hold Y_(j+1)(zq^(b+e))^-c, so a factor Y_(j+1)(zq^a)^-f
     proposes b = a - e.  The first candidate among monos is the parent, and
-    a monomial with none is a root.  The steps come parents first.  No step
-    leads back to where it started: the residual makes Z invertible, so no
-    product of the A_i is 1.  The monomials are indexed by their factors, so
-    none is hashed.
+    a monomial with none is a root.  The steps come parents first, and
+    root_of[n] is the root of monos[n], set as its chain of steps is placed.
+    No step leads back to where it started: the residual makes Z invertible,
+    so no product of the A_i is 1.  The monomials are indexed by their
+    factors, so none is hashed.
     """
     index = {m.factors: n for n, m in enumerate(monos)}
     # node j + 1 -> the (i, e) of each positive term c t^e of Z_ji, lowest e
@@ -364,15 +384,18 @@ def _lowering_steps(monos, cols) -> tuple[list, list]:
         return None
 
     parents = {n: p for n, p in enumerate(map(parent, monos)) if p}
-    steps, placed = [], set()
+    steps, root_of = [], [None if n in parents else n for n in range(len(monos))]
     for n in parents:
         chain = []
-        while n in parents and n not in placed:
-            placed.add(n)
+        while root_of[n] is None:
+            root_of[n] = n      # placed; the chain's root is written below
             chain.append(n)
             n = parents[n][0]
-        steps.extend((k, *parents[k]) for k in reversed(chain))
-    return [n for n in range(len(monos)) if n not in parents], steps
+        r = root_of[n]
+        for k in reversed(chain):
+            root_of[k] = r
+            steps.append((k, *parents[k]))
+    return [n for n in range(len(monos)) if n not in parents], steps, root_of
 
 
 def _split_rows(monos, preset: AlgebraPreset, plan, first):
@@ -392,15 +415,14 @@ def _split_rows(monos, preset: AlgebraPreset, plan, first):
     with the same alpha, so an entry is None exactly where its roots' entry
     is; a row where x has no factor on node i shares its parent's entry.
     Where the residual fails, every monomial is a root with no step, and
-    every pair is split.
+    every pair is split.  Each distinct split gets one plan, shared by every
+    entry with those deltas, and each such entry one reflection.
     """
     failure, cols, ld = preset.cartan_residual
     size, nums = len(monos), preset.pair_table[1]
-    roots, steps = (range(size), []) if failure else _lowering_steps(monos, cols)
+    roots, steps, root_of = ((range(size), [], range(size)) if failure
+                             else _lowering_steps(monos, cols))
     ld = [e.terms for e in ld]
-    root_of = list(range(size))
-    for k, p, _, _ in steps:
-        root_of[k] = root_of[p]
     splits = {}     # (r, r2), roots with r <= r2 -> their split, None where it fails
     for i, r in enumerate(roots):
         xrows = {}
@@ -413,8 +435,24 @@ def _split_rows(monos, preset: AlgebraPreset, plan, first):
     first_split = first and splits[tuple(sorted(root_of[n] for n in first))]
     base = first_split[0] if first_split else 0
 
+    plans = {}          # frozenset of a split's delta items -> its entry
+    reflections = {}    # id(entry) -> the entry of its reversed pair
+
+    def planned(deltas):
+        key = frozenset(deltas.items())
+        entry = plans.get(key)
+        if entry is None:
+            entry = plans[key] = plan(deltas)
+        return entry
+
     def reflected(entry):
-        return entry and plan({-a: -c for a, c in entry[0].items()})
+        # every entry is kept in plans, so its id is not reused
+        if entry is None:
+            return None
+        got = reflections.get(id(entry))
+        if got is None:
+            got = reflections[id(entry)] = planned({-a: -c for a, c in entry[0].items()})
+        return got
 
     def lowered(row, x):
         on_node = {}    # node index -> the (shift, exponent) of each factor of x there
@@ -428,7 +466,7 @@ def _split_rows(monos, preset: AlgebraPreset, plan, first):
             deltas = dict(entry[0])
             for a, e in factors:
                 _add_scaled(deltas, b - a, -e, ld[i])
-            row[k] = plan(deltas)
+            row[k] = planned(deltas)
         return row
 
     root_rows = {}
@@ -438,7 +476,7 @@ def _split_rows(monos, preset: AlgebraPreset, plan, first):
             if r2 < r:
                 row[r2] = reflected(root_rows[r2][r])
             elif (split := splits[r, r2]) and split[0] == base:
-                row[r2] = plan(split[1])
+                row[r2] = planned(split[1])
         root_rows[r] = lowered(row, monos[r])
 
     def rows(n):
@@ -474,9 +512,11 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     whose split is missing, because its roots' pair does not split or has
     another alpha, is the failure: its own numerator is split once, and its
     NotDecomposableError, or a NonUniformBaseError, names it.  A pair whose
-    two coefficients are 0 is skipped and never fails.  Each split leaves a
-    plan: the pair-sum map and signed coefficient of each kept forward and
-    reverse delta, and the coefficient of Delta(0).  The coefficients of the
+    two coefficients are 0 is skipped and never fails.  Each distinct split
+    leaves one plan: the pair-sum map and signed coefficient of each kept
+    forward and reverse delta, and the coefficient of Delta(0).  The report
+    keeps the split of each diagonal pair (x, x) that the rows hold, for
+    BracketReport.diagonal_split.  The coefficients of the
     two series are read once into lists indexed like the monomials, and the
     nodes of every monomial are checked once.
 
@@ -519,8 +559,10 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     first = next(((n, k) for n in range(size) for k in range(n, size)
                   if tco[n] * sco[k] or k != n and tco[k] * sco[n]), None)
     base, rows = _split_rows(monos, preset, plan, first)
+    diagonal = {}   # the factors of x -> the deltas of (x, x), None where it has no entry
     for n, x in enumerate(monos):
         tx, sx, row = tco[n], sco[n], rows(n)
+        diagonal[x.factors] = row[n] and row[n][0]
         for k in range(n, size):
             forward, reverse = tx * sco[k], (tco[k] * sx if k != n else 0)
             if not (forward or reverse):
@@ -548,7 +590,7 @@ def bracket_sum(t_series: SeriesExpr, s_series: SeriesExpr,
     # a plan makes the maps of its shifts; drop those no pair wrote to
     acc = {a: sums for a, sums in acc.items() if sums}
     report = BracketReport(preset.name, base, {})
-    report._monos, report._sums = monos, acc
+    report._monos, report._sums, report._diagonal = monos, acc, diagonal
     if self_bracket:
         report._mirrored = {-a for a in acc if a}
     logger = _info_logger()
@@ -718,7 +760,16 @@ def verify_closure(preset: AlgebraPreset) -> ClosureOutcome:
 
 
 def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
-    """Aggregate verification: matrices, dualities, diagonal brackets, closure."""
+    """Aggregate verification: matrices, dualities, diagonal brackets, closure.
+
+    The checks are recorded in that order, but the closure runs before the
+    diagonal brackets: its bracket of T1 with itself keeps the split of each
+    diagonal pair {Lambda_i, Lambda_i} (BracketReport.diagonal_split), so
+    where the Cartan residual holds, a verification sums and divides one
+    symbol numerator, the one of T1's root pair.  A diagonal pair is split
+    on its own only where the report keeps no split for it: where
+    bracket_sum raised, or the pair does not split or has another alpha.
+    """
     out = VerificationOutcome()
 
     def check(ok, good, bad):
@@ -734,13 +785,18 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
     check(tuple(zip(*preset.mtilde)) == preset.mtilde,
           "expected deformed Cartan matrix is symmetric",
           "expected deformed Cartan matrix is not symmetric")
-    # D and Mtilde are Laurent: odd means e(1/t) = -e(t), tested once per distinct entry
-    laurent = set(preset.d) | {e for row in preset.mtilde for e in row}
+    # D and Mtilde are Laurent: odd means e(1/t) = -e(t), tested once per entry
+    # object, found by id (the preset shares one per t-number), so none is hashed
+    laurent = {id(e): e for e in chain(preset.d, *preset.mtilde)}.values()
     check(odd and all(e.invert_var() == -e for e in laurent),
           "all matrix entries are odd under t -> 1/t",
           "some matrix entry is not odd under t -> 1/t")
     check(cartan.identity_holds, "dual identity D Mtilde^-1 D = M", "dual identity fails")
 
+    # the closure runs first, and its report keeps the diagonal splits; its
+    # checks are recorded after the diagonal brackets'
+    closure = verify_closure(preset)
+    report = closure.report
     # the M_11 guard and the parity of M are properties of the preset: report
     # them once, not per bracket (the closure reports a failed parity)
     if not preset.m11_split[1]:
@@ -749,8 +805,11 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
         impure, complete = [], True
         for i, lam in enumerate(preset.lambdas, start=1):
             try:
-                alpha, deltas = _split_numerator(
-                    _symbol_numerator(lam, lam, preset, {}), preset)
+                # split only where the report keeps no split: bracket_sum raised,
+                # or the pair has none
+                alpha, deltas = (report and report.diagonal_split(lam)
+                                 or _split_numerator(_symbol_numerator(lam, lam, preset, {}),
+                                                     preset))
             except NotDecomposableError as exc:
                 check(False, "", "diagonal bracket %d does not decompose: %s" % (i, exc))
                 complete = False
@@ -769,7 +828,6 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
         elif complete:
             out.details.append("NOTE every diagonal bracket is pure")
 
-    closure = verify_closure(preset)
     check(closure.passed, "closure of {T1(z), T1(w)}", closure.failure)
     out.details.extend("  " + d for d in closure.details)
 

@@ -638,8 +638,9 @@ def test_each_first_series_has_one_lowering_root(kind, n):
     # children is a forest of several roots
     preset = an_preset(n) if kind == "an" else build_preset(kind, n)
     monos = sorted(build_t1(preset).terms, key=lambda m: m.factors)
-    roots, steps = lowering_forest(preset, build_t1(preset))
+    roots, steps, root_of = lowering_forest(preset, build_t1(preset))
     assert len(roots) == 1 and len(steps) == len(monos) - 1
+    assert root_of == roots * len(monos)
     assert monos[roots[0]].factors == ((1, 0, 1),)     # Y_1(z), the dominant monomial
     placed = set(roots)
     for k, p, i, b in steps:
@@ -648,7 +649,9 @@ def test_each_first_series_has_one_lowering_root(kind, n):
     if len(monos) > 2:
         cut = steps[0][0]
         rest = SeriesExpr((m, 1) for m in monos if m != monos[cut])
-        assert len(lowering_forest(preset, rest)[0]) > 1
+        roots, steps, root_of = lowering_forest(preset, rest)
+        assert len(roots) > 1 and all(root_of[r] == r for r in roots)
+        assert all(root_of[k] == root_of[p] for k, p, _, _ in steps)
 
 
 def dual_partner(series):
@@ -676,7 +679,8 @@ def residual_failing(preset):
 
 
 def lowering_forest(preset, series):
-    """The roots and steps of the lowering forest of a series' sorted monomials."""
+    """The roots, steps and root of each monomial of the lowering forest of a
+    series' sorted monomials."""
     monos = sorted(series.terms, key=lambda m: m.factors)
     return poisson_mod._lowering_steps(monos, preset.cartan_residual[1])
 
@@ -701,7 +705,7 @@ def test_bracket_sum_splits_each_unordered_pair_once(kind, n, monkeypatch):
     preset = build_preset(kind, n)
     calls = counting_numerators(monkeypatch)
     t1 = build_t1(preset)
-    roots, _ = lowering_forest(preset, t1)
+    roots, _, _ = lowering_forest(preset, t1)
     bracket_sum(t1, t1, preset)
     assert len(roots) == 1 and len(calls) == 1
     assert calls[0] == (sorted(t1.terms, key=lambda m: m.factors)[roots[0]],) * 2
@@ -976,8 +980,9 @@ def test_bracket_sum_hashes_no_monomial_per_pair(monkeypatch):
 
 
 def test_verify_all_hashes_each_laurent_poly_once(monkeypatch):
-    # a LaurentPoly keeps its hash: the entry sets of m_parity and of the
-    # oddness check, and the limits of _limit_failure, hash each object once
+    # the oddness check and the limits of _limit_failure find the distinct
+    # entries of D and Mtilde by id, so none of them is hashed; a LaurentPoly
+    # that is hashed keeps its hash, so each builds its frozenset once
     hashed, built = [], []
     real_hash = LaurentPoly.__hash__
 
@@ -989,12 +994,81 @@ def test_verify_all_hashes_each_laurent_poly_once(monkeypatch):
         built.append(None)
         return frozenset(items)
 
+    preset = build_preset("dn", 32)
+    entries = {id(e) for e in (*preset.d, *(e for row in preset.mtilde for e in row))}
     monkeypatch.setattr(LaurentPoly, "__hash__", recording)
     monkeypatch.setattr(exactfield, "frozenset", counting, raising=False)
-    assert verify_all(build_preset("dn", 32)).passed
+    assert verify_all(preset).passed
     distinct = {id(p) for p in hashed}   # hashed holds them all, so no id is reused
-    assert len(hashed) > len(distinct)
+    assert not distinct & entries
     assert len(built) == len(distinct)
+
+
+@pytest.mark.parametrize("kind,n", [("dn", 32), ("e6", None), ("g2", None)])
+def test_verify_all_splits_only_the_root_pair(kind, n, monkeypatch):
+    # the closure's report keeps every diagonal split, so a verification on a
+    # fresh preset sums and divides one numerator: the pair of T1's root
+    preset = build_preset(kind, n)
+    calls = counting_numerators(monkeypatch)
+    divided = []
+
+    def divmod_(a, q):
+        divided.append(a)
+        return exactfield.laurent_divmod(a, q)
+
+    monkeypatch.setattr(poisson_mod, "laurent_divmod", divmod_)
+    assert verify_all(preset).passed
+    assert len(calls) == 1 and len(divided) == 1
+
+
+@pytest.mark.parametrize("kind,n", [("dn", n) for n in range(4, 13)]
+                         + [("e6", None), ("g2", None)]
+                         + [("an", n) for n in range(1, 9)]
+                         + [("dn_residual_fails", n) for n in (4, 5)]
+                         + [("residual_failing", kind) for kind in ("e6", "g2")])
+def test_report_keeps_each_diagonal_split(kind, n):
+    # the split bracket_sum keeps for (x, x), derived along the lowering steps
+    # or, where the residual fails, split directly, is the split of the
+    # oracle's numerator of symbol(x, x), read on a second build of the preset
+    if kind == "residual_failing":
+        preset, oracle_preset = (residual_failing(build_preset(n)) for _ in range(2))
+    else:
+        preset, oracle_preset = _engine_and_oracle_presets(kind, n)
+    t1 = build_t1(preset)
+    report = bracket_sum(t1, t1, preset)
+    for lam in preset.lambdas:
+        num = LaurentPoly(direct_symbol_numerator(lam, lam, oracle_preset))
+        assert report.diagonal_split(lam) == poisson_mod._split_numerator(num, oracle_preset)
+    assert report.diagonal_split(YMonomial.identity()) is None
+
+
+def test_verify_all_splits_each_diagonal_pair_where_bracket_sum_raises(g2):
+    # on the corrupted g2 bracket_sum raises, so the report keeps no split and
+    # every diagonal pair is split on its own, with the texts it always had
+    out = verify_all(undecomposable_g2(g2))
+    no_alpha = "no rational base coefficient leaves a pure delta part for symbol "
+    assert not out.passed
+    assert out.failure == ("entry (1,1) of M D^-1 Mtilde D^-1: computed "
+                           "(t^8 + t^6 - t^4 + t^2 + 1) / (t^8 - t^4 + 1), expected 1")
+    assert out.details == [
+        "FAIL " + out.failure,
+        "PASS M is symmetric",
+        "PASS expected deformed Cartan matrix is symmetric",
+        "PASS all matrix entries are odd under t -> 1/t",
+        "FAIL dual identity fails",
+        "FAIL diagonal bracket 2 does not decompose: " + no_alpha
+        + "(2*t^8 - t^6 + t^2 - 2)/(t^8 - t^4 + 1)",
+        "FAIL diagonal bracket 3 does not decompose: " + no_alpha
+        + "(t^10 + t^8 - 1 - t^-2)/(t^8 - t^4 + 1)",
+        "FAIL diagonal bracket 5 does not decompose: " + no_alpha
+        + "(t^10 + t^8 - 1 - t^-2)/(t^8 - t^4 + 1)",
+        "FAIL diagonal bracket 6 does not decompose: " + no_alpha
+        + "(2*t^8 - t^6 + t^2 - 2)/(t^8 - t^4 + 1)",
+        "NOTE diagonal brackets with delta terms: "
+        "index 4: Delta(-4): 1, Delta(-2): -1, Delta(+2): 1, Delta(+4): -1",
+        "FAIL pair (Y_1^{-1}(zq^{-12}), Y_1(zq^{-10}) Y_2^{-1}(zq^{-11})): " + no_alpha
+        + "(-t^10 + t^8 + t^6 - 2*t^4 + t^2)/(t^8 - t^4 + 1)",
+        "PASS duality: dual_transform(T1) = T1(zq^12)"]
 
 
 def test_bracket_sum_nonuniform_base(g2):
