@@ -15,8 +15,10 @@ integer matrix, the symmetrized Cartan matrix B = DC, which the preset
 carries (b): Mtilde_ij = [B_ij] and d_i = [B_ii / 2].  B of a
 simply-laced family is read off its Dynkin edges (_simply_laced_b); G2's is
 a literal.  B is also the classical limit that verify_cartan checks Mtilde
-against.  The pair table is built from the closed forms of M_ij, grouped
-under their denominators, each denominator declared once.  The preset also
+against.  E6's and G2's pair tables are built from the closed forms of
+M_ij, grouped under their denominators, each denominator declared once.
+D_n's is semiseparable, and is held as scaled rows that share one vector
+(PairRows), each entry multiplied out only when it is read.  The preset also
 carries its closure spec (ClosureSpec), what {T1, T1} must give, so every
 verifier reads the preset alone: one built elsewhere is verified the same way.
 
@@ -29,9 +31,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, combinations, islice, repeat
-from math import lcm
-from operator import add, lshift, mul
+from itertools import accumulate, chain, combinations, islice, repeat
+from math import inf, lcm
+from operator import add, lshift, mul, sub
 from typing import Callable, NamedTuple
 
 from .exactfield import (LaurentPoly, RationalFunction, _add_scaled, _exact_quotient,
@@ -40,6 +42,113 @@ from .genexpr import YMonomial
 from .rflinalg import FieldMatrix
 
 LaurentRows = tuple[tuple[LaurentPoly, ...], ...]
+
+# the scale of a row whose entries are its vector's own objects
+_ONE = LaurentPoly.one()
+
+
+class PairRows:
+    """A symmetric pair table N, held as the scaled rows of its upper triangle.
+
+    rows[i] is (scale, vec, first): N_ij = scale * vec[first + j - i] for
+    j >= i, and N_ji = N_ij.  Rows may share one vec, so D_n's table of
+    n (n + 1) / 2 entries is held in O(n) polynomials (_dn_pair_table).
+    It reads like the tuple of rows it stands for: len, iteration, N[i]
+    and N[i][j] give the entries, each multiplied out on its first read and
+    kept, one object for (i, j) and (j, i).  A row whose scale is _ONE
+    gives vec's own objects.  Scales have int coefficients, so a value of
+    the residual at t = 2^w stays an int (_identity_residual).
+    """
+
+    __slots__ = ("rows", "_entries")
+
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+        for scale, _, _ in self.rows:
+            if any(type(c) is not int for c in scale.terms.values()):
+                raise TypeError("a PairRows scale has int coefficients, got %s" % scale)
+        self._entries = {}   # i * rank + j, i <= j -> N_ij
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return _PairRow(self, range(len(self.rows))[i])
+
+    def __iter__(self):
+        return map(_PairRow, repeat(self), range(len(self.rows)))
+
+    def entry(self, i: int, j: int) -> LaurentPoly:
+        """N_ij, multiplied out on its first read of either triangle."""
+        if j < i:
+            i, j = j, i
+        key = i * len(self.rows) + j
+        e = self._entries.get(key)
+        if e is None:
+            scale, vec, first = self.rows[i]
+            e = vec[first + j - i]
+            if scale is not _ONE:
+                e = scale * e
+            self._entries[key] = e
+        return e
+
+
+class _PairRow:
+    """Row i of a PairRows; its entries are read one at a time, on demand."""
+
+    __slots__ = ("table", "i")
+
+    def __init__(self, table: PairRows, i: int):
+        self.table, self.i = table, i
+
+    def __len__(self):
+        _, vec, first = self.table.rows[self.i]
+        return self.i + len(vec) - first
+
+    def __getitem__(self, j):
+        return self.table.entry(self.i, range(len(self))[j])
+
+    def __iter__(self):
+        return map(self.table.entry, repeat(self.i), range(len(self)))
+
+
+def _scaled_rows(nums, symmetric: bool):
+    """(scale, vec, first) per row of N, whose entries are scale * vec[first:].
+
+    The one reader of a table's rows for m_parity and the residual.  A
+    PairRows gives its own rows, its upper triangle; a tuple row i is
+    (_ONE, row[i:], 0) where N is symmetric, its upper triangle, and
+    (_ONE, row, 0) where it is not.
+    """
+    if isinstance(nums, PairRows):
+        return nums.rows
+    return [(_ONE, row[i:] if symmetric else row, 0) for i, row in enumerate(nums)]
+
+
+def _has_signature(p: LaurentPoly, signature: tuple[int, int]) -> bool:
+    """Whether p(1/t) = s t^k p(t) for signature (s, k), s = +-1: one lookup per term."""
+    s, k = signature
+    terms = p.terms
+    for e, c in terms.items():
+        if terms.get(-k - e) != s * c:
+            return False
+    return True
+
+
+def _reciprocity(p: LaurentPoly) -> tuple[int, int] | None:
+    """(s, k) with p(1/t) = s t^k p(t), or None where p has no such signature.
+
+    s is +-1 and k = -(min + max) exponent, read off the end terms, and
+    every term must then meet its reflection (_has_signature).  The
+    signature of a product is the product of the s and the sum of the k.
+    The zero polynomial has none.
+    """
+    terms = p.terms
+    if not terms:
+        return None
+    lo, hi = min(terms), max(terms)
+    signature = 1 if terms[lo] == terms[hi] else -1, -lo - hi
+    return signature if _has_signature(p, signature) else None
 
 
 class ClosureSpec(NamedTuple):
@@ -66,7 +175,7 @@ class ClosureSpec(NamedTuple):
 class AlgebraPreset:
     """A preset's integer Laurent tables; build a new preset to change one."""
 
-    def __init__(self, name: str, pair_table: tuple[LaurentPoly, LaurentRows],
+    def __init__(self, name: str, pair_table: tuple[LaurentPoly, LaurentRows | PairRows],
                  d: tuple[LaurentPoly, ...], mtilde: LaurentRows,
                  lambdas: tuple[YMonomial, ...], b: tuple[tuple[int, ...], ...],
                  closure: ClosureSpec):
@@ -138,13 +247,15 @@ class AlgebraPreset:
 
     @cached_property
     def n_symmetric(self) -> bool:
-        """Whether the table N, and so M, is symmetric: one test of its r^2 entries.
+        """Whether the table N, and so M, is symmetric.
 
-        m_parity and the Cartan residual both read it; where it holds, each
-        tests or evaluates the upper triangle only.
+        A PairRows is symmetric by construction; a tuple table is tested
+        once, by one comparison of its r^2 entries.  m_parity and the
+        Cartan residual both read it; where it holds, each reads the upper
+        triangle only.
         """
         nums = self.pair_table[1]
-        return tuple(zip(*nums)) == nums
+        return isinstance(nums, PairRows) or tuple(zip(*nums)) == nums
 
     @cached_property
     def m_parity(self) -> tuple[bool, bool]:
@@ -152,42 +263,70 @@ class AlgebraPreset:
 
         M is odd under t -> 1/t iff N(1/t) Q(t) + N(t) Q(1/t) = 0 for every
         entry N.  Every preset's Q is self-reciprocal, Q(1/t) = u t^-m Q(t)
-        with m = deg Q and u = +-1 (its coefficients read the same, times u,
-        from both ends), and then the test reduces to N(1/t) = -u t^-m N(t):
-        each term c t^e of N must meet the term -u c t^(m-e), one lookup per
-        term and no product.  Any other Q is tested by adding both products
-        into one term map that must end up empty.  A symmetric table's lower
-        triangle repeats its upper one, so only the upper one is tested.  No
-        entry is hashed: a LaurentPoly keeps its hash, and an int per entry
-        of N added 6 MB to the peak RSS of tools/dn_stages.py at d512.
-        Brackets are taken over unordered pairs, which is exact only when
-        both hold.
+        with m = deg Q and u = +-1 (its signature, _reciprocity), and then
+        the test is that every N has the signature (-u, -m).  A row of N is
+        scale * vec[first:] (_scaled_rows), and signatures multiply, so
+        where the scale has a signature, scale * v has (-u, -m) iff v has
+        that over the scale's: each vec is tested once per signature it
+        must have, one lookup per term (_has_signature), and a row holds iff
+        no entry from first on fails.  D_n's rows, suffixes of one vec under
+        scales of one signature, cost one pass over that vec, and no entry
+        is multiplied out or hashed.  Only the entries of a scale without a
+        signature are multiplied out and tested, as is every entry under a
+        Q that is not self-reciprocal, by adding both products into one
+        term map that must end up empty.  Only the upper triangle of a
+        symmetric table is tested.  Brackets are taken over unordered
+        pairs, which is exact only when both hold.
         """
         q, nums = self.pair_table
-        qt = q.terms
-        m = max(qt)   # Q's min exponent is 0
-        u = 1 if qt[m] == qt[0] else -1   # the test below refuses any other ratio
         symmetric = self.n_symmetric
-        rows = [row[i:] for i, row in enumerate(nums)] if symmetric else nums
-        if all(qt.get(m - e) == u * c for e, c in qt.items()):
-            v = -u
-            for row in rows:
-                for entry in row:
-                    terms = entry.terms
+        rows = _scaled_rows(nums, symmetric)
+        reciprocal = _reciprocity(q)
+        if reciprocal is None:
+            qt = q.terms
+            for scale, vec, first in rows:
+                for v in vec[first:]:
+                    terms = (v if scale is _ONE else scale * v).terms
+                    acc = {}
                     for e, c in terms.items():
-                        if terms.get(m - e) != v * c:
-                            return symmetric, False
+                        _add_scaled(acc, -e, c, qt)
+                    for e, c in qt.items():
+                        _add_scaled(acc, -e, c, terms)
+                    if acc:
+                        return symmetric, False
             return symmetric, True
-        for row in rows:
-            for entry in row:
-                acc = {}
-                for e, c in entry.terms.items():
-                    _add_scaled(acc, -e, c, qt)
-                for e, c in qt.items():
-                    _add_scaled(acc, -e, c, entry.terms)
-                if acc:
+        want = -reciprocal[0], reciprocal[1]
+        signatures = {id(_ONE): (1, 0)}   # id(scale) -> its signature
+        last_bad = {}   # (id(vec), signature) -> the last x with vec[x] not of it, or -1
+        for scale, vec, first in rows:
+            key = id(scale)
+            if key not in signatures:
+                signatures[key] = _reciprocity(scale)
+            ss = signatures[key]
+            if ss is None:
+                # a scale without a signature: its entries are multiplied out
+                if not all(_has_signature(scale * v, want) for v in vec[first:]):
                     return symmetric, False
+                continue
+            # scale * v has the signature want iff v has want over the scale's
+            need = want[0] * ss[0], want[1] - ss[1]
+            last = last_bad.get((id(vec), need))
+            if last is None:
+                last = last_bad[id(vec), need] = max(
+                    (x for x, v in enumerate(vec) if not _has_signature(v, need)), default=-1)
+            if first <= last:
+                return symmetric, False
         return symmetric, True
+
+    @cached_property
+    def dm_entries(self) -> dict:
+        """id -> entry over the distinct entry objects of D and Mtilde.
+
+        The preset shares one object per t-number, so this walks D and
+        Mtilde once; the oddness check of verify_all and _limit_failure
+        read it, and no entry is hashed.
+        """
+        return {id(e): e for e in chain(self.d, *self.mtilde)}
 
     @cached_property
     def cartan_residual(self) -> tuple[str | None, list, tuple]:
@@ -242,70 +381,65 @@ class VerificationOutcome:
 
 
 def _pair_table(q: LaurentPoly, forms: dict) -> tuple[LaurentPoly, LaurentRows]:
-    """(Q, N) from a declared Q and the closed forms grouped under their den.
+    """(Q, N) as tuple rows from a declared Q and the closed forms grouped under their den.
 
-    forms maps each den to a list of (pairs, *factors): M_ij = num / den for
-    every unordered pair (i, j), i <= j (1-based), in pairs, where num is
-    the product of the factors, and N is filled in both triangles from it.
-    Each den costs at most one exact division, the cofactor Q / den
-    (_cofactor).  Each last factor f is then scaled once per object,
-    R_f = f * (Q / den), found by id, so no factor is hashed, and a form is
-    the product of its other factors with its R_f.  D_n's forms are
-    sym_minus(i) * sym_plus(m): n products make its R_m, and each entry
-    costs one more, so D_n, with two denominators, is built in O(n^2)
-    products of two- and four-term polynomials.  Under a den that does not divide Q (den_long for even n,
-    every E6 and G2 den) each form takes the one exact division
-    num * Q / den instead.  Raises ArithmeticError if den does not divide
-    num * Q.  Q and N are shifted together so that Q has min exponent 0,
-    as laurent_divmod needs.
+    forms maps each den to a list of (pairs, num): M_ij = num / den for
+    every unordered pair (i, j), i <= j (1-based), in pairs, and N is
+    filled in both triangles from it.
+    Each form is one exact division num * Q / den: no E6 or G2 den divides
+    their Q, so no cofactor Q / den exists to share.  Raises ArithmeticError
+    if den does not divide num * Q.  Q and N are shifted together so that Q
+    has min exponent 0, as laurent_divmod needs.
     """
     q = q.shift(-q.min_exp)
     rank = max(j for group in forms.values() for pairs, *_ in group for _, j in pairs)
     rows = [[None] * rank for _ in range(rank)]
     for den, group in forms.items():
-        cof = _cofactor(q, den)
-        scaled = {}   # id(f), for each last factor f -> R_f
-        for pairs, *factors, last in group:
-            if cof is None:
-                quo = laurent_divide(reduce(mul, factors, last) * q, den)
-                if quo is None:
-                    raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, den))
-            else:
-                quo = scaled.get(id(last))
-                if quo is None:
-                    quo = scaled[id(last)] = last * cof
-                quo = reduce(mul, factors, quo)
+        for pairs, num in group:
+            quo = _divided(num * q, den, q)
             for i, j in pairs:
                 rows[i - 1][j - 1] = rows[j - 1][i - 1] = quo
     return q, tuple(map(tuple, rows))
 
 
-def _cofactor(q: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
-    """Q / den for a polynomial Q with min exponent 0, or None if den does not divide Q.
+def _divided(num: LaurentPoly, den: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """num / den, exact; ArithmeticError, naming Q, where den does not divide num."""
+    quo = laurent_divide(num, den)
+    if quo is None:
+        raise ArithmeticError("declared Q = %s is not a multiple of %s" % (q, den))
+    return quo
 
-    A divisor of Q is at most as wide as Q, and one as wide is c t^k Q, so
-    has as many terms; any other den is refused without a division, so the
-    presets whose denominators do not divide Q (E6, G2) pay for none.
+
+def _dn_pair_table(n: int) -> tuple[LaurentPoly, PairRows]:
+    """(Q, N) for D_n, N as the scaled rows of its upper triangle (PairRows).
+
+    M = D Mtilde^-1 D is the inverse of a q-Cartan matrix that is
+    tridiagonal along the chain, so it is semiseparable: with den =
+    [n-1]_+ = t^(n-1) + t^-(n-1), M_ij = [i] [n-1-j]_+ / den for
+    i <= j <= n-2 and M_ij = [i] / den for j = n-1, n, with [k] = t^k - t^-k.
+    So row i <= n-2 is the scale [i] times the suffix from column i of one
+    vector b, b_j = [n-1-j]_+ (Q / den) for j <= n-2 and Q / den for
+    j = n-1, n: n - 2 products make b.  The long block over den_long =
+    (t + t^-1) den holds M_(n-1,n-1) = M_nn = [n] / den_long and
+    M_(n-1,n) = [n-2] / den_long.  Q is the reduced lcm of den and
+    den_long: den_long itself for odd n, where the block is the monomial
+    scale Q / den_long over ([n], [n-2]); den for even n, where t + t^-1
+    divides both block numerators, and the block is the two exact
+    divisions [k] Q / den_long under the scale 1.
     """
-    width = den.max_exp - den.min_exp
-    if width < q.max_exp or width == q.max_exp and len(den) == len(q):
-        return laurent_divide(q, den)
-    return None
-
-
-def _dn_pair_table(n: int):
     den = sym_plus(n - 1)
     den_long = sym_plus(1) * den
-    # each t-number is one object, shared by the forms that read it
-    minus = [None] + [sym_minus(i) for i in range(1, n + 1)]
-    plus = [None] + [sym_plus(m) for m in range(1, n - 1)]
-    forms = {den: [(((i, j),), minus[i], plus[n - 1 - j])
-                   for i in range(1, n - 1) for j in range(i, n - 1)]
-             + [(((i, n - 1), (i, n)), minus[i]) for i in range(1, n - 1)],
-             den_long: [(((n - 1, n),), minus[n - 2]), (((n - 1, n - 1), (n, n)), minus[n])]}
-    # Q is the reduced lcm of den and den_long: for even n, t + t^-1 divides
-    # both long-entry numerators
-    return _pair_table(den_long if n % 2 else den, forms)
+    q = den_long if n % 2 else den
+    q = q.shift(-q.min_exp)
+    cof = _divided(q, den, q)
+    b = tuple(sym_plus(n - 1 - j) * cof for j in range(1, n - 1)) + (cof, cof)
+    if n % 2:
+        scale, top, side = _divided(q, den_long, q), sym_minus(n), sym_minus(n - 2)
+    else:
+        scale = _ONE
+        top, side = (_divided(sym_minus(k) * q, den_long, q) for k in (n, n - 2))
+    return q, PairRows([(sym_minus(i), b, i - 1) for i in range(1, n - 1)]
+                       + [(scale, (top, side), 0), (scale, (top,), 0)])
 
 
 _E6_EDGES = ((1, 2), (2, 3), (3, 4), (4, 5), (3, 6))
@@ -344,21 +478,16 @@ def _t_number(b: int) -> LaurentPoly:
 
 
 def _dn_lambdas(n: int) -> tuple[YMonomial, ...]:
-    lams = []
-    for i in range(1, n - 1):
-        factors = [(i, -i + 1, 1)]
-        if i > 1:
-            factors.append((i - 1, -i, -1))
-        lams.append(YMonomial.from_factors(factors))
-    lams.append(YMonomial.from_factors([(n, -n + 2, 1), (n - 1, -n + 2, 1), (n - 2, -n + 1, -1)]))
-    lams.append(YMonomial.from_factors([(n - 1, -n + 2, 1), (n, -n, -1)]))
-    lams.append(YMonomial.from_factors([(n, -n + 2, 1), (n - 1, -n, -1)]))
-    lams.append(YMonomial.from_factors([(n - 2, -n + 1, 1), (n - 1, -n, -1), (n, -n, -1)]))
-    for i in range(n - 2, 0, -1):
-        factors = [(i, -2 * n + i + 1, -1)]
-        if i > 1:
-            factors.append((i - 1, -2 * n + i + 2, 1))
-        lams.append(YMonomial.from_factors(factors))
+    """The 2n fundamental monomials of D_n, each written as its sorted factor triples."""
+    raw = YMonomial._raw
+    lams = [raw(((1, 0, 1),))]
+    lams += [raw(((i - 1, -i, -1), (i, 1 - i, 1))) for i in range(2, n - 1)]
+    lams += [raw(((n - 2, 1 - n, -1), (n - 1, 2 - n, 1), (n, 2 - n, 1))),
+             raw(((n - 1, 2 - n, 1), (n, -n, -1))),
+             raw(((n - 1, -n, -1), (n, 2 - n, 1))),
+             raw(((n - 2, 1 - n, 1), (n - 1, -n, -1), (n, -n, -1)))]
+    lams += [raw(((i - 1, i + 2 - 2 * n, 1), (i, i + 1 - 2 * n, -1))) for i in range(n - 2, 1, -1)]
+    lams.append(raw(((1, 2 - 2 * n, -1),)))
     return tuple(lams)
 
 
@@ -514,31 +643,51 @@ def _q_cartan(d: tuple[LaurentPoly, ...], mtilde: LaurentRows) -> tuple[LaurentP
                    for dk, row, quo in zip(d, nonzero, rows)]
 
 
-def _integral(maps: list) -> tuple[list, int]:
-    """(maps, c): term maps scaled to int coefficients, and their largest |coefficient|.
+def _integral(maps: list) -> tuple[list, list]:
+    """(maps, norms): term maps scaled to int coefficients, and the l1 norm of each.
 
     The scale is the lcm of every denominator, shared by all the maps.  An
     all-int list, which is every preset's, is returned as it is: a sum of
     ints is an int, and any Fraction makes the sum one.
     """
-    coeffs = list(chain.from_iterable(map(dict.values, maps)))
-    top = max(max(coeffs), -min(coeffs))
-    if type(sum(coeffs)) is int:
-        return maps, top
-    s = lcm(*(c.denominator for c in coeffs))
-    return [{e: int(c * s) for e, c in m.items()} for m in maps], int(top * s)
+    norms = [sum(map(abs, m.values())) for m in maps]
+    if type(sum(norms)) is int:
+        return maps, norms
+    s = lcm(*(c.denominator for m in maps for c in m.values()))
+    return [{e: int(c * s) for e, c in m.items()} for m in maps], [int(x * s) for x in norms]
 
 
-def _at_power_of_two(maps: list, w: int) -> list[int]:
-    """The value at t = 2^w of each int term map times t^-lo, lo their least exponent.
+def _at_power_of_two(maps: list, w: int, floor) -> list[int]:
+    """The value at t = 2^w of each int term map times t^-lo.
 
-    The one offset lo makes every shift non-negative, so each value is one
-    exact int; at least one map must be nonzero.
+    lo is the least of floor and every exponent, so each shift is
+    non-negative and each value one exact int; one map must be nonzero.
     """
     exps = set().union(*maps)
-    lo = min(exps)
+    lo = min(floor, min(exps))
     shift = {e: w * (e - lo) for e in exps}
     return [sum(map(lshift, m.values(), map(shift.__getitem__, m))) for m in maps]
+
+
+def _scaled_values(scale: dict, vals: list, w: int) -> list[int]:
+    """The values at t = 2^w of scale * v, from the values vals of the v on one base.
+
+    Each term c t^e of scale is one shifted copy of vals, by w e.  Where
+    e < 0 the shift is to the right, exact where e plus the least exponent
+    of each v is at least the base (_identity_residual).  The scale 1 gives
+    vals itself.
+    """
+    out = None
+    for e, c in scale.items():
+        k = w * e
+        part = [v << k for v in vals] if k > 0 else [v >> -k for v in vals] if k else vals
+        if c != 1 and c != -1:
+            part = [c * v for v in part]
+        if out is None:
+            out = [-v for v in part] if c == -1 else part
+        else:
+            out = list(map(sub if c == -1 else add, out, part))
+    return [0] * len(vals) if out is None else out
 
 
 def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
@@ -556,23 +705,35 @@ def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
     and that det M != 0.
 
     It is decided with one exact integer per table entry (Kronecker
-    substitution).  Q, N, Z and L d are scaled to int coefficients by the
-    lcm s of their denominators, which turns R into s^2 R, and each is
-    multiplied by t^-lo, lo their least exponent, which turns R_ij into the
-    polynomial s^2 R_ij t^(-2 lo).  With c the largest |coefficient| after
-    scaling, a polynomial of n terms has l1 norm at most n c, and the l1
-    norm is submultiplicative, so every coefficient of it is at most
+    substitution).  N is read as rows scale * vec[first:] (_scaled_rows),
+    which D_n's PairRows holds without multiplying an entry out.  Q, Z,
+    L d and the entries of the vecs are scaled to int coefficients by the
+    lcm s of their denominators (a scale's are ints), which turns R into
+    s^2 R, and each is multiplied by t^-lo, with lo the least exponent of
+    Q, Z, L d, the vec entries and the rows of N, which turns R_ij into the
+    polynomial s^2 R_ij t^(-2 lo).  A row's least exponent is min(scale)
+    plus the least one of its vec entries, exact and read off without a
+    product.  The l1 norm |p| is submultiplicative, |scale * v| <=
+    |scale| |v|, and bounds every coefficient, so every coefficient of
+    that polynomial is at most
 
-        bound = c^2 (max_ik #N_ik * max_j #Z_*j + #Q * max_j #(L d_j)),
+        bound = max_(rows, v) |scale| |v| * max_j sum_k |Z_kj| + |Q| max_j |L d_j|.
 
-    #p the number of terms of p and Z_*j column j of Z.  With
-    2^(w-1) > bound a nonzero such polynomial is nonzero at t = 2^w: its
-    lowest coefficient would otherwise be a nonzero multiple of 2^w.  So
-    the equality of the two ints of each entry is a proof, not a sample.
-    Each entry of N (of its upper triangle, mirrored, where N is symmetric)
-    and of Z is evaluated once, and column j of N Z - Q L D at 2^w is the
-    sum of the columns k of N times the ints Z_kj(2^w), less Q(2^w)
-    (L d_j)(2^w) on the diagonal, one product per distinct L d_j.
+    For a tuple row, whose scale is 1, this is never above c #p, c the
+    largest |coefficient| and #p the number of terms.  With 2^(w-1) > bound
+    a nonzero such polynomial is nonzero at t = 2^w: its lowest coefficient
+    would otherwise be a nonzero multiple of 2^w.  So the equality of the
+    two ints of each entry is a proof, not a sample.
+
+    Each entry of each distinct vec is evaluated once at 2^w on the base
+    lo, and each row's values are its scale's terms applied as shifted
+    copies of its vec's values (_scaled_values): a right shift by w e for
+    a term t^e, e < 0, is exact, since lo <= e + the least exponent of
+    each entry of the row.  Each entry of Z is evaluated once, and column j of
+    N Z - Q L D at 2^w is the sum of the columns k of N times the ints
+    Z_kj(2^w), less Q(2^w) (L d_j)(2^w) on the diagonal, one product per
+    distinct L d_j.  Where N is symmetric, only its upper triangle is
+    evaluated, and the lower one is read off it.
 
     The failure names the first entry, row by row, that breaks the
     identity.  That entry alone is summed again as a term map, N_ik added
@@ -598,28 +759,47 @@ def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
     ld = d if big_l == LaurentPoly.one() else tuple(big_l * dj for dj in d)
     distinct = {id(e): e for e in ld}
     symmetric = preset.n_symmetric
-    n_maps = [e.terms for i, row in enumerate(nums) for e in (row[i:] if symmetric else row)]
-    ld_maps = [e.terms for e in distinct.values()]
-    maps, c = _integral([q.terms, *n_maps, *ld_maps, *(t for col in zcols for _, t in col)])
-    bound = c * c * (max(map(len, n_maps)) * max(map(len, cols))
-                     + len(q.terms) * max(map(len, ld_maps)))
+    rows = _scaled_rows(nums, symmetric)
+    vecs = {id(vec): vec for _, vec, _ in rows}
+    z_maps = [t for col in zcols for _, t in col]
+    maps, norms = _integral([q.terms, *(e.terms for e in distinct.values()), *z_maps,
+                             *(e.terms for vec in vecs.values() for e in vec)])
+    n_ld, n_z = len(distinct), len(z_maps)
+    z_norms = iter(norms[1 + n_ld:1 + n_ld + n_z])
+    z_norm = max(sum(islice(z_norms, len(col))) for col in zcols)
+    s_norm = max(sum(map(abs, t.values())) for t in {id(s): s.terms for s, _, _ in rows}.values())
+    n_norm = s_norm * max(norms[1 + n_ld + n_z:], default=0)
+    w = (n_norm * z_norm + norms[0] * max(norms[1:1 + n_ld])).bit_length() + 1
+    # the least exponent of N: below every entry's only in a row whose scale is not 1
+    floor = inf
+    lows = {}   # id(vec) -> per x, the least exponent of vec[x:], read from its right end
+    for scale, vec, first in rows:
+        if scale is not _ONE and scale.terms:
+            if id(vec) not in lows:
+                lows[id(vec)] = list(accumulate(
+                    (min(e.terms, default=inf) for e in reversed(vec)), min))[::-1]
+            floor = min(floor, min(scale.terms) + lows[id(vec)][first])
     # the values at 2^w, in the order of maps
-    values = iter(_at_power_of_two(maps, bound.bit_length() + 1))
-    q_value = next(values)
+    values = _at_power_of_two(maps, w, floor)
+    q_value = values[0]
+    rhs = {key: q_value * v for key, v in zip(distinct, values[1:1 + n_ld])}
+    z_values = iter(values[1 + n_ld:1 + n_ld + n_z])
+    e_values = iter(values[1 + n_ld + n_z:])
+    vals = {key: list(islice(e_values, len(vec))) for key, vec in vecs.items()}
     # the rows of N, or of its upper triangle padded with zeros where N is symmetric
-    rows = [[0] * i + list(islice(values, r - i)) for i in (range(r) if symmetric else [0] * r)]
-    ncols = list(zip(*rows))
+    padded = [[0] * (r - len(vec) + first) + _scaled_values(scale.terms, vals[id(vec)][first:], w)
+              for scale, vec, first in rows]
+    ncols = list(zip(*padded))
     if symmetric:
         # column k of N: the upper triangle's column k above the diagonal, then its row k
-        ncols = [col[:k] + tuple(row[k:]) for k, (col, row) in enumerate(zip(ncols, rows))]
-    rhs = {key: q_value * next(values) for key in distinct}
+        ncols = [col[:k] + tuple(row[k:]) for k, (col, row) in enumerate(zip(ncols, padded))]
     failed = []   # (the first row i that breaks column j, j)
     for j, col in enumerate(zcols):
         # column j of N Z - Q L D at 2^w; zip reads col first, so it takes
         # exactly len(col) values
         acc = [0] * r
         acc[j] = -rhs[id(ld[j])]
-        for (k, _), v in zip(col, values):
+        for (k, _), v in zip(col, z_values):
             acc = list(map(add, acc, map(mul, ncols[k], repeat(v))))
         if any(acc):
             failed.append((next(i for i, v in enumerate(acc) if v), j))
@@ -658,10 +838,8 @@ def _limit_failure(preset: AlgebraPreset) -> str | None:
     pole or a differing limit.
     """
     expected = preset.b
-    # D and Mtilde share one object per t-number: each limit is computed once
-    # per distinct object, which is found by id, so no entry is hashed
-    limits = {id(e): e for e in chain(preset.d, *preset.mtilde)}
-    limits = {key: _classical_limit(e) for key, e in limits.items()}
+    # each limit is computed once per distinct entry object (dm_entries)
+    limits = {key: _classical_limit(e) for key, e in preset.dm_entries.items()}
     for i, e in enumerate(preset.d):
         limit, half = limits[id(e)], _exact_quotient(expected[i][i], 2)
         if limit is None:

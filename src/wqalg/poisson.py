@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import chain
 from operator import attrgetter
 
 from . import genexpr
@@ -786,9 +785,8 @@ def verify_all(preset: AlgebraPreset) -> VerificationOutcome:
           "expected deformed Cartan matrix is symmetric",
           "expected deformed Cartan matrix is not symmetric")
     # D and Mtilde are Laurent: odd means e(1/t) = -e(t), tested once per entry
-    # object, found by id (the preset shares one per t-number), so none is hashed
-    laurent = {id(e): e for e in chain(preset.d, *preset.mtilde)}.values()
-    check(odd and all(e.invert_var() == -e for e in laurent),
+    # object (dm_entries), so none is hashed
+    check(odd and all(e.invert_var() == -e for e in preset.dm_entries.values()),
           "all matrix entries are odd under t -> 1/t",
           "some matrix entry is not odd under t -> 1/t")
     check(cartan.identity_holds, "dual identity D Mtilde^-1 D = M", "dual identity fails")

@@ -163,8 +163,8 @@ def test_power_of_two_oracle_rejects_a_corrupted_pair(kind, n):
     assert not verify_cartan(bad).passed
 
 
-# ranks sampled from d4..d64, as above: building every rank would take about 2 s.
-# Odd ranks take the cofactor path for every entry, even ranks divide twice
+# ranks sampled from d4..d64, as above.  Odd ranks hold the long block as the
+# monomial scale Q / den_long, even ranks as two exact divisions
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None)] + [
     ("dn", n) for n in (*range(4, 13), 16, 24, 32, 33, 48, 63, 64)])
 def test_pair_table_matches_the_closed_forms_at_a_power_of_two(kind, n):
@@ -345,9 +345,8 @@ def test_verify_all_reports_singular_mtilde_without_raising(g2):
 
 def test_pair_table_divides_each_entry_exactly_or_raises():
     # t^3 + t^-3 = (t + t^-1)(t^2 - 1 + t^-2); Q and N shift together by t^3.
-    # (1,1) multiplies num by the cofactor Q / (t + t^-1); (1,2)'s den is
-    # wider than Q and t^2 + t^-2 does not divide Q, so (1,2) and (2,2)
-    # divide num * Q instead, as even n's den_long forms do
+    # Each form divides num * Q by its den: (1,1)'s den divides Q, (1,2)'s
+    # is wider than Q, and t^2 + t^-2 divides neither Q nor (2,2)'s num * Q
     q, nums = _pair_table(sym_plus(3), {
         sym_plus(1): [(((1, 1),), sym_minus(1))],
         sym_plus(1) * sym_plus(3): [(((1, 2),), sym_minus(2))],
@@ -356,7 +355,7 @@ def test_pair_table_divides_each_entry_exactly_or_raises():
     off = sym_minus(1).shift(3)
     assert nums == ((sym_minus(1) * LaurentPoly({5: 1, 3: -1, 1: 1}), off),
                     (off, (sym_minus(2) * sym_plus(3)).shift(3)))
-    # a den of 2 (t^3 + t^-3) leaves the unit cofactor t^3 / 2
+    # a den of 2 (t^3 + t^-3) leaves num times the unit t^3 / 2
     half = LaurentPoly({3: Fraction(1, 2)})
     assert _pair_table(sym_plus(3), {LaurentPoly({3: 2, -3: 2}): [(((1, 1),), sym_minus(1))]}) \
         == (q, ((sym_minus(1) * half,),))
@@ -395,8 +394,8 @@ def _divmod_calls(monkeypatch, kind, n=None):
 @pytest.mark.parametrize("small,large", [(16, 64), (17, 65)])
 def test_dn_build_divides_a_number_of_times_that_does_not_grow_with_n(
         monkeypatch, small, large):
-    # one cofactor Q / den per den, and the even-n den_long forms, not one
-    # division per entry (about n^2 / 2 of them)
+    # the cofactor Q / den, and Q / den_long or the two even-n long-block
+    # divisions, not one division per entry (about n^2 / 2 of them)
     assert 0 < _divmod_calls(monkeypatch, "dn", small) == _divmod_calls(monkeypatch, "dn", large)
 
 
@@ -409,12 +408,14 @@ def test_exceptional_builds_try_no_cofactor(monkeypatch, kind, forms):
 
 @pytest.mark.parametrize("n", [32, 33])
 def test_dn_build_makes_one_product_per_entry(monkeypatch, n):
-    # each R_m = sym_plus(m) * Q / den is made once and each entry is the one
-    # product sym_minus(i) * R_m
-    products, preset = _calls(monkeypatch, [(LaurentPoly, "__mul__")],
-                              lambda: build_preset("dn", n))
-    nums = preset.pair_table[1]
-    assert products <= len({e for row in nums for e in row}) + 2 * n
+    # far fewer than one per entry: the build makes the shared vector b_j =
+    # sym_plus(n-1-j) * Q / den and the long block, about n products, and
+    # verify_all multiplies out N_11 alone, for the split of M_11 and the
+    # root pair of T1; the parity and the residual read the scaled rows
+    products, out = _calls(monkeypatch, [(LaurentPoly, "__mul__")],
+                           lambda: verify_all(build_preset("dn", n)))
+    assert out.passed
+    assert products <= 2 * n + 4
 
 
 def test_pair_table_is_freed_with_its_preset():
@@ -704,3 +705,151 @@ def test_verify_cartan_names_a_half_integral_limit_of_d(g2):
     out = verify_cartan(preset)
     assert out.identity_holds and not out.passed
     assert out.failure == "limit of d_1: got 1, expected 3/2"
+
+
+# --- D_n's pair table as scaled rows (PairRows) --------------------------------
+
+def _dn_lambda_factors(n):
+    """The D_n fundamental monomials as unsorted factor lists, in table order."""
+    lams = [[(i, 1 - i, 1)] + ([(i - 1, -i, -1)] if i > 1 else []) for i in range(1, n - 1)]
+    lams += [[(n, 2 - n, 1), (n - 1, 2 - n, 1), (n - 2, 1 - n, -1)],
+             [(n - 1, 2 - n, 1), (n, -n, -1)],
+             [(n, 2 - n, 1), (n - 1, -n, -1)],
+             [(n - 2, 1 - n, 1), (n - 1, -n, -1), (n, -n, -1)]]
+    lams += [[(i, i + 1 - 2 * n, -1)] + ([(i - 1, i + 2 - 2 * n, 1)] if i > 1 else [])
+             for i in range(n - 2, 0, -1)]
+    return lams
+
+
+def test_dn_lambdas_are_the_monomials_from_factors_builds():
+    # _dn_lambdas writes each monomial's sorted factor triples directly
+    for n in range(4, 41):
+        assert [m.factors for m in algebras._dn_lambdas(n)] == [
+            YMonomial.from_factors(f).factors for f in _dn_lambda_factors(n)]
+
+
+def test_dn_pair_rows_match_the_closed_forms_with_one_object_per_pair():
+    for n in range(4, 41):
+        preset = build_preset("dn", n)
+        nums = preset.pair_table[1]
+        assert isinstance(nums, algebras.PairRows)
+        assert pair_table_at_two_to_the_k(preset)[0]
+        assert all(nums[i][j] is nums[j][i] for i in range(n) for j in range(i, n))
+        assert [tuple(row) for row in nums] == [
+            tuple(nums[i][j] for j in range(n)) for i in range(n)]
+
+
+def _times(p, c):
+    return LaurentPoly({e: c * x for e, x in p.terms.items()})
+
+
+def _dn_row_corruptions(rows):
+    """(label, rows, parity of M, whether the identity holds) for D_n's PairRows rows,
+    as built, with an entry no row reads, and with one factor changed."""
+    one = LaurentPoly.one()
+    scale, vec, first = rows[1]
+    b = rows[0][1]
+    j = len(b) // 2
+
+    def with_b(entry):
+        moved = b[:j] + (entry,) + b[j + 1:]
+        return [(s, moved if v is b else v, f) for s, v, f in rows]
+
+    # an entry without the signature b needs, ahead of b, which every row of b skips
+    padded = (LaurentPoly({0: 1, 1: 1}),) + b
+    (long_scale, (top, side), _), head = rows[-2], rows[:-2]
+    return [
+        ("as built", rows, (True, True), True),
+        ("an unread entry before b",
+         [(s, padded, f + 1) if v is b else (s, v, f) for s, v, f in rows], (True, True), True),
+        # a wrong scale, with the parity of the right one and without it
+        ("scale [3] on row 2", rows[:1] + [(sym_minus(3), vec, first)] + rows[2:],
+         (True, True), False),
+        ("scale t [2] on row 2", rows[:1] + [(scale.shift(1), vec, first)] + rows[2:],
+         (True, False), False),
+        # a term far below every other exponent: the rows' least exponents set
+        # the base, so its right shifts are exact and it is not lost
+        ("scale [2] + t^-8n on row 2",
+         rows[:1] + [(laurent_sum(scale, LaurentPoly({-8 * len(rows): 1})), vec, first)]
+         + rows[2:], (True, False), False),
+        # a wrong vector entry changes the column segment of every row that reads it
+        ("2 b_j", with_b(_times(b[j], 2)), (True, True), False),
+        ("b_j + 1", with_b(laurent_sum(b[j], one)), (True, False), False),
+        # a wrong long block
+        ("long block swapped", head + [(long_scale, (side, top), 0), (long_scale, (side,), 0)],
+         (True, True), False),
+        ("long block top + 1", head + [(long_scale, (laurent_sum(top, one), side), 0),
+                                       (long_scale, (laurent_sum(top, one),), 0)],
+         (True, False), False),
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 16])
+def test_pair_rows_verify_like_their_tuple_table(n):
+    # the residual's verdict and failure text, and m_parity, read off the
+    # scaled rows equal those of the same table multiplied out into tuples
+    base = build_preset("dn", n)
+    q = base.pair_table[0]
+    for label, rows, parity, holds in _dn_row_corruptions(list(base.pair_table[1].rows)):
+        lazy = replace_preset(base, pair_table=(q, algebras.PairRows(rows)))
+        tuples = replace_preset(base, pair_table=(
+            q, tuple(map(tuple, algebras.PairRows(rows)))))
+        got, want = verify_cartan(lazy), verify_cartan(tuples)
+        assert (got.identity_holds, got.failure) == (want.identity_holds, want.failure), label
+        assert want.identity_holds == holds, label
+        assert holds or got.failure == residual_cleared_by_every_d(tuples), label
+        assert lazy.m_parity == tuples.m_parity == m_parity_by_products(tuples) == parity, label
+
+
+def test_m_parity_multiplies_out_an_entry_whose_factors_have_no_signature(monkeypatch, g2):
+    # f = 1 + 2t and g = (2 + t)(t^4 - t^2) have no signature f(1/t) = s t^k f(t),
+    # yet f g = (2 + 5t + 2t^2)(t^4 - t^2) has G2's (-1, -8): the entry is
+    # multiplied out and tested on its own terms, on every row that reads it
+    q = g2.pair_table[0]
+    f, g = LaurentPoly({0: 1, 1: 2}), LaurentPoly({5: 1, 4: 2, 3: -1, 2: -2})
+    odd = sym_minus(1).shift(4)
+    for entry, parity in (g, (True, True)), (laurent_sum(g, LaurentPoly({3: 1})), (True, False)):
+        rows = [(f, (entry, entry), 0), (LaurentPoly.one(), (odd,), 0)]
+        lazy = replace_preset(g2, pair_table=(q, algebras.PairRows(rows)))
+        tuples = replace_preset(g2, pair_table=(q, tuple(map(tuple, algebras.PairRows(rows)))))
+        products, got = _calls(monkeypatch, _PRODUCTS, lambda: lazy.m_parity)
+        assert got == tuples.m_parity == m_parity_by_products(tuples) == parity
+        assert products > 0
+
+
+def test_a_pair_rows_table_of_the_wrong_shape_is_refused_unread(d5):
+    # one row too few, and a first row one entry short: the shape is read off
+    # the lengths of the rows and vecs, and no entry is multiplied out
+    q, nums = d5.pair_table
+    rows = list(nums.rows)
+    scale, vec, first = rows[0]
+    for bad in (rows[:-1], [(scale, vec[:-1], first)] + rows[1:]):
+        table = algebras.PairRows(bad)
+        with pytest.raises(ValueError, match=re.escape(
+                "the table N of d5 is not square of size len(d) = 5")):
+            replace_preset(d5, pair_table=(q, table))
+        assert not table._entries
+
+
+def test_a_pair_rows_scale_holds_int_coefficients(d5):
+    q, nums = d5.pair_table
+    scale, vec, first = nums.rows[0]
+    with pytest.raises(TypeError, match="int coefficients"):
+        algebras.PairRows([(LaurentPoly({1: Fraction(1, 2)}), vec, first)] + list(nums.rows[1:]))
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_a_scale_corruption_that_vanishes_at_a_power_of_two_is_found(n):
+    # row 2's scale plus 2^a - t, a = 2..23: the change vanishes at t = 2^a, and
+    # the bound |scale| |v| grows with it, so w passes every a
+    base = build_preset("dn", n)
+    q = base.pair_table[0]
+    rows = list(base.pair_table[1].rows)
+    scale, vec, first = rows[1]
+    for a in range(2, 24):
+        moved = laurent_sum(scale, LaurentPoly({0: 2 ** a, 1: -1}))
+        bad = replace_preset(base, pair_table=(
+            q, algebras.PairRows(rows[:1] + [(moved, vec, first)] + rows[2:])))
+        out = verify_cartan(bad)
+        assert not out.identity_holds, a
+        assert out.failure == residual_cleared_by_every_d(bad), a
