@@ -56,8 +56,10 @@ class PairRows:
     It reads like the tuple of rows it stands for: len, iteration, N[i]
     and N[i][j] give the entries, each multiplied out on its first read and
     kept, one object for (i, j) and (j, i).  A row whose scale is _ONE
-    gives vec's own objects.  Scales have int coefficients, so a value of
-    the residual at t = 2^w stays an int (_identity_residual).
+    gives vec's own objects.  The Cartan residual reads the rows themselves
+    (_identity_residual); scales have int coefficients, so each of its
+    values at t = 2^w stays an int.  m_parity multiplies out no entry where
+    that residual holds, and reads N[i][j] only in its direct fallback.
     """
 
     __slots__ = ("rows", "_entries")
@@ -110,45 +112,6 @@ class _PairRow:
 
     def __iter__(self):
         return map(self.table.entry, repeat(self.i), range(len(self)))
-
-
-def _scaled_rows(nums, symmetric: bool):
-    """(scale, vec, first) per row of N, whose entries are scale * vec[first:].
-
-    The one reader of a table's rows for m_parity and the residual.  A
-    PairRows gives its own rows, its upper triangle; a tuple row i is
-    (_ONE, row[i:], 0) where N is symmetric, its upper triangle, and
-    (_ONE, row, 0) where it is not.
-    """
-    if isinstance(nums, PairRows):
-        return nums.rows
-    return [(_ONE, row[i:] if symmetric else row, 0) for i, row in enumerate(nums)]
-
-
-def _has_signature(p: LaurentPoly, signature: tuple[int, int]) -> bool:
-    """Whether p(1/t) = s t^k p(t) for signature (s, k), s = +-1: one lookup per term."""
-    s, k = signature
-    terms = p.terms
-    for e, c in terms.items():
-        if terms.get(-k - e) != s * c:
-            return False
-    return True
-
-
-def _reciprocity(p: LaurentPoly) -> tuple[int, int] | None:
-    """(s, k) with p(1/t) = s t^k p(t), or None where p has no such signature.
-
-    s is +-1 and k = -(min + max) exponent, read off the end terms, and
-    every term must then meet its reflection (_has_signature).  The
-    signature of a product is the product of the s and the sum of the k.
-    The zero polynomial has none.
-    """
-    terms = p.terms
-    if not terms:
-        return None
-    lo, hi = min(terms), max(terms)
-    signature = 1 if terms[lo] == terms[hi] else -1, -lo - hi
-    return signature if _has_signature(p, signature) else None
 
 
 class ClosureSpec(NamedTuple):
@@ -259,63 +222,34 @@ class AlgebraPreset:
 
     @cached_property
     def m_parity(self) -> tuple[bool, bool]:
-        """(symmetric, odd) for M = N/Q, read off the pair table.
+        """(symmetric, odd) for M = N/Q under t -> 1/t.
 
-        M is odd under t -> 1/t iff N(1/t) Q(t) + N(t) Q(1/t) = 0 for every
-        entry N.  Every preset's Q is self-reciprocal, Q(1/t) = u t^-m Q(t)
-        with m = deg Q and u = +-1 (its signature, _reciprocity), and then
-        the test is that every N has the signature (-u, -m).  A row of N is
-        scale * vec[first:] (_scaled_rows), and signatures multiply, so
-        where the scale has a signature, scale * v has (-u, -m) iff v has
-        that over the scale's: each vec is tested once per signature it
-        must have, one lookup per term (_has_signature), and a row holds iff
-        no entry from first on fails.  D_n's rows, suffixes of one vec under
-        scales of one signature, cost one pass over that vec, and no entry
-        is multiplied out or hashed.  Only the entries of a scale without a
-        signature are multiplied out and tested, as is every entry under a
-        Q that is not self-reciprocal, by adding both products into one
-        term map that must end up empty.  Only the upper triangle of a
-        symmetric table is tested.  Brackets are taken over unordered
-        pairs, which is exact only when both hold.
+        Where the Cartan residual holds, D M^-1 D = Mtilde, so
+        M = D Mtilde^-1 D, and where every entry of D and Mtilde is odd
+        (dm_odd), as every t-number [b] = t^b - t^-b is,
+        M(1/t) = (-D) (-Mtilde)^-1 (-D) = -M: M is odd, read off with no
+        product.  Anywhere else (a failing residual, a zero d_k, an entry of
+        D or Mtilde that is not odd) each entry of N is tested directly: M is
+        odd iff N(1/t) Q(t) + N(t) Q(1/t) = 0, both products added into one
+        term map that must end up empty, over the upper triangle only where N
+        is symmetric.  Brackets are taken over unordered pairs, which is
+        exact only when both hold.
         """
-        q, nums = self.pair_table
         symmetric = self.n_symmetric
-        rows = _scaled_rows(nums, symmetric)
-        reciprocal = _reciprocity(q)
-        if reciprocal is None:
-            qt = q.terms
-            for scale, vec, first in rows:
-                for v in vec[first:]:
-                    terms = (v if scale is _ONE else scale * v).terms
-                    acc = {}
-                    for e, c in terms.items():
-                        _add_scaled(acc, -e, c, qt)
-                    for e, c in qt.items():
-                        _add_scaled(acc, -e, c, terms)
-                    if acc:
-                        return symmetric, False
+        if self.dm_odd and self.cartan_residual[0] is None:
             return symmetric, True
-        want = -reciprocal[0], reciprocal[1]
-        signatures = {id(_ONE): (1, 0)}   # id(scale) -> its signature
-        last_bad = {}   # (id(vec), signature) -> the last x with vec[x] not of it, or -1
-        for scale, vec, first in rows:
-            key = id(scale)
-            if key not in signatures:
-                signatures[key] = _reciprocity(scale)
-            ss = signatures[key]
-            if ss is None:
-                # a scale without a signature: its entries are multiplied out
-                if not all(_has_signature(scale * v, want) for v in vec[first:]):
+        q, nums = self.pair_table
+        qt, r = q.terms, self.rank
+        for i in range(r):
+            for j in range(i if symmetric else 0, r):
+                terms = nums[i][j].terms
+                acc = {}
+                for e, c in terms.items():
+                    _add_scaled(acc, -e, c, qt)
+                for e, c in qt.items():
+                    _add_scaled(acc, -e, c, terms)
+                if acc:
                     return symmetric, False
-                continue
-            # scale * v has the signature want iff v has want over the scale's
-            need = want[0] * ss[0], want[1] - ss[1]
-            last = last_bad.get((id(vec), need))
-            if last is None:
-                last = last_bad[id(vec), need] = max(
-                    (x for x, v in enumerate(vec) if not _has_signature(v, need)), default=-1)
-            if first <= last:
-                return symmetric, False
         return symmetric, True
 
     @cached_property
@@ -323,10 +257,19 @@ class AlgebraPreset:
         """id -> entry over the distinct entry objects of D and Mtilde.
 
         The preset shares one object per t-number, so this walks D and
-        Mtilde once; the oddness check of verify_all and _limit_failure
-        read it, and no entry is hashed.
+        Mtilde once; dm_odd and _limit_failure read it, and no entry is
+        hashed.
         """
         return {id(e): e for e in chain(self.d, *self.mtilde)}
+
+    @cached_property
+    def dm_odd(self) -> bool:
+        """Whether every entry of D and Mtilde is odd, e(1/t) = -e(t).
+
+        Each distinct entry object is tested once (dm_entries); m_parity and
+        verify_all read it.
+        """
+        return all(e.invert_var() == -e for e in self.dm_entries.values())
 
     @cached_property
     def cartan_residual(self) -> tuple[str | None, list, tuple]:
@@ -705,8 +648,10 @@ def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
     and that det M != 0.
 
     It is decided with one exact integer per table entry (Kronecker
-    substitution).  N is read as rows scale * vec[first:] (_scaled_rows),
-    which D_n's PairRows holds without multiplying an entry out.  Q, Z,
+    substitution).  N is read as rows scale * vec[first:]: a PairRows's own
+    rows, which hold D_n's table without multiplying an entry out, or a
+    tuple row as the scale 1 over its upper-triangle suffix where N is
+    symmetric, over the whole row where it is not.  Q, Z,
     L d and the entries of the vecs are scaled to int coefficients by the
     lcm s of their denominators (a scale's are ints), which turns R into
     s^2 R, and each is multiplied by t^-lo, with lo the least exponent of
@@ -759,7 +704,8 @@ def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
     ld = d if big_l == LaurentPoly.one() else tuple(big_l * dj for dj in d)
     distinct = {id(e): e for e in ld}
     symmetric = preset.n_symmetric
-    rows = _scaled_rows(nums, symmetric)
+    rows = nums.rows if isinstance(nums, PairRows) else [
+        (_ONE, row[i:] if symmetric else row, 0) for i, row in enumerate(nums)]
     vecs = {id(vec): vec for _, vec, _ in rows}
     z_maps = [t for col in zcols for _, t in col]
     maps, norms = _integral([q.terms, *(e.terms for e in distinct.values()), *z_maps,

@@ -454,7 +454,7 @@ def test_residual_failure_text_is_pinned(kind, n, i, j):
     assert out.failure == RESIDUAL_FAILURES[kind, n, i, j]
 
 
-# --- the parity of M: reflection or accumulation, against whole products ------
+# --- the parity of M: derived from the residual, or accumulated, against whole products
 
 _PRODUCTS = [(LaurentPoly, "__mul__")]
 _ACCUMULATIONS = [(exactfield, "_add_scaled"), (algebras, "_add_scaled")]
@@ -463,9 +463,10 @@ _ACCUMULATIONS = [(exactfield, "_add_scaled"), (algebras, "_add_scaled")]
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None)]
                          + [("dn", n) for n in (*range(4, 13), 32)])
 def test_m_parity_matches_the_product_oracle(monkeypatch, kind, n):
-    # every preset's Q is self-reciprocal, so its parity is read by
-    # reflection, with no product and no accumulation
+    # every preset's residual holds and its D and Mtilde are odd, so once the
+    # residual is read its parity takes no product and no accumulation
     preset = build_preset(kind, n)
+    assert preset.cartan_residual[0] is None and preset.dm_odd
     assert _calls(monkeypatch, _PRODUCTS, lambda: _calls(
         monkeypatch, _ACCUMULATIONS, lambda: preset.m_parity)) == (0, (0, (True, True)))
     assert m_parity_by_products(preset) == (True, True)
@@ -473,24 +474,38 @@ def test_m_parity_matches_the_product_oracle(monkeypatch, kind, n):
 
 def test_m_parity_matches_the_product_oracle_on_a_non_palindromic_q(monkeypatch, g2, e6, d5):
     # Q = det Mtilde' with Mtilde'_11 = t^2 + 1 - t^-2, as in the limit tests
-    # above, where M is not odd; and Q and N of each preset times a factor
-    # that leaves M as it is: 1 + 2t, after which Q is not self-reciprocal
-    # and each entry is tested by accumulation, or t^2 - 1, after which Q is
-    # self-reciprocal with the sign u = -1 and is read by reflection
+    # above: the residual holds, but Mtilde'_11 is not odd, so each entry is
+    # tested by accumulation, and M is not odd; and Q and N of each preset
+    # times a factor that leaves M as it is, 1 + 2t or t^2 - 1, after which
+    # Q is not self-reciprocal, yet the residual holds and D and Mtilde are
+    # odd, so M's parity is derived with no accumulation
     cases = [(_consistent_preset(g2, laurent_sum(sym_minus(2), LaurentPoly.one())),
               (True, False), True)]
     for preset in (g2, e6, d5):
         q, nums = preset.pair_table
-        for f, accumulates in (LaurentPoly({0: 1, 1: 2}), True), (LaurentPoly({2: 1, 0: -1}), False):
+        for f in LaurentPoly({0: 1, 1: 2}), LaurentPoly({2: 1, 0: -1}):
             cases.append((replace_preset(preset, pair_table=(
-                q * f, tuple(tuple(e * f for e in row) for row in nums))), (True, True),
-                accumulates))
+                q * f, tuple(tuple(e * f for e in row) for row in nums))), (True, True), False))
     for preset, parity, accumulates in cases:
         q = preset.pair_table[0]
         assert q.invert_var().shift(q.max_exp) != q
+        # the accumulation runs where the residual fails or D or Mtilde is not odd
+        assert accumulates == (preset.cartan_residual[0] is not None or not preset.dm_odd)
         calls, got = _calls(monkeypatch, _ACCUMULATIONS, lambda: preset.m_parity)
         assert got == m_parity_by_products(preset) == parity
         assert (calls > 0) == accumulates
+
+
+def test_m_parity_is_not_derived_where_d_is_not_odd(monkeypatch, g2):
+    # d_2 = t^3 - t^-3 + 1 with M = D Mtilde^-1 D: the residual holds, but D
+    # is not odd, and neither is M; read off the residual alone, the parity
+    # would be (True, True)
+    d2 = laurent_sum(g2.d[1], LaurentPoly.one())
+    preset = _consistent_preset(g2, g2.mtilde[0][0], (g2.d[0], d2))
+    assert preset.cartan_residual[0] is None and not preset.dm_odd
+    calls, got = _calls(monkeypatch, _ACCUMULATIONS, lambda: preset.m_parity)
+    assert got == m_parity_by_products(preset) == (True, False)
+    assert calls > 0
 
 
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 4), ("dn", 7),
@@ -621,6 +636,8 @@ def test_residual_matches_the_oracle_on_single_entry_corruptions(g2, d5, e6, dat
     assert out.identity_holds == (expected is None)
     if expected is not None:
         assert out.failure == expected
+    # derived from the residual where it holds over an odd D and Mtilde, accumulated elsewhere
+    assert bad.m_parity == m_parity_by_products(bad)
 
 
 @pytest.mark.parametrize("kind,n", [("dn", 32), ("e6", None), ("g2", None)])
@@ -755,7 +772,7 @@ def _dn_row_corruptions(rows):
         moved = b[:j] + (entry,) + b[j + 1:]
         return [(s, moved if v is b else v, f) for s, v, f in rows]
 
-    # an entry without the signature b needs, ahead of b, which every row of b skips
+    # an entry that is not odd over Q, ahead of b, which every row of b skips
     padded = (LaurentPoly({0: 1, 1: 1}),) + b
     (long_scale, (top, side), _), head = rows[-2], rows[:-2]
     return [
@@ -801,10 +818,10 @@ def test_pair_rows_verify_like_their_tuple_table(n):
         assert lazy.m_parity == tuples.m_parity == m_parity_by_products(tuples) == parity, label
 
 
-def test_m_parity_multiplies_out_an_entry_whose_factors_have_no_signature(monkeypatch, g2):
-    # f = 1 + 2t and g = (2 + t)(t^4 - t^2) have no signature f(1/t) = s t^k f(t),
-    # yet f g = (2 + 5t + 2t^2)(t^4 - t^2) has G2's (-1, -8): the entry is
-    # multiplied out and tested on its own terms, on every row that reads it
+def test_m_parity_multiplies_out_pair_rows_entries_where_the_residual_fails(monkeypatch, g2):
+    # f = 1 + 2t times g = (2 + t)(t^4 - t^2) is (2 + 5t + 2t^2)(t^4 - t^2),
+    # odd over G2's Q, and g plus t^3 is not: neither table is G2's M, so the
+    # residual fails, and each entry is multiplied out and tested directly
     q = g2.pair_table[0]
     f, g = LaurentPoly({0: 1, 1: 2}), LaurentPoly({5: 1, 4: 2, 3: -1, 2: -2})
     odd = sym_minus(1).shift(4)
@@ -814,7 +831,7 @@ def test_m_parity_multiplies_out_an_entry_whose_factors_have_no_signature(monkey
         tuples = replace_preset(g2, pair_table=(q, tuple(map(tuple, algebras.PairRows(rows)))))
         products, got = _calls(monkeypatch, _PRODUCTS, lambda: lazy.m_parity)
         assert got == tuples.m_parity == m_parity_by_products(tuples) == parity
-        assert products > 0
+        assert lazy.cartan_residual[0] is not None and products > 0
 
 
 def test_a_pair_rows_table_of_the_wrong_shape_is_refused_unread(d5):

@@ -7,9 +7,11 @@ verify_cartan, of the first read of m_parity, of bracket_sum(T1, T1) and
 of build_t2, and then of verify_closure and of verify_all, each on a new
 build of the preset, so that neither reads a split the bracket before it
 has stored.  The last column is the process's peak RSS so far.
-bracket_sum reads the m_parity timed before it, and the Cartan residual
+The m_parity column reads the Cartan residual
 (AlgebraPreset.cartan_residual) that the verify_cartan column computed,
-whose lowering steps it derives its splits along; verify_closure and
+and derives the parity of M from it.  bracket_sum reads the m_parity timed
+before it, and that residual, whose lowering steps it derives its splits
+along; verify_closure and
 verify_all compute their own, so the verify_closure column includes the
 residual.  The bracket_sum column times the accumulation only: the report
 holds each delta series as a pair sum and builds it when it is read, and
