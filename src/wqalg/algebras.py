@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate, chain, combinations, islice, repeat
-from math import inf, lcm
-from operator import add, lshift, mul, sub
+from itertools import chain, combinations, repeat
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .exactfield import (LaurentPoly, RationalFunction, _add_scaled, _exact_quotient,
@@ -56,19 +55,16 @@ class PairRows:
     It reads like the tuple of rows it stands for: len, iteration, N[i]
     and N[i][j] give the entries, each multiplied out on its first read and
     kept, one object for (i, j) and (j, i).  A row whose scale is _ONE
-    gives vec's own objects.  The Cartan residual reads the rows themselves
-    (_identity_residual); scales have int coefficients, so each of its
-    values at t = 2^w stays an int.  m_parity multiplies out no entry where
-    that residual holds, and reads N[i][j] only in its direct fallback.
+    gives vec's own objects.  The Cartan residual reads the rows themselves,
+    summing over the groups of rows that share vec and first - i
+    (_identity_residual).  m_parity multiplies out no entry where that
+    residual holds, and reads N[i][j] only in its direct fallback.
     """
 
     __slots__ = ("rows", "_entries")
 
     def __init__(self, rows):
         self.rows = tuple(rows)
-        for scale, _, _ in self.rows:
-            if any(type(c) is not int for c in scale.terms.values()):
-                raise TypeError("a PairRows scale has int coefficients, got %s" % scale)
         self._entries = {}   # i * rank + j, i <= j -> N_ij
 
     def __len__(self):
@@ -276,8 +272,8 @@ class AlgebraPreset:
         """(failure, cols, ld): the residual of M D^-1 Mtilde D^-1 = I, once per preset.
 
         failure is None when the residual holds, else the text naming the
-        first entry that breaks it; _identity_residual decides it with one
-        exact int per table entry at t = 2^w, and verify_cartan reads it.
+        first entry that breaks it; _identity_residual decides it with exact
+        term-map sums over the row groups of N, and verify_cartan reads it.
         cols[i] is column i of Z = L D^-1 Mtilde (_q_cartan) as (k, e, c)
         triples, k 0-based, one per term c t^e of each nonzero Z_ki: the
         factors Y_(k+1)(zq^(b+e))^c of A_(i+1)(zq^b).  ld[k] is L d_k.
@@ -586,53 +582,6 @@ def _q_cartan(d: tuple[LaurentPoly, ...], mtilde: LaurentRows) -> tuple[LaurentP
                    for dk, row, quo in zip(d, nonzero, rows)]
 
 
-def _integral(maps: list) -> tuple[list, list]:
-    """(maps, norms): term maps scaled to int coefficients, and the l1 norm of each.
-
-    The scale is the lcm of every denominator, shared by all the maps.  An
-    all-int list, which is every preset's, is returned as it is: a sum of
-    ints is an int, and any Fraction makes the sum one.
-    """
-    norms = [sum(map(abs, m.values())) for m in maps]
-    if type(sum(norms)) is int:
-        return maps, norms
-    s = lcm(*(c.denominator for m in maps for c in m.values()))
-    return [{e: int(c * s) for e, c in m.items()} for m in maps], [int(x * s) for x in norms]
-
-
-def _at_power_of_two(maps: list, w: int, floor) -> list[int]:
-    """The value at t = 2^w of each int term map times t^-lo.
-
-    lo is the least of floor and every exponent, so each shift is
-    non-negative and each value one exact int; one map must be nonzero.
-    """
-    exps = set().union(*maps)
-    lo = min(floor, min(exps))
-    shift = {e: w * (e - lo) for e in exps}
-    return [sum(map(lshift, m.values(), map(shift.__getitem__, m))) for m in maps]
-
-
-def _scaled_values(scale: dict, vals: list, w: int) -> list[int]:
-    """The values at t = 2^w of scale * v, from the values vals of the v on one base.
-
-    Each term c t^e of scale is one shifted copy of vals, by w e.  Where
-    e < 0 the shift is to the right, exact where e plus the least exponent
-    of each v is at least the base (_identity_residual).  The scale 1 gives
-    vals itself.
-    """
-    out = None
-    for e, c in scale.items():
-        k = w * e
-        part = [v << k for v in vals] if k > 0 else [v >> -k for v in vals] if k else vals
-        if c != 1 and c != -1:
-            part = [c * v for v in part]
-        if out is None:
-            out = [-v for v in part] if c == -1 else part
-        else:
-            out = list(map(sub if c == -1 else add, out, part))
-    return [0] * len(vals) if out is None else out
-
-
 def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
     """Check M D^-1 Mtilde D^-1 = I exactly, with no fraction: the cartan_residual.
 
@@ -647,45 +596,33 @@ def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
     D M^-1 D = Mtilde, that Mtilde is invertible with D Mtilde^-1 D = M,
     and that det M != 0.
 
-    It is decided with one exact integer per table entry (Kronecker
-    substitution).  N is read as rows scale * vec[first:]: a PairRows's own
-    rows, which hold D_n's table without multiplying an entry out, or a
-    tuple row as the scale 1 over its upper-triangle suffix where N is
-    symmetric, over the whole row where it is not.  Q, Z,
-    L d and the entries of the vecs are scaled to int coefficients by the
-    lcm s of their denominators (a scale's are ints), which turns R into
-    s^2 R, and each is multiplied by t^-lo, with lo the least exponent of
-    Q, Z, L d, the vec entries and the rows of N, which turns R_ij into the
-    polynomial s^2 R_ij t^(-2 lo).  A row's least exponent is min(scale)
-    plus the least one of its vec entries, exact and read off without a
-    product.  The l1 norm |p| is submultiplicative, |scale * v| <=
-    |scale| |v|, and bounds every coefficient, so every coefficient of
-    that polynomial is at most
-
-        bound = max_(rows, v) |scale| |v| * max_j sum_k |Z_kj| + |Q| max_j |L d_j|.
-
-    For a tuple row, whose scale is 1, this is never above c #p, c the
-    largest |coefficient| and #p the number of terms.  With 2^(w-1) > bound
-    a nonzero such polynomial is nonzero at t = 2^w: its lowest coefficient
-    would otherwise be a nonzero multiple of 2^w.  So the equality of the
-    two ints of each entry is a proof, not a sample.
-
-    Each entry of each distinct vec is evaluated once at 2^w on the base
-    lo, and each row's values are its scale's terms applied as shifted
-    copies of its vec's values (_scaled_values): a right shift by w e for
-    a term t^e, e < 0, is exact, since lo <= e + the least exponent of
-    each entry of the row.  Each entry of Z is evaluated once, and column j of
-    N Z - Q L D at 2^w is the sum of the columns k of N times the ints
-    Z_kj(2^w), less Q(2^w) (L d_j)(2^w) on the diagonal, one product per
-    distinct L d_j.  Where N is symmetric, only its upper triangle is
-    evaluated, and the lower one is read off it.
+    It is decided by exact term-map sums over the row groups of N.  N is
+    read as rows (scale, vec, first): a PairRows's own rows, which hold
+    D_n's table without multiplying an entry out, or a tuple row i as
+    (1, row, i).  Rows that share vec and c = first - i form a group, where
+    N_ik = scale_i vec[c + k] for k >= i, and for every k where N is not
+    symmetric.  Column j of Z is nonzero on the rows K_j.
+    - Above the band, every k in K_j is at least i (or N is not symmetric),
+      so R_ij = scale_i G_j with G_j = sum_k vec[c + k] Z_kj: one sum per
+      group and column.
+    - Below it, N symmetric, every k in K_j is at most i and N_ik = N_ki;
+      where all of K_j lies in one group, R_ij = vec[c + i] H_j with
+      H_j = sum_k scale_k Z_kj: one sum per column.
+    - The band between, the diagonal and the rows below a column whose K_j
+      spans several groups (D_n's fork) are summed directly, each N_ik as
+      scale times vec entry, term by term.
+    The Laurent ring is an integral domain, so a zero G_j or H_j clears each
+    of its rows, and otherwise the least of them with a nonzero scale_i or
+    vec[c + i] breaks the identity: no bound and no evaluation.  D_n's chain
+    is one group with K_j = {j-1, j, j+1}, so a column costs O(1) sums; a
+    tuple table's groups are its rows, so each of its entries is one sum.
 
     The failure names the first entry, row by row, that breaks the
-    identity.  That entry alone is summed again as a term map, N_ik added
-    once per term of Z_kj, to print the canonical form of lhs / rhs, which
-    does not depend on L.  The test oracle residual_cleared_by_every_d
-    keeps the term-map sum of every entry as the cross-check, and
-    cartan_identity_at_two_to_the_k shares only the method.
+    identity: each column is searched only above the best row so far.  That
+    entry's lhs alone is summed again, to print the canonical form of
+    lhs / rhs, which does not depend on L.  The test oracle
+    residual_cleared_by_every_d keeps the product of every entry as the
+    cross-check, and cartan_identity_at_two_to_the_k shares no method with it.
     """
     r = preset.rank
     q, nums = preset.pair_table
@@ -702,62 +639,67 @@ def _identity_residual(preset: AlgebraPreset) -> tuple[str | None, list, tuple]:
     # column j of Z, flattened: a (k, e, c) for each term c t^e of each nonzero Z_kj
     cols = [[(k, e, c) for k, t in col for e, c in t.items()] for col in zcols]
     ld = d if big_l == LaurentPoly.one() else tuple(big_l * dj for dj in d)
-    distinct = {id(e): e for e in ld}
     symmetric = preset.n_symmetric
     rows = nums.rows if isinstance(nums, PairRows) else [
-        (_ONE, row[i:] if symmetric else row, 0) for i, row in enumerate(nums)]
-    vecs = {id(vec): vec for _, vec, _ in rows}
-    z_maps = [t for col in zcols for _, t in col]
-    maps, norms = _integral([q.terms, *(e.terms for e in distinct.values()), *z_maps,
-                             *(e.terms for vec in vecs.values() for e in vec)])
-    n_ld, n_z = len(distinct), len(z_maps)
-    z_norms = iter(norms[1 + n_ld:1 + n_ld + n_z])
-    z_norm = max(sum(islice(z_norms, len(col))) for col in zcols)
-    s_norm = max(sum(map(abs, t.values())) for t in {id(s): s.terms for s, _, _ in rows}.values())
-    n_norm = s_norm * max(norms[1 + n_ld + n_z:], default=0)
-    w = (n_norm * z_norm + norms[0] * max(norms[1:1 + n_ld])).bit_length() + 1
-    # the least exponent of N: below every entry's only in a row whose scale is not 1
-    floor = inf
-    lows = {}   # id(vec) -> per x, the least exponent of vec[x:], read from its right end
-    for scale, vec, first in rows:
-        if scale is not _ONE and scale.terms:
-            if id(vec) not in lows:
-                lows[id(vec)] = list(accumulate(
-                    (min(e.terms, default=inf) for e in reversed(vec)), min))[::-1]
-            floor = min(floor, min(scale.terms) + lows[id(vec)][first])
-    # the values at 2^w, in the order of maps
-    values = _at_power_of_two(maps, w, floor)
-    q_value = values[0]
-    rhs = {key: q_value * v for key, v in zip(distinct, values[1:1 + n_ld])}
-    z_values = iter(values[1 + n_ld:1 + n_ld + n_z])
-    e_values = iter(values[1 + n_ld + n_z:])
-    vals = {key: list(islice(e_values, len(vec))) for key, vec in vecs.items()}
-    # the rows of N, or of its upper triangle padded with zeros where N is symmetric
-    padded = [[0] * (r - len(vec) + first) + _scaled_values(scale.terms, vals[id(vec)][first:], w)
-              for scale, vec, first in rows]
-    ncols = list(zip(*padded))
-    if symmetric:
-        # column k of N: the upper triangle's column k above the diagonal, then its row k
-        ncols = [col[:k] + tuple(row[k:]) for k, (col, row) in enumerate(zip(ncols, padded))]
-    failed = []   # (the first row i that breaks column j, j)
+        (_ONE, row, i) for i, row in enumerate(nums)]
+    keys = [(id(vec), first - i) for i, (_, vec, first) in enumerate(rows)]
+    groups = {}   # (id(vec), c) -> (vec, c, the rows of nonzero scale, ascending)
+    for i, (scale, vec, first) in enumerate(rows):
+        members = groups.setdefault(keys[i], (vec, first - i, []))[2]
+        if scale.terms:
+            members.append(i)
+
+    def column_sum(col, factors):
+        """sum_k s_k v_k Z_kj over column col of Z, (s_k, v_k) in factors, as a term map."""
+        acc = {}
+        for (_, zt), (s, v) in zip(col, factors):
+            v = v.terms
+            for es, cs in s.terms.items():
+                for ez, cz in zt.items():
+                    _add_scaled(acc, es + ez, cs * cz, v)
+        return acc
+
+    def lhs(i, col):
+        """sum_k N_ik Z_kj, each N_ik read from its row as (scale, vec entry)."""
+        factors = []
+        for k, _ in col:
+            a, b = (i, k) if k >= i or not symmetric else (k, i)
+            scale, vec, first = rows[a]
+            factors.append((scale, vec[first + b - a]))
+        return column_sum(col, factors)
+
+    failed, limit = None, r   # the first failing (i, j); a later column must fail above row limit
     for j, col in enumerate(zcols):
-        # column j of N Z - Q L D at 2^w; zip reads col first, so it takes
-        # exactly len(col) values
-        acc = [0] * r
-        acc[j] = -rhs[id(ld[j])]
-        for (k, _), v in zip(col, z_values):
-            acc = list(map(add, acc, map(mul, ncols[k], repeat(v))))
-        if any(acc):
-            failed.append((next(i for i, v in enumerate(acc) if v), j))
-    if not failed:
+        cut, below = (col[0][0] + 1, col[-1][0]) if symmetric and col else (r, r)
+        bad = []   # the least failing row of each kind
+        for vec, c, members in groups.values():
+            above = [i for i in members[:2] if i < min(cut, limit) and i != j]
+            if above and column_sum(col, [(_ONE, vec[c + k]) for k, _ in col]):
+                bad.append(above[0])
+        one_group = len({keys[k] for k, _ in col}) == 1
+        if one_group and below < limit:
+            vec, c, _ = groups[keys[col[0][0]]]
+            first = next((i for i in range(below, limit) if i != j and vec[c + i].terms), None)
+            if first is not None and column_sum(col, [(_ONE, rows[k][0]) for k, _ in col]):
+                bad.append(first)
+        band = range(cut, min(below if one_group else r, limit))
+        for i in sorted({*band, j} if j < limit else band):
+            acc = lhs(i, col)
+            if i == j:
+                for e, c in ld[j].terms.items():
+                    _add_scaled(acc, e, -c, q.terms)
+            if acc:
+                bad.append(i)
+                break
+        if bad:
+            limit = min(bad)
+            failed = limit, j
+    if failed is None:
         return None, cols, ld
-    i, j = min(failed)   # the first failing entry, row by row
-    acc = {}
-    for k, e, c in cols[j]:
-        _add_scaled(acc, e, c, nums[i][k].terms)
-    lhs = LaurentPoly._raw(_int_valued(acc))
+    i, j = failed
+    computed = LaurentPoly._raw(_int_valued(lhs(i, zcols[j])))
     return ("entry (%d,%d) of M D^-1 Mtilde D^-1: computed %s, expected %d"
-            % (i + 1, j + 1, RationalFunction(lhs, q * ld[j]), i == j)), cols, ld
+            % (i + 1, j + 1, RationalFunction(computed, q * ld[j]), i == j)), cols, ld
 
 
 def _classical_limit(p: LaurentPoly) -> int | Fraction | None:
@@ -815,8 +757,8 @@ def verify_cartan(preset: AlgebraPreset) -> VerificationOutcome:
     every correct preset, which also proves the dual identity
     D Mtilde^-1 D = M (identity_holds records its result), and then, only
     if it holds, the normalized classical limit of _limit_failure.  The
-    residual is decided by one exact int per table entry at t = 2^w, a
-    proof for int and rational tables alike (_identity_residual); it is the
+    residual is decided exactly, by term-map sums over the row groups of N,
+    for int and rational tables alike (_identity_residual); it is the
     preset's cartan_residual, computed on the first read, here or in
     bracket_sum, whose lowering steps read it too.
     """

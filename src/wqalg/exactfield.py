@@ -10,10 +10,10 @@ equality and their negation; the constructor also rejects a key of the
 wrong type (a LaurentPoly exponent must be an int).  Term maps are
 normalised by _int_valued, so the policy is applied in one place.  Sums
 of scaled, shifted term maps (products, the steps of laurent_divmod, the
-bracket-symbol numerators, the entry a failing Cartan residual names) all
-add through the one kernel _add_scaled, which is where such a sum drops
-the terms that cancel; the Cartan residual itself compares one int per
-entry at t = 2^w (algebras._identity_residual).
+bracket-symbol numerators, the group sums of the Cartan residual and the
+entry a failing one names) all add through the one kernel _add_scaled,
+which is where such a sum drops the terms that cancel
+(algebras._identity_residual).
 
 LaurentPoly is the ring the checks run in: products, division with
 remainder by a polynomial (laurent_divmod) and exact division

@@ -179,8 +179,9 @@ def residual_cleared_by_every_d(preset):
     products and sums.  The failure names the first entry, row by row, that
     breaks the identity, and prints the canonical form of lhs / rhs, in the
     words of verify_cartan; a zero d_k is named before any entry.  It is
-    the term-map cross-check of verify_cartan, which decides the residual
-    by one integer per entry at a power of two.
+    the entry-by-entry cross-check of verify_cartan, which decides the
+    residual by term-map sums over the row groups of N, one per group and
+    column.
     """
     q, nums = preset.pair_table
     d, mtilde = preset.d, preset.mtilde
@@ -280,7 +281,8 @@ def cartan_identity_at_two_to_the_k(preset):
     otherwise be a nonzero multiple of 2^K.  So with 2^(K-1) > B one exact
     evaluation per entry, by evaluate, decides the identity: a proof, not a
     sample.  No LaurentPoly arithmetic is used.  verify_cartan decides its
-    own residual, over D^-1 Mtilde, by the same method with its own code.
+    own residual, over Z = L D^-1 Mtilde, by term-map sums over the row
+    groups of N, and shares no method with this check.
     """
     q, nums = preset.pair_table
     d, mtilde = preset.d, preset.mtilde

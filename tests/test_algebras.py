@@ -2,6 +2,7 @@
 
 import gc
 import re
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -640,24 +641,82 @@ def test_residual_matches_the_oracle_on_single_entry_corruptions(g2, d5, e6, dat
     assert bad.m_parity == m_parity_by_products(bad)
 
 
-@pytest.mark.parametrize("kind,n", [("dn", 32), ("e6", None), ("g2", None)])
-def test_a_passing_residual_sums_no_term_map(monkeypatch, kind, n):
-    # each table entry is one int at t = 2^w, so a residual that holds adds no
-    # N_ik into a term map
+def test_a_passing_residual_sums_linearly_in_the_rank(monkeypatch):
+    # D_n's chain rows are one group, and each column of Z is nonzero on three
+    # rows of it, so a column takes O(1) term-map sums: G_j above the band, H_j
+    # below it, and the diagonal entry by entry.  d32 reads 574 calls and d64
+    # 1,150, about 18n; one sum per entry would quadruple them
+    counts = []
+    for n in (32, 64):
+        preset = build_preset("dn", n)
+        calls, out = _calls(monkeypatch, [(algebras, "_add_scaled")], lambda: verify_cartan(preset))
+        assert out.passed
+        counts.append(calls)
+    assert counts[1] <= 2.1 * counts[0], counts
+
+
+@pytest.mark.parametrize("kind,n", [("e6", None), ("g2", None)])
+def test_a_passing_tuple_table_sums_each_entry_at_most_once(monkeypatch, kind, n):
+    # a tuple table's groups are its rows, so it takes the same walk as D_n
+    # with one sum per entry: N_ik once per term of Z_kj, and Q once per term
+    # of L d_j on the diagonal
     preset = build_preset(kind, n)
     calls, out = _calls(monkeypatch, [(algebras, "_add_scaled")], lambda: verify_cartan(preset))
     assert out.passed
-    assert calls == 0
+    _, cols, ld = preset.cartan_residual
+    assert 0 < calls <= preset.rank * sum(map(len, cols)) + sum(len(e.terms) for e in ld)
 
 
-def test_a_failing_residual_sums_only_the_entry_it_names(monkeypatch, d5):
+def test_a_failing_residual_sums_only_the_entry_it_names(monkeypatch):
     # the corruption of test_verify_cartan_names_a_residual_entry_in_the_changed_column:
-    # the named entry (i, j) alone is summed again, N_ik once per term of Z_kj
-    bad = replace_preset(d5, mtilde=_replace_entry(d5.mtilde, 1, 2, sym_minus(3)))
-    calls, out = _calls(monkeypatch, [(algebras, "_add_scaled")], lambda: verify_cartan(bad))
-    j = int(re.match(r"entry \(\d+,(\d+)\)", out.failure).group(1)) - 1
-    assert calls == len(bad.cartan_residual[1][j]) > 0
+    # a failing residual makes no more sums than the passing one, as each column
+    # is searched only above the best row so far (d32: 67 calls against 574),
+    # and then sums the named entry (i, j) again, for its text
+    for n in (5, 32, 64):
+        preset = build_preset("dn", n)
+        passing = _calls(monkeypatch, [(algebras, "_add_scaled")],
+                         lambda: verify_cartan(preset))[0]
+        bad = replace_preset(preset, mtilde=_replace_entry(preset.mtilde, 1, 2, sym_minus(3)))
+        calls, out = _calls(monkeypatch, [(algebras, "_add_scaled")], lambda: verify_cartan(bad))
+        j = int(re.match(r"entry \(\d+,(\d+)\)", out.failure).group(1)) - 1
+        assert calls <= passing + len(bad.cartan_residual[1][j]), n
+        assert out.failure == residual_cleared_by_every_d(bad), n
+
+
+@pytest.mark.parametrize("case", ["below the band", "above the band, past the diagonal"])
+def test_an_entry_that_one_group_sum_decides_is_named(g2, case):
+    # Q = 1 and D = 1, so Z = Mtilde, and the first failing entry is (2,1).
+    # Below: Z_21 = 0, so row 2 is below column 1's band, and H_1 = N_11 Z_11
+    # alone decides R_21.  Above: one group of three rows over v = (0, 0, 1),
+    # and Z_31 alone is nonzero in column 1; its diagonal row 1 is the group's
+    # first row, and G_1 = v_3 Z_31 alone decides R_21
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    if case == "below the band":
+        nums, mtilde = ((one, -one), (-one, _times(one, 2))), ((one, one), (zero, one))
+    else:
+        v = zero, zero, one
+        nums = algebras.PairRows([(one, v, i) for i in range(3)])
+        mtilde = ((zero, one, zero), (zero, zero, one), (one, zero, zero))
+    r = len(mtilde)
+    bad = replace_preset(g2, pair_table=(one, nums), d=(one,) * r, mtilde=mtilde,
+                         b=((0,) * r,) * r)
+    out = verify_cartan(bad)
     assert out.failure == residual_cleared_by_every_d(bad)
+    assert out.failure.startswith("entry (2,1) ")
+
+
+def test_the_dn_residual_memory_stays_flat():
+    # the group sums hold O(1) term maps per column: d256 peaks at about
+    # 0.19 MiB, where one int per upper-triangle entry at a power of two held
+    # about 26 MiB, growing as n^3
+    preset = build_preset("dn", 256)
+    tracemalloc.start()
+    try:
+        assert preset.cartan_residual[0] is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, "the d256 residual peaked at %.2f MiB" % (peak / 2**20)
 
 
 def test_the_first_failing_entry_is_taken_row_by_row(d5):
@@ -700,9 +759,9 @@ def test_a_rational_pair_table_is_scaled_to_ints(kind, n):
 
 @pytest.mark.parametrize("kind,n", [("g2", None), ("e6", None), ("dn", 5)])
 def test_a_corruption_that_vanishes_at_a_small_power_of_two_is_found(kind, n):
-    # N_11 plus 2^64 - t vanishes at t = 2^64, where every entry of the
-    # corrupted row would read true; w is bounded from the corrupted table,
-    # so the residual evaluates past it
+    # N_11 plus 2^64 - t vanishes at t = 2^64, where a check that evaluates
+    # the entries of the corrupted row there would read them true; the
+    # residual compares term maps, which no value of t can clear
     preset = build_preset(kind, n)
     q, nums = preset.pair_table
     moved = LaurentPoly({0: 2 ** 64, 1: -1})
@@ -784,8 +843,8 @@ def _dn_row_corruptions(rows):
          (True, True), False),
         ("scale t [2] on row 2", rows[:1] + [(scale.shift(1), vec, first)] + rows[2:],
          (True, False), False),
-        # a term far below every other exponent: the rows' least exponents set
-        # the base, so its right shifts are exact and it is not lost
+        # a term far below every other exponent, which every sum of row 2's
+        # entries carries
         ("scale [2] + t^-8n on row 2",
          rows[:1] + [(laurent_sum(scale, LaurentPoly({-8 * len(rows): 1})), vec, first)]
          + rows[2:], (True, False), False),
@@ -848,17 +907,30 @@ def test_a_pair_rows_table_of_the_wrong_shape_is_refused_unread(d5):
         assert not table._entries
 
 
-def test_a_pair_rows_scale_holds_int_coefficients(d5):
-    q, nums = d5.pair_table
-    scale, vec, first = nums.rows[0]
-    with pytest.raises(TypeError, match="int coefficients"):
-        algebras.PairRows([(LaurentPoly({1: Fraction(1, 2)}), vec, first)] + list(nums.rows[1:]))
+def test_a_pair_rows_scale_may_hold_rational_coefficients():
+    # row 2's scale [2]/3 over 3 b holds D_n's table as built, and over b it
+    # does not: each verifies, and reads the parity of M, as its tuple table does
+    for n in (5, 8, 16):
+        base = build_preset("dn", n)
+        q = base.pair_table[0]
+        rows = list(base.pair_table[1].rows)
+        scale, vec, first = rows[1]
+        for v, holds in (tuple(_times(e, 3) for e in vec), True), (vec, False):
+            table = algebras.PairRows(rows[:1] + [(_over(scale, 3), v, first)] + rows[2:])
+            lazy = replace_preset(base, pair_table=(q, table))
+            tuples = replace_preset(base, pair_table=(q, tuple(map(tuple, table))))
+            got, want = verify_cartan(lazy), verify_cartan(tuples)
+            assert (got.passed, got.failure) == (want.passed, want.failure), n
+            assert got.passed == holds, n
+            assert holds or got.failure == residual_cleared_by_every_d(tuples), n
+            assert lazy.m_parity == tuples.m_parity == m_parity_by_products(tuples), n
 
 
 @pytest.mark.parametrize("n", [5, 16])
 def test_a_scale_corruption_that_vanishes_at_a_power_of_two_is_found(n):
-    # row 2's scale plus 2^a - t, a = 2..23: the change vanishes at t = 2^a, and
-    # the bound |scale| |v| grows with it, so w passes every a
+    # row 2's scale plus 2^a - t, a = 2..23: the change vanishes at t = 2^a,
+    # where an evaluation would miss it; the residual sums row 2's scale as a
+    # term map, which no value of t can clear
     base = build_preset("dn", n)
     q = base.pair_table[0]
     rows = list(base.pair_table[1].rows)
